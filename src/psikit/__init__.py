@@ -14,7 +14,6 @@ from .exactmath import (
     NotInvertibleError,
     QuadExt,
     RadicandMismatchError,
-    mersenne_reduce,
     mod_inverse,
     quad_mul,
 )

@@ -65,10 +65,14 @@ def pell_lucas(n: int) -> int:
 
 
 def _poly_recurrence(n: int, first, second, step):
+    """Term n of the sequence with terms 0 and 1 given and
+    term k + 2 = step(term k, term k + 1); no term past n is built."""
+    if n == 0:
+        return first
     a, b = first, second
-    for _ in range(n):
+    for _ in range(n - 1):
         a, b = b, step(a, b)
-    return a
+    return b
 
 
 @lru_cache(maxsize=None)

@@ -35,6 +35,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
+# Largest bit length of a ``base^exp`` index; the ladder spends one step per bit.
+INDEX_BITS_CAP = 1 << 20
+
 
 def _parse_scalar(text: str) -> Fraction | int:
     """Accept integers and exact fractions like ``-3`` or ``3/2``."""
@@ -47,15 +50,28 @@ def _parse_scalar(text: str) -> Fraction | int:
 
 
 def _parse_index(text: str) -> int:
-    """Accept ``37634``, ``2^61`` and ``3*2^61`` for astronomically large n."""
+    """Accept ``37634``, ``2^61`` and ``3*2^61`` for astronomically large n.
+
+    The bit length of ``mult*base^exp`` is bounded by
+    ``mult.bit_length() + exp * base.bit_length()``; above INDEX_BITS_CAP the
+    index is refused before the power is built.
+    """
     text = text.strip()
     mult = 1
     if "*" in text:
         head, _, text = text.partition("*")
         mult = int(head)
     if "^" in text:
-        base, _, exp = text.partition("^")
-        value = mult * int(base) ** int(exp)
+        base_text, _, exp_text = text.partition("^")
+        base, exp = int(base_text), int(exp_text)
+        if exp < 0:
+            raise ValueError("index exponent must be >= 0")
+        bits = mult.bit_length() + exp * base.bit_length()
+        if bits > INDEX_BITS_CAP:
+            raise CapacityError(
+                f"index {text!r} has up to {bits} bits; cap is {INDEX_BITS_CAP}"
+            )
+        value = mult * base**exp
     else:
         value = mult * int(text)
     if value < 0:

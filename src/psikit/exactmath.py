@@ -27,7 +27,6 @@ __all__ = [
     "GOLDEN_RATIO",
     "quad_mul",
     "MersenneMod",
-    "mersenne_reduce",
     "mod_inverse",
 ]
 
@@ -261,11 +260,6 @@ class MersenneMod:
 
     def __hash__(self):
         return hash(("MersenneMod", self.p))
-
-
-def mersenne_reduce(x: int, m: MersenneMod) -> int:
-    """Reduce ``x`` modulo ``2**m.p - 1``; total on all integers."""
-    return m.reduce(x)
 
 
 def mod_inverse(x: int, m: int) -> int:

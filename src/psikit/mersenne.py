@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, isqrt
 
 from .errors import CapacityError
-from .exactmath import NotInvertibleError, mod_inverse
+from .exactmath import MersenneMod, NotInvertibleError, mod_inverse
 from .psicore import psi_mod_ladder, psi_symbolic
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "is_prime_small",
     "ll_classic",
     "ll_chain",
-    "psi_chain",
     "psi_test",
     "mu_pattern_test",
     "mu_expected_residue",
@@ -112,33 +111,25 @@ def _candidate(p: int, min_p: int) -> MersenneCandidate:
     return cand
 
 
-def ll_chain(p: int) -> list[int]:
-    """Iterates s0 = 4, s -> s**2 - 2 (mod 2**p - 1), p - 1 entries."""
-    m = (1 << p) - 1
-    chain = [4 % m]
-    for _ in range(p - 2):
-        chain.append((chain[-1] * chain[-1] - 2) % m)
-    return chain
+def ll_chain(p: int, seed: int = 4) -> int:
+    """The (p - 2)-th iterate of s -> s**2 - 2 from s0 = seed, mod 2**p - 1.
 
-
-def psi_chain(p: int) -> list[int]:
-    """psi(1, 4, 2**k) mod 2**p - 1 for k = 1 .. p - 1.
-
-    Starts at psi(1, 4, 2) = -4 and squares down; identical to the classical
-    chain from the first squaring onward since (-4)**2 == 4**2.
+    One iterate is held at a time and reduced by fold-and-add.  Seeds 4 and
+    psi(1, 4, 2) = -4 give the same iterates from the first squaring on, and
+    from seed -4 the k-th iterate is psi(1, 4, 2**(k + 1)).
     """
-    m = (1 << p) - 1
-    chain = [-4 % m]
+    reduce = MersenneMod(p).reduce
+    s = reduce(seed)
     for _ in range(p - 2):
-        chain.append((chain[-1] * chain[-1] - 2) % m)
-    return chain
+        s = reduce(s * s - 2)
+    return s
 
 
 def ll_classic(p: int) -> TestReport:
     """Classical s -> s**2 - 2 test: prime iff the (p-2)-th iterate is 0."""
     started = time.perf_counter()
-    cand = _candidate(p, 3)
-    residue = ll_chain(p)[-1] if p > 2 else 0
+    _candidate(p, 3)
+    residue = ll_chain(p)
     verdict = "prime" if residue == 0 else "composite"
     return TestReport(
         method="ll",

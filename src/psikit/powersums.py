@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .eightlevels import expand_powersum_basis, power_sum_poly
+from .errors import CapacityError
 from .multipoly import SparsePoly, degree_cap, get_degree_cap, variables
 from .psicore import half
 
@@ -74,7 +75,7 @@ def verify_special_case(n: int, cap: int = 10) -> bool:
     if n < 2:
         raise ValueError("index must be >= 2")
     if n > cap:
-        raise ValueError(f"index {n} above configured cap {cap}")
+        raise CapacityError(f"index {n} above configured cap {cap}")
     m = half(n)
     x, y, z, t, u, v = variables("x y z t u v")
     with degree_cap(max(get_degree_cap(), 4 * m + n + 4)):

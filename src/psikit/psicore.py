@@ -7,6 +7,15 @@ psi(0) = 2, psi(1) = 1 and
 Modes: direct recurrence (any exact ring), explicit binomial formula,
 symbolic polynomial in (a, b), and an O(log n) modular doubling ladder for
 astronomically large indices.
+
+The ladder writes n = odd * 2**j and runs in two phases.  It first walks the
+bits of the odd part with ``ladder_step``, which carries (psi(k), psi(k+1),
+a**k).  It then squares down the j trailing zero bits with
+psi(2k) = d**parity(k) * psi(k)**2 - 2 * a**k, one squaring per bit, plus one
+for a**k unless a = 1 (mod m).  The reduction is chosen once per call: moduli
+2**p - 1 use the fold-and-add ``MersenneMod.reduce``, every other modulus
+plain ``%``.  a and d = 2a - b are kept as signed representatives of least
+absolute value, so for psi(1, 4, .) the factor d is -2, not m - 2.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from math import comb
 from typing import Optional, Union
 
 from .errors import CapacityError
-from .exactmath import QuadExt
+from .exactmath import MersenneMod, QuadExt
 from .multipoly import SparsePoly, degree_cap, get_degree_cap
 
 RingElement = Union[int, Fraction, QuadExt, SparsePoly]
@@ -174,7 +183,7 @@ def psi_extended(a, b, n: int):
     return psi_recurrence(a, b, abs(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PsiLadderState:
     """(psi(k), psi(k+1), a**k) mod m together with the parity of k."""
 
@@ -188,7 +197,9 @@ def ladder_start(m: int) -> PsiLadderState:
     return PsiLadderState(2 % m, 1 % m, 1 % m, 0)
 
 
-def ladder_step(state: PsiLadderState, bit: int, a: int, b: int, m: int) -> PsiLadderState:
+def ladder_step(
+    state: PsiLadderState, bit: int, a: int, b: int, m: int, reduce=None
+) -> PsiLadderState:
     """Advance the ladder from index k to 2k (bit 0) or 2k + 1 (bit 1).
 
     Index-doubling rules, with d = 2a - b:
@@ -196,34 +207,66 @@ def ladder_step(state: PsiLadderState, bit: int, a: int, b: int, m: int) -> PsiL
         psi(2k)     = d**parity(k) * psi(k)**2 - 2 * a**k
         psi(2k + 1) = psi(k) * psi(k+1) - a**k
         psi(2k + 2) = d * psi(2k + 1) - a * psi(2k)
+
+    ``reduce`` maps any integer to its residue mod m (default ``x % m``).
+    When a == 1 the state's a**k is 1 and its products are skipped.
     """
-    d = (2 * a - b) % m
+    if reduce is None:
+        reduce = m.__rmod__
+    d = 2 * a - b
     lo, hi, apow = state.lo, state.hi, state.apow
     sq = lo * lo
     if state.parity:
-        sq = sq * d
-    dbl_lo = (sq - 2 * apow) % m
-    dbl_hi = (lo * hi - apow) % m
-    apow2 = apow * apow % m
+        # reducing first keeps the product by d at m x m bits, not 2m x m
+        sq = reduce(sq) * d
+    dbl_lo = reduce(sq - 2 * apow)
+    dbl_hi = reduce(lo * hi - apow)
+    if a != 1:
+        apow = reduce(apow * apow)
+        if bit:
+            apow = reduce(apow * a)
     if bit:
-        return PsiLadderState(dbl_hi, (d * dbl_hi - a * dbl_lo) % m, apow2 * a % m, 1)
-    return PsiLadderState(dbl_lo, dbl_hi, apow2, 0)
+        return PsiLadderState(dbl_hi, reduce(d * dbl_hi - a * dbl_lo), apow, 1)
+    return PsiLadderState(dbl_lo, dbl_hi, apow, 0)
+
+
+def _signed(x: int, m: int) -> int:
+    """The representative of x mod m of least absolute value."""
+    x %= m
+    return x - m if x > m >> 1 else x
 
 
 def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
-    """psi(a, b, n) mod m in O(log n) ring operations."""
+    """psi(a, b, n) mod m in O(log n) ring operations.
+
+    Walks the odd part of n with ``ladder_step``, then squares down the
+    trailing zero bits; see the module docstring.
+    """
     if m < 2:
         raise ValueError("modulus must be >= 2")
     if n < 0:
         raise ValueError("index must be >= 0")
-    a %= m
-    b %= m
     if n == 0:
         return 2 % m
+    reduce = MersenneMod(m.bit_length()).reduce if m & (m + 1) == 0 else m.__rmod__
+    a = _signed(a, m)
+    d = _signed(2 * a - b, m)
+    b = 2 * a - d  # ladder_step derives d from a and b
+    zeros = (n & -n).bit_length() - 1
+    odd = n >> zeros
     state = ladder_start(m)
-    for i in range(n.bit_length() - 1, -1, -1):
-        state = ladder_step(state, (n >> i) & 1, a, b, m)
-    return state.lo
+    for i in range(odd.bit_length() - 1, -1, -1):
+        state = ladder_step(state, (odd >> i) & 1, a, b, m, reduce)
+    # the odd part has parity 1, so only the first doubling carries d
+    lo, apow, par = state.lo, state.apow, state.parity
+    for _ in range(zeros):
+        sq = lo * lo
+        if par:
+            sq, par = reduce(sq) * d, 0
+        lo = reduce(sq - 2 * apow)
+        if a != 1:
+            apow = reduce(apow * apow)
+    return lo
 
 
 def psi_product_identity_check(a, b, n: int, m: int) -> bool:

@@ -29,7 +29,6 @@ from psikit.mersenne import (
     mu_expected_residue,
     mu_pattern_test,
     necessary_condition,
-    psi_chain,
     psi_test,
     signed_factorial_product_sum,
     tau_identity_check,
@@ -74,9 +73,10 @@ def test_criterion_01_known_classification():
 def test_criterion_02_equivalence_and_chains():
     for p in PRIMES_TO_31:
         assert psi_test(p).verdict == ll_classic(p).verdict, p
-        s, t = ll_chain(p), psi_chain(p)
-        assert s[1:] == t[1:], p  # identical from step 1 onward
-        assert (s[0] * s[0] - t[0] * t[0]) % ((1 << p) - 1) == 0  # (-4)^2 == 4^2
+        # seeds 4 and psi(1,4,2) = -4 agree from the first squaring, (-4)^2 == 4^2,
+        # and the chain from -4 ends at psi(1, 4, 2^(p-1))
+        m = (1 << p) - 1
+        assert ll_chain(p, 4) == ll_chain(p, -4) == psi_mod_ladder(1, 4, 1 << (p - 1), m), p
     _report(2, "divisibility test equivalent to the classical ladder, chains agree")
 
 

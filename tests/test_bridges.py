@@ -34,6 +34,10 @@ class TestOracles:
         assert chebyshev_t(2) == 2 * X**2 - 1
         assert chebyshev_t(3) == 4 * X**3 - 3 * X
 
+    def test_chebyshev_degree(self):
+        for n in (0, 1, 2, 7, 64):
+            assert chebyshev_t(n).total_degree() == n
+
     def test_dickson(self):
         assert dickson_d(2) == X**2 - 2 * AL
         assert dickson_d(3) == X**3 - 3 * AL * X

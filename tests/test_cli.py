@@ -1,10 +1,12 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout
 
 import pytest
 
-from psikit.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, main
+from psikit.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, INDEX_BITS_CAP, _parse_index, main
+from psikit.errors import CapacityError
 
 
 def run_cli(*argv):
@@ -127,6 +129,11 @@ class TestBridgesAndIdentities:
         code, recs = run_json("bridges", "check", "--nmax", "24")
         assert code == EXIT_OK and all(r["ok"] for r in recs)
 
+    def test_bridges_check_at_degree_cap(self):
+        code, recs = run_json("bridges", "check", "--nmax", "64")
+        assert code == EXIT_OK and len(recs) == 19
+        assert all(r["ok"] for r in recs)
+
     def test_bridges_list(self):
         code, recs = run_json("bridges", "list")
         names = {r["name"] for r in recs}
@@ -167,6 +174,29 @@ class TestExitCodes:
             "mersenne", "test", "--p", "13", "--method", "necessary", "--max-p", "13"
         )
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-holds"
+
+    def test_powersums_cap_is_capacity(self):
+        code, recs = run_json("verify", "powersums", "--nmax", "11")
+        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+
+    def test_huge_power_index_refused_before_building(self):
+        started = time.perf_counter()
+        code, recs = run_json(
+            "psi", "ladder", "--a", "1", "--b", "4", "--n", "2^100000000", "--mod", "31"
+        )
+        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+        # 3^(10^11) would take hours to build; the estimate refuses it at once
+        with pytest.raises(CapacityError):
+            _parse_index("5*3^100000000000")
+        assert time.perf_counter() - started < 1.0
+
+    def test_index_forms_within_cap(self):
+        assert _parse_index("2^60") == 1 << 60
+        assert _parse_index(" 3*2^61 ") == 3 << 61
+        assert _parse_index("37634") == 37634
+        assert _parse_index(f"2^{INDEX_BITS_CAP // 2 - 1}") == 1 << (INDEX_BITS_CAP // 2 - 1)
+        with pytest.raises(ValueError):
+            _parse_index("2^-1")
 
     def test_help_is_not_an_error(self):
         code, _ = run_cli("--help")

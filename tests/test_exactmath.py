@@ -14,7 +14,6 @@ from psikit.exactmath import (
     SQRT2,
     SQRT3,
     SQRT5,
-    mersenne_reduce,
     mod_inverse,
     quad_mul,
 )
@@ -22,21 +21,21 @@ from psikit.exactmath import (
 
 class TestMersenneReduce:
     def test_zero(self):
-        assert mersenne_reduce(0, MersenneMod(5)) == 0
+        assert MersenneMod(5).reduce(0) == 0
 
     def test_modulus_itself(self):
-        assert mersenne_reduce(31, MersenneMod(5)) == 0
+        assert MersenneMod(5).reduce(31) == 0
 
     def test_known_multiple(self):
         # 37634 = 31 * 1214, checked by long division
         assert divmod(37634, 31) == (1214, 0)
-        assert mersenne_reduce(37634, MersenneMod(5)) == 0
+        assert MersenneMod(5).reduce(37634) == 0
 
     def test_negative_inputs(self):
         m = MersenneMod(5)
-        assert mersenne_reduce(-4, m) == 27
-        assert mersenne_reduce(-31, m) == 0
-        assert mersenne_reduce(-(1 << 100) - 7, m) == (-(1 << 100) - 7) % 31
+        assert m.reduce(-4) == 27
+        assert m.reduce(-31) == 0
+        assert m.reduce(-(1 << 100) - 7) == (-(1 << 100) - 7) % 31
 
     def test_random_against_generic_remainder(self):
         rng = random.Random(20240811)
@@ -44,7 +43,17 @@ class TestMersenneReduce:
         for _ in range(10_000):
             p = rng.choice((5, 7, 13, 17, 31))
             x = rng.randint(-(1 << 200), 1 << 200)
-            assert mersenne_reduce(x, mods[p]) == x % ((1 << p) - 1)
+            assert mods[p].reduce(x) == x % ((1 << p) - 1)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(p=st.integers(2, 130), x=st.integers(-(1 << 400), -1))
+    def test_negative_against_generic_remainder_hypothesis(self, p, x):
+        assert MersenneMod(p).reduce(x) == x % ((1 << p) - 1)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(p=st.integers(2, 130), k=st.integers(-(1 << 300), 1 << 300))
+    def test_multiples_of_modulus_hypothesis(self, p, k):
+        assert MersenneMod(p).reduce(k * ((1 << p) - 1)) == 0
 
     def test_exponent_validation(self):
         with pytest.raises(ValueError):

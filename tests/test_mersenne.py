@@ -16,7 +16,6 @@ from psikit.mersenne import (
     mu_pattern_test,
     necessary_condition,
     psi14_exact,
-    psi_chain,
     psi_test,
     run_method,
     signed_factorial_product_sum,
@@ -27,7 +26,17 @@ from psikit.mersenne import (
 from psikit.psicore import psi_mod_ladder, psi_recurrence
 
 PRIMES_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+ALL_PRIMES_TO_31 = (2, 3) + PRIMES_TO_31
 MERSENNE_PRIME_EXPONENTS = {5, 7, 13, 17, 19, 31}
+
+
+def _oracle_chain(p: int, seed: int) -> list[int]:
+    """Every iterate of s -> s**2 - 2 mod 2**p - 1 by plain %, p - 1 entries."""
+    m = (1 << p) - 1
+    chain = [seed % m]
+    for _ in range(p - 2):
+        chain.append((chain[-1] * chain[-1] - 2) % m)
+    return chain
 
 
 def _trial_division_factor(m: int) -> int:
@@ -88,14 +97,16 @@ class TestSequenceDivisibilityTest:
         assert psi_test(5).verdict == "prime"
 
     def test_chain_residues_p7(self):
-        chain = psi_chain(7)
-        assert chain == [123, 14, 67, 42, 111, 0]
+        # the oracle chain from psi(1,4,2) = -4, pinned by hand
+        assert _oracle_chain(7, -4) == [123, 14, 67, 42, 111, 0]
+        assert ll_chain(7, -4) == 0
         assert psi_test(7).verdict == "prime"
 
     def test_chains_agree_from_first_squaring(self):
-        for p in PRIMES_TO_31:
-            s = ll_chain(p)
-            t = psi_chain(p)
+        for p in ALL_PRIMES_TO_31:
+            for seed in (4, -4):
+                assert ll_chain(p, seed) == _oracle_chain(p, seed)[-1], (p, seed)
+            s, t = _oracle_chain(p, 4), _oracle_chain(p, -4)
             assert len(s) == len(t) == p - 1
             assert s[1:] == t[1:], f"p={p}"
             # seeds differ only in sign: (-4)^2 == 4^2

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from psikit.errors import CapacityError
 from psikit.multipoly import SparsePoly, variables
 from psikit.powersums import (
     bracket,
@@ -126,7 +127,7 @@ class TestThreePairExpansion:
         assert bracket(0, 0, U, V).is_zero
 
     def test_cap_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             verify_special_case(11, cap=10)
         with pytest.raises(ValueError):
             verify_special_case(1)

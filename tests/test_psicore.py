@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psikit.errors import CapacityError
 from psikit.exactmath import QuadExt, SQRT2
@@ -162,6 +164,53 @@ class TestLadder:
         for _ in range(59):
             s = (s * s - 2) % m
         assert psi_mod_ladder(1, 4, 1 << 60, m) == s
+
+
+@st.composite
+def ladder_cases(draw):
+    """(a, b, n, m): Mersenne, near-miss and random odd moduli; a = 1 (mod m)
+    or not, signed a and b; n = 0, powers of two and odd * 2**j."""
+    form = draw(st.sampled_from(("mersenne", "plus1", "minus3", "odd")))
+    if form == "mersenne":
+        m = (1 << draw(st.integers(2, 61))) - 1
+    elif form == "plus1":
+        m = (1 << draw(st.integers(1, 61))) + 1
+    elif form == "minus3":
+        m = (1 << draw(st.integers(3, 61))) - 3
+    else:
+        m = 2 * draw(st.integers(1, 1 << 64)) + 1
+    a = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(-3, 3).map(lambda k: 1 + k * m),
+            st.integers(-(1 << 70), 1 << 70),
+        )
+    )
+    b = draw(st.integers(-(1 << 70), 1 << 70))
+    n = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, 14).map(lambda j: 1 << j),
+            st.tuples(st.integers(0, 7), st.integers(0, 12)).map(
+                lambda t: (2 * t[0] + 1) << t[1]
+            ),
+            st.integers(0, 3000),
+        )
+    )
+    return a, b, n, m
+
+
+class TestLadderProperties:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(ladder_cases())
+    def test_ladder_matches_recurrence_hypothesis(self, case):
+        a, b, n, m = case
+        assert psi_mod_ladder(a, b, n, m) == psi_recurrence_mod(a, b, n, m)
+
+    def test_smallest_mersenne_modulus(self):
+        for a, b in product(range(-3, 4), repeat=2):
+            for n in range(40):
+                assert psi_mod_ladder(a, b, n, 3) == psi_recurrence_mod(a, b, n, 3)
 
 
 class TestExtendedAndProduct:
