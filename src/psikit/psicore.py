@@ -11,8 +11,8 @@ astronomically large indices.
 The ladder writes n = odd * 2**j and runs in two phases.  It first walks the
 bits of the odd part with ``ladder_step``, which carries (psi(k), psi(k+1),
 a**k).  It then squares down the j trailing zero bits with
-psi(2k) = d**parity(k) * psi(k)**2 - 2 * a**k, one squaring per bit, plus one
-for a**k unless a = 1 (mod m).  The reduction is chosen once per call: moduli
+psi(2k) = d**parity(k) * psi(k)**2 - 2 * a**k, one squaring per bit plus one
+for a**k.  The reduction is chosen once per call: moduli
 2**p - 1 use the fold-and-add ``MersenneMod.reduce``, every other modulus
 plain ``%``.  a and d = 2a - b are kept as signed representatives of least
 absolute value, so for psi(1, 4, .) the factor d is -2, not m - 2.
@@ -209,7 +209,6 @@ def ladder_step(
         psi(2k + 2) = d * psi(2k + 1) - a * psi(2k)
 
     ``reduce`` maps any integer to its residue mod m (default ``x % m``).
-    When a == 1 the state's a**k is 1 and its products are skipped.
     """
     if reduce is None:
         reduce = m.__rmod__
@@ -221,12 +220,9 @@ def ladder_step(
         sq = reduce(sq) * d
     dbl_lo = reduce(sq - 2 * apow)
     dbl_hi = reduce(lo * hi - apow)
-    if a != 1:
-        apow = reduce(apow * apow)
-        if bit:
-            apow = reduce(apow * a)
+    apow = reduce(apow * apow)
     if bit:
-        return PsiLadderState(dbl_hi, reduce(d * dbl_hi - a * dbl_lo), apow, 1)
+        return PsiLadderState(dbl_hi, reduce(d * dbl_hi - a * dbl_lo), reduce(apow * a), 1)
     return PsiLadderState(dbl_lo, dbl_hi, apow, 0)
 
 
@@ -257,15 +253,13 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     state = ladder_start(m)
     for i in range(odd.bit_length() - 1, -1, -1):
         state = ladder_step(state, (odd >> i) & 1, a, b, m, reduce)
-    # the odd part has parity 1, so only the first doubling carries d
-    lo, apow, par = state.lo, state.apow, state.parity
-    for _ in range(zeros):
-        sq = lo * lo
-        if par:
-            sq, par = reduce(sq) * d, 0
-        lo = reduce(sq - 2 * apow)
-        if a != 1:
+    lo, apow = state.lo, state.apow
+    if zeros:
+        # the odd part has parity 1, so only the first doubling carries d
+        lo = reduce(reduce(lo * lo) * d - 2 * apow)
+        for _ in range(zeros - 1):
             apow = reduce(apow * apow)
+            lo = reduce(lo * lo - 2 * apow)
     return lo
 
 
