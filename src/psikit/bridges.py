@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .eightlevels import coeff_values
 from .exactmath import GOLDEN_RATIO, QuadExt, SQRT2, SQRT3, SQRT5
 from .multipoly import SparsePoly, variables
-from .psicore import half, parity, psi_recurrence, psi_sequence
+from .psicore import half, parity, psi_sequence
 
 __all__ = [
     "BridgeSpec",
@@ -27,8 +27,11 @@ __all__ = [
     "fibonacci",
     "pell_lucas",
     "pell_lucas_poly",
+    "pell_lucas_poly_terms",
     "chebyshev_t",
+    "chebyshev_t_terms",
     "dickson_d",
+    "dickson_d_terms",
     "default_bridges",
     "bridge_check",
     "detect_period",
@@ -64,35 +67,43 @@ def pell_lucas(n: int) -> int:
     return a
 
 
-def _poly_recurrence(n: int, first, second, step):
-    """Term n of the sequence with terms 0 and 1 given and
-    term k + 2 = step(term k, term k + 1); no term past n is built."""
-    if n == 0:
-        return first
-    a, b = first, second
-    for _ in range(n - 1):
-        a, b = b, step(a, b)
-    return b
+def _poly_terms(n_max: int, first, second, step) -> list:
+    """Terms 0..n_max of the sequence with terms 0 and 1 given and
+    term k + 2 = step(term k, term k + 1), in one pass; no term past n_max
+    is built."""
+    terms = [first, second][: n_max + 1]
+    while len(terms) <= n_max:
+        terms.append(step(terms[-2], terms[-1]))
+    return terms
 
 
-@lru_cache(maxsize=None)
-def pell_lucas_poly(n: int) -> SparsePoly:
+def pell_lucas_poly_terms(n_max: int) -> list[SparsePoly]:
     (x,) = variables("x")
-    return _poly_recurrence(
-        n, SparsePoly.constant(2), 2 * x, lambda a, b: 2 * x * b + a
+    return _poly_terms(
+        n_max, SparsePoly.constant(2), 2 * x, lambda a, b: 2 * x * b + a
     )
 
 
-@lru_cache(maxsize=None)
-def chebyshev_t(n: int) -> SparsePoly:
+def chebyshev_t_terms(n_max: int) -> list[SparsePoly]:
     (x,) = variables("x")
-    return _poly_recurrence(n, SparsePoly.constant(1), x, lambda a, b: 2 * x * b - a)
+    return _poly_terms(n_max, SparsePoly.constant(1), x, lambda a, b: 2 * x * b - a)
 
 
-@lru_cache(maxsize=None)
-def dickson_d(n: int) -> SparsePoly:
+def dickson_d_terms(n_max: int) -> list[SparsePoly]:
     x, al = variables("x alpha")
-    return _poly_recurrence(n, SparsePoly.constant(2), x, lambda a, b: x * b - al * a)
+    return _poly_terms(n_max, SparsePoly.constant(2), x, lambda a, b: x * b - al * a)
+
+
+def pell_lucas_poly(n: int) -> SparsePoly:
+    return pell_lucas_poly_terms(n)[n]
+
+
+def chebyshev_t(n: int) -> SparsePoly:
+    return chebyshev_t_terms(n)[n]
+
+
+def dickson_d(n: int) -> SparsePoly:
+    return dickson_d_terms(n)[n]
 
 
 # -- bridge registry ----------------------------------------------------------
@@ -100,17 +111,27 @@ def dickson_d(n: int) -> SparsePoly:
 
 @dataclass
 class BridgeSpec:
-    """One registered identity: value(n) must equal oracle(n) on its index set."""
+    """One registered identity: term n of ``values`` must equal term n of
+    ``oracle`` at every n of its index set.
+
+    ``values`` and ``oracle`` map n_max to the list of terms 0..n_max, each
+    built in one pass.
+    """
 
     name: str
     description: str
-    value: Callable[[int], object]
-    oracle: Callable[[int], object]
+    values: Callable[[int], Sequence]
+    oracle: Callable[[int], Sequence]
     indices: Callable[[int], Iterable[int]]
 
     def check(self, n_max: int) -> list[int]:
         """Indices up to n_max where the identity fails (empty == pass)."""
-        return [n for n in self.indices(n_max) if self.value(n) != self.oracle(n)]
+        indices = list(self.indices(n_max))
+        if not indices:
+            return []
+        top = max(indices)
+        values, expected = self.values(top), self.oracle(top)
+        return [n for n in indices if values[n] != expected[n]]
 
     def describe(self) -> dict:
         return {"name": self.name, "description": self.description}
@@ -124,10 +145,23 @@ def _indices_from(start: int):
     return lambda n_max: range(start, n_max + 1)
 
 
-def _psi_value(a, b, transform=None):
+def _each(term: Callable[[int], object]) -> Callable[[int], list]:
+    """The terms 0..n_max of a sequence given term by term."""
+    return lambda n_max: [term(n) for n in range(n_max + 1)]
+
+
+def _psi_values(a, b, transform=None) -> Callable[[int], list]:
+    """psi(a, b, 0..n_max) in one pass, each term n mapped by transform(v, n)."""
     if transform is None:
-        return lambda n: psi_recurrence(a, b, n)
-    return lambda n: transform(psi_recurrence(a, b, n), n)
+        return lambda n_max: psi_sequence(a, b, n_max)
+    return lambda n_max: [
+        transform(v, n) for n, v in enumerate(psi_sequence(a, b, n_max))
+    ]
+
+
+def _psi_tuples(*pairs) -> Callable[[int], list]:
+    """(psi(a1, b1, n), psi(a2, b2, n), ...) for n = 0..n_max."""
+    return lambda n_max: list(zip(*(psi_sequence(a, b, n_max) for a, b in pairs)))
 
 
 def _sqrt5_table(sign: int) -> Callable[[int], QuadExt]:
@@ -154,149 +188,141 @@ def default_bridges() -> list[BridgeSpec]:
         BridgeSpec(
             "lucas",
             "psi(-1, -3, n) equals the Lucas number L(n)",
-            _psi_value(-1, -3),
-            lucas,
+            _psi_values(-1, -3),
+            _each(lucas),
             _all_indices,
         ),
         BridgeSpec(
             "fibonacci-lucas-parity",
             "psi(1, -3, n) equals F(n) for odd n and L(n) for even n",
-            _psi_value(1, -3),
-            lambda n: fibonacci(n) if n % 2 else lucas(n),
+            _psi_values(1, -3),
+            _each(lambda n: fibonacci(n) if n % 2 else lucas(n)),
             _all_indices,
         ),
         BridgeSpec(
             "two-power-plus-sign",
             "psi(-2, -5, n) equals 2**n + (-1)**n",
-            _psi_value(-2, -5),
-            lambda n: 2**n + (-1) ** n,
+            _psi_values(-2, -5),
+            _each(lambda n: 2**n + (-1) ** n),
             _all_indices,
         ),
         BridgeSpec(
             "two-power-thirds",
             "psi(2, -5, n) equals (2**n + 1) / 3**parity(n)",
-            _psi_value(2, -5),
-            lambda n: Fraction(2**n + 1, 3 ** parity(n)),
+            _psi_values(2, -5),
+            _each(lambda n: Fraction(2**n + 1, 3 ** parity(n))),
             _all_indices,
         ),
         BridgeSpec(
             "mersenne-odd-exponent",
             "psi(-2, -5, p) equals 2**p - 1 for odd p",
-            _psi_value(-2, -5),
-            lambda n: 2**n - 1,
+            _psi_values(-2, -5),
+            _each(lambda n: 2**n - 1),
             lambda n_max: range(1, n_max + 1, 2),
         ),
         BridgeSpec(
             "fermat-power-of-two",
             "psi(-2, -5, n) and psi(2, -5, n) both equal 2**n + 1 at n = 2**l",
-            lambda n: (psi_recurrence(-2, -5, n), psi_recurrence(2, -5, n)),
-            lambda n: (2**n + 1, 2**n + 1),
+            _psi_tuples((-2, -5), (2, -5)),
+            _each(lambda n: (2**n + 1, 2**n + 1)),
             lambda n_max: [k for k in (2, 4, 8, 16, 32) if k <= n_max],
         ),
         BridgeSpec(
             "pell-lucas-numbers",
             "2**parity(n) * psi(-1, -6, n) equals the Pell-Lucas number Q(n)",
-            _psi_value(-1, -6, lambda v, n: 2 ** parity(n) * v),
-            pell_lucas,
+            _psi_values(-1, -6, lambda v, n: 2 ** parity(n) * v),
+            _each(pell_lucas),
             _all_indices,
         ),
         BridgeSpec(
             "pell-lucas-polynomials",
             "(2x)**parity(n) * psi(-1, -2-4x^2, n) equals the Pell-Lucas polynomial",
-            _psi_value(-1, -2 - 4 * x**2, lambda v, n: (2 * x) ** parity(n) * v),
-            pell_lucas_poly,
+            _psi_values(-1, -2 - 4 * x**2, lambda v, n: (2 * x) ** parity(n) * v),
+            pell_lucas_poly_terms,
             _all_indices,
         ),
         BridgeSpec(
             "dickson-first-kind",
             "x**parity(n) * psi(alpha, 2*alpha - x^2, n) equals the Dickson polynomial",
-            _psi_value(al, 2 * al - x**2, lambda v, n: x ** parity(n) * v),
-            dickson_d,
+            _psi_values(al, 2 * al - x**2, lambda v, n: x ** parity(n) * v),
+            dickson_d_terms,
             _all_indices,
         ),
         BridgeSpec(
             "chebyshev-first-kind",
             "x**parity(n)/2**parity(n+1) * psi(1, 2-4x^2, n) equals the Chebyshev polynomial",
-            _psi_value(
+            _psi_values(
                 1,
                 2 - 4 * x**2,
                 lambda v, n: Fraction(1, 2 ** parity(n + 1)) * (x ** parity(n) * v),
             ),
-            chebyshev_t,
+            chebyshev_t_terms,
             _all_indices,
         ),
         BridgeSpec(
             "sqrt5-lucas-fibonacci",
             "psi(1, sqrt5, n) follows the four-case Lucas/Fibonacci table",
-            _psi_value(1, SQRT5),
-            _sqrt5_table(+1),
+            _psi_values(1, SQRT5),
+            _each(_sqrt5_table(+1)),
             _all_indices,
         ),
         BridgeSpec(
             "sqrt5-conjugate",
             "psi(1, -sqrt5, n) follows the mirrored table",
-            _psi_value(1, -SQRT5),
-            _sqrt5_table(-1),
+            _psi_values(1, -SQRT5),
+            _each(_sqrt5_table(-1)),
             _all_indices,
         ),
         BridgeSpec(
             "alternating-closed-form",
             "psi(1, 2, n) equals (-1)**floor(n/2) * 2**parity(n-1) * n**parity(n)",
-            _psi_value(1, 2),
-            lambda n: (-1) ** half(n) * 2 ** parity(n - 1) * n ** parity(n),
+            _psi_values(1, 2),
+            _each(lambda n: (-1) ** half(n) * 2 ** parity(n - 1) * n ** parity(n)),
             _all_indices,
         ),
         BridgeSpec(
             "lucas-signed",
             "psi(1, 3, n) equals (-1)**floor(n/2) * L(n) (numerical lemma that "
             "subsumes the power-of-two cases)",
-            _psi_value(1, 3),
-            lambda n: (-1) ** half(n) * lucas(n),
+            _psi_values(1, 3),
+            _each(lambda n: (-1) ** half(n) * lucas(n)),
             _all_indices,
         ),
         BridgeSpec(
             "fermat-signed",
             "psi(2, 5, n) equals (-1)**floor(n/2) * (2**n + (-1)**n) (numerical "
             "lemma that subsumes the power-of-two cases)",
-            _psi_value(2, 5),
-            lambda n: (-1) ** half(n) * (2**n + (-1) ** n),
+            _psi_values(2, 5),
+            _each(lambda n: (-1) ** half(n) * (2**n + (-1) ** n)),
             _all_indices,
         ),
         BridgeSpec(
             "pow2-direction-values",
             "at n = 2**l, l > 3: psi(1,0,n)=2, psi(0,1,n)=1, psi(1,1,n)=-1, "
             "psi(1,2,n)=2, psi(1,sqrt2,n)=2, psi(1,3,n)=L(n), psi(2,5,n)=2**n+1",
-            lambda n: (
-                psi_recurrence(1, 0, n),
-                psi_recurrence(0, 1, n),
-                psi_recurrence(1, 1, n),
-                psi_recurrence(1, 2, n),
-                psi_recurrence(1, SQRT2, n),
-                psi_recurrence(1, 3, n),
-                psi_recurrence(2, 5, n),
-            ),
-            lambda n: (2, 1, -1, 2, QuadExt(2, 2, 0), lucas(n), 2**n + 1),
+            _psi_tuples((1, 0), (0, 1), (1, 1), (1, 2), (1, SQRT2), (1, 3), (2, 5)),
+            _each(lambda n: (2, 1, -1, 2, QuadExt(2, 2, 0), lucas(n), 2**n + 1)),
             lambda n_max: [k for k in _POW2_SET if k <= n_max],
         ),
         BridgeSpec(
             "golden-ratio-even-power",
             "psi(1, phi - 1, n) equals -phi at n = 2**l with l even, l > 3",
-            _psi_value(1, GOLDEN_RATIO - 1),
-            lambda n: -GOLDEN_RATIO,
+            _psi_values(1, GOLDEN_RATIO - 1),
+            _each(lambda n: -GOLDEN_RATIO),
             lambda n_max: [k for k in (16, 64) if k <= n_max],
         ),
         BridgeSpec(
             "fibonacci-derivative",
             "the r = 1 expansion coefficient at (-1, -3 | 1, 2) equals n * F(n-1)",
-            lambda n: coeff_values(n, -1, -3, 1, 2)[1] if half(n) >= 1 else None,
-            lambda n: n * fibonacci(n - 1) if half(n) >= 1 else None,
+            _each(lambda n: coeff_values(n, -1, -3, 1, 2)[1] if half(n) >= 1 else None),
+            _each(lambda n: n * fibonacci(n - 1) if half(n) >= 1 else None),
             _indices_from(2),
         ),
         BridgeSpec(
             "lucas-direction",
             "the r = 0 expansion coefficient at (-1, -3 | 1, 2) equals L(n)",
-            lambda n: coeff_values(n, -1, -3, 1, 2)[0],
-            lucas,
+            _each(lambda n: coeff_values(n, -1, -3, 1, 2)[0]),
+            _each(lucas),
             _indices_from(0),
         ),
     ]

@@ -25,6 +25,7 @@ from . import eightlevels, mersenne, powersums
 from .errors import CapacityError
 from .psicore import (
     PsiParams,
+    psi_bit_bound,
     psi_mod_ladder,
     psi_recurrence,
     psi_symbolic,
@@ -77,6 +78,22 @@ def _parse_index(text: str) -> int:
     if value < 0:
         raise ValueError("index must be >= 0")
     return value
+
+
+def _require_printable(bits: int, what: str) -> None:
+    """Refuse a value of up to ``bits`` bits that str() could not render.
+
+    CPython converts an int to decimal only up to sys.get_int_max_str_digits()
+    digits (4300 by default; PYTHONINTMAXSTRDIGITS changes it, 0 lifts it).
+    Interpreters before 3.10.7 have no such limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
+    if limit and digits > limit:
+        raise CapacityError(
+            f"{what} has up to {digits} decimal digits; the int-to-str limit is "
+            f"{limit} (PYTHONINTMAXSTRDIGITS)"
+        )
 
 
 def _worker_count() -> int:
@@ -137,6 +154,7 @@ def _cmd_psi(args) -> list[dict]:
         else:
             if n > 100_000:
                 raise CapacityError("exact evaluation capped at n <= 100000; use --mod")
+            _require_printable(psi_bit_bound(params.a, params.b, n), f"psi at n={n}")
             value = psi_recurrence(params.a, params.b, n)
         return [
             {
@@ -217,6 +235,11 @@ def _battery_kwargs(args, method: str) -> dict:
 def _cmd_mersenne(args) -> list[dict]:
     timing = args.timing
     if args.mersenne_command == "test":
+        if args.method == "ab" and 5 <= args.p <= mersenne.AB_RATIO_MAX_P:
+            # outside these bounds ab_ratio_test refuses p itself
+            _require_printable(
+                psi_bit_bound(1, 4, 1 << (args.p - 1)), f"the ab ratio at p={args.p}"
+            )
         report = mersenne.run_method(
             args.p, args.method, **_battery_kwargs(args, args.method)
         )
@@ -537,7 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         dest="max_p",
-        help="override the capacity cap of sum/necessary/ab",
+        help="override the capacity cap of sum/necessary/ab, up to each "
+        "method's ceiling",
     )
     p_scan = leaf(mers_sub, "scan", "all prime exponents up to a bound")
     p_scan.add_argument("--pmax", type=int, required=True)

@@ -38,13 +38,23 @@ __all__ = [
     "run_method",
     "METHODS",
     "ENHANCED_SUM_MAX_P",
+    "ENHANCED_SUM_MAX_INDEX",
     "AB_RATIO_MAX_P",
     "NECESSARY_MAX_P",
+    "CEILING_P",
 ]
 
+# Default caps on p of the methods whose work grows exponentially in p.
 ENHANCED_SUM_MAX_P = 13
-AB_RATIO_MAX_P = 13
+AB_RATIO_MAX_P = 23
 NECESSARY_MAX_P = 23
+# Hard ceilings that a ``max_p`` override cannot pass.  On a shared 2-core box
+# with CPython 3.11: sum at index n * mu = 2**17 takes 2 s (2**18: 9 s);
+# necessary at prime p = 19 takes 0.3 s, and p = 23 and 29 stop at once at a
+# factor of 2**p - 1 (p = 31 would need 2**29 terms); ab at p = 23 takes 0.4 s
+# (p = 29 would square integers of up to 2**28 bits).
+CEILING_P = {"sum": 17, "necessary": 29, "ab": 23}
+ENHANCED_SUM_MAX_INDEX = 1 << 17
 
 
 def is_prime_small(n: int) -> bool:
@@ -109,6 +119,17 @@ def _candidate(p: int, min_p: int) -> MersenneCandidate:
     if p < min_p:
         raise ValueError(f"method requires prime p >= {min_p}, got {p}")
     return cand
+
+
+def _check_cap(method: str, p: int, max_p: int, work: str) -> None:
+    """Refuse, before any work, a cap above the method's ceiling or p above
+    the cap; ``work`` says what p would cost."""
+    if max_p > CEILING_P[method]:
+        raise CapacityError(
+            f"{method}: max_p={max_p} is above the ceiling p <= {CEILING_P[method]}"
+        )
+    if p > max_p:
+        raise CapacityError(f"{method} at p={p} needs {work}; cap is p <= {max_p}")
 
 
 def ll_chain(p: int, seed: int = 4) -> int:
@@ -245,10 +266,12 @@ def enhanced_sum_test(p: int, mu: int = 1, max_p: int = ENHANCED_SUM_MAX_P) -> T
     cand = _candidate(p, 5)
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    if p > max_p:
+    terms = f"2**{p - 3} * {mu} + 1 exact big-integer terms"
+    _check_cap("sum", p, max_p, terms)
+    if cand.n * mu > ENHANCED_SUM_MAX_INDEX:
         raise CapacityError(
-            f"enhanced sum at p={p} needs {(cand.n * max(mu, 1)) // 4 + 1} exact "
-            f"big-integer terms; cap is p <= {max_p}"
+            f"sum at p={p}, mu={mu} needs {terms}; the index n * mu is capped "
+            f"at {ENHANCED_SUM_MAX_INDEX}"
         )
     m = cand.modulus
     total = 1 if mu == 0 else signed_factorial_product_sum(cand.n * mu)
@@ -281,11 +304,7 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
     """
     started = time.perf_counter()
     cand = _candidate(p, 5)
-    if p > max_p:
-        raise CapacityError(
-            f"necessary condition at p={p} needs {cand.n // 2 + 1} modular terms; "
-            f"cap is p <= {max_p}"
-        )
+    _check_cap("necessary", p, max_p, f"2**{p - 2} + 1 modular terms")
     m = cand.modulus
     term = 1
     total = 1
@@ -332,54 +351,28 @@ def composite_criterion(p: int) -> TestReport:
     )
 
 
-def _layered_ratio(start_count: int, step, denominator: int) -> int:
-    """Collapse the double-indexed recurrence by rolling layers.
-
-    ``layer[r]`` holds the values at the current depth; each depth k consumes
-    positions r = 0 .. K - k, so only one layer is retained at a time.
-    """
-    layer = [1] * (start_count + 1)
-    for k in range(1, start_count + 1):
-        layer = [step(r, k, layer[r], layer[r + 1]) for r in range(start_count - k + 1)]
-    quotient, rem = divmod(layer[0], denominator)
-    if rem:
-        raise ArithmeticError("layered ratio is not an integer")
-    return quotient
-
-
 def ab_ratios(p: int) -> tuple[int, int]:
-    """The two normalised layer ratios; both are asserted to be integers."""
-    n = 1 << (p - 1)
-    kp = p // 2
-    den_a = 1
-    for i in range(1, kp + 1):
-        den_a *= p - i
-    a_ratio = _layered_ratio(
-        kp, lambda r, k, cur, nxt: (p - r - k) * cur + 4 * (p - 2 * r) * nxt, den_a
-    )
-    kn = n // 2
-    den_b = 1
-    for i in range(1, kn + 1):
-        den_b *= n - i
-    b_ratio = _layered_ratio(
-        kn,
-        lambda r, k, cur, nxt: -2 * (n - r - k) * cur - 2 * (n - 2 * r - 1) * nxt,
-        den_b,
-    )
-    return a_ratio, b_ratio
+    """The two normalised layer ratios of the ab test, in closed form:
+    2**p - 1 and psi(1, 4, 2**(p-1)).
+
+    The closed form is observed, not proven: both equalities hold exactly
+    against the O(4**p) double-indexed layer table (kept as an oracle in the
+    tests) for odd p <= 13.  The first fails at p = 4, but only odd prime
+    p >= 5 reach the test.
+    """
+    return (1 << p) - 1, psi14_exact(1 << (p - 1), 1)
 
 
 def ab_ratio_test(p: int, max_p: int = AB_RATIO_MAX_P) -> TestReport:
-    """Prime iff the first layer ratio divides the second."""
+    """Prime iff the first layer ratio divides the second.
+
+    With the ratios in their observed closed form (see ``ab_ratios``) this is
+    the divisibility criterion 2**p - 1 | psi(1, 4, 2**(p-1)) on exact
+    integers.
+    """
     started = time.perf_counter()
-    cand = _candidate(p, 5)
-    if p > max_p:
-        layers = cand.n // 2
-        est_mb = layers * layers * p // 8 // (1 << 20)
-        raise CapacityError(
-            f"second layer table at p={p} has {layers} layers "
-            f"(~{est_mb} MiB of big integers); cap is p <= {max_p}"
-        )
+    _candidate(p, 5)
+    _check_cap("ab", p, max_p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
     a_ratio, b_ratio = ab_ratios(p)
     verdict = "prime" if b_ratio % a_ratio == 0 else "composite"
     return TestReport(

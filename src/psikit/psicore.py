@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt, lcm
 from typing import Optional, Union
 
 from .errors import CapacityError
@@ -42,6 +42,7 @@ __all__ = [
     "psi_recurrence_mod",
     "psi_explicit",
     "psi_symbolic",
+    "psi_bit_bound",
     "psi_extended",
     "psi_mod_ladder",
     "ladder_start",
@@ -176,6 +177,40 @@ def psi_symbolic(n: int, avar: str = "a", bvar: str = "b", cap: int = SYMBOLIC_I
     if isinstance(value, int):
         return SparsePoly.constant(value)
     return value
+
+
+def _power_bits(x: int, k: int) -> int:
+    """An upper bound on the bit length of x**k for x >= 0, without building
+    it: x**64 has more than 64 * log2(x) bits."""
+    return k * (x**64).bit_length() // 64 + 1
+
+
+def psi_bit_bound(a, b, n: int) -> int:
+    """An upper bound on the bit length of psi(a, b, n), and of its
+    numerator and denominator for rational a, b, found without computing it.
+
+    psi is homogeneous of degree n // 2, so for a = A/q, b = B/q the value is
+    psi(A, B, n) / q**(n // 2).  For integers, with d = 2a - b, the explicit
+    sum reads psi(n) = (alpha**n + beta**n) / sqrt(d)**parity(n), alpha and
+    beta the roots of x**2 - sqrt(d) x + a.  Their squares are the roots of
+    y**2 + b y + a**2, of modulus |a| when complex and at most
+    (|b| + sqrt(b**2 - 4a**2)) / 2 when real; calling that bound rho,
+    |psi(n)| <= 2 * rho**(n/2) for d != 0.  For d = 0 only the last term of
+    the sum is left, and |psi(n)| <= n * |a|**(n // 2).
+    """
+    if n < 2:
+        return 2
+    a, b = Fraction(a), Fraction(b)
+    q = lcm(a.denominator, b.denominator)
+    den_bits = _power_bits(q, half(n))
+    a, b = int(a * q), int(b * q)
+    if 2 * a == b:
+        return max(den_bits, n.bit_length() + _power_bits(abs(a), half(n)))
+    disc = b * b - 4 * a * a
+    # rho2 >= 2 * rho, and rho2 >= 2 once d != 0
+    rho2 = 2 * abs(a) if disc < 0 else abs(b) + isqrt(disc) + 1
+    k = n - half(n)  # rho >= 1, so rho**(n/2) <= rho**k
+    return max(den_bits, _power_bits(rho2, k) - k + 1)
 
 
 def psi_extended(a, b, n: int):

@@ -1,5 +1,6 @@
 import pytest
 
+from psikit import bridges
 from psikit.bridges import (
     PERIOD_CATALOGUE,
     catalogue_entry,
@@ -45,6 +46,40 @@ class TestOracles:
     def test_pell_lucas_poly_at_one(self):
         for n in range(10):
             assert pell_lucas_poly(n).eval_scalar({"x": 1}) == pell_lucas(n)
+
+
+def _poly_recurrence(n: int, first, second, step):
+    """Term n of the sequence with terms 0 and 1 given and
+    term k + 2 = step(term k, term k + 1), rebuilt from term 0 for each n."""
+    if n == 0:
+        return first
+    a, b = first, second
+    for _ in range(n - 1):
+        a, b = b, step(a, b)
+    return b
+
+
+class TestOnePass:
+    def test_one_pass_terms_equal_per_index_values(self, monkeypatch):
+        n_max = 64
+        one_pass = [(spec.values(n_max), spec.oracle(n_max)) for spec in default_bridges()]
+        # the per-index routes: psi_recurrence and _poly_recurrence from 0 for each n
+        monkeypatch.setattr(
+            bridges,
+            "psi_sequence",
+            lambda a, b, top: [psi_recurrence(a, b, n) for n in range(top + 1)],
+        )
+        monkeypatch.setattr(
+            bridges,
+            "_poly_terms",
+            lambda top, *rule: [_poly_recurrence(n, *rule) for n in range(top + 1)],
+        )
+        per_index = default_bridges()
+        assert len(per_index) == len(one_pass) == 19
+        for spec, (values, oracle) in zip(per_index, one_pass):
+            assert len(values) == len(oracle) == n_max + 1, spec.name
+            assert spec.values(n_max) == values, spec.name
+            assert spec.oracle(n_max) == oracle, spec.name
 
 
 def _bridge(name):

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stdout
 
@@ -165,7 +166,7 @@ class TestExitCodes:
         assert code == EXIT_USAGE and recs[0]["error"] == "usage"
 
     def test_capacity_error(self):
-        code, recs = run_json("mersenne", "test", "--p", "17", "--method", "ab")
+        code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
 
     def test_capacity_override(self):
@@ -174,6 +175,33 @@ class TestExitCodes:
             "mersenne", "test", "--p", "13", "--method", "necessary", "--max-p", "13"
         )
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-holds"
+
+    def test_max_p_above_the_ceiling_is_refused_at_once(self):
+        started = time.perf_counter()
+        for p, method in (("29", "ab"), ("61", "necessary"), ("19", "sum"), ("5", "ab")):
+            code, recs = run_json(
+                "mersenne", "test", "--p", p, "--method", method, "--max-p", "61"
+            )
+            assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity", method
+        assert time.perf_counter() - started < 1.0
+
+    def test_unprintable_ab_ratio_is_capacity(self, monkeypatch):
+        # psi(1, 4, 2^16) has about 18700 digits, past CPython's default 4300
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        started = time.perf_counter()
+        code, recs = run_json("mersenne", "test", "--p", "17", "--method", "ab")
+        assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"]
+        assert time.perf_counter() - started < 1.0
+
+    def test_unprintable_exact_value_is_refused_before_the_work(self, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        started = time.perf_counter()
+        code, recs = run_json("psi", "eval", "--a", "3", "--b", "1", "--n", "20000")
+        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+        assert time.perf_counter() - started < 1.0
+        # a large value within the limit still prints
+        code, recs = run_json("psi", "eval", "--a", "1", "--b", "4", "--n", "10000")
+        assert code == EXIT_OK and len(recs[0]["value"]) > 2800
 
     def test_powersums_cap_is_capacity(self):
         code, recs = run_json("verify", "powersums", "--nmax", "11")

@@ -4,6 +4,8 @@ import pytest
 
 from psikit.errors import CapacityError
 from psikit.mersenne import (
+    CEILING_P,
+    ENHANCED_SUM_MAX_INDEX,
     MersenneCandidate,
     ab_ratio_test,
     ab_ratios,
@@ -259,7 +261,53 @@ class TestCompositeCriterion:
         ]
 
 
+def _layered_ratio(start_count: int, step, denominator: int) -> int:
+    """Collapse the double-indexed recurrence by rolling layers.
+
+    ``layer[r]`` holds the values at the current depth; each depth k consumes
+    positions r = 0 .. K - k, so only one layer is retained at a time.
+    """
+    layer = [1] * (start_count + 1)
+    for k in range(1, start_count + 1):
+        layer = [step(r, k, layer[r], layer[r + 1]) for r in range(start_count - k + 1)]
+    quotient, rem = divmod(layer[0], denominator)
+    assert not rem, "layered ratio is not an integer"
+    return quotient
+
+
+def _layer_table_ratios(p: int) -> tuple[int, int]:
+    """The two normalised layer ratios by the O(4**p) layer tables: the
+    oracle for the closed form of ``ab_ratios``."""
+    n = 1 << (p - 1)
+    kp = p // 2
+    den_a = 1
+    for i in range(1, kp + 1):
+        den_a *= p - i
+    a_ratio = _layered_ratio(
+        kp, lambda r, k, cur, nxt: (p - r - k) * cur + 4 * (p - 2 * r) * nxt, den_a
+    )
+    kn = n // 2
+    den_b = 1
+    for i in range(1, kn + 1):
+        den_b *= n - i
+    b_ratio = _layered_ratio(
+        kn,
+        lambda r, k, cur, nxt: -2 * (n - r - k) * cur - 2 * (n - 2 * r - 1) * nxt,
+        den_b,
+    )
+    return a_ratio, b_ratio
+
+
 class TestLayeredRatios:
+    def test_closed_form_matches_layer_tables(self):
+        # p = 13 is pinned by docs/results/battery.ndjson, which the layer
+        # table produced
+        for p in (3, 5, 7, 9, 11):
+            assert ab_ratios(p) == _layer_table_ratios(p) == (
+                (1 << p) - 1,
+                psi14_exact(1 << (p - 1), 1),
+            ), p
+
     def test_hand_evaluation_p5(self):
         # A_0(1) = 4 + 20 = 24; A_1(1) = 3 + 12 = 15; A_0(2) = 3*24 + 20*15 = 372
         a0 = {0: 1, 1: 1, 2: 1}
@@ -303,7 +351,38 @@ class TestLayeredRatios:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            ab_ratio_test(17)
+            ab_ratio_test(29)
+
+    def test_verdicts_up_to_the_cap(self):
+        for p in (17, 19, 23):
+            assert ab_ratio_test(p).verdict == ll_classic(p).verdict, p
+
+
+class TestCeilings:
+    def test_max_p_cannot_pass_the_ceiling(self):
+        runs = {
+            "sum": lambda p, max_p: enhanced_sum_test(p, 1, max_p=max_p),
+            "necessary": lambda p, max_p: necessary_condition(p, max_p=max_p),
+            "ab": lambda p, max_p: ab_ratio_test(p, max_p=max_p),
+        }
+        for method, run in runs.items():
+            ceiling = CEILING_P[method]
+            with pytest.raises(CapacityError, match="ceiling"):
+                run(5, ceiling + 1)
+            with pytest.raises(CapacityError, match="ceiling"):
+                run(61, 61)
+
+    def test_necessary_up_to_its_ceiling(self):
+        rep = necessary_condition(29, max_p=29)
+        assert rep.verdict == "condition-fails" and rep.residues == [233]
+
+    def test_sum_index_cap(self):
+        # at p = 13, n = 2**12: mu may reach the cap over n, no further
+        largest_mu = ENHANCED_SUM_MAX_INDEX >> 12
+        with pytest.raises(CapacityError, match="index"):
+            enhanced_sum_test(13, largest_mu + 1)
+        with pytest.raises(CapacityError, match="index"):
+            enhanced_sum_test(17, 4, max_p=17)
 
 
 class TestTauIdentities:

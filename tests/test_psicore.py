@@ -16,6 +16,7 @@ from psikit.psicore import (
     ladder_start,
     ladder_step,
     parity,
+    psi_bit_bound,
     psi_explicit,
     psi_extended,
     psi_mod_ladder,
@@ -288,3 +289,40 @@ class TestPsiParams:
             PsiParams(Fraction(1, 2), 4, modulus=7)
         with pytest.raises(ValueError):
             PsiParams(QuadExt(2, 0, 1), QuadExt(3, 0, 1))
+
+
+def _bits(value) -> int:
+    value = Fraction(value)
+    return max(value.numerator.bit_length(), value.denominator.bit_length())
+
+
+@st.composite
+def bound_cases(draw):
+    """Integer or rational (a, b), including d = 2a - b = 0, a = 0, b = 0,
+    b**2 = 4a**2 and both signs of the discriminant b**2 - 4a**2."""
+    a = draw(st.integers(-200, 200))
+    b = draw(st.one_of(st.integers(-400, 400), st.sampled_from([2 * a, -2 * a, 0])))
+    if draw(st.booleans()):
+        a = Fraction(a, draw(st.integers(1, 12)))
+        b = Fraction(b, draw(st.integers(1, 12)))
+    return a, b, draw(st.integers(0, 160))
+
+
+class TestBitBound:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=500)
+    @given(bound_cases())
+    def test_bound_holds_hypothesis(self, case):
+        a, b, n = case
+        assert _bits(psi_recurrence(a, b, n)) <= psi_bit_bound(a, b, n)
+
+    def test_bound_is_tight_on_growing_sequences(self):
+        # the growth rate is exact for complex roots and within a few percent
+        # for psi(1, 4, .), so printable values are not refused
+        for a, b, n in ((3, 1, 9000), (1, 4, 4096), (-1, -3, 1000)):
+            actual = psi_recurrence(a, b, n).bit_length()
+            assert actual <= psi_bit_bound(a, b, n) <= actual + actual // 5 + 64
+
+    def test_degenerate_d_zero_stays_small(self):
+        # d = 2a - b = 0 leaves one term: psi(1, 2, n) is +-2 or +-n, and the
+        # bound grows by at most n / 128 bits, the slack of the log2 estimate
+        assert psi_bit_bound(1, 2, 100_000) <= 100_000 // 128 + 64
