@@ -150,10 +150,8 @@ def _each(term: Callable[[int], object]) -> Callable[[int], list]:
     return lambda n_max: [term(n) for n in range(n_max + 1)]
 
 
-def _psi_values(a, b, transform=None) -> Callable[[int], list]:
+def _psi_values(a, b, transform=lambda v, n: v) -> Callable[[int], list]:
     """psi(a, b, 0..n_max) in one pass, each term n mapped by transform(v, n)."""
-    if transform is None:
-        return lambda n_max: psi_sequence(a, b, n_max)
     return lambda n_max: [
         transform(v, n) for n, v in enumerate(psi_sequence(a, b, n_max))
     ]
