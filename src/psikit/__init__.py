@@ -15,17 +15,12 @@ from .exactmath import (
     QuadExt,
     RadicandMismatchError,
     mod_inverse,
-    quad_mul,
 )
 from .multipoly import (
     DegreeCapExceeded,
     ExactDivisionError,
     SparsePoly,
     degree_cap,
-    poly_diff,
-    poly_exact_div,
-    poly_mul,
-    poly_subst,
     variables,
 )
 from .psicore import (
@@ -40,10 +35,8 @@ from .psicore import (
     psi_symbolic,
 )
 from .eightlevels import (
-    CoeffTable,
     coeff_by_operator,
     coeff_dual,
-    coeff_table,
     coeff_values,
     eight_level_coeff,
     expand_powersum_basis,

@@ -33,7 +33,6 @@ __all__ = [
     "dickson_d",
     "dickson_d_terms",
     "default_bridges",
-    "bridge_check",
     "detect_period",
     "PERIOD_CATALOGUE",
     "catalogue_entry",
@@ -325,10 +324,6 @@ def default_bridges() -> list[BridgeSpec]:
         ),
     ]
     return specs
-
-
-def bridge_check(spec: BridgeSpec, n_max: int) -> bool:
-    return not spec.check(n_max)
 
 
 # -- periodicity --------------------------------------------------------------

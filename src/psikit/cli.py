@@ -14,9 +14,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -94,13 +92,6 @@ def _require_printable(bits: int, what: str) -> None:
             f"{what} has up to {digits} decimal digits; the int-to-str limit is "
             f"{limit} (PYTHONINTMAXSTRDIGITS)"
         )
-
-
-def _worker_count() -> int:
-    env = os.environ.get("PSI_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return 4
 
 
 # -- record rendering --------------------------------------------------------
@@ -187,13 +178,15 @@ def _cmd_psi(args) -> list[dict]:
 
 
 def _cmd_coeff(args) -> list[dict]:
-    records = []
-    for n in range(args.nmin, args.n + 1):
-        table = eightlevels.coeff_table(n)
-        records.append(
-            {"command": "coeff-table", "n": n, "entries": table.as_strings()}
-        )
-    return records
+    nmin = args.n if args.nmin is None else args.nmin
+    return [
+        {
+            "command": "coeff-table",
+            "n": n,
+            "entries": [str(e) for e in eightlevels.coeff_table_polys(n)],
+        }
+        for n in range(nmin, args.n + 1)
+    ]
 
 
 _VERIFY_SUITES = {
@@ -209,50 +202,52 @@ _VERIFY_SUITES = {
 }
 
 
+_DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
+
+
 def _cmd_verify(args) -> list[dict]:
     suite = _VERIFY_SUITES[args.suite]
     start = 2 if args.suite == "powersums" else 1
+    nmax = _DEFAULT_NMAX[args.suite] if args.nmax is None else args.nmax
     records = []
-    for n in range(start, args.nmax + 1):
+    for n in range(start, nmax + 1):
         ok = suite(n, args.seed)
         records.append({"command": "verify", "suite": args.suite, "n": n, "ok": ok})
     return records
 
 
-def _battery_kwargs(args, method: str) -> dict:
+def _battery_kwargs(args) -> dict:
     kwargs = {}
-    if method == "mu":
+    if args.method == "mu":
         kwargs["mu_max"] = args.mu_max
-    if method == "sum":
+    if args.method == "sum":
         kwargs["mu"] = args.mu
-        if args.max_p is not None:
-            kwargs["max_p"] = args.max_p
-    if method in ("necessary", "ab") and args.max_p is not None:
+    if args.method in ("sum", "necessary", "ab") and args.max_p is not None:
         kwargs["max_p"] = args.max_p
     return kwargs
 
 
 def _cmd_mersenne(args) -> list[dict]:
     timing = args.timing
-    if args.mersenne_command == "test":
-        if args.method == "ab" and 5 <= args.p <= mersenne.AB_RATIO_MAX_P:
-            # outside these bounds ab_ratio_test refuses p itself
-            _require_printable(
-                psi_bit_bound(1, 4, 1 << (args.p - 1)), f"the ab ratio at p={args.p}"
-            )
-        report = mersenne.run_method(
-            args.p, args.method, **_battery_kwargs(args, args.method)
+    if args.mersenne_command == "scan":
+        # a residue mod 2**p - 1 has at most p bits
+        _require_printable(args.pmax, f"a residue mod 2^{args.pmax}-1")
+        lower = max(args.pmin, 3 if args.method == "ll" else 5)
+        runner = mersenne.METHODS[args.method]
+        return [
+            runner(p).to_dict(with_timing=timing)
+            for p in range(lower, args.pmax + 1)
+            if mersenne.is_prime_small(p)
+        ]
+    if args.method in ("ll", "psi", "composite", "mu"):
+        _require_printable(args.p, f"a residue mod 2^{args.p}-1")
+    elif args.method == "ab" and 5 <= args.p <= mersenne.AB_RATIO_MAX_P:
+        # outside these bounds ab_ratio_test refuses p itself
+        _require_printable(
+            psi_bit_bound(1, 4, 1 << (args.p - 1)), f"the ab ratio at p={args.p}"
         )
-        return [report.to_dict(with_timing=timing)]
-    # scan
-    if args.method not in ("ll", "psi"):
-        raise ValueError("scan supports methods ll and psi")
-    lower = max(args.pmin, 3 if args.method == "ll" else 5)
-    exponents = [p for p in range(lower, args.pmax + 1) if mersenne.is_prime_small(p)]
-    runner = mersenne.METHODS[args.method]
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        reports = list(pool.map(runner, exponents))
-    return [rep.to_dict(with_timing=timing) for rep in reports]
+    report = mersenne.METHODS[args.method](args.p, **_battery_kwargs(args))
+    return [report.to_dict(with_timing=timing)]
 
 
 def _cmd_bridges(args) -> list[dict]:
@@ -320,157 +315,56 @@ def _cmd_identities(args) -> list[dict]:
     return records
 
 
-def _repro_jobs(seed: int):
-    """Fixed desk-scale evidence base regenerated by ``repro all``."""
+def _powersum_basis_records() -> list[dict]:
+    return [
+        {
+            "command": "powersum-basis",
+            "n": n,
+            "coeffs": [str(c) for c in eightlevels.expand_powersum_basis(n)],
+        }
+        for n in range(1, 25)
+    ]
 
-    def scan():
-        records = []
-        for method in ("ll", "psi"):
-            for p in range(5, 32):
-                if mersenne.is_prime_small(p):
-                    records.append(mersenne.METHODS[method](p).to_dict())
-        return records
 
-    def battery():
-        records = []
-        for p in (5, 7, 11, 13):
-            records.append(mersenne.ll_classic(p).to_dict())
-            records.append(mersenne.psi_test(p).to_dict())
-            records.append(mersenne.mu_pattern_test(p, mu_max=12).to_dict())
-            for mu in (1, 2):
-                records.append(mersenne.enhanced_sum_test(p, mu=mu).to_dict())
-            records.append(mersenne.necessary_condition(p).to_dict())
-            records.append(mersenne.composite_criterion(p).to_dict())
-            records.append(mersenne.ab_ratio_test(p).to_dict())
-        return records
-
-    def coeff_tables():
-        return [
-            {
-                "command": "coeff-table",
-                "n": n,
-                "entries": eightlevels.coeff_table(n).as_strings(),
-            }
-            for n in range(1, 13)
-        ]
-
-    def basis_rows():
-        return [
-            {
-                "command": "powersum-basis",
-                "n": n,
-                "coeffs": [str(c) for c in eightlevels.expand_powersum_basis(n)],
-            }
-            for n in range(1, 25)
-        ]
-
-    def verify():
-        records = []
-        for n in range(1, 13):
-            records.append(
-                {
-                    "command": "verify",
-                    "suite": "eightlevels",
-                    "n": n,
-                    "ok": eightlevels.verify_expansion(n, seed=seed),
-                }
-            )
-        for n in range(1, 11):
-            records.append(
-                {
-                    "command": "verify",
-                    "suite": "theta",
-                    "n": n,
-                    "ok": eightlevels.theta_sum_check(n),
-                }
-            )
-        for n in range(1, 13):
-            records.append(
-                {
-                    "command": "verify",
-                    "suite": "fundamental",
-                    "n": n,
-                    "ok": _VERIFY_SUITES["fundamental"](n, seed),
-                }
-            )
-        for n in range(2, 9):
-            records.append(
-                {
-                    "command": "verify",
-                    "suite": "powersums",
-                    "n": n,
-                    "ok": powersums.verify_special_case(n),
-                }
-            )
-        return records
-
-    def bridge_records():
-        records = []
-        for spec in bridges_mod.default_bridges():
-            failures = spec.check(40)
-            records.append(
-                {
-                    "command": "bridge",
-                    "name": spec.name,
-                    "nmax": 40,
-                    "ok": not failures,
-                    "failures": [str(n) for n in failures],
-                }
-            )
-        return records
-
-    def periods():
-        records = []
-        for label in sorted(bridges_mod.PERIOD_CATALOGUE):
-            entry = bridges_mod.catalogue_entry(label)
-            result = bridges_mod.detect_period(entry["a"], entry["b"])
-            records.append(
-                {
-                    "command": "period",
-                    "label": label,
-                    "a": str(entry["a"]),
-                    "b": str(entry["b"]),
-                    "period": result.period,
-                    "table": [str(v) for v in result.table],
-                    "matches_catalogue": result.period == entry["period"]
-                    and list(result.table) == list(entry["table"]),
-                }
-            )
-        return records
-
-    def tau():
-        records = []
-        for l in range(3, 8):
-            for variant in _TAU_VARIANTS:
-                records.append(
-                    {
-                        "command": "tau",
-                        "l": l,
-                        "variant": variant,
-                        "value": str(mersenne.tau_identity_value(l, variant)),
-                        "ok": mersenne.tau_identity_check(l, variant),
-                    }
-                )
-        return records
-
+def _repro_jobs(seed: int) -> dict:
+    """The fixed desk-scale evidence base regenerated by ``repro all``: each
+    file and the argv lists of the subcommand runs whose records it holds, in
+    order.  Only the power-sum basis has no subcommand; it has a builder."""
+    battery_methods = (
+        ["ll"], ["psi"], ["mu", "--mu-max", "12"], ["sum", "--mu", "1"],
+        ["sum", "--mu", "2"], ["necessary"], ["composite"], ["ab"],
+    )
     return {
-        "scan.ndjson": scan,
-        "battery.ndjson": battery,
-        "coeff_tables.ndjson": coeff_tables,
-        "powersum_basis.ndjson": basis_rows,
-        "verify.ndjson": verify,
-        "bridges.ndjson": bridge_records,
-        "periods.ndjson": periods,
-        "tau.ndjson": tau,
+        "scan.ndjson": [
+            ["mersenne", "scan", "--pmax", "31", "--method", m] for m in ("ll", "psi")
+        ],
+        "battery.ndjson": [
+            ["mersenne", "test", "--p", str(p), "--method", *method]
+            for p in (5, 7, 11, 13)
+            for method in battery_methods
+        ],
+        "coeff_tables.ndjson": [["coeff", "table", "--nmin", "1", "--n", "12"]],
+        "powersum_basis.ndjson": _powersum_basis_records,
+        "verify.ndjson": [
+            ["verify", suite, "--seed", str(seed)]
+            for suite in ("eightlevels", "theta", "fundamental", "powersums")
+        ],
+        "bridges.ndjson": [["bridges", "check", "--nmax", "40"]],
+        "periods.ndjson": [["bridges", "period"]],
+        "tau.ndjson": [["identities", "tau", "--l", str(l)] for l in range(3, 8)],
     }
 
 
 def _cmd_repro(args) -> list[dict]:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    parser = build_parser()
     summary = []
     for filename, job in _repro_jobs(args.seed).items():
-        records = job()
+        if callable(job):
+            records = job()
+        else:
+            records = [rec for argv in job for rec in _records(parser.parse_args(argv))]
         buf = io.StringIO()
         render_records(records, "json", buf)
         (outdir / filename).write_text(buf.getvalue())
@@ -483,6 +377,19 @@ def _cmd_repro(args) -> list[dict]:
             }
         )
     return summary
+
+
+def _records(args) -> list[dict]:
+    """The records of one parsed invocation."""
+    return {
+        "psi": _cmd_psi,
+        "coeff": _cmd_coeff,
+        "verify": _cmd_verify,
+        "mersenne": _cmd_mersenne,
+        "bridges": _cmd_bridges,
+        "identities": _cmd_identities,
+        "repro": _cmd_repro,
+    }[args.command](args)
 
 
 # -- parser ---------------------------------------------------------------------
@@ -592,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -603,24 +507,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.command == "psi":
-            records = _cmd_psi(args)
-        elif args.command == "coeff":
-            if args.nmin is None:
-                args.nmin = args.n
-            records = _cmd_coeff(args)
-        elif args.command == "verify":
-            if args.nmax is None:
-                args.nmax = _DEFAULT_NMAX[args.suite]
-            records = _cmd_verify(args)
-        elif args.command == "mersenne":
-            records = _cmd_mersenne(args)
-        elif args.command == "bridges":
-            records = _cmd_bridges(args)
-        elif args.command == "identities":
-            records = _cmd_identities(args)
-        else:
-            records = _cmd_repro(args)
+        records = _records(args)
     except CapacityError as exc:
         render_records(
             [{"command": args.command, "error": "capacity", "reason": str(exc)}],

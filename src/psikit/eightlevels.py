@@ -20,7 +20,6 @@ properties of the family.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -29,7 +28,6 @@ from .multipoly import SparsePoly, as_poly, degree_cap, get_degree_cap, variable
 from .psicore import half, parity, psi_recurrence, psi_symbolic
 
 __all__ = [
-    "CoeffTable",
     "power_sum_poly",
     "apply_direction",
     "coeff_table_polys",
@@ -37,7 +35,6 @@ __all__ = [
     "coeff_dual",
     "coeff_via_basechange",
     "coeff_values",
-    "coeff_table",
     "verify_expansion",
     "eight_level_coeff",
     "expand_powersum_basis",
@@ -175,25 +172,6 @@ def coeff_values(n: int, a, b, alpha, beta) -> list:
             value = int(value)
         out.append(value)
     return out
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Coefficient family for one index, exposed to the CLI."""
-
-    n: int
-    entries: tuple[SparsePoly, ...] = field(repr=False)
-
-    @classmethod
-    def build(cls, n: int) -> "CoeffTable":
-        return cls(n, coeff_table_polys(n))
-
-    def as_strings(self) -> list[str]:
-        return [str(e) for e in self.entries]
-
-
-def coeff_table(n: int) -> CoeffTable:
-    return CoeffTable.build(n)
 
 
 def verify_expansion(n: int, symbolic_limit: int = 16, points: int = 5, seed: int = 0) -> bool:

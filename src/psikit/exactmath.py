@@ -25,7 +25,6 @@ __all__ = [
     "SQRT3",
     "SQRT5",
     "GOLDEN_RATIO",
-    "quad_mul",
     "MersenneMod",
     "mod_inverse",
 ]
@@ -218,13 +217,6 @@ SQRT2 = QuadExt(2, 0, 1)
 SQRT3 = QuadExt(3, 0, 1)
 SQRT5 = QuadExt(5, 0, 1)
 GOLDEN_RATIO = QuadExt(5, Fraction(1, 2), Fraction(1, 2))
-
-
-def quad_mul(x: QuadExt, y: QuadExt) -> QuadExt:
-    """Exact product of two quadratic-extension elements."""
-    if not isinstance(x, QuadExt) or not isinstance(y, QuadExt):
-        raise TypeError("quad_mul expects QuadExt operands")
-    return x * y
 
 
 class MersenneMod:

@@ -35,12 +35,12 @@ __all__ = [
     "tau_identity_check",
     "tau_identity_value",
     "tau_polynomial_identity",
-    "run_method",
     "METHODS",
     "ENHANCED_SUM_MAX_P",
     "ENHANCED_SUM_MAX_INDEX",
     "AB_RATIO_MAX_P",
     "NECESSARY_MAX_P",
+    "MU_MAX_CAP",
     "CEILING_P",
 ]
 
@@ -55,6 +55,8 @@ NECESSARY_MAX_P = 23
 # (p = 29 would square integers of up to 2**28 bits).
 CEILING_P = {"sum": 17, "necessary": 29, "ab": 23}
 ENHANCED_SUM_MAX_INDEX = 1 << 17
+# Largest mu_max of the mu pattern; each mu costs one ladder to index 2**(p-1) * mu.
+MU_MAX_CAP = 16
 
 
 def is_prime_small(n: int) -> bool:
@@ -196,6 +198,8 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     cand = _candidate(p, 5)
     if mu_max < 1:
         raise ValueError("mu_max must be >= 1")
+    if mu_max > MU_MAX_CAP:
+        raise CapacityError(f"mu: mu_max={mu_max} is above the cap {MU_MAX_CAP}")
     m = cand.modulus
     residues = [psi_mod_ladder(1, 4, cand.n * mu, m) for mu in range(1, mu_max + 1)]
     mismatches = [
@@ -453,9 +457,3 @@ METHODS = {
     "composite": composite_criterion,
     "ab": ab_ratio_test,
 }
-
-
-def run_method(p: int, method: str, **kwargs) -> TestReport:
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    return METHODS[method](p, **kwargs)

@@ -25,10 +25,6 @@ __all__ = [
     "ExactDivisionError",
     "as_poly",
     "variables",
-    "poly_mul",
-    "poly_diff",
-    "poly_subst",
-    "poly_exact_div",
     "degree_cap",
     "set_degree_cap",
     "get_degree_cap",
@@ -320,20 +316,6 @@ class SparsePoly:
                 out.pop(key, None)
         return SparsePoly(self.vars, out)
 
-    def evaluate(self, values: Mapping[str, Union[int, Fraction]]) -> Fraction:
-        """Evaluate at an exact rational point; every variable must be bound."""
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise ValueError(f"unbound variables {missing}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(self.vars, e):
-                if k:
-                    term *= Fraction(values[v]) ** k
-            total += term
-        return total
-
     def eval_scalar(self, values: Mapping[str, object]):
         """Evaluate with values from any exact commutative ring."""
         missing = [v for v in self.vars if v not in values]
@@ -432,19 +414,3 @@ def as_poly(value: PolyLike) -> SparsePoly:
 def variables(names: str) -> tuple[SparsePoly, ...]:
     """``x, y = variables("x y")``"""
     return tuple(SparsePoly.variable(n) for n in names.split())
-
-
-def poly_mul(f: PolyLike, g: PolyLike) -> SparsePoly:
-    return as_poly(f) * as_poly(g)
-
-
-def poly_diff(f: PolyLike, var: str) -> SparsePoly:
-    return as_poly(f).diff(var)
-
-
-def poly_subst(f: PolyLike, bindings: Mapping[str, PolyLike]) -> SparsePoly:
-    return as_poly(f).subst(bindings)
-
-
-def poly_exact_div(f: PolyLike, g: PolyLike) -> SparsePoly:
-    return as_poly(f).exact_div(as_poly(g))

@@ -3,6 +3,7 @@ import json
 import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,27 @@ class TestExitCodes:
         code, recs = run_json("psi", "eval", "--a", "1", "--b", "4", "--n", "10000")
         assert code == EXIT_OK and len(recs[0]["value"]) > 2800
 
+    def test_unprintable_residue_is_refused_before_the_work(self, monkeypatch):
+        # a residue mod 2^14303 - 1 may have 4306 digits, past CPython's default 4300
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        for argv in (
+            ("mersenne", "test", "--p", "14303", "--method", "psi"),
+            ("mersenne", "test", "--p", "14303", "--method", "ll"),
+            ("mersenne", "scan", "--pmin", "14281", "--pmax", "14303"),
+        ):
+            started = time.perf_counter()
+            code, recs = run_json(*argv)
+            assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], argv
+            assert time.perf_counter() - started < 1.0, argv
+
+    def test_mu_max_cap(self):
+        started = time.perf_counter()
+        code, recs = run_json("mersenne", "test", "--p", "5", "--method", "mu", "--mu-max", "17")
+        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+        assert time.perf_counter() - started < 1.0
+        code, recs = run_json("mersenne", "test", "--p", "5", "--method", "mu", "--mu-max", "16")
+        assert code == EXIT_OK and len(recs[0]["residues"]) == 16
+
     def test_powersums_cap_is_capacity(self):
         code, recs = run_json("verify", "powersums", "--nmax", "11")
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
@@ -247,12 +269,37 @@ class TestDeterminism:
         assert isinstance(recs[0]["elapsed_ms"], (int, float))
 
 
+# The subcommand runs whose concatenated stdout is each evidence file.
+EVIDENCE_RUNS = {
+    "scan.ndjson": [["mersenne", "scan", "--pmax", "31", "--method", m] for m in ("ll", "psi")],
+    "battery.ndjson": [
+        ["mersenne", "test", "--p", str(p), "--method", *method]
+        for p in (5, 7, 11, 13)
+        for method in (
+            ["ll"], ["psi"], ["mu", "--mu-max", "12"], ["sum", "--mu", "1"],
+            ["sum", "--mu", "2"], ["necessary"], ["composite"], ["ab"],
+        )
+    ],
+    "coeff_tables.ndjson": [["coeff", "table", "--nmin", "1", "--n", "12"]],
+    "verify.ndjson": [
+        ["verify", suite, "--seed", "0"]
+        for suite in ("eightlevels", "theta", "fundamental", "powersums")
+    ],
+    "bridges.ndjson": [["bridges", "check", "--nmax", "40"]],
+    "periods.ndjson": [["bridges", "period"]],
+    "tau.ndjson": [["identities", "tau", "--l", str(l)] for l in range(3, 8)],
+}
+
+COMMITTED = Path(__file__).resolve().parent.parent / "docs" / "results"
+
+
 class TestRepro:
     def test_repro_regenerates_byte_identically(self, tmp_path):
         out1 = tmp_path / "one"
         out2 = tmp_path / "two"
         code1, recs1 = run_json("repro", "all", "--outdir", str(out1))
-        code2, recs2 = run_json("repro", "all", "--outdir", str(out2))
+        # --timing must not reach the files: they stay byte-deterministic
+        code2, recs2 = run_json("repro", "all", "--outdir", str(out2), "--timing")
         assert code1 == code2 == EXIT_OK
         assert recs1 and all(r["ok"] for r in recs1)
         files1 = sorted(p.name for p in out1.iterdir())
@@ -262,13 +309,21 @@ class TestRepro:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_repro_matches_committed_evidence(self, tmp_path):
-        from pathlib import Path
-
-        committed = Path(__file__).resolve().parent.parent / "docs" / "results"
-        if not committed.is_dir():
+        if not COMMITTED.is_dir():
             pytest.skip("evidence base not present")
         out = tmp_path / "fresh"
         code, _ = run_json("repro", "all", "--outdir", str(out))
         assert code == EXIT_OK
-        for path in sorted(committed.iterdir()):
+        for path in sorted(COMMITTED.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    @pytest.mark.parametrize("filename", sorted(EVIDENCE_RUNS))
+    def test_evidence_file_is_its_subcommand_output(self, filename):
+        if not COMMITTED.is_dir():
+            pytest.skip("evidence base not present")
+        outputs = []
+        for argv in EVIDENCE_RUNS[filename]:
+            code, out = run_cli(*argv)
+            assert code == EXIT_OK, argv
+            outputs.append(out)
+        assert "".join(outputs) == (COMMITTED / filename).read_text()

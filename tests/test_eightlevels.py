@@ -5,7 +5,6 @@ import pytest
 from psikit.eightlevels import (
     coeff_by_operator,
     coeff_dual,
-    coeff_table,
     coeff_table_polys,
     coeff_via_basechange,
     coeff_values,
@@ -65,9 +64,7 @@ class TestOperatorRows:
             coeff_dual(4, -1)
 
     def test_table_object(self):
-        table = coeff_table(4)
-        assert table.n == 4
-        assert table.as_strings() == [
+        assert [str(e) for e in coeff_table_polys(4)] == [
             "-2*a^2 + b^2",
             "4*a*alpha - 2*b*beta",
             "-2*alpha^2 + beta^2",

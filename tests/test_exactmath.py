@@ -15,7 +15,6 @@ from psikit.exactmath import (
     SQRT3,
     SQRT5,
     mod_inverse,
-    quad_mul,
 )
 
 
@@ -70,13 +69,13 @@ def _rand_quad(rng, d):
 
 class TestQuadExt:
     def test_norm_of_one_plus_sqrt2(self):
-        assert quad_mul(QuadExt(2, 1, 1), QuadExt(2, 1, -1)) == -1
+        assert QuadExt(2, 1, 1) * QuadExt(2, 1, -1) == -1
 
     def test_golden_ratio_defining_identity(self):
-        assert quad_mul(GOLDEN_RATIO, GOLDEN_RATIO) == GOLDEN_RATIO + 1
+        assert GOLDEN_RATIO * GOLDEN_RATIO == GOLDEN_RATIO + 1
 
     def test_absorbing_zero(self):
-        assert quad_mul(QuadExt(3, 0, 0), QuadExt(3, 7, 2)) == 0
+        assert QuadExt(3, 0, 0) * QuadExt(3, 7, 2) == 0
 
     def test_radicand_mismatch(self):
         with pytest.raises(RadicandMismatchError):

@@ -6,6 +6,7 @@ from psikit.errors import CapacityError
 from psikit.mersenne import (
     CEILING_P,
     ENHANCED_SUM_MAX_INDEX,
+    METHODS,
     MersenneCandidate,
     ab_ratio_test,
     ab_ratios,
@@ -19,7 +20,6 @@ from psikit.mersenne import (
     necessary_condition,
     psi14_exact,
     psi_test,
-    run_method,
     signed_factorial_product_sum,
     tau_identity_check,
     tau_identity_value,
@@ -423,10 +423,9 @@ class TestTauIdentities:
 
 class TestRunMethod:
     def test_dispatch(self):
-        assert run_method(5, "ll").verdict == "prime"
-        assert run_method(5, "mu", mu_max=4).verdict == "condition-holds"
-        with pytest.raises(ValueError):
-            run_method(5, "nope")
+        assert METHODS["ll"](5).verdict == "prime"
+        assert METHODS["mu"](5, mu_max=4).verdict == "condition-holds"
+        assert "nope" not in METHODS
 
     def test_report_serialisation(self):
         rep = ll_classic(5)
