@@ -48,12 +48,13 @@ def _parse_scalar(text: str) -> Fraction | int:
         raise ValueError(f"not an exact scalar: {text!r}") from err
 
 
-def _parse_index(text: str) -> int:
-    """Accept ``37634``, ``2^61`` and ``3*2^61`` for astronomically large n.
+def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
+    """Accept ``37634``, ``2^61``, ``3*2^61`` and ``2^61-1`` or ``3*2^61+5``
+    for astronomically large n (and moduli, with ``least=2``).
 
     The bit length of ``mult*base^exp`` is bounded by
     ``mult.bit_length() + exp * base.bit_length()``; above INDEX_BITS_CAP the
-    index is refused before the power is built.
+    value is refused before the power is built.
     """
     text = text.strip()
     mult = 1
@@ -62,19 +63,23 @@ def _parse_index(text: str) -> int:
         mult = int(head)
     if "^" in text:
         base_text, _, exp_text = text.partition("^")
+        offset = 0
+        cut = max(exp_text.rfind("+"), exp_text.rfind("-"))
+        if cut > 0:
+            exp_text, offset = exp_text[:cut], int(exp_text[cut:])
         base, exp = int(base_text), int(exp_text)
         if exp < 0:
-            raise ValueError("index exponent must be >= 0")
+            raise ValueError(f"{what} exponent must be >= 0")
         bits = mult.bit_length() + exp * base.bit_length()
         if bits > INDEX_BITS_CAP:
             raise CapacityError(
-                f"index {text!r} has up to {bits} bits; cap is {INDEX_BITS_CAP}"
+                f"{what} {text!r} has up to {bits} bits; cap is {INDEX_BITS_CAP}"
             )
-        value = mult * base**exp
+        value = mult * base**exp + offset
     else:
         value = mult * int(text)
-    if value < 0:
-        raise ValueError("index must be >= 0")
+    if value < least:
+        raise ValueError(f"{what} must be >= {least}")
     return value
 
 
@@ -136,12 +141,21 @@ def _records_ok(records: list[dict]) -> bool:
 # -- subcommand implementations ------------------------------------------------
 
 
+def _require_echoable(n: int, m: int) -> None:
+    """Refuse, before the ladder runs, an index or modulus that the record
+    could not echo in decimal; the value, below m, then prints too."""
+    _require_printable(n.bit_length(), "the index")
+    _require_printable(m.bit_length(), "the modulus")
+
+
 def _cmd_psi(args) -> list[dict]:
     if args.psi_command == "eval":
-        params = PsiParams(_parse_scalar(args.a), _parse_scalar(args.b), args.mod)
+        mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
+        params = PsiParams(_parse_scalar(args.a), _parse_scalar(args.b), mod)
         n = _parse_index(args.n)
-        if params.modulus is not None:
-            value = psi_mod_ladder(params.a, params.b, n, params.modulus)
+        if mod is not None:
+            _require_echoable(n, mod)
+            value = psi_mod_ladder(params.a, params.b, n, mod)
         else:
             if n > 100_000:
                 raise CapacityError("exact evaluation capped at n <= 100000; use --mod")
@@ -164,14 +178,16 @@ def _cmd_psi(args) -> list[dict]:
     a = int(args.a)
     b = int(args.b)
     n = _parse_index(args.n)
-    value = psi_mod_ladder(a, b, n, args.mod)
+    m = _parse_index(args.mod, 2, "modulus")
+    _require_echoable(n, m)
+    value = psi_mod_ladder(a, b, n, m)
     return [
         {
             "command": "psi-ladder",
             "a": str(a),
             "b": str(b),
             "n": str(n),
-            "mod": str(args.mod),
+            "mod": str(m),
             "value": str(value),
         }
     ]
@@ -435,14 +451,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--a", required=True)
     p_eval.add_argument("--b", required=True)
     p_eval.add_argument("--n", required=True)
-    p_eval.add_argument("--mod", type=int)
+    p_eval.add_argument("--mod", help="modulus; accepts 2^p-1 and k*2^e+c")
     p_poly = leaf(psi_sub, "poly", "canonical polynomial in (a, b)")
     p_poly.add_argument("--n", type=int, required=True)
     p_ladder = leaf(psi_sub, "ladder", "modular value by doubling ladder")
     p_ladder.add_argument("--a", required=True)
     p_ladder.add_argument("--b", required=True)
-    p_ladder.add_argument("--n", required=True, help="index; accepts 2^k and m*2^k")
-    p_ladder.add_argument("--mod", type=int, required=True)
+    p_ladder.add_argument("--n", required=True, help="index; accepts 2^k, m*2^k and m*2^k+c")
+    p_ladder.add_argument(
+        "--mod", required=True, help="modulus; accepts 2^p-1 and k*2^e+c"
+    )
 
     p_coeff = sub.add_parser("coeff", help="expansion coefficient tables")
     coeff_sub = p_coeff.add_subparsers(dest="coeff_command", required=True)

@@ -55,7 +55,7 @@ NECESSARY_MAX_P = 23
 # (p = 29 would square integers of up to 2**28 bits).
 CEILING_P = {"sum": 17, "necessary": 29, "ab": 23}
 ENHANCED_SUM_MAX_INDEX = 1 << 17
-# Largest mu_max of the mu pattern; each mu costs one ladder to index 2**(p-1) * mu.
+# Largest mu_max of the mu pattern; its record holds one residue of p bits per mu.
 MU_MAX_CAP = 16
 
 
@@ -192,7 +192,10 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     """Residues of psi(1, 4, n*mu) mod M for mu = 1..mu_max.
 
     For prime M the +2/0/-2 pattern must hold for every mu; any mismatch is a
-    compositeness certificate.
+    compositeness certificate.  One ladder gives r_1 = psi(1, 4, n) mod M;
+    the product identity at even n and a = 1 gives the rest by index
+    addition, r_(mu+1) = r_1 * r_mu - r_(mu-1) with r_0 = 2, one product
+    each.
     """
     started = time.perf_counter()
     cand = _candidate(p, 5)
@@ -201,7 +204,12 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     if mu_max > MU_MAX_CAP:
         raise CapacityError(f"mu: mu_max={mu_max} is above the cap {MU_MAX_CAP}")
     m = cand.modulus
-    residues = [psi_mod_ladder(1, 4, cand.n * mu, m) for mu in range(1, mu_max + 1)]
+    reduce = MersenneMod(p).reduce
+    prev, cur = 2, psi_mod_ladder(1, 4, cand.n, m)
+    residues = [cur]
+    for _ in range(mu_max - 1):
+        prev, cur = cur, reduce(residues[0] * cur - prev)
+        residues.append(cur)
     mismatches = [
         mu
         for mu, res in enumerate(residues, start=1)
@@ -267,11 +275,11 @@ def enhanced_sum_test(p: int, mu: int = 1, max_p: int = ENHANCED_SUM_MAX_P) -> T
     n*mu reduces mod M to +1/0/-1 by mu mod 4, and twice the sum equals
     psi(1, 4, n*mu) exactly."""
     started = time.perf_counter()
-    cand = _candidate(p, 5)
     if mu < 0:
         raise ValueError("mu must be >= 0")
     terms = f"2**{p - 3} * {mu} + 1 exact big-integer terms"
     _check_cap("sum", p, max_p, terms)
+    cand = _candidate(p, 5)
     if cand.n * mu > ENHANCED_SUM_MAX_INDEX:
         raise CapacityError(
             f"sum at p={p}, mu={mu} needs {terms}; the index n * mu is capped "
@@ -307,8 +315,8 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
     witness, which is a nontrivial factor of M.
     """
     started = time.perf_counter()
-    cand = _candidate(p, 5)
     _check_cap("necessary", p, max_p, f"2**{p - 2} + 1 modular terms")
+    cand = _candidate(p, 5)
     m = cand.modulus
     term = 1
     total = 1
@@ -375,8 +383,8 @@ def ab_ratio_test(p: int, max_p: int = AB_RATIO_MAX_P) -> TestReport:
     integers.
     """
     started = time.perf_counter()
-    _candidate(p, 5)
     _check_cap("ab", p, max_p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
+    _candidate(p, 5)
     a_ratio, b_ratio = ab_ratios(p)
     verdict = "prime" if b_ratio % a_ratio == 0 else "composite"
     return TestReport(

@@ -8,14 +8,24 @@ Modes: direct recurrence (any exact ring), explicit binomial formula,
 symbolic polynomial in (a, b), and an O(log n) modular doubling ladder for
 astronomically large indices.
 
-The ladder writes n = odd * 2**j and runs in two phases.  It first walks the
-bits of the odd part with ``ladder_step``, which carries (psi(k), psi(k+1),
-a**k).  It then squares down the j trailing zero bits with
-psi(2k) = d**parity(k) * psi(k)**2 - 2 * a**k, one squaring per bit plus one
-for a**k.  The reduction is chosen once per call: moduli
-2**p - 1 use the fold-and-add ``MersenneMod.reduce``, every other modulus
-plain ``%``.  a and d = 2a - b are kept as signed representatives of least
-absolute value, so for psi(1, 4, .) the factor d is -2, not m - 2.
+The ladder is a Lucas chain (Montgomery 1992; Joye and Quisquater 1996).
+With d = 2a - b, t = (d - 2a) / a = -b / a and V = V(t, 1) the Lucas V
+sequence (V_0 = 2, V_1 = t, V_(j+1) = t * V_j - V_(j-1)),
+
+    psi(2k)     = a**k * V_k
+    psi(2k + 1) = a**(k + 1) * (V_k + V_(k+1)) / d.
+
+For even n the chain walks the bits of the odd part of k = n >> 1 with
+``ladder_step``, two products per bit, and squares down the trailing zero bits
+of k with V_2j = V_j**2 - 2, one product per bit; for odd n it walks every
+bit of k.  One ``pow(a, k or k + 1, m)`` at the end, and d**-1 for odd n,
+finish the value.  The chain needs a invertible mod m, and d too for odd n;
+when a gcd is not 1 the ladder takes the three-product walk over
+(psi(k), psi(k+1), a**k) instead.  The reduction is chosen once per call:
+moduli 2**p - 1 use the fold-and-add ``MersenneMod.reduce``, every other
+modulus plain ``%``.  t is kept as the signed representative of least
+absolute value, so for psi(1, 4, .) it is -4, not m - 4; the three-product
+walk keeps a and d so too.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Optional, Union
 
 from .errors import CapacityError
@@ -218,9 +228,26 @@ def psi_extended(a, b, n: int):
     return psi_recurrence(a, b, abs(n))
 
 
+def ladder_step(state: tuple[int, int], bit: int, t: int, reduce) -> tuple[int, int]:
+    """One bit of the Lucas chain of V = V(t, 1): (V_j, V_(j+1)) becomes
+    (V_2j, V_(2j+1)) on bit 0 and (V_(2j+1), V_(2j+2)) on bit 1, by
+
+        V_2j       = V_j**2 - 2
+        V_(2j + 1) = V_j * V_(j+1) - t
+
+    ``reduce`` maps any integer to its residue mod m.
+    """
+    v, w = state
+    mid = reduce(v * w - t)
+    if bit:
+        return mid, reduce(w * w - 2)
+    return reduce(v * v - 2), mid
+
+
 @dataclass(frozen=True, slots=True)
 class PsiLadderState:
-    """(psi(k), psi(k+1), a**k) mod m together with the parity of k."""
+    """(psi(k), psi(k+1), a**k) mod m together with the parity of k: the
+    state of the three-product walk."""
 
     lo: int
     hi: int
@@ -232,10 +259,11 @@ def ladder_start(m: int) -> PsiLadderState:
     return PsiLadderState(2 % m, 1 % m, 1 % m, 0)
 
 
-def ladder_step(
+def _ladder_step_q(
     state: PsiLadderState, bit: int, a: int, b: int, m: int, reduce=None
 ) -> PsiLadderState:
-    """Advance the ladder from index k to 2k (bit 0) or 2k + 1 (bit 1).
+    """Advance the three-product walk from index k to 2k (bit 0) or 2k + 1
+    (bit 1).
 
     Index-doubling rules, with d = 2a - b:
 
@@ -267,27 +295,19 @@ def _signed(x: int, m: int) -> int:
     return x - m if x > m >> 1 else x
 
 
-def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
-    """psi(a, b, n) mod m in O(log n) ring operations.
-
-    Walks the odd part of n with ``ladder_step``, then squares down the
-    trailing zero bits; see the module docstring.
-    """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n == 0:
-        return 2 % m
-    reduce = MersenneMod(m.bit_length()).reduce if m & (m + 1) == 0 else m.__rmod__
+def _psi_mod_ladder_q(a: int, b: int, n: int, m: int, reduce) -> int:
+    """psi(a, b, n) mod m for n >= 1 by the three-product walk: the odd part
+    of n with ``_ladder_step_q``, then the trailing zero bits by
+    psi(2k) = d**parity(k) * psi(k)**2 - 2 * a**k.  Needs no inverse, so it
+    serves the inputs the Lucas chain cannot take."""
     a = _signed(a, m)
     d = _signed(2 * a - b, m)
-    b = 2 * a - d  # ladder_step derives d from a and b
+    b = 2 * a - d  # _ladder_step_q derives d from a and b
     zeros = (n & -n).bit_length() - 1
     odd = n >> zeros
     state = ladder_start(m)
     for i in range(odd.bit_length() - 1, -1, -1):
-        state = ladder_step(state, (odd >> i) & 1, a, b, m, reduce)
+        state = _ladder_step_q(state, (odd >> i) & 1, a, b, m, reduce)
     lo, apow = state.lo, state.apow
     if zeros:
         # the odd part has parity 1, so only the first doubling carries d
@@ -296,6 +316,43 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
             apow = reduce(apow * apow)
             lo = reduce(lo * lo - 2 * apow)
     return lo
+
+
+def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
+    """psi(a, b, n) mod m in O(log n) ring operations.
+
+    Runs the Lucas chain over the bits of n >> 1, or the three-product walk
+    when a, or d = 2a - b at odd n, shares a factor with m; see the module
+    docstring.
+    """
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    if n == 0:
+        return 2 % m
+    reduce = MersenneMod(m.bit_length()).reduce if m & (m + 1) == 0 else m.__rmod__
+    odd = n & 1
+    d = 2 * a - b
+    if gcd(a, m) != 1 or (odd and gcd(d, m) != 1):
+        return _psi_mod_ladder_q(a, b, n, m, reduce)
+    t = _signed(-b * pow(a, -1, m), m)
+    k = n >> 1
+    if odd:
+        walk, zeros = k, 0
+    else:
+        zeros = (k & -k).bit_length() - 1
+        walk = k >> zeros
+    state = (2, t)
+    for i in range(walk.bit_length() - 1, -1, -1):
+        state = ladder_step(state, (walk >> i) & 1, t, reduce)
+    if odd:
+        v = reduce((state[0] + state[1]) * pow(d, -1, m))
+        return reduce(v * pow(a, k + 1, m))
+    v = state[0]
+    for _ in range(zeros):
+        v = reduce(v * v - 2)
+    return reduce(v * pow(a, k, m))
 
 
 def psi_product_identity_check(a, b, n: int, m: int) -> bool:

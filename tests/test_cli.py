@@ -44,6 +44,19 @@ class TestPsiCommands:
         )
         assert code == EXIT_OK and recs[0]["value"] == "0"
 
+    def test_modulus_index_grammar(self):
+        for command in ("ladder", "eval"):
+            code, recs = run_json(
+                "psi", command, "--a", "1", "--b", "4", "--n", "2^60", "--mod", "2^61-1"
+            )
+            assert code == EXIT_OK and recs[0]["mod"] == str((1 << 61) - 1), command
+            assert recs[0]["value"] == run_json(
+                "psi", command, "--a", "1", "--b", "4", "--n", "2^60",
+                "--mod", "2305843009213693951",
+            )[1][0]["value"]
+        code, recs = run_json("psi", "ladder", "--a", "3", "--b", "5", "--n", "99", "--mod", "1")
+        assert code == EXIT_USAGE and recs[0]["reason"] == "modulus must be >= 2"
+
     def test_poly(self):
         code, recs = run_json("psi", "poly", "--n", "7")
         assert code == EXIT_OK
@@ -217,6 +230,28 @@ class TestExitCodes:
             assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], argv
             assert time.perf_counter() - started < 1.0, argv
 
+    def test_unprintable_index_or_modulus_is_refused_before_the_work(self, monkeypatch):
+        # the record echoes n and the modulus in decimal; 2^19936 has 6002 digits
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        for command in ("ladder", "eval"):
+            for n, mod in (("2^19936", "7"), ("5", "2^19937-1")):
+                started = time.perf_counter()
+                code, recs = run_json(
+                    "psi", command, "--a", "1", "--b", "4", "--n", n, "--mod", mod
+                )
+                assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], (n, mod)
+                assert time.perf_counter() - started < 1.0, (n, mod)
+
+    def test_cap_is_checked_before_the_exponent(self):
+        # 2^61 - 1 is prime: trial division of p would run for hours
+        for method in ("sum", "necessary", "ab"):
+            started = time.perf_counter()
+            code, recs = run_json(
+                "mersenne", "test", "--p", "2305843009213693951", "--method", method
+            )
+            assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity", method
+            assert time.perf_counter() - started < 1.0, method
+
     def test_mu_max_cap(self):
         started = time.perf_counter()
         code, recs = run_json("mersenne", "test", "--p", "5", "--method", "mu", "--mu-max", "17")
@@ -245,8 +280,12 @@ class TestExitCodes:
         assert _parse_index(" 3*2^61 ") == 3 << 61
         assert _parse_index("37634") == 37634
         assert _parse_index(f"2^{INDEX_BITS_CAP // 2 - 1}") == 1 << (INDEX_BITS_CAP // 2 - 1)
-        with pytest.raises(ValueError):
-            _parse_index("2^-1")
+        assert _parse_index("2^61-1") == (1 << 61) - 1
+        assert _parse_index("3*2^61+5") == (3 << 61) + 5
+        assert _parse_index("2^7-1", 2, "modulus") == 127
+        for text in ("2^-1", "2^3-9", "2^61--1"):
+            with pytest.raises(ValueError):
+                _parse_index(text)
 
     def test_help_is_not_an_error(self):
         code, _ = run_cli("--help")

@@ -154,6 +154,17 @@ class TestMuPattern:
         rep = mu_pattern_test(11, 12)
         assert rep.verdict == "condition-fails"
 
+    def test_index_addition_matches_one_ladder_per_mu(self):
+        # oracle: one full ladder to index n * mu for every mu
+        for p in range(5, 128):
+            if not is_prime_small(p):
+                continue
+            cand = MersenneCandidate(p)
+            expected = [
+                psi_mod_ladder(1, 4, cand.n * mu, cand.modulus) for mu in range(1, 17)
+            ]
+            assert mu_pattern_test(p, 16).residues == expected, p
+
     def test_exact_values_match_ladder(self):
         cand = MersenneCandidate(5)
         for mu in range(1, 6):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikit.errors import CapacityError
-from psikit.exactmath import QuadExt, SQRT2
+from psikit.exactmath import MersenneMod, QuadExt, SQRT2
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import (
     PsiLadderState,
@@ -25,6 +25,8 @@ from psikit.psicore import (
     psi_recurrence_mod,
     psi_sequence,
     psi_symbolic,
+    _ladder_step_q,
+    _psi_mod_ladder_q,
 )
 
 A, B = variables("a b")
@@ -145,12 +147,27 @@ class TestLadder:
             assert psi_mod_ladder(a, b, n, m) == psi_recurrence_mod(a, b, n, m)
 
     def test_state_advance_matches_recurrence(self):
-        # walking the ladder bit by bit reproduces the plain recurrence state
+        # walking the Lucas chain bit by bit from (V_0, V_1) = (2, t) reaches
+        # (V_j, V_(j+1)) of V(t, 1) as the plain recurrence gives it mod m
+        for m, reduce in ((101, (101).__rmod__), (127, MersenneMod(7).reduce)):
+            for t in (-4, 0, 3, 57):
+                seq = [2, t % m]
+                for _ in range(64):
+                    seq.append((t * seq[-1] - seq[-2]) % m)
+                for j in range(1, 65):
+                    state = (2, t)
+                    for i in range(j.bit_length() - 1, -1, -1):
+                        state = ladder_step(state, (j >> i) & 1, t, reduce)
+                    assert state == (seq[j], seq[j + 1]), (m, t, j)
+
+    def test_three_product_step_matches_recurrence(self):
+        # walking the three-product fallback bit by bit reproduces the plain
+        # recurrence state
         a, b, m = 3, -7, 101
         for n in range(1, 65):
             state = ladder_start(m)
             for i in range(n.bit_length() - 1, -1, -1):
-                state = ladder_step(state, (n >> i) & 1, a, b, m)
+                state = _ladder_step_q(state, (n >> i) & 1, a, b, m)
             assert state == PsiLadderState(
                 psi_recurrence_mod(a, b, n, m),
                 psi_recurrence_mod(a, b, n + 1, m),
@@ -169,25 +186,41 @@ class TestLadder:
 
 @st.composite
 def ladder_cases(draw):
-    """(a, b, n, m): Mersenne, near-miss and random odd moduli; a = 1 (mod m)
-    or not, signed a and b; n = 0, powers of two and odd * 2**j."""
-    form = draw(st.sampled_from(("mersenne", "plus1", "minus3", "odd")))
+    """(a, b, n, m): Mersenne, near-miss, random odd and even moduli, and
+    moduli m = g * h; a = 1 (mod m), a = g * u sharing the factor g with m,
+    or random; d = 2a - b random, or g * v, which is 0 (mod m) when g = m;
+    signed a and b; n = 0, powers of two and odd * 2**j.  A gcd(a, m) > 1,
+    or a gcd(d, m) > 1 at odd n, sends the ladder to its three-product walk."""
+    form = draw(st.sampled_from(("mersenne", "plus1", "minus3", "odd", "even", "product")))
     if form == "mersenne":
         m = (1 << draw(st.integers(2, 61))) - 1
     elif form == "plus1":
         m = (1 << draw(st.integers(1, 61))) + 1
     elif form == "minus3":
         m = (1 << draw(st.integers(3, 61))) - 3
-    else:
+    elif form == "even":
+        m = 2 * draw(st.integers(1, 1 << 64))
+    elif form == "odd":
         m = 2 * draw(st.integers(1, 1 << 64)) + 1
+    else:
+        g = draw(st.integers(2, 1 << 16))
+        m = g * draw(st.integers(1, 1 << 48))
+    if form != "product":
+        g = m
     a = draw(
         st.one_of(
             st.just(1),
             st.integers(-3, 3).map(lambda k: 1 + k * m),
             st.integers(-(1 << 70), 1 << 70),
+            st.integers(-(1 << 40), 1 << 40).map(lambda u: g * u),
         )
     )
-    b = draw(st.integers(-(1 << 70), 1 << 70))
+    b = draw(
+        st.one_of(
+            st.integers(-(1 << 70), 1 << 70),
+            st.integers(-(1 << 40), 1 << 40).map(lambda v: 2 * a - g * v),
+        )
+    )
     n = draw(
         st.one_of(
             st.just(0),
@@ -202,11 +235,14 @@ def ladder_cases(draw):
 
 
 class TestLadderProperties:
-    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
     @given(ladder_cases())
     def test_ladder_matches_recurrence_hypothesis(self, case):
         a, b, n, m = case
-        assert psi_mod_ladder(a, b, n, m) == psi_recurrence_mod(a, b, n, m)
+        expected = psi_recurrence_mod(a, b, n, m)
+        assert psi_mod_ladder(a, b, n, m) == expected
+        if n:
+            assert _psi_mod_ladder_q(a, b, n, m, m.__rmod__) == expected
 
     def test_smallest_mersenne_modulus(self):
         for a, b in product(range(-3, 4), repeat=2):
