@@ -35,7 +35,6 @@ from .psicore import (
     psi_symbolic,
 )
 from .eightlevels import (
-    coeff_by_operator,
     coeff_dual,
     coeff_values,
     eight_level_coeff,

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from .eightlevels import coeff_values
 from .exactmath import GOLDEN_RATIO, QuadExt, SQRT2, SQRT3, SQRT5
 from .multipoly import SparsePoly, variables
-from .psicore import half, parity, psi_sequence
+from .psicore import half, parity, psi_sequence, psi_terms
 
 __all__ = [
     "BridgeSpec",
@@ -42,7 +42,6 @@ __all__ = [
 # -- independent oracle recurrences -----------------------------------------
 
 
-@lru_cache(maxsize=None)
 def lucas(n: int) -> int:
     a, b = 2, 1
     for _ in range(n):
@@ -50,7 +49,6 @@ def lucas(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
 def fibonacci(n: int) -> int:
     a, b = 0, 1
     for _ in range(n):
@@ -58,7 +56,6 @@ def fibonacci(n: int) -> int:
     return a
 
 
-@lru_cache(maxsize=None)
 def pell_lucas(n: int) -> int:
     a, b = 2, 2
     for _ in range(n):
@@ -344,22 +341,14 @@ def detect_period(a, b, cap: int = 10_000) -> PeriodResult:
     alternates: the value pair alone can recur at a half period with the
     wrong parity.  Raises if no recurrence is found within ``cap`` steps.
     """
-    seq = psi_sequence(a, b, 2)
-    coeff = 2 * a - b
-    values = list(seq)
-    start = (values[0], values[1])
+    terms = psi_terms(a, b)
+    values = list(islice(terms, 2))
+    start = tuple(values)
     for n in range(2, cap + 2, 2):
-        while len(values) < n + 2:
-            k = len(values) - 1
-            step = coeff * values[k] if k % 2 else values[k]
-            values.append(step - a * values[k - 1])
+        values += islice(terms, 2)
         if (values[n], values[n + 1]) == start:
             return PeriodResult(a, b, n, values[:n])
     raise ValueError(f"no period found within cap {cap}")
-
-
-def _q(u, v=0) -> QuadExt:
-    return QuadExt(2, u, v)
 
 
 PHI = GOLDEN_RATIO

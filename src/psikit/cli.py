@@ -22,6 +22,7 @@ from . import bridges as bridges_mod
 from . import eightlevels, mersenne, powersums
 from .errors import CapacityError
 from .psicore import (
+    SYMBOLIC_INDEX_CAP,
     PsiParams,
     psi_bit_bound,
     psi_mod_ladder,
@@ -219,12 +220,22 @@ _VERIFY_SUITES = {
 
 
 _DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
+# Largest --nmax of each suite: eightlevels and powersums stop at their index
+# caps.  On a shared 2-core box with CPython 3.11 a whole run at the ceiling
+# takes 28 s for theta (n = 39 alone: 6 s) and 31 s for fundamental (53: 4 s).
+VERIFY_CEILING = {
+    "eightlevels": SYMBOLIC_INDEX_CAP, "powersums": powersums.SPECIAL_CASE_CAP,
+    "theta": 37, "fundamental": 51,
+}
 
 
 def _cmd_verify(args) -> list[dict]:
     suite = _VERIFY_SUITES[args.suite]
     start = 2 if args.suite == "powersums" else 1
     nmax = _DEFAULT_NMAX[args.suite] if args.nmax is None else args.nmax
+    ceiling = VERIFY_CEILING[args.suite]
+    if nmax > ceiling:
+        raise CapacityError(f"verify {args.suite}: nmax={nmax} is above the ceiling {ceiling}")
     records = []
     for n in range(start, nmax + 1):
         ok = suite(n, args.seed)

@@ -10,11 +10,11 @@ for 0 <= r <= floor(n/2).  These are the unique polynomials satisfying
         = sum_r coeff_r * (alpha*x^2 + beta*xy + alpha*y^2)**(floor(n/2) - r)
                         * (a*x^2 + b*xy + a*y^2)**r.
 
-This module computes the family three independent ways (derivative operator,
-dual operator, base change into the two forms), verifies the expansion
-identity, evaluates the integer specialisation onto the basis
-(xy, x^2 + y^2), and checks the theta-sum, scaling, ladder and closed-form
-properties of the family.
+This module builds the family from sum_r coeff_r * theta**r =
+psi(a - alpha*theta, b - beta*theta, n), keeps the dual operator and base
+change into the two forms as oracles, verifies the expansion identity,
+evaluates the integer specialisation onto the basis (xy, x^2 + y^2), and checks
+the theta-sum, scaling, ladder and closed-form properties of the family.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .multipoly import SparsePoly, as_poly, degree_cap, get_degree_cap, variables
-from .psicore import half, parity, psi_recurrence, psi_symbolic
+from .errors import CapacityError
+from .multipoly import DegreeCapExceeded, SparsePoly, as_poly, degree_cap, get_degree_cap, variables
+from .psicore import SYMBOLIC_INDEX_CAP, half, parity, psi_recurrence, psi_symbolic
 
 __all__ = [
     "power_sum_poly",
     "apply_direction",
     "coeff_table_polys",
-    "coeff_by_operator",
     "coeff_dual",
     "coeff_via_basechange",
     "coeff_values",
@@ -71,32 +71,24 @@ def apply_direction(f: SparsePoly, alpha, beta, avar: str = "a", bvar: str = "b"
 def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
     """All coefficients for index n, canonical polynomials in a, b, alpha, beta.
 
-    Row r is (-1)**r / r! applied to the r-th derivative power; integrality of
-    every coefficient after the division is asserted, since a non-integer here
-    signals a transcription bug rather than a rounding issue.
+    Row r is the theta**r coefficient of psi(a - alpha*theta, b - beta*theta, n):
+    the binomial theorem puts (-1)**(k+l) * C(i, k) * C(j, l) * c on
+    a**(i-k) * alpha**k * b**(j-l) * beta**l in row k + l for each term
+    c * a**i * b**j of psi(a, b, n).  Rows have degree floor(n/2), within the cap.
     """
     m = half(n)
-    alpha = SparsePoly.variable("alpha")
-    beta = SparsePoly.variable("beta")
-    rows = []
-    current = psi_symbolic(n)
-    for r in range(m + 1):
-        if r:
-            current = apply_direction(current, alpha, beta)
-        scale = Fraction((-1) ** r, factorial(r))
-        row = scale * current
-        if any(c.denominator != 1 for c in row.terms.values()):
-            raise ArithmeticError(f"non-integer coefficient in row r={r}, n={n}")
-        rows.append(row)
-    return tuple(rows)
-
-
-def coeff_by_operator(n: int, r: int) -> SparsePoly:
-    """Coefficient r via the derivative-operator route."""
-    table = coeff_table_polys(n)
-    if not 0 <= r < len(table):
-        raise ValueError(f"r={r} out of range for n={n}")
-    return table[r]
+    if m > get_degree_cap():
+        raise DegreeCapExceeded(f"rows for n={n} have degree {m}; cap is {get_degree_cap()}")
+    base = psi_symbolic(n)
+    rows: list[dict] = [{} for _ in range(m + 1)]
+    for exps, c in base.terms.items():
+        powers = dict(zip(base.vars, exps))
+        i, j = powers.get("a", 0), powers.get("b", 0)
+        for k in range(i + 1):
+            ck = (-1) ** k * comb(i, k) * c
+            for l in range(j + 1):
+                rows[k + l][(i - k, k, j - l, l)] = (-1) ** l * comb(j, l) * ck
+    return tuple(SparsePoly(("a", "alpha", "b", "beta"), row) for row in rows)
 
 
 def coeff_dual(n: int, r: int) -> SparsePoly:
@@ -154,24 +146,25 @@ def coeff_via_basechange(n: int) -> tuple[SparsePoly, ...]:
 
 
 def coeff_values(n: int, a, b, alpha, beta) -> list:
-    """Evaluate all coefficients at a point without 4-variable expansion.
+    """All coefficients for index n at one point, over any exact ring: the
+    defining recurrence run once on the theta-coefficient lists of
+    psi(a - alpha*theta, b - beta*theta, k), where both factors,
+    a - alpha*theta and 2a - b - (2*alpha - beta)*theta, are linear in theta."""
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    if n > SYMBOLIC_INDEX_CAP:
+        raise CapacityError(f"coefficient index {n} exceeds cap {SYMBOLIC_INDEX_CAP}")
 
-    alpha and beta must be exact rationals (the derivative direction); a and b
-    may come from any exact ring the polynomial can be evaluated over.
-    """
-    m = half(n)
-    current = psi_symbolic(n)
-    out = []
-    for r in range(m + 1):
-        if r:
-            current = apply_direction(current, alpha, beta)
-        value = current.eval_scalar({"a": a, "b": b})
-        scale = Fraction((-1) ** r, factorial(r))
-        value = scale * value if scale != 1 else value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            value = int(value)
-        out.append(value)
-    return out
+    def times(c0, c1, p):
+        """(c0 - c1*theta) * p"""
+        return [c0 * x - c1 * y for x, y in zip(p + [0], [0] + p)]
+
+    d, e = 2 * a - b, 2 * alpha - beta
+    lo, hi = [2], [1]
+    for k in range(1, n):
+        step = times(d, e, hi) if k % 2 else hi
+        lo, hi = hi, [x - y for x, y in zip(step, times(a, alpha, lo), strict=True)]
+    return hi if n else lo
 
 
 def verify_expansion(n: int, symbolic_limit: int = 16, points: int = 5, seed: int = 0) -> bool:

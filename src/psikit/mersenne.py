@@ -347,12 +347,14 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
 
 
 def composite_criterion(p: int) -> TestReport:
-    """M | psi(1, 4, n +/- 1) certifies compositeness; otherwise inconclusive."""
+    """M | psi(1, 4, n +/- 1) certifies compositeness; otherwise inconclusive.
+    psi(n + 1) = psi(n) - psi(n - 1) at a = 1 and even n, and the ladder to n
+    costs one product per bit."""
     started = time.perf_counter()
     cand = _candidate(p, 3)
     m = cand.modulus
     below = psi_mod_ladder(1, 4, cand.n - 1, m)
-    above = psi_mod_ladder(1, 4, cand.n + 1, m)
+    above = (psi_mod_ladder(1, 4, cand.n, m) - below) % m
     verdict = "composite" if below == 0 or above == 0 else "inconclusive"
     return TestReport(
         method="composite",

@@ -21,11 +21,15 @@ __all__ = [
     "bracket",
     "bracket_pair_form",
     "verify_special_case",
+    "SPECIAL_CASE_CAP",
     "bracket_xy_identity_check",
     "quintic_parametric_values",
     "quintic_parametric_check",
     "quintic_parametric_symbolic",
 ]
+
+
+SPECIAL_CASE_CAP = 10
 
 
 def bracket(x, y, u, v):
@@ -62,7 +66,7 @@ def _derivative_terms(n: int):
     return out
 
 
-def verify_special_case(n: int, cap: int = 10) -> bool:
+def verify_special_case(n: int, cap: int = SPECIAL_CASE_CAP) -> bool:
     """Three-pair power-sum expansion for index n (2 <= n <= cap), fully
     symbolic in (x, y, z, t, u, v):
 

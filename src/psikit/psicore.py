@@ -33,8 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, QuadExt
@@ -47,6 +48,7 @@ __all__ = [
     "half",
     "PsiParams",
     "PsiLadderState",
+    "psi_terms",
     "psi_recurrence",
     "psi_sequence",
     "psi_recurrence_mod",
@@ -104,32 +106,29 @@ class PsiParams:
         return "integer"
 
 
+def psi_terms(a, b) -> Iterator:
+    """psi(a, b, 0), psi(a, b, 1), ... by the defining recurrence, holding two
+    terms at a time."""
+    d = 2 * a - b
+    lo, hi = 2, 1
+    yield lo
+    for k in count(1):
+        yield hi
+        lo, hi = hi, (d * hi if k % 2 else hi) - a * lo
+
+
 def psi_recurrence(a, b, n: int):
     """psi(a, b, n) by the defining recurrence, O(n) ring operations."""
     if n < 0:
         raise ValueError("index must be >= 0; see psi_extended for signed indices")
-    if n == 0:
-        return 2
-    coeff = 2 * a - b
-    lo, hi = 2, 1
-    for k in range(1, n):
-        if k % 2:
-            lo, hi = hi, coeff * hi - a * lo
-        else:
-            lo, hi = hi, hi - a * lo
-    return hi
+    return next(islice(psi_terms(a, b), n, None))
 
 
 def psi_sequence(a, b, n_max: int) -> list:
     """[psi(0), ..., psi(n_max)] in one pass."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = [2, 1]
-    coeff = 2 * a - b
-    for k in range(1, n_max):
-        step = coeff * values[k] if k % 2 else values[k]
-        values.append(step - a * values[k - 1])
-    return values[: n_max + 1]
+    return list(islice(psi_terms(a, b), n_max + 1))
 
 
 def psi_recurrence_mod(a: int, b: int, n: int, m: int) -> int:

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from psikit.cli import EXIT_CAPACITY, EXIT_OK, EXIT_USAGE, INDEX_BITS_CAP, _parse_index, main
+from psikit.cli import (
+    EXIT_CAPACITY,
+    EXIT_OK,
+    EXIT_USAGE,
+    INDEX_BITS_CAP,
+    VERIFY_CEILING,
+    _parse_index,
+    main,
+)
 from psikit.errors import CapacityError
 
 
@@ -263,6 +271,20 @@ class TestExitCodes:
     def test_powersums_cap_is_capacity(self):
         code, recs = run_json("verify", "powersums", "--nmax", "11")
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+
+    def test_verify_ceilings_are_checked_before_the_work(self):
+        for suite, ceiling in VERIFY_CEILING.items():
+            started = time.perf_counter()
+            code, recs = run_json("verify", suite, "--nmax", str(ceiling + 1))
+            assert code == EXIT_CAPACITY and len(recs) == 1, suite
+            assert recs[0]["error"] == "capacity", suite
+            assert time.perf_counter() - started < 1.0, suite
+
+    def test_coeff_table_above_degree_cap(self):
+        started = time.perf_counter()
+        code, recs = run_json("coeff", "table", "--n", "130")
+        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+        assert time.perf_counter() - started < 1.0
 
     def test_huge_power_index_refused_before_building(self):
         started = time.perf_counter()

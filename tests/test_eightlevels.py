@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from psikit.eightlevels import (
-    coeff_by_operator,
+    apply_direction,
     coeff_dual,
     coeff_table_polys,
     coeff_via_basechange,
@@ -20,21 +22,37 @@ from psikit.eightlevels import (
     theta_sum_check,
     verify_expansion,
 )
+from psikit.errors import CapacityError
+from psikit.exactmath import QuadExt
 from psikit.multipoly import SparsePoly, variables
-from psikit.psicore import half, psi_recurrence, psi_symbolic
+from psikit.psicore import SYMBOLIC_INDEX_CAP, half, psi_recurrence, psi_symbolic
 
 A, B, AL, BE = variables("a b alpha beta")
 X, Y = variables("x y")
 
 
+def operator_rows(n):
+    """The operator oracle: row r is (-1)**r / r! times the r-th power of
+    alpha*d/da + beta*d/db applied to psi(a, b, n)."""
+    rows = []
+    current = psi_symbolic(n)
+    for r in range(half(n) + 1):
+        if r:
+            current = apply_direction(current, AL, BE)
+        rows.append(Fraction((-1) ** r, factorial(r)) * current)
+    return tuple(rows)
+
+
 class TestOperatorRows:
     def test_quartic_table(self):
-        assert coeff_by_operator(4, 0) == -2 * A**2 + B**2
-        assert coeff_by_operator(4, 1) == 4 * A * AL - 2 * B * BE
-        assert coeff_by_operator(4, 2) == -2 * AL**2 + BE**2
+        assert coeff_table_polys(4) == (
+            -2 * A**2 + B**2,
+            4 * A * AL - 2 * B * BE,
+            -2 * AL**2 + BE**2,
+        )
 
     def test_sextic_worked_rows(self):
-        rows = [coeff_by_operator(6, r).subst({"alpha": 1, "beta": 2}) for r in range(4)]
+        rows = [row.subst({"alpha": 1, "beta": 2}) for row in coeff_table_polys(6)]
         assert rows[0] == 3 * A**2 * B - B**3
         assert rows[1] == -6 * A**2 - 6 * A * B + 6 * B**2
         assert rows[2] == 12 * A - 9 * B
@@ -42,7 +60,11 @@ class TestOperatorRows:
 
     def test_row_zero_is_base_polynomial(self):
         for n in range(1, 16):
-            assert coeff_by_operator(n, 0) == psi_symbolic(n)
+            assert coeff_table_polys(n)[0] == psi_symbolic(n)
+
+    def test_table_matches_operator_oracle(self):
+        for n in range(25):
+            assert coeff_table_polys(n) == operator_rows(n), f"n={n}"
 
     def test_boundary_rows_up_to_forty(self):
         for n in range(1, 41):
@@ -52,14 +74,14 @@ class TestOperatorRows:
             assert rows[m] == (-1) ** m * psi_symbolic(n, "alpha", "beta")
 
     def test_integrality_up_to_forty(self):
-        # the r! division must always cancel
         for n in range(1, 41):
             for row in coeff_table_polys(n):
                 assert all(c.denominator == 1 for c in row.terms.values())
 
     def test_out_of_range(self):
+        assert len(coeff_table_polys(4)) == 3
         with pytest.raises(ValueError):
-            coeff_by_operator(4, 3)
+            coeff_dual(4, 3)
         with pytest.raises(ValueError):
             coeff_dual(4, -1)
 
@@ -79,7 +101,7 @@ class TestDualAndBasechangeOracles:
     def test_dual_matches_operator_sweep(self):
         for n in (1, 2, 3, 4, 5, 6, 7, 9, 12):
             for r in range(half(n) + 1):
-                assert coeff_dual(n, r) == coeff_by_operator(n, r)
+                assert coeff_dual(n, r) == operator_rows(n)[r]
 
     def test_basechange_matches_operator(self):
         for n in range(1, 13):
@@ -188,7 +210,7 @@ class TestFamilyProperties:
         up = AL * (-2 * A**2 + B**2).diff("a") + BE * (-2 * A**2 + B**2).diff("b")
         assert up == -(4 * A * AL - 2 * B * BE)
         # the top row has no (a, b) dependence left
-        top = coeff_by_operator(4, 2)
+        top = coeff_table_polys(4)[2]
         assert AL * top.diff("a") + BE * top.diff("b") == SparsePoly.zero()
 
     def test_second_fundamental(self):
@@ -231,17 +253,36 @@ class TestFamilyProperties:
 
 class TestCoeffValues:
     def test_matches_polynomial_rows(self):
+        # a and b from each exact ring the pass is generic over
         rng = random.Random(51)
-        for n in (3, 5, 8, 11):
+        rings = (
+            lambda: rng.randint(-9, 9),
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            lambda: QuadExt(5, rng.randint(-9, 9), rng.randint(-9, 9)),
+        )
+        for n in (0, 1, 3, 5, 8, 11, 24, 40):
             rows = coeff_table_polys(n)
-            for _ in range(10):
-                a, b, al, be = (rng.randint(-9, 9) for _ in range(4))
-                vals = coeff_values(n, a, b, al, be)
-                for r, row in enumerate(rows):
-                    expected = row.eval_scalar(
-                        {"a": a, "b": b, "alpha": al, "beta": be}
-                    )
-                    assert vals[r] == expected
+            for ring in rings:
+                for _ in range(10):
+                    a, b = ring(), ring()
+                    al, be = rng.randint(-9, 9), rng.randint(-9, 9)
+                    vals = coeff_values(n, a, b, al, be)
+                    assert len(vals) == len(rows)
+                    for r, row in enumerate(rows):
+                        expected = row.eval_scalar(
+                            {"a": a, "b": b, "alpha": al, "beta": be}
+                        )
+                        assert vals[r] == expected, (n, r, a, b, al, be)
+
+    def test_index_bounds(self):
+        with pytest.raises(ValueError):
+            coeff_values(-1, 1, 2, 3, 4)
+        with pytest.raises(CapacityError):
+            coeff_values(SYMBOLIC_INDEX_CAP + 1, 1, 2, 3, 4)
+        assert len(coeff_values(SYMBOLIC_INDEX_CAP, 1, 2, 3, 4)) == SYMBOLIC_INDEX_CAP // 2 + 1
+        # rows of n = 130 have degree 65, above the default degree cap
+        with pytest.raises(CapacityError):
+            coeff_table_polys(130)
 
     def test_power_sum_polynomial(self):
         assert power_sum_poly(3) == X**2 - X * Y + Y**2

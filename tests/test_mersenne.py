@@ -264,12 +264,14 @@ class TestCompositeCriterion:
                 assert ll_classic(p).verdict == "composite"
 
     def test_neighbour_residues_match_ladder(self):
-        cand = MersenneCandidate(5)
-        rep = composite_criterion(5)
-        assert rep.residues == [
-            psi_mod_ladder(1, 4, cand.n - 1, cand.modulus),
-            psi_mod_ladder(1, 4, cand.n + 1, cand.modulus),
-        ]
+        # the two ladders to n - 1 and n + 1 are the oracle
+        for p in filter(is_prime_small, range(3, 128)):
+            cand = MersenneCandidate(p)
+            rep = composite_criterion(p)
+            assert rep.residues == [
+                psi_mod_ladder(1, 4, cand.n - 1, cand.modulus),
+                psi_mod_ladder(1, 4, cand.n + 1, cand.modulus),
+            ], p
 
 
 def _layered_ratio(start_count: int, step, denominator: int) -> int:
