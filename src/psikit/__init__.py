@@ -20,7 +20,6 @@ from .multipoly import (
     DegreeCapExceeded,
     ExactDivisionError,
     SparsePoly,
-    degree_cap,
     variables,
 )
 from .psicore import (
@@ -35,7 +34,6 @@ from .psicore import (
     psi_symbolic,
 )
 from .eightlevels import (
-    coeff_dual,
     coeff_values,
     eight_level_coeff,
     expand_powersum_basis,

@@ -195,14 +195,12 @@ def _cmd_psi(args) -> list[dict]:
 
 
 def _cmd_coeff(args) -> list[dict]:
-    nmin = args.n if args.nmin is None else args.nmin
+    indices = range(args.n if args.nmin is None else args.nmin, args.n + 1)
+    # largest index first, so that one above the cap is refused before any work
+    tables = {n: eightlevels.coeff_table_polys(n) for n in reversed(indices)}
     return [
-        {
-            "command": "coeff-table",
-            "n": n,
-            "entries": [str(e) for e in eightlevels.coeff_table_polys(n)],
-        }
-        for n in range(nmin, args.n + 1)
+        {"command": "coeff-table", "n": n, "entries": [str(e) for e in tables[n]]}
+        for n in indices
     ]
 
 
@@ -227,6 +225,10 @@ VERIFY_CEILING = {
     "eightlevels": SYMBOLIC_INDEX_CAP, "powersums": powersums.SPECIAL_CASE_CAP,
     "theta": 37, "fundamental": 51,
 }
+# Largest ``bridges check --nmax`` (on the same box a run at 64 takes 0.3 s) and
+# ``identities tau --l`` (l = 13 takes 8 s; each step of l takes 7 times longer).
+BRIDGES_NMAX_CEILING = 64
+TAU_L_CEILING = 13
 
 
 def _cmd_verify(args) -> list[dict]:
@@ -284,6 +286,10 @@ def _cmd_bridges(args) -> list[dict]:
             {"command": "bridge-spec", **spec.describe()} for spec in registry
         ]
     if args.bridges_command == "check":
+        if args.nmax > BRIDGES_NMAX_CEILING:
+            raise CapacityError(
+                f"bridges check: nmax={args.nmax} is above the ceiling {BRIDGES_NMAX_CEILING}"
+            )
         records = []
         for spec in registry:
             failures = spec.check(args.nmax)
@@ -325,6 +331,8 @@ _TAU_VARIANTS = ("quarter", "half", "root2")
 
 
 def _cmd_identities(args) -> list[dict]:
+    if args.l > TAU_L_CEILING:
+        raise CapacityError(f"identities tau: l={args.l} is above the ceiling {TAU_L_CEILING}")
     variants = _TAU_VARIANTS if args.variant == "all" else (args.variant,)
     records = []
     for variant in variants:

@@ -11,8 +11,7 @@ for 0 <= r <= floor(n/2).  These are the unique polynomials satisfying
                         * (a*x^2 + b*xy + a*y^2)**r.
 
 This module builds the family from sum_r coeff_r * theta**r =
-psi(a - alpha*theta, b - beta*theta, n), keeps the dual operator and base
-change into the two forms as oracles, verifies the expansion identity,
+psi(a - alpha*theta, b - beta*theta, n), verifies the expansion identity,
 evaluates the integer specialisation onto the basis (xy, x^2 + y^2), and checks
 the theta-sum, scaling, ladder and closed-form properties of the family.
 """
@@ -25,15 +24,14 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import CapacityError
-from .multipoly import DegreeCapExceeded, SparsePoly, as_poly, degree_cap, get_degree_cap, variables
+from .multipoly import SparsePoly, as_poly, variables
 from .psicore import SYMBOLIC_INDEX_CAP, half, parity, psi_recurrence, psi_symbolic
 
 __all__ = [
     "power_sum_poly",
     "apply_direction",
     "coeff_table_polys",
-    "coeff_dual",
-    "coeff_via_basechange",
+    "TABLE_DEGREE_CAP",
     "coeff_values",
     "verify_expansion",
     "eight_level_coeff",
@@ -55,16 +53,21 @@ def power_sum_poly(n: int, xv: str = "x", yv: str = "y") -> SparsePoly:
         raise ValueError("index must be >= 0")
     x = SparsePoly.variable(xv)
     y = SparsePoly.variable(yv)
-    with degree_cap(max(get_degree_cap(), n + 2)):
-        num = x**n + y**n
-        if parity(n):
-            return num.exact_div(x + y)
+    num = x**n + y**n
+    if parity(n):
+        return num.exact_div(x + y)
     return num
 
 
 def apply_direction(f: SparsePoly, alpha, beta, avar: str = "a", bvar: str = "b") -> SparsePoly:
     """alpha * df/da + beta * df/db; alpha and beta may be scalars or polys."""
     return as_poly(alpha) * f.diff(avar) + as_poly(beta) * f.diff(bvar)
+
+
+# Largest row degree of a coefficient table, so n <= 129; all tables up to 129
+# take about 20 s.  The limit is fixed, so the cache below never holds a table
+# that a later call would refuse.
+TABLE_DEGREE_CAP = 64
 
 
 @lru_cache(maxsize=None)
@@ -74,11 +77,12 @@ def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
     Row r is the theta**r coefficient of psi(a - alpha*theta, b - beta*theta, n):
     the binomial theorem puts (-1)**(k+l) * C(i, k) * C(j, l) * c on
     a**(i-k) * alpha**k * b**(j-l) * beta**l in row k + l for each term
-    c * a**i * b**j of psi(a, b, n).  Rows have degree floor(n/2), within the cap.
+    c * a**i * b**j of psi(a, b, n).  Rows have degree floor(n/2), at most
+    TABLE_DEGREE_CAP.
     """
     m = half(n)
-    if m > get_degree_cap():
-        raise DegreeCapExceeded(f"rows for n={n} have degree {m}; cap is {get_degree_cap()}")
+    if m > TABLE_DEGREE_CAP:
+        raise CapacityError(f"rows for n={n} have degree {m}; cap is {TABLE_DEGREE_CAP}")
     base = psi_symbolic(n)
     rows: list[dict] = [{} for _ in range(m + 1)]
     for exps, c in base.terms.items():
@@ -89,60 +93,6 @@ def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
             for l in range(j + 1):
                 rows[k + l][(i - k, k, j - l, l)] = (-1) ** l * comb(j, l) * ck
     return tuple(SparsePoly(("a", "alpha", "b", "beta"), row) for row in rows)
-
-
-def coeff_dual(n: int, r: int) -> SparsePoly:
-    """Coefficient r via the dual operator acting on psi(alpha, beta, n)."""
-    m = half(n)
-    if not 0 <= r <= m:
-        raise ValueError(f"r={r} out of range for n={n}")
-    a = SparsePoly.variable("a")
-    b = SparsePoly.variable("b")
-    current = psi_symbolic(n, "alpha", "beta")
-    for _ in range(m - r):
-        current = apply_direction(current, a, b, "alpha", "beta")
-    row = Fraction((-1) ** r, factorial(m - r)) * current
-    if any(c.denominator != 1 for c in row.terms.values()):
-        raise ArithmeticError(f"non-integer dual coefficient at r={r}, n={n}")
-    return row
-
-
-def coeff_via_basechange(n: int) -> tuple[SparsePoly, ...]:
-    """Coefficient table by substituting the two quadratic forms directly.
-
-    Starting from the binomial expansion of the power sum over the basis
-    (xy, (x+y)^2) and using
-
-        (beta*a - alpha*b) * (x+y)^2 = (2a-b)*q1 + (beta-2*alpha)*q2
-        (beta*a - alpha*b) * xy      = a*q1 - alpha*q2
-
-    the whole left side becomes a polynomial in formal symbols q1, q2 whose
-    (q1, q2)-coefficients must reproduce the derivative route.  No
-    differentiation is involved, so this is an independent oracle.
-    """
-    m = half(n)
-    a, alpha, b, beta, s1, s2 = variables("a alpha b beta q1 q2")
-    xy_image = a * s1 - alpha * s2
-    sq_image = (2 * a - b) * s1 + (beta - 2 * alpha) * s2
-    total = SparsePoly.zero()
-    with degree_cap(max(get_degree_cap(), 3 * m + 2)):
-        for i in range(m + 1):
-            w = Fraction(n, n - i) * comb(n - i, i) if n else Fraction(2)
-            if w.denominator != 1:
-                raise ArithmeticError("non-integral binomial weight")
-            total = total + (-1) ** i * int(w) * xy_image**i * sq_image ** (m - i)
-    rows = []
-    for r in range(m + 1):
-        picked: dict[tuple, Fraction] = {}
-        for exps, c in total.terms.items():
-            dexp = dict(zip(total.vars, exps))
-            if dexp.get("q1", 0) == m - r and dexp.get("q2", 0) == r:
-                key = tuple(
-                    dexp.get(v, 0) for v in ("a", "alpha", "b", "beta")
-                )
-                picked[key] = c
-        rows.append(SparsePoly(("a", "alpha", "b", "beta"), picked))
-    return tuple(rows)
 
 
 def coeff_values(n: int, a, b, alpha, beta) -> list:
@@ -183,11 +133,10 @@ def verify_expansion(n: int, symbolic_limit: int = 16, points: int = 5, seed: in
         q1 = alpha * x**2 + beta * x * y + alpha * y**2
         q2 = a * x**2 + b * x * y + a * y**2
         rows = coeff_table_polys(n)
-        with degree_cap(max(get_degree_cap(), 4 * m + n + 4)):
-            lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
-            rhs = SparsePoly.zero()
-            for r in range(m + 1):
-                rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
+        lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
+        rhs = SparsePoly.zero()
+        for r in range(m + 1):
+            rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
         return lhs == rhs
     rng = random.Random(seed)
     for _ in range(points):
@@ -270,18 +219,17 @@ def expand_powersum_basis(n: int) -> list[int]:
         raise ValueError("index must be >= 1")
     m = half(n)
     x, y = variables("x y")
-    with degree_cap(max(get_degree_cap(), n + 2)):
-        rem = power_sum_poly(n)
-        s1 = x * y
-        s2 = x * x + y * y
-        coeffs = [0] * (m + 1)
-        for k in range(m, -1, -1):
-            c = rem.coefficient({"x": m + k, "y": m - k})
-            if c.denominator != 1:
-                raise ArithmeticError("non-integer basis coefficient")
-            coeffs[k] = int(c)
-            if c:
-                rem = rem - c * s1 ** (m - k) * s2**k
+    rem = power_sum_poly(n)
+    s1 = x * y
+    s2 = x * x + y * y
+    coeffs = [0] * (m + 1)
+    for k in range(m, -1, -1):
+        c = rem.coefficient({"x": m + k, "y": m - k})
+        if c.denominator != 1:
+            raise ArithmeticError("non-integer basis coefficient")
+        coeffs[k] = int(c)
+        if c:
+            rem = rem - c * s1 ** (m - k) * s2**k
     if not rem.is_zero:
         raise ArithmeticError(f"basis expansion left a remainder for n={n}")
     return coeffs
@@ -306,40 +254,39 @@ def theta_sum_check(n: int) -> bool:
     a = SparsePoly.variable("a")
     b = SparsePoly.variable("b")
     psi_ab = psi_symbolic(n)
-    with degree_cap(max(get_degree_cap(), 4 * m + 4)):
-        shift = {"a": a - alpha * theta, "b": b - beta * theta}
-        lhs = SparsePoly.zero()
-        for r in range(m + 1):
-            lhs = lhs + rows[r] * theta**r
-        if lhs != psi_ab.subst(shift):
-            return False
+    shift = {"a": a - alpha * theta, "b": b - beta * theta}
+    lhs = SparsePoly.zero()
+    for r in range(m + 1):
+        lhs = lhs + rows[r] * theta**r
+    if lhs != psi_ab.subst(shift):
+        return False
 
-        if sum(rows, SparsePoly.zero()) != psi_ab.subst({"a": a - alpha, "b": b - beta}):
-            return False
-        alternating = SparsePoly.zero()
-        for r in range(m + 1):
-            alternating = alternating + (-1) ** r * rows[r]
-        if alternating != psi_ab.subst({"a": a + alpha, "b": b + beta}):
-            return False
+    if sum(rows, SparsePoly.zero()) != psi_ab.subst({"a": a - alpha, "b": b - beta}):
+        return False
+    alternating = SparsePoly.zero()
+    for r in range(m + 1):
+        alternating = alternating + (-1) ** r * rows[r]
+    if alternating != psi_ab.subst({"a": a + alpha, "b": b + beta}):
+        return False
 
-        homog = {"a": a * xi - alpha * eta, "b": b * xi - beta * eta}
-        lhs = SparsePoly.zero()
-        for r in range(m + 1):
-            lhs = lhs + rows[r] * xi ** (m - r) * eta**r
-        if lhs != psi_ab.subst(homog):
-            return False
+    homog = {"a": a * xi - alpha * eta, "b": b * xi - beta * eta}
+    lhs = SparsePoly.zero()
+    for r in range(m + 1):
+        lhs = lhs + rows[r] * xi ** (m - r) * eta**r
+    if lhs != psi_ab.subst(homog):
+        return False
 
-        for k in range(m + 1):
-            lhs_k = SparsePoly.zero()
-            lhs_h = SparsePoly.zero()
-            for r in range(k, m + 1):
-                w = comb(r, k)
-                lhs_k = lhs_k + w * rows[r] * theta ** (r - k)
-                lhs_h = lhs_h + w * rows[r] * xi ** (m - r) * eta ** (r - k)
-            if lhs_k != rows[k].subst(shift):
-                return False
-            if lhs_h != rows[k].subst(homog):
-                return False
+    for k in range(m + 1):
+        lhs_k = SparsePoly.zero()
+        lhs_h = SparsePoly.zero()
+        for r in range(k, m + 1):
+            w = comb(r, k)
+            lhs_k = lhs_k + w * rows[r] * theta ** (r - k)
+            lhs_h = lhs_h + w * rows[r] * xi ** (m - r) * eta ** (r - k)
+        if lhs_k != rows[k].subst(shift):
+            return False
+        if lhs_h != rows[k].subst(homog):
+            return False
     return True
 
 
@@ -353,21 +300,20 @@ def scaling_check(n: int) -> bool:
     rows = coeff_table_polys(n)
     lam = SparsePoly.variable("lam")
     a, b, alpha, beta = variables("a b alpha beta")
-    with degree_cap(max(get_degree_cap(), 3 * m + 4)):
-        for r in range(m + 1):
-            row = rows[r]
-            if row.subst({"alpha": lam * alpha, "beta": lam * beta}) != lam**r * row:
-                return False
-            if row.subst({"a": lam * a, "b": lam * b}) != lam ** (m - r) * row:
-                return False
-            swapped = rows[m - r].subst(
-                {"a": alpha, "b": beta, "alpha": a, "beta": b}
-            )
-            if row != (-1) ** m * swapped:
-                return False
-        psi_ab = psi_symbolic(n)
-        if psi_ab.subst({"a": lam * a, "b": lam * b}) != lam**m * psi_ab:
+    for r in range(m + 1):
+        row = rows[r]
+        if row.subst({"alpha": lam * alpha, "beta": lam * beta}) != lam**r * row:
             return False
+        if row.subst({"a": lam * a, "b": lam * b}) != lam ** (m - r) * row:
+            return False
+        swapped = rows[m - r].subst(
+            {"a": alpha, "b": beta, "alpha": a, "beta": b}
+        )
+        if row != (-1) ** m * swapped:
+            return False
+    psi_ab = psi_symbolic(n)
+    if psi_ab.subst({"a": lam * a, "b": lam * b}) != lam**m * psi_ab:
+        return False
     return True
 
 
@@ -414,22 +360,20 @@ def second_fundamental_check(n: int) -> bool:
     if collapsed != target:
         return False
     x, y = variables("x y")
-    with degree_cap(max(get_degree_cap(), n + 4)):
-        instance = target.subst({"alpha": x * y, "beta": -(x * x + y * y)})
-        coeffs = expand_powersum_basis(n)
-        rebuilt = SparsePoly.zero()
-        s1 = x * y
-        s2 = x * x + y * y
-        for k, c in enumerate(coeffs):
-            rebuilt = rebuilt + c * s1 ** (m - k) * s2**k
+    instance = target.subst({"alpha": x * y, "beta": -(x * x + y * y)})
+    coeffs = expand_powersum_basis(n)
+    rebuilt = SparsePoly.zero()
+    s1 = x * y
+    s2 = x * x + y * y
+    for k, c in enumerate(coeffs):
+        rebuilt = rebuilt + c * s1 ** (m - k) * s2**k
     return instance == rebuilt and instance == power_sum_poly(n)
 
 
 def power_sum_representation_check(n: int) -> bool:
     """psi(xy, -(x^2+y^2), n) == (x**n + y**n) / (x+y)**parity(n)."""
     x, y = variables("x y")
-    with degree_cap(max(get_degree_cap(), n + 4)):
-        image = psi_symbolic(n).subst({"a": x * y, "b": -(x * x + y * y)})
+    image = psi_symbolic(n).subst({"a": x * y, "b": -(x * x + y * y)})
     return image == power_sum_poly(n)
 
 
@@ -458,14 +402,13 @@ def explicit_formula_check(n: int) -> bool:
             return False
     if n <= 12:
         x, y = variables("x y")
-        with degree_cap(max(get_degree_cap(), 2 * n + 4)):
-            plus = (x + y) ** 2
-            minus = (x - y) ** 2
-            rhs = SparsePoly.zero()
-            for r in range(m + 1):
-                rhs = rhs + scale * comb(n, 2 * r) * plus ** (m - r) * minus**r
-            if 4**m * power_sum_poly(n) != rhs:
-                return False
+        plus = (x + y) ** 2
+        minus = (x - y) ** 2
+        rhs = SparsePoly.zero()
+        for r in range(m + 1):
+            rhs = rhs + scale * comb(n, 2 * r) * plus ** (m - r) * minus**r
+        if 4**m * power_sum_poly(n) != rhs:
+            return False
     return True
 
 

@@ -444,17 +444,16 @@ def tau_polynomial_identity(l: int) -> bool:
     if l < 3:
         raise ValueError("l must be >= 3")
     tau = 1 << l
-    from .multipoly import SparsePoly, degree_cap, get_degree_cap
+    from .multipoly import SparsePoly
 
     a = SparsePoly.variable("a")
     b = SparsePoly.variable("b")
-    with degree_cap(max(get_degree_cap(), tau // 2 + 2)):
-        total = SparsePoly.zero()
-        for k, prod in _tau_terms(tau):
-            w = Fraction(2 * prod, factorial(2 * k) * 4 ** (2 * k))
-            total = total + w * a ** (tau // 2 - 2 * k) * b ** (2 * k)
-        target = psi_symbolic(tau)
-        flipped = target.subst({"b": -b})
+    total = SparsePoly.zero()
+    for k, prod in _tau_terms(tau):
+        w = Fraction(2 * prod, factorial(2 * k) * 4 ** (2 * k))
+        total = total + w * a ** (tau // 2 - 2 * k) * b ** (2 * k)
+    target = psi_symbolic(tau)
+    flipped = target.subst({"b": -b})
     return total == target and total == flipped
 
 

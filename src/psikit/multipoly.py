@@ -5,15 +5,16 @@ are dropped, and zero coefficients are never stored, so structural equality
 coincides with mathematical equality.  The printed form orders terms by
 graded-lex exponent order, e.g. ``-2*a^2 + b^2``.
 
-A configurable total-degree cap (default 64) makes runaway expansions fail
-fast instead of exhausting memory; raise it locally with ``degree_cap``.
+A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
+largest any entry point reaches within its input limits) is refused before
+it is expanded, so a runaway expansion fails fast instead of exhausting
+memory.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterator, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import CapacityError
 
@@ -25,44 +26,19 @@ __all__ = [
     "ExactDivisionError",
     "as_poly",
     "variables",
-    "degree_cap",
-    "set_degree_cap",
-    "get_degree_cap",
+    "MAX_DEGREE",
 ]
 
 
 class DegreeCapExceeded(CapacityError):
-    """A product would exceed the configured total-degree cap."""
+    """A product would exceed ``MAX_DEGREE``."""
 
 
 class ExactDivisionError(ArithmeticError):
     """The divisor does not divide the dividend exactly."""
 
 
-_degree_cap = 64
-
-
-def get_degree_cap() -> int:
-    return _degree_cap
-
-
-def set_degree_cap(limit: int) -> None:
-    global _degree_cap
-    if limit < 1:
-        raise ValueError("degree cap must be positive")
-    _degree_cap = limit
-
-
-@contextmanager
-def degree_cap(limit: int) -> Iterator[None]:
-    """Temporarily raise (or lower) the total-degree cap."""
-    global _degree_cap
-    old = _degree_cap
-    set_degree_cap(limit)
-    try:
-        yield
-    finally:
-        _degree_cap = old
+MAX_DEGREE = 128
 
 
 def _coeff(value) -> Fraction:
@@ -203,10 +179,10 @@ class SparsePoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return SparsePoly.zero()
-        if self.total_degree() + other.total_degree() > _degree_cap:
+        if self.total_degree() + other.total_degree() > MAX_DEGREE:
             raise DegreeCapExceeded(
                 f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds cap {_degree_cap}"
+                f"exceeds cap {MAX_DEGREE}"
             )
         vars_, mine, theirs = self._aligned(other)
         out: dict[tuple, Fraction] = {}
@@ -297,24 +273,6 @@ class SparsePoly:
                     piece = piece * power_of(i, e[i])
             total = total + piece
         return total
-
-    def reduce_square(self, var: str, value) -> "SparsePoly":
-        """Rewrite ``var**2 -> value`` (for formal symbols such as i**2 = -1)."""
-        if var not in self.vars:
-            return self
-        i = self.vars.index(var)
-        value = _coeff(value)
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
-            q, r = divmod(e[i], 2)
-            key = e[:i] + (r,) + e[i + 1:]
-            c = c * value**q
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return SparsePoly(self.vars, out)
 
     def eval_scalar(self, values: Mapping[str, object]):
         """Evaluate with values from any exact commutative ring."""

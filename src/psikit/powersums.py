@@ -14,12 +14,11 @@ from math import factorial
 
 from .eightlevels import expand_powersum_basis, power_sum_poly
 from .errors import CapacityError
-from .multipoly import SparsePoly, degree_cap, get_degree_cap, variables
+from .multipoly import SparsePoly, variables
 from .psicore import half
 
 __all__ = [
     "bracket",
-    "bracket_pair_form",
     "verify_special_case",
     "SPECIAL_CASE_CAP",
     "bracket_xy_identity_check",
@@ -35,11 +34,6 @@ SPECIAL_CASE_CAP = 10
 def bracket(x, y, u, v):
     """(xu - yv)(xv - yu); works for scalars and polynomials alike."""
     return (x * u - y * v) * (x * v - y * u)
-
-
-def bracket_pair_form(x, y, u, v):
-    """The second defining form (x^2 + y^2)uv - xy(u^2 + v^2)."""
-    return (x * x + y * y) * u * v - x * y * (u * u + v * v)
 
 
 def _derivative_terms(n: int):
@@ -66,9 +60,9 @@ def _derivative_terms(n: int):
     return out
 
 
-def verify_special_case(n: int, cap: int = SPECIAL_CASE_CAP) -> bool:
-    """Three-pair power-sum expansion for index n (2 <= n <= cap), fully
-    symbolic in (x, y, z, t, u, v):
+def verify_special_case(n: int) -> bool:
+    """Three-pair power-sum expansion for index n, 2 <= n <= SPECIAL_CASE_CAP,
+    fully symbolic in (x, y, z, t, u, v):
 
         [z,t|u,v]^m P(x,y) - [x,y|u,v]^m P(z,t) - [z,t|x,y]^m P(u,v)
           = sum_{r=1}^{m-1} 1/r! [x,y|u,v]^(m-r) [z,t|x,y]^r D^r P(z,t)
@@ -78,29 +72,28 @@ def verify_special_case(n: int, cap: int = SPECIAL_CASE_CAP) -> bool:
     """
     if n < 2:
         raise ValueError("index must be >= 2")
-    if n > cap:
-        raise CapacityError(f"index {n} above configured cap {cap}")
+    if n > SPECIAL_CASE_CAP:
+        raise CapacityError(f"index {n} above cap {SPECIAL_CASE_CAP}")
     m = half(n)
     x, y, z, t, u, v = variables("x y z t u v")
-    with degree_cap(max(get_degree_cap(), 4 * m + n + 4)):
-        p_xy = power_sum_poly(n, "x", "y")
-        p_zt = power_sum_poly(n, "z", "t")
-        p_uv = power_sum_poly(n, "u", "v")
-        lhs = (
-            bracket(z, t, u, v) ** m * p_xy
-            - bracket(x, y, u, v) ** m * p_zt
-            - bracket(z, t, x, y) ** m * p_uv
+    p_xy = power_sum_poly(n, "x", "y")
+    p_zt = power_sum_poly(n, "z", "t")
+    p_uv = power_sum_poly(n, "u", "v")
+    lhs = (
+        bracket(z, t, u, v) ** m * p_xy
+        - bracket(x, y, u, v) ** m * p_zt
+        - bracket(z, t, x, y) ** m * p_uv
+    )
+    rhs = SparsePoly.zero()
+    derivatives = _derivative_terms(n)
+    for r in range(1, m):
+        shifted = derivatives[r - 1].subst({"s1": z * t, "s2": z * z + t * t})
+        rhs = rhs + (
+            Fraction(1, factorial(r))
+            * bracket(x, y, u, v) ** (m - r)
+            * bracket(z, t, x, y) ** r
+            * shifted
         )
-        rhs = SparsePoly.zero()
-        derivatives = _derivative_terms(n)
-        for r in range(1, m):
-            shifted = derivatives[r - 1].subst({"s1": z * t, "s2": z * z + t * t})
-            rhs = rhs + (
-                Fraction(1, factorial(r))
-                * bracket(x, y, u, v) ** (m - r)
-                * bracket(z, t, x, y) ** r
-                * shifted
-            )
     return lhs == rhs
 
 

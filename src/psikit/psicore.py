@@ -39,7 +39,7 @@ from typing import Iterator, Optional, Union
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, QuadExt
-from .multipoly import SparsePoly, degree_cap, get_degree_cap
+from .multipoly import MAX_DEGREE, SparsePoly
 
 RingElement = Union[int, Fraction, QuadExt, SparsePoly]
 
@@ -63,7 +63,9 @@ __all__ = [
     "SYMBOLIC_INDEX_CAP",
 ]
 
-SYMBOLIC_INDEX_CAP = 256
+# psi(a, b, n) has degree n // 2, and so has the largest product its recurrence
+# forms: psi_symbolic reaches MAX_DEGREE at this index.
+SYMBOLIC_INDEX_CAP = 2 * MAX_DEGREE
 
 
 def parity(n: int) -> int:
@@ -173,16 +175,13 @@ def psi_explicit(a, b, n: int):
 
 
 @lru_cache(maxsize=None)
-def psi_symbolic(n: int, avar: str = "a", bvar: str = "b", cap: int = SYMBOLIC_INDEX_CAP) -> SparsePoly:
+def psi_symbolic(n: int, avar: str = "a", bvar: str = "b") -> SparsePoly:
     """psi(a, b, n) as a canonical polynomial in two named variables."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n > cap:
-        raise CapacityError(f"symbolic index {n} exceeds cap {cap}")
-    a = SparsePoly.variable(avar)
-    b = SparsePoly.variable(bvar)
-    with degree_cap(max(get_degree_cap(), half(n) + 2)):
-        value = psi_recurrence(a, b, n)
+    if n > SYMBOLIC_INDEX_CAP:
+        raise CapacityError(f"symbolic index {n} exceeds cap {SYMBOLIC_INDEX_CAP}")
+    value = psi_recurrence(SparsePoly.variable(avar), SparsePoly.variable(bvar), n)
     if isinstance(value, int):
         return SparsePoly.constant(value)
     return value

@@ -8,15 +8,18 @@ from pathlib import Path
 import pytest
 
 from psikit.cli import (
+    BRIDGES_NMAX_CEILING,
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_USAGE,
     INDEX_BITS_CAP,
+    TAU_L_CEILING,
     VERIFY_CEILING,
     _parse_index,
     main,
 )
 from psikit.errors import CapacityError
+from psikit.psicore import SYMBOLIC_INDEX_CAP
 
 
 def run_cli(*argv):
@@ -281,6 +284,27 @@ class TestExitCodes:
             assert time.perf_counter() - started < 1.0, suite
 
     def test_coeff_table_above_degree_cap(self):
+        started = time.perf_counter()
+        code, recs = run_json("coeff", "table", "--n", "130")
+        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+        assert time.perf_counter() - started < 1.0
+
+    def test_each_limit_plus_one_is_refused_at_once(self):
+        above = [
+            ("bridges", "check", "--nmax", str(BRIDGES_NMAX_CEILING + 1)),
+            ("identities", "tau", "--l", str(TAU_L_CEILING + 1)),
+            ("coeff", "table", "--nmin", "1", "--n", "130"),
+            ("psi", "poly", "--n", str(SYMBOLIC_INDEX_CAP + 1)),
+        ]
+        for argv in above:
+            started = time.perf_counter()
+            code, recs = run_json(*argv)
+            assert code == EXIT_CAPACITY and len(recs) == 1, argv
+            assert recs[0]["error"] == "capacity", argv
+            assert time.perf_counter() - started < 1.0, argv
+        # a table built at the limit does not let the next index through
+        code, recs = run_json("coeff", "table", "--n", "129")
+        assert code == EXIT_OK and len(recs[0]["entries"]) == 65
         started = time.perf_counter()
         code, recs = run_json("coeff", "table", "--n", "130")
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"

@@ -5,10 +5,9 @@ from math import factorial
 import pytest
 
 from psikit.eightlevels import (
+    TABLE_DEGREE_CAP,
     apply_direction,
-    coeff_dual,
     coeff_table_polys,
-    coeff_via_basechange,
     coeff_values,
     eight_level_coeff,
     expand_powersum_basis,
@@ -26,6 +25,8 @@ from psikit.errors import CapacityError
 from psikit.exactmath import QuadExt
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import SYMBOLIC_INDEX_CAP, half, psi_recurrence, psi_symbolic
+
+from oracles import coeff_dual, coeff_via_basechange
 
 A, B, AL, BE = variables("a b alpha beta")
 X, Y = variables("x y")
@@ -280,7 +281,8 @@ class TestCoeffValues:
         with pytest.raises(CapacityError):
             coeff_values(SYMBOLIC_INDEX_CAP + 1, 1, 2, 3, 4)
         assert len(coeff_values(SYMBOLIC_INDEX_CAP, 1, 2, 3, 4)) == SYMBOLIC_INDEX_CAP // 2 + 1
-        # rows of n = 130 have degree 65, above the default degree cap
+        # rows of n = 130 have degree 65
+        assert TABLE_DEGREE_CAP == 64
         with pytest.raises(CapacityError):
             coeff_table_polys(130)
 

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from psikit.multipoly import (
     DegreeCapExceeded,
     ExactDivisionError,
+    MAX_DEGREE,
     SparsePoly,
-    degree_cap,
     variables,
 )
+
+from oracles import reduce_square
 
 X, Y = variables("x y")
 A, B = variables("a b")
@@ -176,17 +178,10 @@ def test_diff_is_linear_hypothesis(f, g):
 
 class TestDegreeCap:
     def test_cap_triggers(self):
-        with degree_cap(8):
-            with pytest.raises(DegreeCapExceeded):
-                (X + Y) ** 3 * (X + Y) ** 6
-
-    def test_cap_restored(self):
-        from psikit.multipoly import get_degree_cap
-
-        before = get_degree_cap()
-        with degree_cap(5):
-            assert get_degree_cap() == 5
-        assert get_degree_cap() == before
+        assert MAX_DEGREE == 128
+        assert (X**64 * Y**64).total_degree() == MAX_DEGREE
+        with pytest.raises(DegreeCapExceeded):
+            (X + Y) ** 64 * (X + Y) ** 65
 
 
 class TestEvaluate:
@@ -203,5 +198,5 @@ class TestEvaluate:
     def test_reduce_square_formal_symbol(self):
         i, u = variables("i u")
         f = i**2 * u + i**3 + i * u
-        g = f.reduce_square("i", -1)
+        g = reduce_square(f, "i", -1)
         assert g == -u - i + i * u

@@ -6,7 +6,6 @@ from psikit.errors import CapacityError
 from psikit.multipoly import SparsePoly, variables
 from psikit.powersums import (
     bracket,
-    bracket_pair_form,
     bracket_xy_identity_check,
     quintic_parametric_check,
     quintic_parametric_symbolic,
@@ -14,13 +13,15 @@ from psikit.powersums import (
     verify_special_case,
 )
 
+from oracles import bracket_pair_form, reduce_square
+
 X, Y, Z, T, U, V = variables("x y z t u v")
 D = SparsePoly.variable("d")
 I = SparsePoly.variable("i")
 
 
 def _reduce_i(poly):
-    return poly.reduce_square("i", -1)
+    return reduce_square(poly, "i", -1)
 
 
 class TestBracketElementaryProperties:
@@ -128,7 +129,7 @@ class TestThreePairExpansion:
 
     def test_cap_guard(self):
         with pytest.raises(CapacityError):
-            verify_special_case(11, cap=10)
+            verify_special_case(11)
         with pytest.raises(ValueError):
             verify_special_case(1)
 

@@ -123,9 +123,6 @@ class TestSymbolicCap:
         with pytest.raises(CapacityError):
             psi_symbolic(300)
 
-    def test_cap_overridable(self):
-        assert psi_symbolic(300, cap=512).total_degree() == 150
-
 
 class TestLadder:
     def test_documented_values(self):
