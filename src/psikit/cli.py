@@ -219,8 +219,9 @@ _VERIFY_SUITES = {
 
 _DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
 # Largest --nmax of each suite: eightlevels and powersums stop at their index
-# caps.  On a shared 2-core box with CPython 3.11 a whole run at the ceiling
-# takes 28 s for theta (n = 39 alone: 6 s) and 31 s for fundamental (53: 4 s).
+# caps.  The theta and fundamental ceilings were set where a whole run took
+# about 30 s on a shared 2-core box with CPython 3.11; with int coefficients
+# it takes 3.5 s for theta and 5.4 s for fundamental.
 VERIFY_CEILING = {
     "eightlevels": SYMBOLIC_INDEX_CAP, "powersums": powersums.SPECIAL_CASE_CAP,
     "theta": 37, "fundamental": 51,
@@ -238,6 +239,8 @@ def _cmd_verify(args) -> list[dict]:
     ceiling = VERIFY_CEILING[args.suite]
     if nmax > ceiling:
         raise CapacityError(f"verify {args.suite}: nmax={nmax} is above the ceiling {ceiling}")
+    if nmax < start:
+        raise ValueError(f"verify {args.suite}: nmax={nmax} is below the first index {start}")
     records = []
     for n in range(start, nmax + 1):
         ok = suite(n, args.seed)
@@ -290,6 +293,8 @@ def _cmd_bridges(args) -> list[dict]:
             raise CapacityError(
                 f"bridges check: nmax={args.nmax} is above the ceiling {BRIDGES_NMAX_CEILING}"
             )
+        if args.nmax < 0:
+            raise ValueError(f"bridges check: nmax={args.nmax} is below 0")
         records = []
         for spec in registry:
             failures = spec.check(args.nmax)

@@ -2,8 +2,17 @@
 
 Canonical form: variable names are sorted, variables that no longer occur
 are dropped, and zero coefficients are never stored, so structural equality
-coincides with mathematical equality.  The printed form orders terms by
+coincides with mathematical equality.  Coefficients are ``int``; a
+``Fraction`` is stored only where a true division leaves one (``exact_div``,
+or a fractional scalar such as ``Fraction(1, 2)``), and a ``Fraction`` with
+denominator 1 is stored as its ``int``.  The printed form orders terms by
 graded-lex exponent order, e.g. ``-2*a^2 + b^2``.
+
+``SparsePoly(vars, terms)`` validates and canonicalises its input.  The ring
+operations build their results from canonical operands with a trusted
+constructor instead: a product of non-zero polynomials uses every variable of
+both factors, and a sum, derivative, substitution or quotient only has to
+drop a variable that cancelled out.
 
 A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
 largest any entry point reaches within its input limits) is refused before
@@ -14,6 +23,7 @@ memory.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, itemgetter
 from typing import Mapping, Union
 
 from .errors import CapacityError
@@ -41,11 +51,11 @@ class ExactDivisionError(ArithmeticError):
 MAX_DEGREE = 128
 
 
-def _coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coeff(value) -> int | Fraction:
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficients must be exact rationals, got {value!r}")
 
 
@@ -58,7 +68,7 @@ class SparsePoly:
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError(f"duplicate variable names in {vars!r}")
-        cleaned: dict[tuple, Fraction] = {}
+        cleaned: dict[tuple, int | Fraction] = {}
         if terms:
             width = len(vars)
             for exps, c in terms.items():
@@ -86,15 +96,16 @@ class SparsePoly:
 
     @classmethod
     def zero(cls) -> "SparsePoly":
-        return cls()
+        return _make((), {})
 
     @classmethod
     def constant(cls, value) -> "SparsePoly":
-        return cls((), {(): _coeff(value)} if value else None)
+        c = _coeff(value)
+        return _make((), {(): c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "SparsePoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return _make((name,), {(1,): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -105,23 +116,23 @@ class SparsePoly:
     def total_degree(self) -> int:
         if not self.terms:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def is_constant(self) -> bool:
         return not self.vars
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.vars:
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
-    def coefficient(self, monomial: Mapping[str, int]) -> Fraction:
+    def coefficient(self, monomial: Mapping[str, int]) -> int | Fraction:
         """Coefficient of the monomial given as ``{var: exponent}``."""
         for var in monomial:
             if monomial[var] and var not in self.vars:
-                return Fraction(0)
+                return 0
         key = tuple(monomial.get(v, 0) for v in self.vars)
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
     # -- alignment over variable universes ---------------------------------
 
@@ -129,19 +140,7 @@ class SparsePoly:
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
-
-        def remap(poly: "SparsePoly"):
-            pos = [allvars.index(v) for v in poly.vars]
-            width = len(allvars)
-            out = {}
-            for e, c in poly.terms.items():
-                ne = [0] * width
-                for i, p in enumerate(pos):
-                    ne[p] = e[i]
-                out[tuple(ne)] = c
-            return out
-
-        return allvars, remap(self), remap(other)
+        return allvars, _widened(self, allvars), _widened(other, allvars)
 
     # -- ring operations ----------------------------------------------------
 
@@ -150,19 +149,12 @@ class SparsePoly:
         if other is None:
             return NotImplemented
         vars_, mine, theirs = self._aligned(other)
-        merged = dict(mine)
-        for e, c in theirs.items():
-            s = merged.get(e, Fraction(0)) + c
-            if s:
-                merged[e] = s
-            else:
-                merged.pop(e, None)
-        return SparsePoly(vars_, merged)
+        return _pruned(vars_, _whole(_add_into(dict(mine), theirs)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -174,34 +166,45 @@ class SparsePoly:
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return SparsePoly.zero()
-        if self.total_degree() + other.total_degree() > MAX_DEGREE:
-            raise DegreeCapExceeded(
-                f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds cap {MAX_DEGREE}"
-            )
+        if not isinstance(other, SparsePoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(_coeff(other))
+        if not other.vars:
+            return self._scaled(other.terms.get((), 0))
+        if not self.vars:
+            return other._scaled(self.terms.get((), 0))
+        degree = self.total_degree() + other.total_degree()
+        if degree > MAX_DEGREE:
+            raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
         vars_, mine, theirs = self._aligned(other)
-        out: dict[tuple, Fraction] = {}
+        out: dict[tuple, int | Fraction] = {}
+        get = out.get
         for e1, c1 in mine.items():
             for e2, c2 in theirs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key)
-                prod = c1 * c2
+                key = tuple(map(add, e1, e2))
+                s = get(key)
                 if s is None:
-                    out[key] = prod
+                    out[key] = c1 * c2
                 else:
-                    s += prod
+                    s += c1 * c2
                     if s:
                         out[key] = s
                     else:
                         del out[key]
-        return SparsePoly(vars_, out)
+        # both factors are non-constant, hence non-zero: every variable is used
+        return _make(vars_, _whole(out))
 
     __rmul__ = __mul__
+
+    def _scaled(self, s: int | Fraction) -> "SparsePoly":
+        """``s * self`` for a scalar ``s`` in coefficient form."""
+        if not s or not self.terms:
+            return SparsePoly.zero()
+        degree = self.total_degree()
+        if degree > MAX_DEGREE:
+            raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
+        return _make(self.vars, _whole({e: c * s for e, c in self.terms.items()}))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -246,7 +249,7 @@ class SparsePoly:
             k = e[i]
             if k:
                 out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return SparsePoly(self.vars, out)
+        return _pruned(self.vars, _whole(out))
 
     def subst(self, bindings: Mapping[str, PolyLike]) -> "SparsePoly":
         """Substitute polynomials or scalars for variables, exactly."""
@@ -255,7 +258,8 @@ class SparsePoly:
             return self
         keep = [i for i, v in enumerate(self.vars) if v not in relevant]
         keepvars = tuple(self.vars[i] for i in keep)
-        bound = [(i, relevant[v]) for i, v in enumerate(self.vars) if v in relevant]
+        bound = [i for i, v in enumerate(self.vars) if v in relevant]
+        outvars = tuple(sorted(set(keepvars).union(*(p.vars for p in relevant.values()))))
         powers: dict[tuple[int, int], SparsePoly] = {}
 
         def power_of(i: int, e: int) -> "SparsePoly":
@@ -265,14 +269,14 @@ class SparsePoly:
                 powers[(i, e)] = got
             return got
 
-        total = SparsePoly.zero()
+        total: dict[tuple, int | Fraction] = {}
         for e, c in self.terms.items():
-            piece = SparsePoly(keepvars, {tuple(e[i] for i in keep): c})
-            for i, _ in bound:
+            piece = _pruned(keepvars, {tuple(e[i] for i in keep): c})
+            for i in bound:
                 if e[i]:
                     piece = piece * power_of(i, e[i])
-            total = total + piece
-        return total
+            _add_into(total, _widened(piece, outvars))
+        return _pruned(outvars, _whole(total))
 
     def eval_scalar(self, values: Mapping[str, object]):
         """Evaluate with values from any exact commutative ring."""
@@ -280,8 +284,7 @@ class SparsePoly:
         if missing:
             raise ValueError(f"unbound variables {missing}")
         total = 0
-        for e, c in self.terms.items():
-            term = c if c.denominator != 1 else c.numerator
+        for e, term in self.terms.items():
             for v, k in zip(self.vars, e):
                 if k:
                     term = term * values[v] ** k
@@ -305,22 +308,22 @@ class SparsePoly:
         dlead = max(den, key=grlex)
         dc = den[dlead]
         num = dict(num)
-        quotient: dict[tuple, Fraction] = {}
+        # the leading monomial falls at each step, so no quotient monomial repeats
+        quotient: dict[tuple, int | Fraction] = {}
         while num:
             lead = max(num, key=grlex)
             qe = tuple(a - b for a, b in zip(lead, dlead))
             if any(e < 0 for e in qe):
                 raise ExactDivisionError("division is not exact")
-            qc = num[lead] / dc
-            quotient[qe] = quotient.get(qe, Fraction(0)) + qc
+            qc = quotient[qe] = _coeff(Fraction(num[lead], dc))
             for e, c in den.items():
-                key = tuple(a + b for a, b in zip(qe, e))
-                s = num.get(key, Fraction(0)) - qc * c
+                key = tuple(map(add, qe, e))
+                s = num.get(key, 0) - qc * c
                 if s:
                     num[key] = s
                 else:
                     num.pop(key, None)
-        return SparsePoly(vars_, quotient)
+        return _pruned(vars_, quotient)
 
     # -- printing ---------------------------------------------------------------
 
@@ -352,6 +355,66 @@ class SparsePoly:
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
+
+
+# -- the trusted constructor and the term-dict helpers ---------------------------
+
+_set_vars = SparsePoly.vars.__set__
+_set_terms = SparsePoly.terms.__set__
+
+
+def _make(vars: tuple, terms: dict) -> SparsePoly:
+    """A polynomial from canonical parts, unchecked: ``vars`` sorted and each
+    used by some term, no zero and no integral ``Fraction`` in ``terms``."""
+    poly = object.__new__(SparsePoly)
+    _set_vars(poly, vars)
+    _set_terms(poly, terms)
+    return poly
+
+
+def _pruned(vars: tuple, terms: dict) -> SparsePoly:
+    """``_make`` after dropping the variables that no term uses any more."""
+    used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
+    if len(used) == len(vars):
+        return _make(vars, terms)
+    return _make(
+        tuple(vars[i] for i in used),
+        {tuple(e[i] for i in used): c for e, c in terms.items()},
+    )
+
+
+def _whole(terms: dict) -> dict:
+    """``terms`` with each integral ``Fraction`` coefficient turned into its
+    ``int``, in place."""
+    for e, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _add_into(acc: dict, terms: Mapping) -> dict:
+    """``terms`` added into ``acc``, in place."""
+    get = acc.get
+    for e, c in terms.items():
+        s = get(e, 0) + c
+        if s:
+            acc[e] = s
+        else:
+            del acc[e]
+    return acc
+
+
+def _widened(poly: SparsePoly, allvars: tuple) -> Mapping:
+    """The terms of ``poly`` with exponent vectors over ``allvars``, a sorted
+    superset of its variables."""
+    if poly.vars == allvars:
+        return poly.terms
+    if not poly.vars:
+        return {(0,) * len(allvars): c for c in poly.terms.values()}
+    # allvars has two or more names here, so ``pick`` returns a tuple; the
+    # index -1 picks the appended 0 for a variable that poly does not use
+    pick = itemgetter(*[poly.vars.index(v) if v in poly.vars else -1 for v in allvars])
+    return {pick(e + (0,)): c for e, c in poly.terms.items()}
 
 
 def _coerce(value):

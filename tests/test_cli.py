@@ -283,6 +283,27 @@ class TestExitCodes:
             assert recs[0]["error"] == "capacity", suite
             assert time.perf_counter() - started < 1.0, suite
 
+    def test_nmax_below_the_first_index_is_a_usage_error(self):
+        below = [("verify", suite, "--nmax", str(nmax))
+                 for suite, first in (("eightlevels", 1), ("theta", 1), ("fundamental", 1),
+                                      ("powersums", 2))
+                 for nmax in (first - 1, -3)]
+        below += [("bridges", "check", "--nmax", "-1"), ("bridges", "check", "--nmax", "-7")]
+        for argv in below:
+            code, recs = run_json(*argv)
+            assert code == EXIT_USAGE and len(recs) == 1, argv
+            assert recs[0]["error"] == "usage" and "below" in recs[0]["reason"], argv
+
+    def test_nmax_at_the_first_index_runs(self):
+        for suite, first in (("eightlevels", 1), ("theta", 1), ("fundamental", 1),
+                             ("powersums", 2)):
+            code, recs = run_json("verify", suite, "--nmax", str(first))
+            assert code == EXIT_OK, suite
+            assert [(r["n"], r["ok"]) for r in recs] == [(first, True)], suite
+        code, recs = run_json("bridges", "check", "--nmax", "0")
+        assert code == EXIT_OK and len(recs) == 19
+        assert all(r["ok"] and r["nmax"] == 0 for r in recs)
+
     def test_coeff_table_above_degree_cap(self):
         started = time.perf_counter()
         code, recs = run_json("coeff", "table", "--n", "130")

@@ -112,7 +112,7 @@ class TestQuadExt:
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
 
-    @settings(max_examples=200)
+    @settings(derandomize=True, database=None, max_examples=200)
     @given(
         u1=st.integers(-50, 50), v1=st.integers(-50, 50),
         u2=st.integers(-50, 50), v2=st.integers(-50, 50),
