@@ -195,7 +195,10 @@ def _cmd_psi(args) -> list[dict]:
 
 
 def _cmd_coeff(args) -> list[dict]:
-    indices = range(args.n if args.nmin is None else args.nmin, args.n + 1)
+    first = args.n if args.nmin is None else args.nmin
+    if args.n < first:
+        raise ValueError(f"coeff table: n={args.n} is below nmin={first}")
+    indices = range(first, args.n + 1)
     # largest index first, so that one above the cap is refused before any work
     tables = {n: eightlevels.coeff_table_polys(n) for n in reversed(indices)}
     return [
@@ -220,8 +223,8 @@ _VERIFY_SUITES = {
 _DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
 # Largest --nmax of each suite: eightlevels and powersums stop at their index
 # caps.  The theta and fundamental ceilings were set where a whole run took
-# about 30 s on a shared 2-core box with CPython 3.11; with int coefficients
-# it takes 3.5 s for theta and 5.4 s for fundamental.
+# about 30 s on a shared 2-core box with CPython 3.11; on that box a whole run
+# at the ceiling takes about 2.0 s for theta and 2.2 s for fundamental.
 VERIFY_CEILING = {
     "eightlevels": SYMBOLIC_INDEX_CAP, "powersums": powersums.SPECIAL_CASE_CAP,
     "theta": 37, "fundamental": 51,
@@ -262,9 +265,13 @@ def _battery_kwargs(args) -> dict:
 def _cmd_mersenne(args) -> list[dict]:
     timing = args.timing
     if args.mersenne_command == "scan":
+        lower = max(args.pmin, 3 if args.method == "ll" else 5)
+        if args.pmax < lower:
+            raise ValueError(
+                f"mersenne scan: pmax={args.pmax} is below the first exponent {lower}"
+            )
         # a residue mod 2**p - 1 has at most p bits
         _require_printable(args.pmax, f"a residue mod 2^{args.pmax}-1")
-        lower = max(args.pmin, 3 if args.method == "ll" else 5)
         runner = mersenne.METHODS[args.method]
         return [
             runner(p).to_dict(with_timing=timing)

@@ -14,7 +14,7 @@ from math import factorial, isqrt
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, NotInvertibleError, mod_inverse
-from .psicore import psi_mod_ladder, psi_symbolic
+from .psicore import _lucas_walk, psi_mod_ladder, psi_symbolic
 
 __all__ = [
     "TestReport",
@@ -348,13 +348,18 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
 
 def composite_criterion(p: int) -> TestReport:
     """M | psi(1, 4, n +/- 1) certifies compositeness; otherwise inconclusive.
-    psi(n + 1) = psi(n) - psi(n - 1) at a = 1 and even n, and the ladder to n
-    costs one product per bit."""
+
+    One Lucas walk gives both: at a = 1, d = -2 and t = -4, with
+    n - 1 = 2k + 1 the chain state (V_k, V_(k+1)) holds
+    psi(n - 1) = (V_k + V_(k+1)) / d and psi(n) = V_(k+1), and
+    psi(n + 1) = psi(n) - psi(n - 1) at even n."""
     started = time.perf_counter()
     cand = _candidate(p, 3)
     m = cand.modulus
-    below = psi_mod_ladder(1, 4, cand.n - 1, m)
-    above = (psi_mod_ladder(1, 4, cand.n, m) - below) % m
+    reduce = MersenneMod(p).reduce
+    v, w = _lucas_walk((cand.n >> 1) - 1, -4, reduce)
+    below = reduce((v + w) * pow(-2, -1, m))
+    above = (w - below) % m
     verdict = "composite" if below == 0 or above == 0 else "inconclusive"
     return TestReport(
         method="composite",

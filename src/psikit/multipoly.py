@@ -8,11 +8,29 @@ or a fractional scalar such as ``Fraction(1, 2)``), and a ``Fraction`` with
 denominator 1 is stored as its ``int``.  The printed form orders terms by
 graded-lex exponent order, e.g. ``-2*a^2 + b^2``.
 
+Each monomial is packed into one ``int`` (Monagan and Pearce, *Sparse
+polynomial multiplication and division in Maple 14*, 2009): the total degree
+sits in the top field, and below it one 9-bit exponent field per variable, the
+first variable of ``vars`` highest.  So a product of monomials is one integer
+addition, graded-lex order is integer order, the total degree is a shift, and
+the variables that cancelled out show in one OR over the keys.  An exponent
+must fit in the low 8 bits of its field (at most 255, above ``MAX_DEGREE``):
+the top bit is a guard that exact division reads to see whether one monomial
+divides another.  The validating constructor refuses a wider exponent with
+``DegreeCapExceeded``; no ring operation makes one, as every product stays
+within ``MAX_DEGREE``.  ``terms`` is a read-only view of the same polynomial
+keyed by exponent tuples.
+
 ``SparsePoly(vars, terms)`` validates and canonicalises its input.  The ring
 operations build their results from canonical operands with a trusted
 constructor instead: a product of non-zero polynomials uses every variable of
 both factors, and a sum, derivative, substitution or quotient only has to
-drop a variable that cancelled out.
+drop a variable that cancelled out.  Where an operand has the shape for it,
+the kernel takes a closed form instead of the general product: a one-term
+base to the power k multiplies its key by k, a two-term base expands by the
+binomial theorem, and a product with a one-term factor shifts every key of
+the other; so a substitution whose bindings each have one term maps the keys
+linearly.
 
 A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
 largest any entry point reaches within its input limits) is refused before
@@ -23,7 +41,10 @@ memory.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter
+from functools import lru_cache, reduce
+from math import comb
+from operator import mul, or_
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .errors import CapacityError
@@ -41,7 +62,7 @@ __all__ = [
 
 
 class DegreeCapExceeded(CapacityError):
-    """A product would exceed ``MAX_DEGREE``."""
+    """A product would exceed ``MAX_DEGREE``, or an exponent its field."""
 
 
 class ExactDivisionError(ArithmeticError):
@@ -49,6 +70,16 @@ class ExactDivisionError(ArithmeticError):
 
 
 MAX_DEGREE = 128
+
+# One exponent field of a packed monomial; its top bit is the division guard.
+_BITS = 9
+_FIELD = (1 << _BITS) - 1
+_MAX_EXP = (1 << (_BITS - 1)) - 1
+
+
+def _check_cap(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
 
 
 def _coeff(value) -> int | Fraction:
@@ -59,10 +90,35 @@ def _coeff(value) -> int | Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {value!r}")
 
 
+@lru_cache(maxsize=None)
+def _masks(width: int) -> tuple[int, int]:
+    """The low 8 bits, and the guard bits, of every exponent field of a key
+    over ``width`` variables."""
+    low = sum(_MAX_EXP << s for s in _shifts(width))
+    return low, sum(1 << s + _BITS - 1 for s in _shifts(width))
+
+
+def _shifts(width: int) -> range:
+    """The bit offset of each exponent field, first variable first."""
+    return range((width - 1) * _BITS, -1, -_BITS)
+
+
+def _weights(width: int) -> list[int]:
+    """The key of each single variable to the power 1: its field's unit plus
+    the degree's, so that a key is the dot product of exponents and weights."""
+    return [(1 << s) + (1 << width * _BITS) for s in _shifts(width)]
+
+
+def _pack(exps) -> int:
+    """The key of an exponent vector over sorted variables, each entry within
+    its field."""
+    return sum(map(mul, exps, _weights(len(exps))))
+
+
 class SparsePoly:
     """Immutable sparse polynomial over named variables."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, vars=(), terms: Mapping | None = None) -> None:
         vars = tuple(vars)
@@ -76,21 +132,35 @@ class SparsePoly:
                 if not c:
                     continue
                 exps = tuple(exps)
-                if len(exps) != width or any(e < 0 for e in exps):
+                if len(exps) != width or (exps and min(exps) < 0):
                     raise ValueError(f"bad exponent vector {exps!r} for {vars!r}")
+                if exps and max(exps) > _MAX_EXP:
+                    raise DegreeCapExceeded(
+                        f"exponent in {exps!r} is above the field limit {_MAX_EXP}"
+                    )
                 cleaned[exps] = c
-        # canonical form: keep only used variables, sorted by name
+        # canonical form: keep only used variables, sorted by name; an unused
+        # variable gets weight 0, so a key reads only the used ones
         used = [i for i in range(len(vars)) if any(e[i] for e in cleaned)]
         used.sort(key=lambda i: vars[i])
+        weights = [0] * len(vars)
+        for i, w in zip(used, _weights(len(used))):
+            weights[i] = w
         object.__setattr__(self, "vars", tuple(vars[i] for i in used))
         object.__setattr__(
-            self,
-            "terms",
-            {tuple(e[i] for i in used): c for e, c in cleaned.items()},
+            self, "_terms", {sum(map(mul, e, weights)): c for e, c in cleaned.items()}
         )
 
     def __setattr__(self, name, value):
         raise AttributeError("SparsePoly instances are immutable")
+
+    @property
+    def terms(self) -> Mapping[tuple, int | Fraction]:
+        """The terms keyed by exponent tuples over ``vars``, read-only."""
+        shifts = _shifts(len(self.vars))
+        return MappingProxyType(
+            {tuple(k >> s & _FIELD for s in shifts): c for k, c in self._terms.items()}
+        )
 
     # -- constructors ----------------------------------------------------
 
@@ -101,22 +171,22 @@ class SparsePoly:
     @classmethod
     def constant(cls, value) -> "SparsePoly":
         c = _coeff(value)
-        return _make((), {(): c} if c else {})
+        return _make((), {0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "SparsePoly":
-        return _make((name,), {(1,): 1})
+        return _make((name,), {_pack((1,)): 1})
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self._terms:
             return 0
-        return max(map(sum, self.terms))
+        return max(self._terms) >> len(self.vars) * _BITS
 
     def is_constant(self) -> bool:
         return not self.vars
@@ -124,21 +194,23 @@ class SparsePoly:
     def constant_value(self) -> int | Fraction:
         if self.vars:
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def coefficient(self, monomial: Mapping[str, int]) -> int | Fraction:
         """Coefficient of the monomial given as ``{var: exponent}``."""
         for var in monomial:
             if monomial[var] and var not in self.vars:
                 return 0
-        key = tuple(monomial.get(v, 0) for v in self.vars)
-        return self.terms.get(key, 0)
+        exps = [monomial.get(v, 0) for v in self.vars]
+        if any(not 0 <= e <= _MAX_EXP for e in exps):
+            return 0
+        return self._terms.get(_pack(exps), 0)
 
     # -- alignment over variable universes ---------------------------------
 
     def _aligned(self, other: "SparsePoly"):
         if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
+            return self.vars, self._terms, other._terms
         allvars = tuple(sorted(set(self.vars) | set(other.vars)))
         return allvars, _widened(self, allvars), _widened(other, allvars)
 
@@ -149,12 +221,14 @@ class SparsePoly:
         if other is None:
             return NotImplemented
         vars_, mine, theirs = self._aligned(other)
-        return _pruned(vars_, _whole(_add_into(dict(mine), theirs)))
+        out = dict(mine)
+        _add_into(out, theirs)
+        return _pruned(vars_, _whole(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.vars, {e: -c for e, c in self.terms.items()})
+        return _make(self.vars, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -171,60 +245,36 @@ class SparsePoly:
                 return NotImplemented
             return self._scaled(_coeff(other))
         if not other.vars:
-            return self._scaled(other.terms.get((), 0))
+            return self._scaled(other._terms.get(0, 0))
         if not self.vars:
-            return other._scaled(self.terms.get((), 0))
-        degree = self.total_degree() + other.total_degree()
-        if degree > MAX_DEGREE:
-            raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
+            return other._scaled(self._terms.get(0, 0))
+        _check_cap(self.total_degree() + other.total_degree())
         vars_, mine, theirs = self._aligned(other)
-        out: dict[tuple, int | Fraction] = {}
-        get = out.get
-        for e1, c1 in mine.items():
-            for e2, c2 in theirs.items():
-                key = tuple(map(add, e1, e2))
-                s = get(key)
-                if s is None:
-                    out[key] = c1 * c2
-                else:
-                    s += c1 * c2
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
         # both factors are non-constant, hence non-zero: every variable is used
-        return _make(vars_, _whole(out))
+        return _make(vars_, _whole(_product(mine, theirs)))
 
     __rmul__ = __mul__
 
     def _scaled(self, s: int | Fraction) -> "SparsePoly":
         """``s * self`` for a scalar ``s`` in coefficient form."""
-        if not s or not self.terms:
+        if not s or not self._terms:
             return SparsePoly.zero()
-        degree = self.total_degree()
-        if degree > MAX_DEGREE:
-            raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
-        return _make(self.vars, _whole({e: c * s for e, c in self.terms.items()}))
+        _check_cap(self.total_degree())
+        return _make(self.vars, _whole({k: c * s for k, c in self._terms.items()}))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = SparsePoly.constant(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not exponent:
+            return SparsePoly.constant(1)
+        _check_cap(self.total_degree() * exponent)
+        return _make(self.vars, _whole(_power(self._terms, exponent)))
 
     # -- equality / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePoly):
-            return self.vars == other.vars and self.terms == other.terms
+            return self.vars == other.vars and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return not self.vars and self.constant_value() == other
         return NotImplemented
@@ -232,7 +282,7 @@ class SparsePoly:
     def __hash__(self):
         if not self.vars:
             return hash(self.constant_value())
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, frozenset(self._terms.items())))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -243,12 +293,14 @@ class SparsePoly:
         """Exact partial derivative with respect to ``var``."""
         if var not in self.vars:
             return SparsePoly.zero()
-        i = self.vars.index(var)
+        width = len(self.vars)
+        shift = (width - 1 - self.vars.index(var)) * _BITS
+        step = (1 << shift) + (1 << width * _BITS)
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k:
-                out[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        for k, c in self._terms.items():
+            e = k >> shift & _FIELD
+            if e:
+                out[k - step] = c * e
         return _pruned(self.vars, _whole(out))
 
     def subst(self, bindings: Mapping[str, PolyLike]) -> "SparsePoly":
@@ -256,26 +308,46 @@ class SparsePoly:
         relevant = {v: as_poly(x) for v, x in bindings.items() if v in self.vars}
         if not relevant:
             return self
-        keep = [i for i, v in enumerate(self.vars) if v not in relevant]
-        keepvars = tuple(self.vars[i] for i in keep)
-        bound = [i for i, v in enumerate(self.vars) if v in relevant]
-        outvars = tuple(sorted(set(keepvars).union(*(p.vars for p in relevant.values()))))
-        powers: dict[tuple[int, int], SparsePoly] = {}
-
-        def power_of(i: int, e: int) -> "SparsePoly":
-            got = powers.get((i, e))
-            if got is None:
-                got = relevant[self.vars[i]] ** e
-                powers[(i, e)] = got
-            return got
-
-        total: dict[tuple, int | Fraction] = {}
-        for e, c in self.terms.items():
-            piece = _pruned(keepvars, {tuple(e[i] for i in keep): c})
-            for i in bound:
-                if e[i]:
-                    piece = piece * power_of(i, e[i])
-            _add_into(total, _widened(piece, outvars))
+        kept_vars = {v for v in self.vars if v not in relevant}
+        outvars = tuple(sorted(kept_vars.union(*(p.vars for p in relevant.values()))))
+        top = len(self.vars) * _BITS
+        unit = 1 << len(outvars) * _BITS
+        # the kept fields and the total degree, moved to their places over
+        # outvars; a bound variable, named None here, loses its field
+        kept = _recoder(tuple(None if v in relevant else v for v in self.vars), outvars)
+        field = {v: (len(self.vars) - 1 - self.vars.index(v)) * _BITS for v in relevant}
+        # the fields of the variables bound to zero: a term that uses one vanishes
+        vanish = sum(_FIELD << field[v] for v, p in relevant.items() if not p)
+        # per other bound variable: its field, the degree its image adds per
+        # power (deg - 1), and the image keyed over outvars with that degree 1
+        # taken off each key, so that e * image replaces the e that kept(k)
+        # carries; then the powers of the image made so far, by exponent
+        images = [
+            (
+                field[v],
+                p.total_degree() - 1,
+                {key - unit: c for key, c in _widened(p, outvars).items()},
+                {},
+            )
+            for v, p in relevant.items()
+            if p
+        ]
+        total: dict[int, int | Fraction] = {}
+        for k, c in self._terms.items():
+            if k & vanish:
+                continue
+            # the degree of the term's image, checked before any power or
+            # product of it is formed and whatever the order of the bindings
+            _check_cap((k >> top) + sum((k >> s & _FIELD) * d for s, d, _, _ in images))
+            piece = {kept(k): c}
+            for shift, _, image, powers in images:
+                e = k >> shift & _FIELD
+                if e:
+                    power = powers.get(e)
+                    if power is None:
+                        power = powers[e] = _power(image, e)
+                    piece = _product(piece, power)
+            _add_into(total, piece)
         return _pruned(outvars, _whole(total))
 
     def eval_scalar(self, values: Mapping[str, object]):
@@ -301,23 +373,25 @@ class SparsePoly:
         if self.is_zero:
             return SparsePoly.zero()
         vars_, num, den = self._aligned(divisor)
-
-        def grlex(e):
-            return (sum(e), e)
-
-        dlead = max(den, key=grlex)
+        fields = (1 << len(vars_) * _BITS) - 1
+        guards = _masks(len(vars_))[1]
+        dlead = max(den)
+        dfields = dlead & fields
         dc = den[dlead]
         num = dict(num)
         # the leading monomial falls at each step, so no quotient monomial repeats
-        quotient: dict[tuple, int | Fraction] = {}
+        quotient: dict[int, int | Fraction] = {}
         while num:
-            lead = max(num, key=grlex)
-            qe = tuple(a - b for a, b in zip(lead, dlead))
-            if any(e < 0 for e in qe):
+            lead = max(num)
+            # with every exponent below its guard bit, a field of lead minus
+            # dlead clears its guard exactly when that exponent would go negative;
+            # an exact quotient never leads with an exponent past the guard
+            if lead & guards or ((lead & fields | guards) - dfields) & guards != guards:
                 raise ExactDivisionError("division is not exact")
+            qe = lead - dlead
             qc = quotient[qe] = _coeff(Fraction(num[lead], dc))
             for e, c in den.items():
-                key = tuple(map(add, qe, e))
+                key = qe + e
                 s = num.get(key, 0) - qc * c
                 if s:
                     num[key] = s
@@ -327,19 +401,18 @@ class SparsePoly:
 
     # -- printing ---------------------------------------------------------------
 
-    def _sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True
-        )
-
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
+        # per variable: its field and its printed powers, "" for 0 up to the degree
+        top = range(2, self.total_degree() + 1)
+        fields = [
+            (s, ["", v] + [f"{v}^{e}" for e in top])
+            for v, s in zip(self.vars, _shifts(len(self.vars)))
+        ]
         pieces = []
-        for e, c in self._sorted_terms():
-            mono = "*".join(
-                v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k
-            )
+        for k, c in sorted(self._terms.items(), reverse=True):
+            mono = "*".join([power[e] for s, power in fields if (e := k >> s & _FIELD)])
             mag = abs(c)
             if not mono:
                 body = str(mag)
@@ -360,12 +433,13 @@ class SparsePoly:
 # -- the trusted constructor and the term-dict helpers ---------------------------
 
 _set_vars = SparsePoly.vars.__set__
-_set_terms = SparsePoly.terms.__set__
+_set_terms = SparsePoly._terms.__set__
 
 
 def _make(vars: tuple, terms: dict) -> SparsePoly:
     """A polynomial from canonical parts, unchecked: ``vars`` sorted and each
-    used by some term, no zero and no integral ``Fraction`` in ``terms``."""
+    used by some term, ``terms`` keyed by packed monomials over ``vars``, no
+    zero and no integral ``Fraction`` among them."""
     poly = object.__new__(SparsePoly)
     _set_vars(poly, vars)
     _set_terms(poly, terms)
@@ -374,47 +448,113 @@ def _make(vars: tuple, terms: dict) -> SparsePoly:
 
 def _pruned(vars: tuple, terms: dict) -> SparsePoly:
     """``_make`` after dropping the variables that no term uses any more."""
-    used = [i for i in range(len(vars)) if any(e[i] for e in terms)]
-    if len(used) == len(vars):
+    used = reduce(or_, terms, 0)
+    low, guards = _masks(len(vars))
+    # adding 255 to a field sets its guard bit exactly when the field is not 0
+    if ((used & low) + low) & guards == guards:
         return _make(vars, terms)
-    return _make(
-        tuple(vars[i] for i in used),
-        {tuple(e[i] for i in used): c for e, c in terms.items()},
-    )
+    keep = tuple(v for v, s in zip(vars, _shifts(len(vars))) if used >> s & _FIELD)
+    recode = _recoder(vars, keep)
+    return _make(keep, {recode(k): c for k, c in terms.items()})
 
 
 def _whole(terms: dict) -> dict:
     """``terms`` with each integral ``Fraction`` coefficient turned into its
     ``int``, in place."""
-    for e, c in terms.items():
+    for k, c in terms.items():
         if type(c) is not int and c.denominator == 1:
-            terms[e] = c.numerator
+            terms[k] = c.numerator
     return terms
 
 
-def _add_into(acc: dict, terms: Mapping) -> dict:
-    """``terms`` added into ``acc``, in place."""
+def _add_into(acc: dict, terms: Mapping) -> None:
+    """Add ``terms`` into ``acc`` in place."""
     get = acc.get
-    for e, c in terms.items():
-        s = get(e, 0) + c
+    for k, c in terms.items():
+        s = get(k, 0) + c
         if s:
-            acc[e] = s
+            acc[k] = s
         else:
-            del acc[e]
-    return acc
+            del acc[k]
 
 
-def _widened(poly: SparsePoly, allvars: tuple) -> Mapping:
-    """The terms of ``poly`` with exponent vectors over ``allvars``, a sorted
-    superset of its variables."""
+def _product(mine: dict, theirs: dict) -> dict:
+    """The product of two term dicts over the same variables."""
+    if len(theirs) == 1:
+        mine, theirs = theirs, mine
+    if len(mine) == 1:
+        ((k1, c1),) = mine.items()
+        # a fixed shift keeps the keys apart, and no product of coefficients is 0
+        return {k1 + k2: c1 * c2 for k2, c2 in theirs.items()}
+    out: dict[int, int | Fraction] = {}
+    get = out.get
+    for k1, c1 in mine.items():
+        for k2, c2 in theirs.items():
+            key = k1 + k2
+            s = get(key)
+            if s is None:
+                out[key] = c1 * c2
+            else:
+                s += c1 * c2
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return out
+
+
+def _power(terms: dict, k: int) -> dict:
+    """``terms`` to the power ``k`` >= 1, the degree already checked."""
+    if len(terms) == 1:
+        ((key, c),) = terms.items()
+        return {key * k: c**k}
+    if len(terms) == 2:
+        # the binomial theorem; the k + 1 keys are distinct as the two are
+        (k1, c1), (k2, c2) = terms.items()
+        out = {}
+        for j in range(k + 1):
+            out[(k - j) * k1 + j * k2] = comb(k, j) * c1 ** (k - j) * c2**j
+        return out
+    result = terms
+    for _ in range(k - 1):
+        result = _product(result, terms)
+    return result
+
+
+@lru_cache(maxsize=None)
+def _recoder(src: tuple, dst: tuple):
+    """The map from keys over the variables ``src`` to keys over the sorted
+    ``dst``: the total degree and the field of each variable in both move to
+    their places in ``dst``, and the field of a variable missing from ``dst``
+    (or named None) is dropped.  Fields that move together move as one run."""
+    place = {v: j for j, v in enumerate(dst)}
+    # (source index, target index); the total degree is index -1 in both
+    pairs = [(-1, -1)] + [(i, place[v]) for i, v in enumerate(src) if v in place]
+    runs: list[list[int]] = []  # [first source index, last source index, offset]
+    for i, j in pairs:
+        if runs and runs[-1][1] == i - 1 and runs[-1][2] == j - i:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i, j - i])
+    moves = []
+    for first, last, offset in runs:
+        low = (len(src) - 1 - last) * _BITS
+        high = -1 if first < 0 else (1 << (len(src) - first) * _BITS) - 1
+        up = (len(dst) - len(src) - offset) * _BITS
+        moves.append((high ^ ((1 << low) - 1), max(up, 0), max(-up, 0)))
+    if len(moves) == 1:
+        ((mask, up, down),) = moves
+        return lambda k: (k & mask) << up >> down
+    return lambda k: sum((k & mask) << up >> down for mask, up, down in moves)
+
+
+def _widened(poly: SparsePoly, allvars: tuple) -> dict:
+    """The terms of ``poly`` keyed over ``allvars``, a sorted superset of its
+    variables."""
     if poly.vars == allvars:
-        return poly.terms
-    if not poly.vars:
-        return {(0,) * len(allvars): c for c in poly.terms.values()}
-    # allvars has two or more names here, so ``pick`` returns a tuple; the
-    # index -1 picks the appended 0 for a variable that poly does not use
-    pick = itemgetter(*[poly.vars.index(v) if v in poly.vars else -1 for v in allvars])
-    return {pick(e + (0,)): c for e, c in poly.terms.items()}
+        return poly._terms
+    recode = _recoder(poly.vars, allvars)
+    return {recode(k): c for k, c in poly._terms.items()}
 
 
 def _coerce(value):

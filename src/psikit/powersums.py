@@ -88,11 +88,12 @@ def verify_special_case(n: int) -> bool:
     derivatives = _derivative_terms(n)
     for r in range(1, m):
         shifted = derivatives[r - 1].subst({"s1": z * t, "s2": z * z + t * t})
+        # the integer product first, so that only its terms meet the Fraction
         rhs = rhs + (
-            Fraction(1, factorial(r))
-            * bracket(x, y, u, v) ** (m - r)
+            bracket(x, y, u, v) ** (m - r)
             * bracket(z, t, x, y) ** r
             * shifted
+            * Fraction(1, factorial(r))
         )
     return lhs == rhs
 

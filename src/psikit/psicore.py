@@ -242,6 +242,15 @@ def ladder_step(state: tuple[int, int], bit: int, t: int, reduce) -> tuple[int, 
     return reduce(v * v - 2), mid
 
 
+def _lucas_walk(k: int, t: int, reduce) -> tuple[int, int]:
+    """(V_k, V_(k+1)) of V = V(t, 1) mod m: ``ladder_step`` over the bits of
+    k from (V_0, V_1) = (2, t)."""
+    state = (2, t)
+    for i in range(k.bit_length() - 1, -1, -1):
+        state = ladder_step(state, (k >> i) & 1, t, reduce)
+    return state
+
+
 @dataclass(frozen=True, slots=True)
 class PsiLadderState:
     """(psi(k), psi(k+1), a**k) mod m together with the parity of k: the
@@ -341,9 +350,7 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     else:
         zeros = (k & -k).bit_length() - 1
         walk = k >> zeros
-    state = (2, t)
-    for i in range(walk.bit_length() - 1, -1, -1):
-        state = ladder_step(state, (walk >> i) & 1, t, reduce)
+    state = _lucas_walk(walk, t, reduce)
     if odd:
         v = reduce((state[0] + state[1]) * pow(d, -1, m))
         return reduce(v * pow(a, k + 1, m))

@@ -3,10 +3,158 @@ production code in ``psikit``."""
 
 from fractions import Fraction
 from math import comb, factorial
+from operator import add
 
 from psikit.eightlevels import apply_direction
-from psikit.multipoly import SparsePoly, variables
+from psikit.multipoly import (
+    MAX_DEGREE,
+    DegreeCapExceeded,
+    ExactDivisionError,
+    SparsePoly,
+    variables,
+)
 from psikit.psicore import half, psi_symbolic
+
+
+class TuplePoly:
+    """The tuple-keyed polynomial kernel, an oracle for ``SparsePoly``: each
+    monomial is an exponent tuple over the sorted variables, every result goes
+    through the canonicalising constructor, and powers are repeated products.
+
+    It takes the same canonical form (sorted used variables, no zero terms,
+    integral ``Fraction`` stored as ``int``), prints the same text and
+    refuses the same products past ``MAX_DEGREE``.
+    """
+
+    def __init__(self, vars=(), terms=None):
+        vars = tuple(vars)
+        cleaned = {}
+        for exps, c in (terms or {}).items():
+            if c:
+                cleaned[tuple(exps)] = c.numerator if c.denominator == 1 else c
+        used = sorted((i for i in range(len(vars)) if any(e[i] for e in cleaned)),
+                      key=lambda i: vars[i])
+        self.vars = tuple(vars[i] for i in used)
+        self.terms = {tuple(e[i] for i in used): c for e, c in cleaned.items()}
+
+    @classmethod
+    def of(cls, value):
+        """The oracle's copy of a ``SparsePoly`` or a scalar."""
+        if isinstance(value, cls):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return cls((), {(): value})
+        return cls(value.vars, value.terms)
+
+    def total_degree(self):
+        return max(map(sum, self.terms), default=0)
+
+    def _aligned(self, other):
+        allvars = tuple(sorted(set(self.vars) | set(other.vars)))
+
+        def widened(p):
+            return {
+                tuple(dict(zip(p.vars, e)).get(v, 0) for v in allvars): c
+                for e, c in p.terms.items()
+            }
+
+        return allvars, widened(self), widened(other)
+
+    def __add__(self, other):
+        vars_, mine, theirs = self._aligned(TuplePoly.of(other))
+        for e, c in theirs.items():
+            mine[e] = mine.get(e, 0) + c
+        return TuplePoly(vars_, mine)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TuplePoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -TuplePoly.of(other)
+
+    def __mul__(self, other):
+        other = TuplePoly.of(other)
+        if self.terms and other.terms:
+            degree = self.total_degree() + other.total_degree()
+            if degree > MAX_DEGREE:
+                raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
+        vars_, mine, theirs = self._aligned(other)
+        out = {}
+        for e1, c1 in mine.items():
+            for e2, c2 in theirs.items():
+                key = tuple(map(add, e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return TuplePoly(vars_, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        result = TuplePoly.of(1)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self.vars == other.vars and self.terms == other.terms
+
+    def diff(self, var):
+        if var not in self.vars:
+            return TuplePoly()
+        i = self.vars.index(var)
+        return TuplePoly(self.vars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in self.terms.items() if e[i]
+        })
+
+    def subst(self, bindings):
+        images = {v: TuplePoly.of(b) for v, b in bindings.items()}
+        total = TuplePoly()
+        for e, c in self.terms.items():
+            # a term whose image vanishes is skipped, never expanded
+            if any(k and v in images and not images[v].terms for v, k in zip(self.vars, e)):
+                continue
+            piece = TuplePoly.of(c)
+            for v, k in zip(self.vars, e):
+                factor = images[v] if v in images else TuplePoly((v,), {(1,): 1})
+                piece = piece * factor**k
+            total = total + piece
+        return total
+
+    def exact_div(self, divisor):
+        if not divisor.terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        vars_, num, den = self._aligned(divisor)
+
+        def grlex(e):
+            return (sum(e), e)
+
+        dlead = max(den, key=grlex)
+        quotient = {}
+        while num:
+            lead = max(num, key=grlex)
+            qe = tuple(a - b for a, b in zip(lead, dlead))
+            if min(qe, default=0) < 0:
+                raise ExactDivisionError("division is not exact")
+            qc = quotient[qe] = Fraction(num[lead], den[dlead])
+            for e, c in den.items():
+                key = tuple(map(add, qe, e))
+                num[key] = num.get(key, 0) - qc * c
+                if not num[key]:
+                    del num[key]
+        return TuplePoly(vars_, quotient)
+
+    def __str__(self):
+        pieces = []
+        for e, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(self.vars, e) if k)
+            mag = abs(c)
+            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+            if not pieces:
+                pieces.append(body if c > 0 else f"-{body}")
+            else:
+                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+        return " ".join(pieces) or "0"
 
 
 def coeff_dual(n: int, r: int) -> SparsePoly:

@@ -304,6 +304,25 @@ class TestExitCodes:
         assert code == EXIT_OK and len(recs) == 19
         assert all(r["ok"] and r["nmax"] == 0 for r in recs)
 
+    def test_empty_ranges_are_a_usage_error(self):
+        for argv in (
+            ("coeff", "table", "--nmin", "5", "--n", "3"),
+            ("mersenne", "scan", "--pmax", "-5"),
+            ("mersenne", "scan", "--pmin", "40", "--pmax", "31"),
+            ("mersenne", "scan", "--pmax", "4", "--method", "psi"),
+        ):
+            code, recs = run_json(*argv)
+            assert code == EXIT_USAGE and len(recs) == 1, argv
+            assert recs[0]["error"] == "usage" and "below" in recs[0]["reason"], argv
+
+    def test_a_range_without_a_prime_runs(self):
+        code, recs = run_json("mersenne", "scan", "--pmin", "24", "--pmax", "28")
+        assert code == EXIT_OK and recs == []
+        code, recs = run_json("mersenne", "scan", "--pmin", "3", "--pmax", "3", "--method", "ll")
+        assert code == EXIT_OK and [r["p"] for r in recs] == [3]
+        code, recs = run_json("coeff", "table", "--nmin", "3", "--n", "3")
+        assert code == EXIT_OK and [r["n"] for r in recs] == [3]
+
     def test_coeff_table_above_degree_cap(self):
         started = time.perf_counter()
         code, recs = run_json("coeff", "table", "--n", "130")

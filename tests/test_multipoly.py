@@ -13,7 +13,7 @@ from psikit.multipoly import (
     variables,
 )
 
-from oracles import reduce_square
+from oracles import TuplePoly, reduce_square
 
 X, Y = variables("x y")
 A, B = variables("a b")
@@ -358,6 +358,179 @@ class TestKernelProperties:
         assert half.terms == {(1,): Fraction(1, 2), (0,): Fraction(1, 2)}
         assert str(half) == "1/2*x + 1/2"
 
+
+
+# -- the packed kernel against the tuple-keyed oracle -------------------------
+
+NAME_SETS = [(), ("x",), ("y", "x"), ("x", "z"), ("z", "y", "x"), ("u", "y")]
+NONZERO = st.one_of(
+    st.integers(-9, 9).filter(bool),
+    st.fractions(-9, 9, max_denominator=4).filter(bool),
+)
+COEFFS = st.one_of(st.just(0), NONZERO)
+
+
+@st.composite
+def kernel_polys(draw, names=None, min_terms=0, max_terms=4, max_exp=3, coeffs=COEFFS):
+    """A polynomial over one of several overlapping, unsorted variable sets,
+    with int and Fraction coefficients (0 and integral Fractions included)."""
+    if names is None:
+        names = draw(st.sampled_from(NAME_SETS if min_terms < 2 else NAME_SETS[1:]))
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    terms = draw(st.dictionaries(exps, coeffs, min_size=min_terms, max_size=max_terms))
+    return SparsePoly(names, terms)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(f, g), where g often cancels some or all of the terms of f."""
+    f, g = draw(kernel_polys()), draw(kernel_polys())
+    if draw(st.booleans()):
+        g = g - SparsePoly(f.vars, {e: c for e, c in f.terms.items() if draw(st.booleans())})
+    return f, g
+
+
+def _typed(terms):
+    return {e: (c, type(c)) for e, c in terms.items()}
+
+
+def _same(op, *args):
+    """``op`` on the packed operands and on their oracle copies gives the same
+    variables, terms (with coefficient types) and text, or the same error."""
+    lifted = [TuplePoly.of(a) if isinstance(a, SparsePoly) else a for a in args]
+    try:
+        packed = op(*args)
+    except (DegreeCapExceeded, ExactDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            op(*lifted)
+        return
+    oracle = op(*lifted)
+    assert packed.vars == oracle.vars
+    assert _typed(packed.terms) == _typed(oracle.terms)
+    assert str(packed) == str(oracle)
+
+
+ORACLE_RUNS = settings(derandomize=True, database=None, max_examples=100)
+
+
+class TestPackedAgainstOracle:
+    @ORACLE_RUNS
+    @given(pair=operand_pairs(), s=COEFFS)
+    def test_sum_and_difference(self, pair, s):
+        f, g = pair
+        _same(lambda f, g: f + g, f, g)
+        _same(lambda f, g: f - g, f, g)
+        _same(lambda f: -f, f)
+        _same(lambda f: f + s, f)
+
+    @ORACLE_RUNS
+    @given(f=kernel_polys(), m=kernel_polys(min_terms=1, max_terms=1, coeffs=NONZERO), s=COEFFS)
+    def test_product_with_a_one_term_factor(self, f, m, s):
+        _same(lambda f, m: f * m, f, m)
+        _same(lambda f, m: m * f, f, m)
+        _same(lambda f: s * f, f)
+
+    @ORACLE_RUNS
+    @given(pair=operand_pairs())
+    def test_general_product(self, pair):
+        _same(lambda f, g: f * g, *pair)
+
+    @ORACLE_RUNS
+    @given(
+        base=st.integers(1, 4).flatmap(
+            lambda n: kernel_polys(min_terms=n, max_terms=n, coeffs=NONZERO)
+        ),
+        k=st.integers(0, 5),
+    )
+    def test_powers_of_one_two_and_more_terms(self, base, k):
+        _same(lambda b: b**k, base)
+
+    @ORACLE_RUNS
+    @given(pair=operand_pairs(), var=st.sampled_from(["x", "y", "z", "u", "w"]))
+    def test_diff(self, pair, var):
+        f, g = pair
+        _same(lambda f: f.diff(var), f + g)
+
+    @ORACLE_RUNS
+    @given(pair=operand_pairs())
+    def test_exact_div(self, pair):
+        f, g = pair
+        if g.is_zero:
+            return
+        _same(lambda f, g: (f * g).exact_div(g), f, g)
+        _same(lambda f, g: f.exact_div(g), f, g)
+
+    @ORACLE_RUNS
+    @given(
+        f=kernel_polys(names=("x", "y", "z")),
+        kinds=st.tuples(*[st.sampled_from(["one", "two", "many", "zero", "constant"])] * 2),
+        data=st.data(),
+    )
+    def test_subst(self, f, kinds, data):
+        images = []
+        for kind in kinds:
+            if kind in ("zero", "constant"):
+                images.append(0 if kind == "zero" else data.draw(NONZERO))
+            else:
+                n = {"one": 1, "two": 2, "many": 3}[kind]
+                names = data.draw(st.sampled_from([("u",), ("y", "u"), ("x", "w"), ("z",)]))
+                images.append(data.draw(kernel_polys(
+                    names=names, min_terms=n, max_terms=n, max_exp=2, coeffs=NONZERO
+                )))
+        _same(lambda f, bx, by: f.subst({"x": bx, "y": by}), f, *images)
+        _same(lambda f, bx: f.subst({"x": bx}), f, images[0])
+
+    @ORACLE_RUNS
+    @given(f=kernel_polys(names=("x", "y", "z")), c=NONZERO)
+    def test_simultaneous_swap(self, f, c):
+        x, y = variables("x y")
+        _same(lambda f, x, y: f.subst({"x": y, "y": x}), f, x, y)
+        _same(lambda f, x, y: f.subst({"x": c * y, "y": x, "z": x}), f, x, y)
+
+    def test_subst_checks_the_degree_of_each_image_in_any_binding_order(self):
+        x, y, z = variables("x y z")
+        f = x**64 * y**64
+        for bind in ({"y": z**2, "x": 1}, {"x": 1, "y": z**2}):
+            _same(lambda f: f.subst(bind), f)
+            assert f.subst(bind) == z**MAX_DEGREE
+        for bind in ({"y": z**3, "x": 1}, {"x": 1, "y": z**3}):
+            _same(lambda f: f.subst(bind), f)
+            with pytest.raises(DegreeCapExceeded):
+                f.subst(bind)
+        # a term whose image vanishes is never expanded, so it cannot pass the cap
+        g = SparsePoly(("a", "u", "x"), {(50, 100, 1): 1, (1, 0, 0): 1})
+        for bind in ({"a": z**2, "x": 0}, {"x": 0, "a": z**2}):
+            _same(lambda g: g.subst(bind), g)
+            assert g.subst(bind) == z**2
+
+    def test_exponents_at_max_degree(self):
+        x, y, z = variables("x y z")
+        top = SparsePoly(
+            ("x", "y"), {(MAX_DEGREE, 0): 3, (0, MAX_DEGREE): -1, (64, 64): Fraction(1, 2)}
+        )
+        ops = [
+            lambda f: f + f, lambda f: f - f, lambda f: f - x**MAX_DEGREE, lambda f: 2 * f,
+            lambda f: f**1, lambda f: f**2, lambda f: f * y, lambda f: f * f,
+            lambda f: f.diff("x"), lambda f: f.diff("y"),
+            lambda f: f.subst({"x": y, "y": x}), lambda f: f.subst({"x": z}),
+            lambda f: f.subst({"x": 0}), lambda f: f.subst({"y": Fraction(-2, 3)}),
+            lambda f: f.subst({"x": 2 * x}), lambda f: f.subst({"x": x * y}),
+            lambda f: f.subst({"x": x + 1}),
+            lambda f: f.exact_div(x**64), lambda f: f.exact_div(SparsePoly.constant(2)),
+            lambda f: (f - 3 * x**MAX_DEGREE).exact_div(y**64),
+        ]
+        for op in ops:
+            _same(op, top)
+        assert (x**MAX_DEGREE).total_degree() == MAX_DEGREE
+        assert str(x**MAX_DEGREE * 1) == f"x^{MAX_DEGREE}"
+
+    def test_constructor_refuses_an_exponent_wider_than_its_field(self):
+        assert str(SparsePoly(("x", "y"), {(0, 255): 1})) == "y^255"
+        for exps in ((0, 256), (256, 0), (1000, 1)):
+            with pytest.raises(DegreeCapExceeded):
+                SparsePoly(("x", "y"), {exps: 1})
+        # a zero coefficient is dropped before its exponents are read
+        assert SparsePoly(("x",), {(256,): 0}).is_zero
 
 
 class TestEvaluate:
