@@ -10,15 +10,15 @@ globally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .eightlevels import coeff_values
 from .exactmath import GOLDEN_RATIO, QuadExt, SQRT2, SQRT3, SQRT5
 from .multipoly import SparsePoly, variables
 from .psicore import half, parity, psi_sequence, psi_terms
+from .records import Record
 
 __all__ = [
     "BridgeSpec",
@@ -105,8 +105,7 @@ def dickson_d(n: int) -> SparsePoly:
 # -- bridge registry ----------------------------------------------------------
 
 
-@dataclass
-class BridgeSpec:
+class BridgeSpec(NamedTuple):
     """One registered identity: term n of ``values`` must equal term n of
     ``oracle`` at every n of its index set.
 
@@ -326,12 +325,17 @@ def default_bridges() -> list[BridgeSpec]:
 # -- periodicity --------------------------------------------------------------
 
 
-@dataclass
-class PeriodResult:
-    a: object
-    b: object
-    period: int
-    table: list = field(default_factory=list)
+class PeriodResult(Record):
+    """The period of psi(a, b, .) and its first ``period`` terms; ``table``
+    defaults to a fresh empty list."""
+
+    __slots__ = ("a", "b", "period", "table")
+
+    def __init__(self, a, b, period: int, table: list | None = None):
+        self.a = a
+        self.b = b
+        self.period = period
+        self.table = [] if table is None else table
 
 
 def detect_period(a, b, cap: int = 10_000) -> PeriodResult:

@@ -11,7 +11,6 @@ byte-deterministic for a fixed seed; wall-clock timings are zeroed unless
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -120,6 +119,8 @@ def render_records(records: list[dict], fmt: str, out) -> None:
     elif fmt == "csv":
         if not records:
             return
+        import csv  # only here: the default JSON output never needs it
+
         writer = csv.writer(out, lineterminator="\n")
         header = list(records[0].keys())
         writer.writerow(header)
@@ -230,7 +231,8 @@ VERIFY_CEILING = {
     "theta": 37, "fundamental": 51,
 }
 # Largest ``bridges check --nmax`` (on the same box a run at 64 takes 0.3 s) and
-# ``identities tau --l`` (l = 13 takes 8 s; each step of l takes 7 times longer).
+# ``identities tau --l`` (l = 13 takes about 4 s; each step of l takes 7 times
+# longer).
 BRIDGES_NMAX_CEILING = 64
 TAU_L_CEILING = 13
 
@@ -349,7 +351,7 @@ def _cmd_identities(args) -> list[dict]:
     records = []
     for variant in variants:
         value = mersenne.tau_identity_value(args.l, variant)
-        ok = mersenne.tau_identity_check(args.l, variant)
+        ok = value == mersenne.tau_identity_expected(args.l, variant)
         records.append(
             {
                 "command": "tau",
@@ -521,7 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_scan = leaf(mers_sub, "scan", "all prime exponents up to a bound")
     p_scan.add_argument("--pmax", type=int, required=True)
-    p_scan.add_argument("--pmin", type=int, default=5)
+    p_scan.add_argument(
+        "--pmin", type=int, default=3,
+        help="first exponent; the scan starts no lower than the method's first, "
+        "3 for ll and 5 for psi",
+    )
     p_scan.add_argument("--method", choices=("ll", "psi"), default="psi")
 
     p_bridges = sub.add_parser("bridges", help="classical-sequence bridges")

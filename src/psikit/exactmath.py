@@ -138,9 +138,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.d, self.u, -self.v)
-
     def norm(self) -> Fraction:
         return self.u * self.u - self.d * self.v * self.v
 

@@ -8,13 +8,13 @@ n = 2**(p-1) and M = 2n - 1 = 2**p - 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial, isqrt
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, NotInvertibleError, mod_inverse
 from .psicore import _lucas_walk, psi_mod_ladder, psi_symbolic
+from .records import FrozenRecord, Record
 
 __all__ = [
     "TestReport",
@@ -33,6 +33,7 @@ __all__ = [
     "ab_ratio_test",
     "ab_ratios",
     "tau_identity_check",
+    "tau_identity_expected",
     "tau_identity_value",
     "tau_polynomial_identity",
     "METHODS",
@@ -73,17 +74,29 @@ def is_prime_small(n: int) -> bool:
     return True
 
 
-@dataclass
-class TestReport:
-    """Structured verdict of one check, serialisable deterministically."""
+class TestReport(Record):
+    """Structured verdict of one check, serialisable deterministically.
+    ``residues`` and ``notes`` default to a fresh empty list each."""
 
-    method: str
-    p: int
-    verdict: str
-    residues: list[int] = field(default_factory=list)
-    ratios: tuple[int, int] | None = None
-    elapsed_ms: float = 0.0
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("method", "p", "verdict", "residues", "ratios", "elapsed_ms", "notes")
+
+    def __init__(
+        self,
+        method: str,
+        p: int,
+        verdict: str,
+        residues: list[int] | None = None,
+        ratios: tuple[int, int] | None = None,
+        elapsed_ms: float = 0.0,
+        notes: list[str] | None = None,
+    ):
+        self.method = method
+        self.p = p
+        self.verdict = verdict
+        self.residues = [] if residues is None else residues
+        self.ratios = ratios
+        self.elapsed_ms = elapsed_ms
+        self.notes = [] if notes is None else notes
 
     def to_dict(self, with_timing: bool = False) -> dict:
         return {
@@ -97,15 +110,15 @@ class TestReport:
         }
 
 
-@dataclass(frozen=True)
-class MersenneCandidate:
+class MersenneCandidate(FrozenRecord):
     """Exponent p with n = 2**(p-1) and M = 2**p - 1; p must be prime."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime_small(self.p):
-            raise ValueError(f"exponent {self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime_small(p):
+            raise ValueError(f"exponent {p} is not prime")
+        self._set(p=p)
 
     @property
     def n(self) -> int:
@@ -432,15 +445,19 @@ def tau_identity_value(l: int, variant: str) -> Fraction:
     return total
 
 
-def tau_identity_check(l: int, variant: str) -> bool:
-    """quarter -> 1; half -> -1; root2 -> +1 or -1 by tau mod 16."""
-    value = tau_identity_value(l, variant)
-    tau = 1 << l
+def tau_identity_expected(l: int, variant: str) -> int:
+    """The value the tau = 2**l sum must take: quarter -> 1; half -> -1;
+    root2 -> +1 or -1 by tau mod 16."""
     if variant == "quarter":
-        return value == 1
+        return 1
     if variant == "half":
-        return value == -1
-    return value == (1 if tau % 16 == 0 else -1)
+        return -1
+    return 1 if (1 << l) % 16 == 0 else -1
+
+
+def tau_identity_check(l: int, variant: str) -> bool:
+    """Whether the tau = 2**l sum takes its expected value."""
+    return tau_identity_value(l, variant) == tau_identity_expected(l, variant)
 
 
 def tau_polynomial_identity(l: int) -> bool:

@@ -188,9 +188,6 @@ class SparsePoly:
             return 0
         return max(self._terms) >> len(self.vars) * _BITS
 
-    def is_constant(self) -> bool:
-        return not self.vars
-
     def constant_value(self) -> int | Fraction:
         if self.vars:
             raise ValueError(f"{self} is not constant")

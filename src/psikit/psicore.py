@@ -30,16 +30,16 @@ walk keeps a and d so too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, QuadExt
 from .multipoly import MAX_DEGREE, SparsePoly
+from .records import FrozenRecord
 
 RingElement = Union[int, Fraction, QuadExt, SparsePoly]
 
@@ -78,23 +78,21 @@ def half(n: int) -> int:
     return n // 2
 
 
-@dataclass(frozen=True)
-class PsiParams:
+class PsiParams(FrozenRecord):
     """Validated (a, b) pair with its ring tag, used by the CLI front end."""
 
-    a: RingElement
-    b: RingElement
-    modulus: Optional[int] = None
+    __slots__ = ("a", "b", "modulus")
 
-    def __post_init__(self):
-        if self.modulus is not None:
-            if self.modulus < 2:
+    def __init__(self, a: RingElement, b: RingElement, modulus: Optional[int] = None):
+        if modulus is not None:
+            if modulus < 2:
                 raise ValueError("modulus must be >= 2")
-            if not isinstance(self.a, int) or not isinstance(self.b, int):
+            if not isinstance(a, int) or not isinstance(b, int):
                 raise ValueError("modular evaluation needs integer parameters")
-        if isinstance(self.a, QuadExt) and isinstance(self.b, QuadExt):
-            if not (self.a.is_rational or self.b.is_rational or self.a.d == self.b.d):
+        if isinstance(a, QuadExt) and isinstance(b, QuadExt):
+            if not (a.is_rational or b.is_rational or a.d == b.d):
                 raise ValueError("parameters live in different quadratic rings")
+        self._set(a=a, b=b, modulus=modulus)
 
     @property
     def ring(self) -> str:
@@ -251,8 +249,7 @@ def _lucas_walk(k: int, t: int, reduce) -> tuple[int, int]:
     return state
 
 
-@dataclass(frozen=True, slots=True)
-class PsiLadderState:
+class PsiLadderState(NamedTuple):
     """(psi(k), psi(k+1), a**k) mod m together with the parity of k: the
     state of the three-product walk."""
 

@@ -3,6 +3,8 @@ import pytest
 from psikit import bridges
 from psikit.bridges import (
     PERIOD_CATALOGUE,
+    BridgeSpec,
+    PeriodResult,
     catalogue_entry,
     chebyshev_t,
     default_bridges,
@@ -164,6 +166,29 @@ class TestBridges:
         for spec in default_bridges():
             desc = spec.describe()
             assert desc["name"] and desc["description"]
+
+
+class TestRecords:
+    def test_bridge_spec(self):
+        spec = default_bridges()[0]
+        same = BridgeSpec(
+            name=spec.name, description=spec.description, values=spec.values,
+            oracle=spec.oracle, indices=spec.indices,
+        )
+        assert spec == same and spec != same._replace(name="other")
+        assert repr(spec).startswith(f"BridgeSpec(name={spec.name!r}, description=")
+        assert spec.check(8) == [] and spec.describe()["name"] == spec.name
+        with pytest.raises(AttributeError):
+            spec.name = "other"
+
+    def test_period_result(self):
+        result = PeriodResult(1, 1, 6, [2, 1, -1, -2, -1, 1])
+        assert result == detect_period(1, 1)
+        assert result != PeriodResult(1, 1, 6)
+        assert repr(PeriodResult(1, 0, 8)) == "PeriodResult(a=1, b=0, period=8, table=[])"
+        empty, other = PeriodResult(1, 0, 8), PeriodResult(1, 0, 8)
+        empty.table.append(2)
+        assert other.table == []
 
 
 class TestPeriods:

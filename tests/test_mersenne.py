@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from psikit import mersenne
 from psikit.errors import CapacityError
 from psikit.mersenne import (
     CEILING_P,
@@ -22,6 +23,7 @@ from psikit.mersenne import (
     psi_test,
     signed_factorial_product_sum,
     tau_identity_check,
+    tau_identity_expected,
     tau_identity_value,
     tau_polynomial_identity,
 )
@@ -56,6 +58,15 @@ class TestCandidates:
         assert cand.n == 4096 and cand.modulus == 8191
         assert cand.modulus == 2 * cand.n - 1
 
+    def test_record_semantics(self):
+        cand = MersenneCandidate(13)
+        assert cand == MersenneCandidate(p=13) and cand != MersenneCandidate(7)
+        assert hash(cand) == hash(MersenneCandidate(13))
+        assert repr(cand) == "MersenneCandidate(p=13)"
+        with pytest.raises(AttributeError):
+            cand.p = 7
+        assert cand.p == 13
+
     def test_composite_exponent_rejected(self):
         with pytest.raises(ValueError):
             MersenneCandidate(9)
@@ -65,6 +76,33 @@ class TestCandidates:
     def test_small_prime_check(self):
         primes = [p for p in range(2, 60) if is_prime_small(p)]
         assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+class TestReports:
+    def test_defaults_are_fresh_lists(self):
+        first = mersenne.TestReport("ll", 7, "prime")
+        second = mersenne.TestReport("ll", 7, "prime")
+        assert first.residues == [] and first.notes == []
+        assert first.ratios is None and first.elapsed_ms == 0.0
+        first.residues.append(0)
+        first.notes.append("x")
+        assert second.residues == [] and second.notes == []
+
+    def test_record_semantics(self):
+        rep = mersenne.TestReport("ab", 5, "prime", [1], (31, 62), 1.5, ["x"])
+        assert rep == mersenne.TestReport(
+            method="ab", p=5, verdict="prime", residues=[1], ratios=(31, 62),
+            elapsed_ms=1.5, notes=["x"],
+        )
+        assert rep != mersenne.TestReport("ab", 5, "prime", [1], (31, 62), 1.5)
+        assert repr(rep) == (
+            "TestReport(method='ab', p=5, verdict='prime', residues=[1], "
+            "ratios=(31, 62), elapsed_ms=1.5, notes=['x'])"
+        )
+        rep.verdict = "composite"
+        assert rep.to_dict()["verdict"] == "composite"
+        with pytest.raises(TypeError):
+            hash(rep)
 
 
 class TestClassicalTest:
@@ -422,6 +460,9 @@ class TestTauIdentities:
         assert tau_identity_value(3, "root2") == -1  # tau = 8
         assert tau_identity_value(4, "root2") == 1  # tau = 16
         assert tau_identity_value(5, "root2") == 1  # tau = 32
+        assert [tau_identity_expected(l, "root2") for l in (3, 4, 5)] == [-1, 1, 1]
+        assert tau_identity_expected(9, "quarter") == 1
+        assert tau_identity_expected(9, "half") == -1
 
     def test_polynomial_parent_identity(self):
         for l in (3, 4, 5):

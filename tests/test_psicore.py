@@ -323,6 +323,30 @@ class TestPsiParams:
         with pytest.raises(ValueError):
             PsiParams(QuadExt(2, 0, 1), QuadExt(3, 0, 1))
 
+    def test_record_semantics(self):
+        params = PsiParams(1, 4, modulus=31)
+        assert params == PsiParams(1, 4, 31) and params != PsiParams(1, 4)
+        assert params != (1, 4, 31)
+        assert hash(params) == hash(PsiParams(a=1, b=4, modulus=31))
+        assert repr(params) == "PsiParams(a=1, b=4, modulus=31)"
+        assert repr(PsiParams(1, 4)) == "PsiParams(a=1, b=4, modulus=None)"
+        with pytest.raises(AttributeError):
+            params.a = 2
+        with pytest.raises(AttributeError):
+            del params.modulus
+        assert params.a == 1
+
+
+class TestPsiLadderState:
+    def test_record_semantics(self):
+        state = PsiLadderState(2, 1, 1, 0)
+        assert state == PsiLadderState(lo=2, hi=1, apow=1, parity=0)
+        assert state != PsiLadderState(2, 1, 1, 1)
+        assert repr(state) == "PsiLadderState(lo=2, hi=1, apow=1, parity=0)"
+        assert (state.lo, state.hi, state.apow, state.parity) == (2, 1, 1, 0)
+        with pytest.raises(AttributeError):
+            state.lo = 3
+
 
 def _bits(value) -> int:
     value = Fraction(value)
