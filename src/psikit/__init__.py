@@ -23,10 +23,8 @@ from .multipoly import (
     variables,
 )
 from .psicore import (
-    PsiLadderState,
     PsiParams,
     psi_explicit,
-    psi_extended,
     psi_mod_ladder,
     psi_product_identity_check,
     psi_recurrence,

@@ -44,7 +44,7 @@ def _parse_scalar(text: str) -> Fraction | int:
         if "/" in text:
             return Fraction(text)
         return int(text)
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"not an exact scalar: {text!r}") from err
 
 

@@ -20,8 +20,13 @@ For even n the chain walks the bits of the odd part of k = n >> 1 with
 of k with V_2j = V_j**2 - 2, one product per bit; for odd n it walks every
 bit of k.  One ``pow(a, k or k + 1, m)`` at the end, and d**-1 for odd n,
 finish the value.  The chain needs a invertible mod m, and d too for odd n;
-when a gcd is not 1 the ladder takes the three-product walk over
-(psi(k), psi(k+1), a**k) instead.  The reduction is chosen once per call:
+when a gcd is not 1 the ladder takes the three-product walk ``_psi_walk``
+over (psi(k), psi(k+1), a**k) instead.  That walk is common on generic
+moduli, not a corner case: 3 divides 2**k + 1 for every odd k, so about half
+of random (a, b, n) take it on such an m, and about a fifth on a random odd
+m, which often shares a small prime with a.  So it must stay as cheap per
+bit as it is; a 2 x 2 matrix power, with more products per bit, is the
+tests' oracle, not a route.  The reduction is chosen once per call:
 moduli 2**p - 1 use the fold-and-add ``MersenneMod.reduce``, every other
 modulus plain ``%``.  t is kept as the signed representative of least
 absolute value, so for psi(1, 4, .) it is -4, not m - 4; the three-product
@@ -34,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, QuadExt
@@ -47,17 +52,13 @@ __all__ = [
     "parity",
     "half",
     "PsiParams",
-    "PsiLadderState",
     "psi_terms",
     "psi_recurrence",
     "psi_sequence",
-    "psi_recurrence_mod",
     "psi_explicit",
     "psi_symbolic",
     "psi_bit_bound",
-    "psi_extended",
     "psi_mod_ladder",
-    "ladder_start",
     "ladder_step",
     "psi_product_identity_check",
     "SYMBOLIC_INDEX_CAP",
@@ -120,7 +121,7 @@ def psi_terms(a, b) -> Iterator:
 def psi_recurrence(a, b, n: int):
     """psi(a, b, n) by the defining recurrence, O(n) ring operations."""
     if n < 0:
-        raise ValueError("index must be >= 0; see psi_extended for signed indices")
+        raise ValueError("index must be >= 0")
     return next(islice(psi_terms(a, b), n, None))
 
 
@@ -129,26 +130,6 @@ def psi_sequence(a, b, n_max: int) -> list:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     return list(islice(psi_terms(a, b), n_max + 1))
-
-
-def psi_recurrence_mod(a: int, b: int, n: int, m: int) -> int:
-    """psi(a, b, n) mod m by the plain recurrence (reference for the ladder)."""
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    a %= m
-    b %= m
-    if n == 0:
-        return 2 % m
-    coeff = (2 * a - b) % m
-    lo, hi = 2 % m, 1 % m
-    for k in range(1, n):
-        if k % 2:
-            lo, hi = hi, (coeff * hi - a * lo) % m
-        else:
-            lo, hi = hi, (hi - a * lo) % m
-    return hi
 
 
 def psi_explicit(a, b, n: int):
@@ -219,11 +200,6 @@ def psi_bit_bound(a, b, n: int) -> int:
     return max(den_bits, _power_bits(rho2, k) - k + 1)
 
 
-def psi_extended(a, b, n: int):
-    """psi at any signed index via psi(a, b, -n) := psi(a, b, n)."""
-    return psi_recurrence(a, b, abs(n))
-
-
 def ladder_step(state: tuple[int, int], bit: int, t: int, reduce) -> tuple[int, int]:
     """One bit of the Lucas chain of V = V(t, 1): (V_j, V_(j+1)) becomes
     (V_2j, V_(2j+1)) on bit 0 and (V_(2j+1), V_(2j+2)) on bit 1, by
@@ -249,70 +225,38 @@ def _lucas_walk(k: int, t: int, reduce) -> tuple[int, int]:
     return state
 
 
-class PsiLadderState(NamedTuple):
-    """(psi(k), psi(k+1), a**k) mod m together with the parity of k: the
-    state of the three-product walk."""
-
-    lo: int
-    hi: int
-    apow: int
-    parity: int
-
-
-def ladder_start(m: int) -> PsiLadderState:
-    return PsiLadderState(2 % m, 1 % m, 1 % m, 0)
-
-
-def _ladder_step_q(
-    state: PsiLadderState, bit: int, a: int, b: int, m: int, reduce=None
-) -> PsiLadderState:
-    """Advance the three-product walk from index k to 2k (bit 0) or 2k + 1
-    (bit 1).
-
-    Index-doubling rules, with d = 2a - b:
-
-        psi(2k)     = d**parity(k) * psi(k)**2 - 2 * a**k
-        psi(2k + 1) = psi(k) * psi(k+1) - a**k
-        psi(2k + 2) = d * psi(2k + 1) - a * psi(2k)
-
-    ``reduce`` maps any integer to its residue mod m (default ``x % m``).
-    """
-    if reduce is None:
-        reduce = m.__rmod__
-    d = 2 * a - b
-    lo, hi, apow = state.lo, state.hi, state.apow
-    sq = lo * lo
-    if state.parity:
-        # reducing first keeps the product by d at m x m bits, not 2m x m
-        sq = reduce(sq) * d
-    dbl_lo = reduce(sq - 2 * apow)
-    dbl_hi = reduce(lo * hi - apow)
-    apow = reduce(apow * apow)
-    if bit:
-        return PsiLadderState(dbl_hi, reduce(d * dbl_hi - a * dbl_lo), reduce(apow * a), 1)
-    return PsiLadderState(dbl_lo, dbl_hi, apow, 0)
-
-
 def _signed(x: int, m: int) -> int:
     """The representative of x mod m of least absolute value."""
     x %= m
     return x - m if x > m >> 1 else x
 
 
-def _psi_mod_ladder_q(a: int, b: int, n: int, m: int, reduce) -> int:
-    """psi(a, b, n) mod m for n >= 1 by the three-product walk: the odd part
-    of n with ``_ladder_step_q``, then the trailing zero bits by
-    psi(2k) = d**parity(k) * psi(k)**2 - 2 * a**k.  Needs no inverse, so it
-    serves the inputs the Lucas chain cannot take."""
-    a = _signed(a, m)
-    d = _signed(2 * a - b, m)
-    b = 2 * a - d  # _ladder_step_q derives d from a and b
+def _psi_walk(a: int, d: int, n: int, reduce) -> int:
+    """psi(a, b, n) mod m for n >= 1 and d = 2a - b, with no inverse: the
+    three-product walk over (psi(k), psi(k+1), a**k) and the parity of k,
+    over the bits of the odd part of n from k = 0, by
+
+        psi(2k)     = d**parity(k) * psi(k)**2 - 2 * a**k
+        psi(2k + 1) = psi(k) * psi(k+1) - a**k
+        psi(2k + 2) = d * psi(2k + 1) - a * psi(2k)
+
+    then psi(2k) alone down the trailing zero bits of n.  ``reduce`` maps any
+    integer to its residue mod m."""
     zeros = (n & -n).bit_length() - 1
     odd = n >> zeros
-    state = ladder_start(m)
+    lo, hi, apow, par = 2, 1, 1, 0
     for i in range(odd.bit_length() - 1, -1, -1):
-        state = _ladder_step_q(state, (odd >> i) & 1, a, b, m, reduce)
-    lo, apow = state.lo, state.apow
+        sq = lo * lo
+        if par:
+            # reducing first keeps the product by d at m x m bits, not 2m x m
+            sq = reduce(sq) * d
+        dbl_lo = reduce(sq - 2 * apow)
+        dbl_hi = reduce(lo * hi - apow)
+        apow = reduce(apow * apow)
+        if (odd >> i) & 1:
+            lo, hi, apow, par = dbl_hi, reduce(d * dbl_hi - a * dbl_lo), reduce(apow * a), 1
+        else:
+            lo, hi, par = dbl_lo, dbl_hi, 0
     if zeros:
         # the odd part has parity 1, so only the first doubling carries d
         lo = reduce(reduce(lo * lo) * d - 2 * apow)
@@ -339,7 +283,7 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     odd = n & 1
     d = 2 * a - b
     if gcd(a, m) != 1 or (odd and gcd(d, m) != 1):
-        return _psi_mod_ladder_q(a, b, n, m, reduce)
+        return _psi_walk(_signed(a, m), _signed(d, m), n, reduce)
     t = _signed(-b * pow(a, -1, m), m)
     k = n >> 1
     if odd:

@@ -228,3 +228,51 @@ def reduce_square(poly: SparsePoly, var: str, value) -> SparsePoly:
 def bracket_pair_form(x, y, u, v):
     """The second defining form (x^2 + y^2)uv - xy(u^2 + v^2) of the bracket."""
     return (x * x + y * y) * u * v - x * y * (u * u + v * v)
+
+
+def psi_recurrence_mod(a: int, b: int, n: int, m: int) -> int:
+    """psi(a, b, n) mod m by the plain recurrence, O(n) steps: the oracle of
+    ``psi_mod_ladder`` at small n."""
+    if m < 2:
+        raise ValueError("modulus must be >= 2")
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    a %= m
+    b %= m
+    if n == 0:
+        return 2 % m
+    coeff = (2 * a - b) % m
+    lo, hi = 2 % m, 1 % m
+    for k in range(1, n):
+        if k % 2:
+            lo, hi = hi, (coeff * hi - a * lo) % m
+        else:
+            lo, hi = hi, (hi - a * lo) % m
+    return hi
+
+
+def psi_matrix_mod(a: int, b: int, n: int, m: int) -> int:
+    """psi(a, b, n) mod m by a power of the two-step matrix: the oracle of
+    ``psi_mod_ladder`` at any n, with no inverse and no shared code.
+
+    With d = 2a - b, two recurrence steps map (psi(2j), psi(2j+1)) to
+    (psi(2j+2), psi(2j+3)) by T = [[-a, d], [-a, d - a]], so
+    (psi(2j), psi(2j+1)) = T**j (2, 1).
+    """
+    d = 2 * a - b
+
+    def mul(x, y):
+        return tuple(
+            tuple(sum(x[i][k] * y[k][j] for k in range(2)) % m for j in range(2))
+            for i in range(2)
+        )
+
+    power, base = ((1, 0), (0, 1)), ((-a % m, d % m), (-a % m, (d - a) % m))
+    j = n >> 1
+    while j:
+        if j & 1:
+            power = mul(power, base)
+        base = mul(base, base)
+        j >>= 1
+    row = power[n & 1]
+    return (2 * row[0] + row[1]) % m

@@ -47,9 +47,10 @@ from psikit.psicore import (
     parity,
     psi_mod_ladder,
     psi_recurrence,
-    psi_recurrence_mod,
     psi_sequence,
 )
+
+from oracles import psi_recurrence_mod
 
 PRIMES_TO_31 = [p for p in range(5, 32) if p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
 MERSENNE_PRIMES = {5, 7, 13, 17, 19, 31}

@@ -191,8 +191,10 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     def test_usage_error_bad_value(self):
-        code, recs = run_json("psi", "eval", "--a", "x", "--b", "1", "--n", "2")
-        assert code == EXIT_USAGE and recs[0]["error"] == "usage"
+        # a zero denominator is a bad value too, not a failed check
+        for a, b in (("x", "1"), ("1/0", "4"), ("0/0", "4"), ("1", "1/0")):
+            code, recs = run_json("psi", "eval", "--a", a, "--b", b, "--n", "5")
+            assert code == EXIT_USAGE and recs[0]["error"] == "usage", (a, b)
 
     def test_capacity_error(self):
         code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")

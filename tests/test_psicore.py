@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,26 +11,29 @@ from psikit.errors import CapacityError
 from psikit.exactmath import MersenneMod, QuadExt, SQRT2
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import (
-    PsiLadderState,
     PsiParams,
     half,
-    ladder_start,
     ladder_step,
     parity,
     psi_bit_bound,
     psi_explicit,
-    psi_extended,
     psi_mod_ladder,
     psi_product_identity_check,
     psi_recurrence,
-    psi_recurrence_mod,
     psi_sequence,
     psi_symbolic,
-    _ladder_step_q,
-    _psi_mod_ladder_q,
+    _psi_walk,
+    _signed,
 )
 
+from oracles import psi_matrix_mod, psi_recurrence_mod
+
 A, B = variables("a b")
+
+
+def walk(a, b, n, m):
+    """The inverse-free walk, called with the arguments psi_mod_ladder gives it."""
+    return _psi_walk(_signed(a, m), _signed(2 * a - b, m), n, m.__rmod__)
 
 # the first few polynomials, fixed reference values
 SMALL_POLYS = {
@@ -157,20 +161,12 @@ class TestLadder:
                         state = ladder_step(state, (j >> i) & 1, t, reduce)
                     assert state == (seq[j], seq[j + 1]), (m, t, j)
 
-    def test_three_product_step_matches_recurrence(self):
-        # walking the three-product fallback bit by bit reproduces the plain
-        # recurrence state
+    def test_walk_end_values_match_recurrence(self):
+        # the inverse-free walk ends on psi(n) mod m for every n of up to
+        # six bits
         a, b, m = 3, -7, 101
         for n in range(1, 65):
-            state = ladder_start(m)
-            for i in range(n.bit_length() - 1, -1, -1):
-                state = _ladder_step_q(state, (n >> i) & 1, a, b, m)
-            assert state == PsiLadderState(
-                psi_recurrence_mod(a, b, n, m),
-                psi_recurrence_mod(a, b, n + 1, m),
-                pow(a, n, m),
-                n % 2,
-            )
+            assert walk(a, b, n, m) == psi_recurrence_mod(a, b, n, m), n
 
     def test_huge_index(self):
         # doubling chain from -4: psi(1,4,2^k) follows s -> s^2 - 2
@@ -239,7 +235,7 @@ class TestLadderProperties:
         expected = psi_recurrence_mod(a, b, n, m)
         assert psi_mod_ladder(a, b, n, m) == expected
         if n:
-            assert _psi_mod_ladder_q(a, b, n, m, m.__rmod__) == expected
+            assert walk(a, b, n, m) == expected
 
     def test_smallest_mersenne_modulus(self):
         for a, b in product(range(-3, 4), repeat=2):
@@ -247,11 +243,44 @@ class TestLadderProperties:
                 assert psi_mod_ladder(a, b, n, 3) == psi_recurrence_mod(a, b, n, 3)
 
 
+class TestWalkAtScale:
+    """The inverse-free walk at the size of a large generic modulus, against
+    the matrix power: m = 2**2203 + 1, which 3 divides, and n of about 2200
+    bits.  Each case asserts the gcd that sends it to the walk."""
+
+    M = (1 << 2203) + 1
+
+    def _check(self, a, b, n):
+        m = self.M
+        assert psi_mod_ladder(a, b, n, m) == psi_matrix_mod(a, b, n, m)
+
+    def test_a_shares_three_with_m_even_and_odd_n(self):
+        rng = random.Random(2203)
+        a = 3 * rng.getrandbits(2200)
+        b = rng.getrandbits(2203)
+        assert gcd(a, self.M) != 1
+        for low in (0, 1):
+            n = rng.getrandbits(2200) | (1 << 2199)
+            n = n - (n & 1) + low
+            self._check(a, b, n)
+
+    def test_invertible_a_with_three_dividing_d_at_odd_n(self):
+        rng = random.Random(2204)
+        a = rng.getrandbits(2200)
+        while gcd(a, self.M) != 1:
+            a += 1
+        b = 2 * a - 3 * rng.getrandbits(2200)
+        n = rng.getrandbits(2200) | (1 << 2199) | 1
+        assert gcd(2 * a - b, self.M) != 1
+        self._check(a, b, n)
+
+
 class TestExtendedAndProduct:
     def test_extension_examples(self):
-        assert psi_extended(1, 4, -2) == -4
-        assert psi_extended(A, B, 0) == 2
-        assert psi_extended(-1, -3, -7) == 29  # L(7)
+        # psi(a, b, -n) := psi(a, b, n)
+        assert psi_recurrence(1, 4, abs(-2)) == -4
+        assert psi_recurrence(A, B, abs(0)) == 2
+        assert psi_recurrence(-1, -3, abs(-7)) == 29  # L(7)
 
     def test_product_symbolic(self):
         assert psi_product_identity_check(A, B, 3, 2)
@@ -335,17 +364,6 @@ class TestPsiParams:
         with pytest.raises(AttributeError):
             del params.modulus
         assert params.a == 1
-
-
-class TestPsiLadderState:
-    def test_record_semantics(self):
-        state = PsiLadderState(2, 1, 1, 0)
-        assert state == PsiLadderState(lo=2, hi=1, apow=1, parity=0)
-        assert state != PsiLadderState(2, 1, 1, 1)
-        assert repr(state) == "PsiLadderState(lo=2, hi=1, apow=1, parity=0)"
-        assert (state.lo, state.hi, state.apow, state.parity) == (2, 1, 1, 0)
-        with pytest.raises(AttributeError):
-            state.lo = 3
 
 
 def _bits(value) -> int:
