@@ -152,6 +152,14 @@ def _psi_values(a, b, transform=lambda v, n: v) -> Callable[[int], list]:
     ]
 
 
+def _coeff_row(r: int, a, b, alpha, beta) -> Callable[[int], list]:
+    """Expansion coefficient r at (a, b | alpha, beta) for n = 0..n_max, from
+    one coefficient pass; None where r > floor(n/2)."""
+    return lambda n_max: [
+        row[r] if r < len(row) else None for row in coeff_values(n_max, a, b, alpha, beta)
+    ]
+
+
 def _psi_tuples(*pairs) -> Callable[[int], list]:
     """(psi(a1, b1, n), psi(a2, b2, n), ...) for n = 0..n_max."""
     return lambda n_max: list(zip(*(psi_sequence(a, b, n_max) for a, b in pairs)))
@@ -307,14 +315,14 @@ def default_bridges() -> list[BridgeSpec]:
         BridgeSpec(
             "fibonacci-derivative",
             "the r = 1 expansion coefficient at (-1, -3 | 1, 2) equals n * F(n-1)",
-            _each(lambda n: coeff_values(n, -1, -3, 1, 2)[1] if half(n) >= 1 else None),
+            _coeff_row(1, -1, -3, 1, 2),
             _each(lambda n: n * fibonacci(n - 1) if half(n) >= 1 else None),
             _indices_from(2),
         ),
         BridgeSpec(
             "lucas-direction",
             "the r = 0 expansion coefficient at (-1, -3 | 1, 2) equals L(n)",
-            _each(lambda n: coeff_values(n, -1, -3, 1, 2)[0]),
+            _coeff_row(0, -1, -3, 1, 2),
             _each(lucas),
             _indices_from(0),
         ),

@@ -15,7 +15,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import bridges as bridges_mod
 from . import eightlevels, mersenne, powersums
@@ -208,15 +207,27 @@ def _cmd_coeff(args) -> list[dict]:
     ]
 
 
+def _each_index(check):
+    """A suite that checks each index on its own: (start, nmax, seed) to the
+    result of check(n, seed) for n = start..nmax."""
+    return lambda start, nmax, seed: [check(n, seed) for n in range(start, nmax + 1)]
+
+
+# Each suite maps (start, nmax, seed) to one result per index start..nmax.
 _VERIFY_SUITES = {
-    "eightlevels": lambda n, seed: eightlevels.verify_expansion(n, seed=seed),
-    "powersums": lambda n, seed: powersums.verify_special_case(n),
-    "theta": lambda n, seed: eightlevels.theta_sum_check(n),
-    "fundamental": lambda n, seed: (
-        eightlevels.first_fundamental_check(n)
-        and eightlevels.second_fundamental_check(n)
-        and eightlevels.scaling_check(n)
-        and eightlevels.power_sum_representation_check(n)
+    # one coefficient pass per sampled point for the whole range
+    "eightlevels": lambda start, nmax, seed: eightlevels.verify_expansion_sweep(
+        nmax, seed=seed
+    ),
+    "powersums": _each_index(lambda n, seed: powersums.verify_special_case(n)),
+    "theta": _each_index(lambda n, seed: eightlevels.theta_sum_check(n)),
+    "fundamental": _each_index(
+        lambda n, seed: (
+            eightlevels.first_fundamental_check(n)
+            and eightlevels.second_fundamental_check(n)
+            and eightlevels.scaling_check(n)
+            and eightlevels.power_sum_representation_check(n)
+        )
     ),
 }
 
@@ -246,11 +257,11 @@ def _cmd_verify(args) -> list[dict]:
         raise CapacityError(f"verify {args.suite}: nmax={nmax} is above the ceiling {ceiling}")
     if nmax < start:
         raise ValueError(f"verify {args.suite}: nmax={nmax} is below the first index {start}")
-    records = []
-    for n in range(start, nmax + 1):
-        ok = suite(n, args.seed)
-        records.append({"command": "verify", "suite": args.suite, "n": n, "ok": ok})
-    return records
+    results = suite(start, nmax, args.seed)
+    return [
+        {"command": "verify", "suite": args.suite, "n": n, "ok": ok}
+        for n, ok in enumerate(results, start)
+    ]
 
 
 def _battery_kwargs(args) -> dict:
@@ -404,16 +415,20 @@ def _repro_jobs(seed: int) -> dict:
     }
 
 
-def _cmd_repro(args) -> list[dict]:
+def _cmd_repro(args, parser: argparse.ArgumentParser) -> list[dict]:
+    """Run every evidence job, each argv parsed by ``parser``."""
+    from pathlib import Path  # only repro writes files
+
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    parser = build_parser()
     summary = []
     for filename, job in _repro_jobs(args.seed).items():
         if callable(job):
             records = job()
         else:
-            records = [rec for argv in job for rec in _records(parser.parse_args(argv))]
+            records = [
+                rec for argv in job for rec in _records(parser.parse_args(argv), parser)
+            ]
         buf = io.StringIO()
         render_records(records, "json", buf)
         (outdir / filename).write_text(buf.getvalue())
@@ -428,8 +443,10 @@ def _cmd_repro(args) -> list[dict]:
     return summary
 
 
-def _records(args) -> list[dict]:
-    """The records of one parsed invocation."""
+def _records(args, parser: argparse.ArgumentParser) -> list[dict]:
+    """The records of one invocation that ``parser`` parsed."""
+    if args.command == "repro":
+        return _cmd_repro(args, parser)
     return {
         "psi": _cmd_psi,
         "coeff": _cmd_coeff,
@@ -437,7 +454,6 @@ def _records(args) -> list[dict]:
         "mersenne": _cmd_mersenne,
         "bridges": _cmd_bridges,
         "identities": _cmd_identities,
-        "repro": _cmd_repro,
     }[args.command](args)
 
 
@@ -562,7 +578,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        records = _records(args)
+        records = _records(args, parser)
     except CapacityError as exc:
         render_records(
             [{"command": args.command, "error": "capacity", "reason": str(exc)}],

@@ -18,7 +18,6 @@ the theta-sum, scaling, ladder and closed-form properties of the family.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -34,6 +33,7 @@ __all__ = [
     "TABLE_DEGREE_CAP",
     "coeff_values",
     "verify_expansion",
+    "verify_expansion_sweep",
     "eight_level_coeff",
     "expand_powersum_basis",
     "theta_sum_check",
@@ -95,9 +95,10 @@ def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
     return tuple(SparsePoly(("a", "alpha", "b", "beta"), row) for row in rows)
 
 
-def coeff_values(n: int, a, b, alpha, beta) -> list:
-    """All coefficients for index n at one point, over any exact ring: the
-    defining recurrence run once on the theta-coefficient lists of
+def coeff_values(n: int, a, b, alpha, beta) -> list[list]:
+    """The coefficients of every index 0..n at one point, over any exact ring:
+    element k is the list of coefficients for index k.  The defining
+    recurrence runs once on the theta-coefficient lists of
     psi(a - alpha*theta, b - beta*theta, k), where both factors,
     a - alpha*theta and 2a - b - (2*alpha - beta)*theta, are linear in theta."""
     if n < 0:
@@ -110,14 +111,61 @@ def coeff_values(n: int, a, b, alpha, beta) -> list:
         return [c0 * x - c1 * y for x, y in zip(p + [0], [0] + p)]
 
     d, e = 2 * a - b, 2 * alpha - beta
-    lo, hi = [2], [1]
+    lists = [[2], [1]]
     for k in range(1, n):
+        lo, hi = lists[k - 1], lists[k]
         step = times(d, e, hi) if k % 2 else hi
-        lo, hi = hi, [x - y for x, y in zip(step, times(a, alpha, lo), strict=True)]
-    return hi if n else lo
+        lists.append([x - y for x, y in zip(step, times(a, alpha, lo), strict=True)])
+    return lists if n else lists[:1]
 
 
-def verify_expansion(n: int, symbolic_limit: int = 16, points: int = 5, seed: int = 0) -> bool:
+def _sample_points(seed: int, count: int) -> list[tuple]:
+    """``count`` seeded integer points (x, y, a, b, alpha, beta) with
+    beta*a - alpha*b != 0 and x + y != 0."""
+    import random  # only the randomized checks draw points
+
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        point = tuple(rng.randint(-99, 99) for _ in range(6))
+        xv, yv, av, bv, alv, bev = point
+        if bev * av - alv * bv != 0 and xv + yv != 0:
+            found.append(point)
+    return found
+
+
+def _expansion_holds(n: int, point: tuple, values: list) -> bool:
+    """The expansion identity for index n at one point, given the coefficient
+    list ``values`` of index n at that point's (a, b, alpha, beta)."""
+    xv, yv, av, bv, alv, bev = point
+    m = half(n)
+    num = xv**n + yv**n
+    if parity(n):
+        ps, rem = divmod(num, xv + yv)
+        if rem:
+            return False
+    else:
+        ps = num
+    lhs = (bev * av - alv * bv) ** m * ps
+    q1v = alv * xv * xv + bev * xv * yv + alv * yv * yv
+    q2v = av * xv * xv + bv * xv * yv + av * yv * yv
+    # sum_r values[r] * q1v**(m - r) * q2v**r, homogeneous Horner over r
+    rhs, q2_power = 0, 1
+    for c in values:
+        rhs = rhs * q1v + c * q2_power
+        q2_power *= q2v
+    return lhs == rhs
+
+
+# Defaults of the expansion checks: the largest index checked symbolically and
+# the number of points sampled beyond it.
+SYMBOLIC_LIMIT = 16
+SAMPLE_POINTS = 5
+
+
+def verify_expansion(
+    n: int, symbolic_limit: int = SYMBOLIC_LIMIT, points: int = SAMPLE_POINTS, seed: int = 0
+) -> bool:
     """Check the expansion identity for index n.
 
     Up to ``symbolic_limit`` the check is a full six-variable polynomial
@@ -127,38 +175,41 @@ def verify_expansion(n: int, symbolic_limit: int = 16, points: int = 5, seed: in
     """
     if n < 1:
         raise ValueError("index must be >= 1")
+    if n > symbolic_limit:
+        return all(
+            _expansion_holds(n, point, coeff_values(n, *point[2:])[n])
+            for point in _sample_points(seed, points)
+        )
     m = half(n)
-    if n <= symbolic_limit:
-        x, y, a, b, alpha, beta = variables("x y a b alpha beta")
-        q1 = alpha * x**2 + beta * x * y + alpha * y**2
-        q2 = a * x**2 + b * x * y + a * y**2
-        rows = coeff_table_polys(n)
-        lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
-        rhs = SparsePoly.zero()
-        for r in range(m + 1):
-            rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
-        return lhs == rhs
-    rng = random.Random(seed)
-    for _ in range(points):
-        while True:
-            xv, yv, av, bv, alv, bev = (rng.randint(-99, 99) for _ in range(6))
-            if bev * av - alv * bv != 0 and (x_plus_y := xv + yv) != 0:
-                break
-        values = coeff_values(n, av, bv, alv, bev)
-        num = xv**n + yv**n
-        if parity(n):
-            ps, rem = divmod(num, x_plus_y)
-            if rem:
-                return False
-        else:
-            ps = num
-        lhs = (bev * av - alv * bv) ** m * ps
-        q1v = alv * xv * xv + bev * xv * yv + alv * yv * yv
-        q2v = av * xv * xv + bv * xv * yv + av * yv * yv
-        rhs = sum(values[r] * q1v ** (m - r) * q2v**r for r in range(m + 1))
-        if lhs != rhs:
-            return False
-    return True
+    x, y, a, b, alpha, beta = variables("x y a b alpha beta")
+    q1 = alpha * x**2 + beta * x * y + alpha * y**2
+    q2 = a * x**2 + b * x * y + a * y**2
+    rows = coeff_table_polys(n)
+    lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
+    rhs = SparsePoly.zero()
+    for r in range(m + 1):
+        rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
+    return lhs == rhs
+
+
+def verify_expansion_sweep(n_max: int, seed: int = 0) -> list[bool]:
+    """``[verify_expansion(n, seed=seed) for n in 1..n_max]`` with one
+    coefficient pass per point: the points beyond SYMBOLIC_LIMIT are drawn
+    once and each is swept once to n_max."""
+    if n_max < 1:
+        raise ValueError("index must be >= 1")
+    first = min(SYMBOLIC_LIMIT, n_max)
+    results = [verify_expansion(n, seed=seed) for n in range(1, first + 1)]
+    if n_max > first:
+        sweeps = [
+            (point, coeff_values(n_max, *point[2:]))
+            for point in _sample_points(seed, SAMPLE_POINTS)
+        ]
+        results += [
+            all(_expansion_holds(n, point, lists[n]) for point, lists in sweeps)
+            for n in range(first + 1, n_max + 1)
+        ]
+    return results
 
 
 _K0_TABLE = {0: 2, 1: 1, 7: 1, 2: 0, 6: 0, 3: -1, 5: -1, 4: -2}
@@ -388,14 +439,14 @@ def explicit_formula_check(n: int) -> bool:
     if n < 1:
         raise ValueError("index must be >= 1")
     m = half(n)
-    first = coeff_values(n, 0, 1, 1, 2)
+    first = coeff_values(n, 0, 1, 1, 2)[n]
     for r in range(m + 1):
         w = Fraction(n, n - r) * comb(n - r, r)
         if w.denominator != 1:
             return False
         if first[r] != (-1) ** (m - r) * int(w):
             return False
-    second = coeff_values(n, 1, -2, 1, 2)
+    second = coeff_values(n, 1, -2, 1, 2)[n]
     scale = 2 ** parity(n - 1)
     for r in range(m + 1):
         if second[r] != scale * comb(n, 2 * r):
@@ -417,6 +468,8 @@ def linear_combination_check(n: int, seed: int = 0, count: int = 3) -> bool:
     polynomial equals m! times the same weighted sum of endpoint values."""
     if n < 1:
         raise ValueError("index must be >= 1")
+    import random  # only the randomized checks draw points
+
     rng = random.Random(seed)
     m = half(n)
     base = psi_symbolic(n)

@@ -122,7 +122,7 @@ class TestBridges:
 
     def test_fibonacci_derivative_point(self):
         # row 1 at (-1, -3 | 1, 2): 4a*alpha - 2b*beta at those values is 8
-        assert coeff_values(4, -1, -3, 1, 2)[1] == 8 == 4 * fibonacci(3)
+        assert coeff_values(4, -1, -3, 1, 2)[4][1] == 8 == 4 * fibonacci(3)
 
     def test_pell_lucas_point(self):
         assert 2 * psi_recurrence(-1, -6, 3) == 14 == pell_lucas(3)

@@ -13,6 +13,7 @@ import psikit
 from psikit.cli import (
     BRIDGES_NMAX_CEILING,
     EXIT_CAPACITY,
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     INDEX_BITS_CAP,
@@ -21,6 +22,7 @@ from psikit.cli import (
     _parse_index,
     main,
 )
+from psikit.eightlevels import verify_expansion
 from psikit.errors import CapacityError
 from psikit.psicore import SYMBOLIC_INDEX_CAP
 
@@ -140,6 +142,37 @@ class TestVerifySuites:
     def test_eightlevels(self):
         code, recs = run_json("verify", "eightlevels", "--nmax", "8")
         assert code == EXIT_OK and all(r["ok"] for r in recs)
+
+    def test_eightlevels_sweep_equals_per_index_checks(self):
+        # one pass per point for n > 16 gives the records of the per-n checks
+        for seed in (3, 11):
+            code, recs = run_json("verify", "eightlevels", "--nmax", "40", "--seed", str(seed))
+            assert code == EXIT_OK
+            assert recs == [
+                {"command": "verify", "suite": "eightlevels", "n": n,
+                 "ok": verify_expansion(n, seed=seed)}
+                for n in range(1, 41)
+            ]
+
+    def test_eightlevels_sweep_detects_corruption(self, monkeypatch):
+        # one wrong coefficient at one n > 16 must fail that record alone
+        import psikit.eightlevels as el
+
+        orig = el.coeff_values
+        calls = []
+
+        def corrupted(n, a, b, alpha, beta):
+            calls.append(n)
+            lists = orig(n, a, b, alpha, beta)
+            lists[25][3] += 1
+            return lists
+
+        monkeypatch.setattr(el, "coeff_values", corrupted)
+        code, recs = run_json("verify", "eightlevels", "--nmax", "30", "--seed", "0")
+        assert calls == [30] * 5  # one pass per sampled point
+        assert code == EXIT_CHECK_FAILED
+        assert [r["n"] for r in recs] == list(range(1, 31))
+        assert [r["n"] for r in recs if not r["ok"]] == [25]
 
     def test_powersums(self):
         code, recs = run_json("verify", "powersums", "--nmax", "6")
@@ -400,6 +433,20 @@ class TestColdStart:
         added = set(proc.stdout.split())
         assert "psikit.cli" in added
         assert not added & {"dataclasses", "inspect", "csv"}
+
+    def test_import_without_site_skips_pathlib_and_random(self):
+        # -S keeps site hooks from loading them first; only repro needs
+        # pathlib and only the randomized checks need random
+        code = (
+            "import sys; import psikit.cli; "
+            "print(' '.join(m for m in ('pathlib', 'random') if m in sys.modules))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(psikit.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert proc.stdout.split() == []
 
 
 class TestDeterminism:

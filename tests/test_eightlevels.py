@@ -150,9 +150,9 @@ class TestExpansionIdentity:
         orig = el.coeff_values
 
         def corrupted(n, a, b, alpha, beta):
-            vals = orig(n, a, b, alpha, beta)
-            vals[3] += 1
-            return vals
+            lists = orig(n, a, b, alpha, beta)
+            lists[20][3] += 1
+            return lists
 
         monkeypatch.setattr(el, "coeff_values", corrupted)
         assert not el.verify_expansion(20, symbolic_limit=12, seed=0)
@@ -220,7 +220,7 @@ class TestFamilyProperties:
 
     def test_second_fundamental_numeric_instance(self):
         # collapse at (alpha, beta) = (1, 3) equals the endpoint value
-        vals = coeff_values(6, 0, 0, 1, 3)
+        vals = coeff_values(6, 0, 0, 1, 3)[6]
         # row m evaluated anywhere in (a,b) equals (-1)^m psi(alpha,beta,n)
         assert vals[3] == (-1) ** 3 * psi_recurrence(1, 3, 6)
         assert psi_recurrence(1, 3, 6) == -18
@@ -234,9 +234,9 @@ class TestFamilyProperties:
             assert explicit_formula_check(n)
 
     def test_explicit_formula_spot_values(self):
-        assert coeff_values(4, 0, 1, 1, 2)[2] == 2
-        assert coeff_values(4, 1, -2, 1, 2)[1] == 12
-        assert coeff_values(1, 0, 1, 1, 2)[0] == 1
+        assert coeff_values(4, 0, 1, 1, 2)[4][2] == 2
+        assert coeff_values(4, 1, -2, 1, 2)[4][1] == 12
+        assert coeff_values(1, 0, 1, 1, 2)[1][0] == 1
 
     def test_linear_combination_of_directions(self):
         for n in range(1, 25):
@@ -261,26 +261,45 @@ class TestCoeffValues:
             lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
             lambda: QuadExt(5, rng.randint(-9, 9), rng.randint(-9, 9)),
         )
-        for n in (0, 1, 3, 5, 8, 11, 24, 40):
-            rows = coeff_table_polys(n)
-            for ring in rings:
-                for _ in range(10):
-                    a, b = ring(), ring()
-                    al, be = rng.randint(-9, 9), rng.randint(-9, 9)
-                    vals = coeff_values(n, a, b, al, be)
-                    assert len(vals) == len(rows)
+        for ring in rings:
+            for _ in range(10):
+                a, b = ring(), ring()
+                al, be = rng.randint(-9, 9), rng.randint(-9, 9)
+                lists = coeff_values(40, a, b, al, be)
+                assert len(lists) == 41
+                for n in (0, 1, 3, 5, 8, 11, 24, 40):
+                    rows = coeff_table_polys(n)
+                    assert len(lists[n]) == len(rows)
                     for r, row in enumerate(rows):
                         expected = row.eval_scalar(
                             {"a": a, "b": b, "alpha": al, "beta": be}
                         )
-                        assert vals[r] == expected, (n, r, a, b, al, be)
+                        assert lists[n][r] == expected, (n, r, a, b, al, be)
+
+    def test_one_pass_matches_oracles_at_every_index(self):
+        # element n of one pass to 40 against the tables (n <= 12) and the
+        # derivative tower (n <= 40), at points with zero and negative entries
+        rng = random.Random(13)
+        points = [(0, 0, 1, 3), (-3, 0, 0, -2), (0, -5, -4, 0), (2, -7, 0, 0)]
+        points += [tuple(rng.randint(-9, 9) for _ in range(4)) for _ in range(4)]
+        duals = {n: [coeff_dual(n, r) for r in range(half(n) + 1)] for n in range(41)}
+        for a, b, al, be in points:
+            at = {"a": a, "b": b, "alpha": al, "beta": be}
+            lists = coeff_values(40, a, b, al, be)
+            for n in range(41):
+                assert lists[n] == [row.eval_scalar(at) for row in duals[n]], (n, at)
+                if n <= 12:
+                    assert lists[n] == [row.eval_scalar(at) for row in coeff_table_polys(n)]
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             coeff_values(-1, 1, 2, 3, 4)
         with pytest.raises(CapacityError):
             coeff_values(SYMBOLIC_INDEX_CAP + 1, 1, 2, 3, 4)
-        assert len(coeff_values(SYMBOLIC_INDEX_CAP, 1, 2, 3, 4)) == SYMBOLIC_INDEX_CAP // 2 + 1
+        lists = coeff_values(SYMBOLIC_INDEX_CAP, 1, 2, 3, 4)
+        assert len(lists) == SYMBOLIC_INDEX_CAP + 1
+        assert [len(row) for row in lists] == [half(n) + 1 for n in range(len(lists))]
+        assert coeff_values(0, 1, 2, 3, 4) == [[2]]
         # rows of n = 130 have degree 65
         assert TABLE_DEGREE_CAP == 64
         with pytest.raises(CapacityError):
