@@ -10,9 +10,10 @@ globally.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .eightlevels import coeff_values
 from .exactmath import GOLDEN_RATIO, QuadExt, SQRT2, SQRT3, SQRT5
@@ -26,11 +27,8 @@ __all__ = [
     "lucas",
     "fibonacci",
     "pell_lucas",
-    "pell_lucas_poly",
     "pell_lucas_poly_terms",
-    "chebyshev_t",
     "chebyshev_t_terms",
-    "dickson_d",
     "dickson_d_terms",
     "default_bridges",
     "detect_period",
@@ -90,34 +88,19 @@ def dickson_d_terms(n_max: int) -> list[SparsePoly]:
     return _poly_terms(n_max, SparsePoly.constant(2), x, lambda a, b: x * b - al * a)
 
 
-def pell_lucas_poly(n: int) -> SparsePoly:
-    return pell_lucas_poly_terms(n)[n]
-
-
-def chebyshev_t(n: int) -> SparsePoly:
-    return chebyshev_t_terms(n)[n]
-
-
-def dickson_d(n: int) -> SparsePoly:
-    return dickson_d_terms(n)[n]
-
-
 # -- bridge registry ----------------------------------------------------------
 
 
-class BridgeSpec(NamedTuple):
+class BridgeSpec(namedtuple("BridgeSpec", "name description values oracle indices")):
     """One registered identity: term n of ``values`` must equal term n of
     ``oracle`` at every n of its index set.
 
-    ``values`` and ``oracle`` map n_max to the list of terms 0..n_max, each
-    built in one pass.
+    ``name`` and ``description`` are strings.  ``values`` and ``oracle`` map
+    n_max to the list of terms 0..n_max, each built in one pass; ``indices``
+    maps n_max to the indices to compare.
     """
 
-    name: str
-    description: str
-    values: Callable[[int], Sequence]
-    oracle: Callable[[int], Sequence]
-    indices: Callable[[int], Iterable[int]]
+    __slots__ = ()
 
     def check(self, n_max: int) -> list[int]:
         """Indices up to n_max where the identity fails (empty == pass)."""

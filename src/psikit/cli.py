@@ -11,6 +11,7 @@ byte-deterministic for a fixed seed; wall-clock timings are zeroed unless
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -415,8 +416,8 @@ def _repro_jobs(seed: int) -> dict:
     }
 
 
-def _cmd_repro(args, parser: argparse.ArgumentParser) -> list[dict]:
-    """Run every evidence job, each argv parsed by ``parser``."""
+def _cmd_repro(args) -> list[dict]:
+    """Run every evidence job, each argv parsed as the command line would be."""
     from pathlib import Path  # only repro writes files
 
     outdir = Path(args.outdir)
@@ -426,173 +427,166 @@ def _cmd_repro(args, parser: argparse.ArgumentParser) -> list[dict]:
         if callable(job):
             records = job()
         else:
-            records = [
-                rec for argv in job for rec in _records(parser.parse_args(argv), parser)
-            ]
+            records = [rec for argv in job for rec in _records(parse(argv))]
         buf = io.StringIO()
         render_records(records, "json", buf)
         (outdir / filename).write_text(buf.getvalue())
-        summary.append(
-            {
-                "command": "repro",
-                "file": str(outdir / filename),
-                "records": len(records),
-                "ok": _records_ok(records),
-            }
-        )
+        summary.append({"command": "repro", "file": str(outdir / filename),
+                        "records": len(records), "ok": _records_ok(records)})
     return summary
 
 
-def _records(args, parser: argparse.ArgumentParser) -> list[dict]:
-    """The records of one invocation that ``parser`` parsed."""
-    if args.command == "repro":
-        return _cmd_repro(args, parser)
-    return {
-        "psi": _cmd_psi,
-        "coeff": _cmd_coeff,
-        "verify": _cmd_verify,
-        "mersenne": _cmd_mersenne,
-        "bridges": _cmd_bridges,
-        "identities": _cmd_identities,
-    }[args.command](args)
+def _records(args) -> list[dict]:
+    """The records of one parsed invocation, from its command's handler."""
+    return COMMANDS[args.command][2](args)
 
 
 # -- parser ---------------------------------------------------------------------
 
+_REQUIRED, _REQUIRED_INT = {"required": True}, {"type": int, "required": True}
+_MODULUS_HELP = "modulus; accepts 2^p-1 and k*2^e+c"
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """Global flags, accepted both before and after the subcommand."""
-    parser.add_argument(
-        "--format",
-        choices=("json", "text", "csv"),
-        default=argparse.SUPPRESS,
-        help="output rendering (default: json, newline-delimited)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, help="seed for randomized checks"
-    )
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        default=argparse.SUPPRESS,
-        help="include wall-clock timings (breaks byte determinism)",
-    )
+# Each command word maps to its help, either its subcommands or (for a command
+# without any) its own arguments, and its handler.  A subcommand word maps to
+# its help and arguments; an argument is its name and add_argument keywords.
+COMMANDS = {
+    "psi": ("evaluate the sequence", {
+        "eval": ("exact or modular value", [("--a", _REQUIRED), ("--b", _REQUIRED),
+                 ("--n", _REQUIRED), ("--mod", {"help": _MODULUS_HELP})]),
+        "poly": ("canonical polynomial in (a, b)", [("--n", _REQUIRED_INT)]),
+        "ladder": ("modular value by doubling ladder", [
+            ("--a", _REQUIRED), ("--b", _REQUIRED),
+            ("--n", {"required": True, "help": "index; accepts 2^k, m*2^k and m*2^k+c"}),
+            ("--mod", {"required": True, "help": _MODULUS_HELP}),
+        ]),
+    }, _cmd_psi),
+    "coeff": ("expansion coefficient tables", {
+        "table": ("full table for one index", [
+            ("--n", _REQUIRED_INT), ("--nmin", {"type": int, "help": "emit a range of tables"}),
+        ]),
+    }, _cmd_coeff),
+    "verify": ("identity suites", [("suite", {"choices": sorted(_VERIFY_SUITES)}),
+                                   ("--nmax", {"type": int})], _cmd_verify),
+    "mersenne": ("primality test battery", {
+        "test": ("one method at one exponent", [
+            ("--p", _REQUIRED_INT),
+            ("--method", {"choices": sorted(mersenne.METHODS), "required": True}),
+            ("--mu", {"type": int, "default": 1}),
+            ("--mu-max", {"type": int, "default": 8}),
+            ("--max-p", {"type": int, "help": "override the capacity cap of "
+                         "sum/necessary/ab, up to each method's ceiling"}),
+        ]),
+        "scan": ("all prime exponents up to a bound", [
+            ("--pmax", _REQUIRED_INT),
+            ("--pmin", {"type": int, "default": 3, "help": "first exponent; the scan starts "
+                        "no lower than the method's first, 3 for ll and 5 for psi"}),
+            ("--method", {"choices": ("ll", "psi"), "default": "psi"}),
+        ]),
+    }, _cmd_mersenne),
+    "bridges": ("classical-sequence bridges", {
+        "check": ("run every registered bridge", [("--nmax", {"type": int, "default": 40})]),
+        "list": ("dump the registry", []),
+        "period": ("catalogued period detection", [("--label", {})]),
+    }, _cmd_bridges),
+    "identities": ("combinatorial identities", {
+        "tau": ("power-of-two factorial-product sums", [
+            ("--l", _REQUIRED_INT),
+            ("--variant", {"choices": _TAU_VARIANTS + ("all",), "default": "all"}),
+        ]),
+    }, _cmd_identities),
+    "repro": ("regenerate the evidence base", {
+        "all": ("write every desk-scale table", [("--outdir", {"default": "docs/results"})]),
+    }, _cmd_repro),
+}
+
+# The global flags, accepted both before the command and after its last word.
+_DEFAULTS = {"format": "json", "seed": 0, "timing": False}
+_DESCRIPTION = ("Exact toolkit for the psi sequence, its quadratic-form expansions, and\n"
+                "the Mersenne test battery.  psikit <command> --help lists its options.")
+_GLOBAL_FLAGS = [
+    ("--format", {"choices": ("json", "text", "csv"), "default": argparse.SUPPRESS,
+                  "help": "output rendering (default: json, newline-delimited)"}),
+    ("--seed", {"type": int, "default": argparse.SUPPRESS, "help": "seed for randomized checks"}),
+    ("--timing", {"action": "store_true", "default": argparse.SUPPRESS,
+                  "help": "include wall-clock timings (breaks byte determinism)"}),
+]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="psikit",
-        description="Exact toolkit for the psi sequence, its quadratic-form "
-        "expansions, and the Mersenne test battery.",
-    )
-    _add_common(parser)
-    parser.set_defaults(format="json", seed=0, timing=False)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _spec(words: tuple) -> tuple:
+    """The help of ``psikit`` and ``words``, and either the table of the words
+    that may follow (at the root and at a command with subcommands) or the
+    arguments of a leaf."""
+    help_, spec = _DESCRIPTION, COMMANDS
+    for word in words:
+        help_, spec = spec[word][:2]
+    return help_, spec
 
-    def leaf(group, name: str, help_: str) -> argparse.ArgumentParser:
-        p = group.add_parser(name, help=help_)
-        _add_common(p)
-        return p
 
-    p_psi = sub.add_parser("psi", help="evaluate the sequence")
-    psi_sub = p_psi.add_subparsers(dest="psi_command", required=True)
-    p_eval = leaf(psi_sub, "eval", "exact or modular value")
-    p_eval.add_argument("--a", required=True)
-    p_eval.add_argument("--b", required=True)
-    p_eval.add_argument("--n", required=True)
-    p_eval.add_argument("--mod", help="modulus; accepts 2^p-1 and k*2^e+c")
-    p_poly = leaf(psi_sub, "poly", "canonical polynomial in (a, b)")
-    p_poly.add_argument("--n", type=int, required=True)
-    p_ladder = leaf(psi_sub, "ladder", "modular value by doubling ladder")
-    p_ladder.add_argument("--a", required=True)
-    p_ladder.add_argument("--b", required=True)
-    p_ladder.add_argument("--n", required=True, help="index; accepts 2^k, m*2^k and m*2^k+c")
-    p_ladder.add_argument(
-        "--mod", required=True, help="modulus; accepts 2^p-1 and k*2^e+c"
-    )
+def _dest(words: tuple) -> str:
+    """Where the Namespace holds the word after ``words``."""
+    return f"{words[0]}_command" if words else "command"
 
-    p_coeff = sub.add_parser("coeff", help="expansion coefficient tables")
-    coeff_sub = p_coeff.add_subparsers(dest="coeff_command", required=True)
-    p_table = leaf(coeff_sub, "table", "full table for one index")
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--nmin", type=int, default=None, help="emit a range of tables")
 
-    p_verify = sub.add_parser("verify", help="identity suites")
-    _add_common(p_verify)
-    p_verify.add_argument("suite", choices=sorted(_VERIFY_SUITES))
-    p_verify.add_argument("--nmax", type=int, default=None)
-
-    p_mers = sub.add_parser("mersenne", help="primality test battery")
-    mers_sub = p_mers.add_subparsers(dest="mersenne_command", required=True)
-    p_test = leaf(mers_sub, "test", "one method at one exponent")
-    p_test.add_argument("--p", type=int, required=True)
-    p_test.add_argument("--method", choices=sorted(mersenne.METHODS), required=True)
-    p_test.add_argument("--mu", type=int, default=1)
-    p_test.add_argument("--mu-max", type=int, default=8, dest="mu_max")
-    p_test.add_argument(
-        "--max-p",
-        type=int,
-        default=None,
-        dest="max_p",
-        help="override the capacity cap of sum/necessary/ab, up to each "
-        "method's ceiling",
-    )
-    p_scan = leaf(mers_sub, "scan", "all prime exponents up to a bound")
-    p_scan.add_argument("--pmax", type=int, required=True)
-    p_scan.add_argument(
-        "--pmin", type=int, default=3,
-        help="first exponent; the scan starts no lower than the method's first, "
-        "3 for ll and 5 for psi",
-    )
-    p_scan.add_argument("--method", choices=("ll", "psi"), default="psi")
-
-    p_bridges = sub.add_parser("bridges", help="classical-sequence bridges")
-    bridges_sub = p_bridges.add_subparsers(dest="bridges_command", required=True)
-    p_check = leaf(bridges_sub, "check", "run every registered bridge")
-    p_check.add_argument("--nmax", type=int, default=40)
-    leaf(bridges_sub, "list", "dump the registry")
-    p_period = leaf(bridges_sub, "period", "catalogued period detection")
-    p_period.add_argument("--label", default=None)
-
-    p_ident = sub.add_parser("identities", help="combinatorial identities")
-    ident_sub = p_ident.add_subparsers(dest="identities_command", required=True)
-    p_tau = leaf(ident_sub, "tau", "power-of-two factorial-product sums")
-    p_tau.add_argument("--l", type=int, required=True)
-    p_tau.add_argument(
-        "--variant", choices=_TAU_VARIANTS + ("all",), default="all"
-    )
-
-    p_repro = sub.add_parser("repro", help="regenerate the evidence base")
-    repro_sub = p_repro.add_subparsers(dest="repro_command", required=True)
-    p_all = leaf(repro_sub, "all", "write every desk-scale table")
-    p_all.add_argument("--outdir", default="docs/results")
-
+def _build(words: tuple) -> argparse.ArgumentParser:
+    """The parser of ``psikit`` and ``words``: at the root and at a command
+    with subcommands, the next word, listed in its help, followed by the rest of
+    argv; at a leaf, its arguments.  All but a command with subcommands take
+    the global flags."""
+    help_, spec = _spec(words)
+    parser = argparse.ArgumentParser(prog=" ".join(("psikit",) + words), description=help_,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    if not isinstance(spec, dict):
+        arguments = _GLOBAL_FLAGS + spec
+    else:
+        parser.epilog = "commands:\n" + "\n".join(f"  {w:<12}{e[0]}" for w, e in spec.items())
+        word = {"nargs": argparse.PARSER, "choices": spec, "help": "one of the commands below",
+                "metavar": "subcommand" if words else "command"}
+        arguments = ([] if words else _GLOBAL_FLAGS) + [(_dest(words), word)]
+    for name, kwargs in arguments:
+        parser.add_argument(name, **kwargs)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The root parser: the global flags, the command word and the rest of argv."""
+    parser = _build(())
+    parser.set_defaults(**_DEFAULTS)
+    return parser
+
+
+# Each parser that ``parse`` uses, built once per process.
+_parser = functools.cache(_build)
+
+
+def parse(argv=None) -> argparse.Namespace:
+    """Parse a command line (``sys.argv[1:]`` by default); a usage error or
+    --help raises SystemExit.  A command word that comes first goes straight to
+    the next level, as the root or group parser would take just that word: they
+    parse only flags or --help before a word, and report usage errors."""
+    args, words = argparse.Namespace(**_DEFAULTS), ()
+    rest = sys.argv[1:] if argv is None else list(argv)
+    while isinstance(table := _spec(words)[1], dict):
+        if not (rest and rest[0] in table):
+            rest = getattr(_parser(words).parse_args(rest, namespace=args), _dest(words))
+        setattr(args, _dest(words), rest[0])
+        words, rest = words + (rest[0],), rest[1:]
+    return _parser(words).parse_args(rest, namespace=args)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        records = _records(args, parser)
-    except CapacityError as exc:
-        render_records(
-            [{"command": args.command, "error": "capacity", "reason": str(exc)}],
-            args.format,
-            sys.stdout,
-        )
-        return EXIT_CAPACITY
-    except (ValueError, KeyError) as exc:
-        render_records(
-            [{"command": args.command, "error": "usage", "reason": str(exc)}],
-            args.format,
-            sys.stdout,
-        )
-        return EXIT_USAGE
+        records = _records(args)
+    except (CapacityError, ValueError, KeyError) as exc:
+        capacity = isinstance(exc, CapacityError)
+        error = {"command": args.command, "error": "capacity" if capacity else "usage",
+                 "reason": str(exc)}
+        render_records([error], args.format, sys.stdout)
+        return EXIT_CAPACITY if capacity else EXIT_USAGE
 
     render_records(records, args.format, sys.stdout)
     return EXIT_OK if _records_ok(records) else EXIT_CHECK_FAILED

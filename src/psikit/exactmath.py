@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 __all__ = [
     "Rational",
@@ -208,7 +207,7 @@ class QuadExt:
         return f"{self.u} {sign} {mag}"
 
 
-Scalar = Union[int, Fraction, QuadExt]
+Scalar = int | Fraction | QuadExt
 
 SQRT2 = QuadExt(2, 0, 1)
 SQRT3 = QuadExt(3, 0, 1)

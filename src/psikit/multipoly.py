@@ -40,16 +40,14 @@ memory.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import mul, or_
 from types import MappingProxyType
-from typing import Mapping, Union
 
 from .errors import CapacityError
-
-PolyLike = Union[int, Fraction, "SparsePoly"]
 
 __all__ = [
     "SparsePoly",
@@ -560,6 +558,9 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return SparsePoly.constant(value)
     return None
+
+
+PolyLike = int | Fraction | SparsePoly
 
 
 def as_poly(value: PolyLike) -> SparsePoly:

@@ -35,18 +35,18 @@ walk keeps a and d so too.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
-from typing import Iterator, Optional, Union
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, QuadExt
 from .multipoly import MAX_DEGREE, SparsePoly
 from .records import FrozenRecord
 
-RingElement = Union[int, Fraction, QuadExt, SparsePoly]
+RingElement = int | Fraction | QuadExt | SparsePoly
 
 __all__ = [
     "parity",
@@ -84,7 +84,7 @@ class PsiParams(FrozenRecord):
 
     __slots__ = ("a", "b", "modulus")
 
-    def __init__(self, a: RingElement, b: RingElement, modulus: Optional[int] = None):
+    def __init__(self, a: RingElement, b: RingElement, modulus: int | None = None):
         if modulus is not None:
             if modulus < 2:
                 raise ValueError("modulus must be >= 2")

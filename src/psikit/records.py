@@ -4,7 +4,7 @@ in ``inspect`` and ``ast``) on every start of the command line.
 
 A record lists its fields in ``__slots__``, in order, and sets them in
 ``__init__``.  Records that neither validate nor change are
-``typing.NamedTuple`` classes in their own modules instead.
+``collections.namedtuple`` subclasses in their own modules instead.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb, factorial
 from operator import add
 
+from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
 from psikit.eightlevels import apply_direction
 from psikit.multipoly import (
     MAX_DEGREE,
@@ -14,6 +15,22 @@ from psikit.multipoly import (
     variables,
 )
 from psikit.psicore import half, psi_symbolic
+
+
+# Term n of each polynomial family of the bridges: the tests' view of the
+# one-pass term lists that the bridge registry builds.
+
+
+def pell_lucas_poly(n: int) -> SparsePoly:
+    return pell_lucas_poly_terms(n)[n]
+
+
+def chebyshev_t(n: int) -> SparsePoly:
+    return chebyshev_t_terms(n)[n]
+
+
+def dickson_d(n: int) -> SparsePoly:
+    return dickson_d_terms(n)[n]
 
 
 class TuplePoly:

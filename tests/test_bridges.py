@@ -6,19 +6,18 @@ from psikit.bridges import (
     BridgeSpec,
     PeriodResult,
     catalogue_entry,
-    chebyshev_t,
     default_bridges,
     detect_period,
-    dickson_d,
     fibonacci,
     lucas,
     pell_lucas,
-    pell_lucas_poly,
 )
 from psikit.eightlevels import coeff_values
 from psikit.exactmath import GOLDEN_RATIO, QuadExt, SQRT2
 from psikit.multipoly import variables
 from psikit.psicore import psi_recurrence
+
+from oracles import chebyshev_t, dickson_d, pell_lucas_poly
 
 X, AL = variables("x alpha")
 

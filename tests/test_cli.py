@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -21,6 +22,7 @@ from psikit.cli import (
     VERIFY_CEILING,
     _parse_index,
     main,
+    render_records,
 )
 from psikit.eightlevels import verify_expansion
 from psikit.errors import CapacityError
@@ -417,6 +419,112 @@ class TestExitCodes:
         assert code == EXIT_OK
 
 
+# One cheap run of each command path, and one of each error record.  Each
+# pins the exit code and the SHA-256 (first 16 hex digits) of the JSON stdout
+# that the eagerly built parser gave, with --seed 5 and the outdir relative.
+PARITY_RUNS = {
+    "psi eval": (["psi", "eval", "--a", "1/2", "--b", "1", "--n", "9"],
+                 0, "e000543f30409799"),
+    "psi poly": (["psi", "poly", "--n", "7"], 0, "974795f79a15aeb5"),
+    "psi ladder": (["psi", "ladder", "--a", "3", "--b", "5", "--n", "2^70+3", "--mod", "1009"],
+                   0, "044485753cf43bc5"),
+    "coeff table": (["coeff", "table", "--nmin", "1", "--n", "5"], 0, "1fbddd9a98184754"),
+    "verify eightlevels": (["verify", "eightlevels", "--nmax", "6"], 0, "f13c678a1476f362"),
+    "verify powersums": (["verify", "powersums", "--nmax", "4"], 0, "3fc36fe605b00dc5"),
+    "verify theta": (["verify", "theta", "--nmax", "4"], 0, "365834a0024a2a19"),
+    "verify fundamental": (["verify", "fundamental", "--nmax", "4"], 0, "d28ab444247096d5"),
+    "mersenne test": (["mersenne", "test", "--p", "13", "--method", "mu", "--mu-max", "4"],
+                      0, "9c18e09eed61e46c"),
+    "mersenne scan": (["mersenne", "scan", "--pmax", "31", "--method", "ll"],
+                      0, "3bdc867f312bf924"),
+    "bridges check": (["bridges", "check", "--nmax", "8"], 0, "4c1c526397441d4a"),
+    "bridges list": (["bridges", "list"], 0, "b3895e7ec6a72dce"),
+    "bridges period": (["bridges", "period", "--label", "b-sqrt2"], 0, "00a94ceb9d3008a2"),
+    "identities tau": (["identities", "tau", "--l", "4", "--variant", "half"],
+                       0, "7794e3e5cec7b002"),
+    "repro all": (["repro", "all", "--outdir", "r"], 0, "71855838ae512386"),
+    "capacity error": (["mersenne", "test", "--p", "29", "--method", "ab"],
+                       EXIT_CAPACITY, "91b2c93bc5522ef2"),
+    "value error": (["psi", "ladder", "--a", "3", "--b", "5", "--n", "99", "--mod", "1"],
+                    EXIT_USAGE, "5a0e9e54accca5a9"),
+}
+
+GLOBAL_OPTIONS = ("--format", "--seed", "--timing")
+# The options of each leaf, as its --help names them.
+LEAF_OPTIONS = {
+    ("psi", "eval"): ("--a", "--b", "--n", "--mod"),
+    ("psi", "poly"): ("--n",),
+    ("psi", "ladder"): ("--a", "--b", "--n", "--mod"),
+    ("coeff", "table"): ("--n", "--nmin"),
+    ("verify",): ("eightlevels", "powersums", "theta", "fundamental", "--nmax"),
+    ("mersenne", "test"): ("--p", "--method", "--mu", "--mu-max", "--max-p"),
+    ("mersenne", "scan"): ("--pmax", "--pmin", "--method"),
+    ("bridges", "check"): ("--nmax",),
+    ("bridges", "list"): (),
+    ("bridges", "period"): ("--label",),
+    ("identities", "tau"): ("--l", "--variant"),
+    ("repro", "all"): ("--outdir",),
+}
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("name", sorted(PARITY_RUNS))
+    def test_records_and_exit_codes(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv, code, digest = PARITY_RUNS[name]
+        for fmt in ("json", "text", "csv"):
+            flags = ["--format", fmt, "--seed", "5"]
+            before = run_cli(*flags, *argv)
+            assert run_cli(*argv, *flags) == before, fmt
+            assert before[0] == code, fmt
+            if fmt == "json":
+                out = before[1]
+                assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+                records = [json.loads(line) for line in out.splitlines()]
+            else:
+                buf = io.StringIO()
+                render_records(records, fmt, buf)
+                assert before[1] == buf.getvalue(), fmt
+        if code in (EXIT_USAGE, EXIT_CAPACITY):
+            assert records[0]["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["nosuch"],
+        ["--format", "xml", "bridges", "list"],
+        ["mersenne"],
+        ["mersenne", "nosuch"],
+        ["mersenne", "--format", "text", "test", "--p", "5", "--method", "ll"],
+        ["mersenne", "--seed", "3", "scan", "--pmax", "13"],
+        ["mersenne", "test", "--method", "ll"],
+        ["mersenne", "test", "--p", "5", "--method", "nosuch"],
+        ["mersenne", "test", "--p", "five", "--method", "ll"],
+        ["verify"],
+        ["verify", "nosuch"],
+        ["bridges", "list", "--nosuch"],
+        ["bridges", "list", "extra"],
+        ["repro", "all", "--outdir"],
+    ])
+    def test_usage_errors_exit_2_without_a_record(self, argv, capsys):
+        assert run_cli(*argv) == (EXIT_USAGE, "")
+        assert "usage: psikit" in capsys.readouterr().err
+
+    def test_help_at_each_level(self):
+        code, out = run_cli("--help")
+        assert code == EXIT_OK
+        assert all(flag in out for flag in GLOBAL_OPTIONS)
+        assert all(word in out for word in {path[0] for path in LEAF_OPTIONS})
+        for path, options in LEAF_OPTIONS.items():
+            if len(path) == 2:
+                code, out = run_cli(path[0], "--help")
+                leaves = [leaf for group, *leaf in LEAF_OPTIONS if group == path[0]]
+                assert code == EXIT_OK and all(leaf[0] in out for leaf in leaves), path
+            code, out = run_cli(*path, "--help")
+            assert code == EXIT_OK, path
+            assert out.startswith(f"usage: psikit {' '.join(path)} "), path
+            assert all(option in out for option in options + GLOBAL_OPTIONS), path
+
+
 class TestColdStart:
     def test_import_skips_dataclasses_inspect_and_csv(self):
         # the modules the import adds, so that modules a site hook loads on
@@ -447,6 +555,64 @@ class TestColdStart:
             timeout=60, check=True,
         )
         assert proc.stdout.split() == []
+
+
+    @staticmethod
+    def parsers_built(call: str, *args: str) -> list[str]:
+        """The prog of each ArgumentParser built, in order, by ``call`` in a
+        fresh interpreter, its output discarded."""
+        code = (
+            "import argparse, io, sys\n"
+            "from contextlib import redirect_stdout\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    init(self, *args, **kwargs)\n"
+            "    built.append(self.prog)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import psikit.cli as cli\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            f"    {call}\n"
+            "print(' '.join(prog.replace(' ', '.') for prog in built))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(psikit.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], capture_output=True, text=True,
+            env=env, timeout=60, check=True,
+        )
+        return [prog.replace(".", " ") for prog in proc.stdout.split()]
+
+    def test_parsers_are_built_only_for_the_invoked_command(self, tmp_path):
+        assert self.parsers_built("cli.build_parser()") == ["psikit"]
+        # command words that come first go straight to the leaf's parser
+        argv = ["mersenne", "test", "--p", "5", "--method", "ll"]
+        assert self.parsers_built(f"cli.main({argv})") == ["psikit mersenne test"]
+        assert self.parsers_built("cli.main(['verify', 'theta'])") == ["psikit verify"]
+        # the root and group parsers read the flags or --help before a word
+        assert self.parsers_built(f"cli.main({['--seed', '3'] + argv})") == [
+            "psikit", "psikit mersenne test"
+        ]
+        assert self.parsers_built("cli.main(['mersenne', '--help'])") == ["psikit mersenne"]
+        # repro all parses its jobs as any command line: each leaf once
+        built = self.parsers_built(
+            "cli.main(['repro', 'all', '--outdir', sys.argv[1]])", str(tmp_path)
+        )
+        leaves = {" ".join(argv[:1] if argv[0] == "verify" else argv[:2])
+                  for runs in EVIDENCE_RUNS.values() for argv in runs}
+        assert len(leaves) == 7
+        assert sorted(built) == sorted(
+            ["psikit repro all"] + [f"psikit {words}" for words in leaves]
+        )
+
+    def test_import_without_site_skips_typing(self):
+        # site preloads typing on some machines; -S shows what psikit imports
+        code = "import sys; import psikit.cli; print('typing' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(psikit.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert proc.stdout.split() == ["False"]
 
 
 class TestDeterminism:
