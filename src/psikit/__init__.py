@@ -23,7 +23,6 @@ from .multipoly import (
     variables,
 )
 from .psicore import (
-    PsiParams,
     psi_explicit,
     psi_mod_ladder,
     psi_product_identity_check,

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import sys
+import time
 from fractions import Fraction
 
 from . import bridges as bridges_mod
@@ -22,7 +23,6 @@ from . import eightlevels, mersenne, powersums
 from .errors import CapacityError
 from .psicore import (
     SYMBOLIC_INDEX_CAP,
-    PsiParams,
     psi_bit_bound,
     psi_mod_ladder,
     psi_recurrence,
@@ -153,23 +153,25 @@ def _require_echoable(n: int, m: int) -> None:
 def _cmd_psi(args) -> list[dict]:
     if args.psi_command == "eval":
         mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
-        params = PsiParams(_parse_scalar(args.a), _parse_scalar(args.b), mod)
+        a, b = _parse_scalar(args.a), _parse_scalar(args.b)
+        if mod is not None and not (isinstance(a, int) and isinstance(b, int)):
+            raise ValueError("modular evaluation needs integer parameters")
         n = _parse_index(args.n)
         if mod is not None:
             _require_echoable(n, mod)
-            value = psi_mod_ladder(params.a, params.b, n, mod)
+            value = psi_mod_ladder(a, b, n, mod)
         else:
             if n > 100_000:
                 raise CapacityError("exact evaluation capped at n <= 100000; use --mod")
-            _require_printable(psi_bit_bound(params.a, params.b, n), f"psi at n={n}")
-            value = psi_recurrence(params.a, params.b, n)
+            _require_printable(psi_bit_bound(a, b, n), f"psi at n={n}")
+            value = psi_recurrence(a, b, n)
         return [
             {
                 "command": "psi-eval",
-                "a": str(params.a),
-                "b": str(params.b),
+                "a": str(a),
+                "b": str(b),
                 "n": str(n),
-                "mod": str(params.modulus) if params.modulus is not None else None,
+                "mod": None if mod is None else str(mod),
                 "value": str(value),
             }
         ]
@@ -243,8 +245,8 @@ VERIFY_CEILING = {
     "theta": 37, "fundamental": 51,
 }
 # Largest ``bridges check --nmax`` (on the same box a run at 64 takes 0.3 s) and
-# ``identities tau --l`` (l = 13 takes about 4 s; each step of l takes 7 times
-# longer).
+# ``identities tau --l`` (a whole run at l = 13 takes about 0.15 s, the sums
+# 0.04 s of it; each step of l takes 3 to 5 times longer).
 BRIDGES_NMAX_CEILING = 64
 TAU_L_CEILING = 13
 
@@ -276,6 +278,15 @@ def _battery_kwargs(args) -> dict:
     return kwargs
 
 
+def _timed_report(method: str, p: int, **kwargs) -> mersenne.TestReport:
+    """The report of one battery method at p, with the wall time of the call
+    as its ``elapsed_ms``."""
+    started = time.perf_counter()
+    report = mersenne.METHODS[method](p, **kwargs)
+    report.elapsed_ms = (time.perf_counter() - started) * 1000
+    return report
+
+
 def _cmd_mersenne(args) -> list[dict]:
     timing = args.timing
     if args.mersenne_command == "scan":
@@ -286,9 +297,8 @@ def _cmd_mersenne(args) -> list[dict]:
             )
         # a residue mod 2**p - 1 has at most p bits
         _require_printable(args.pmax, f"a residue mod 2^{args.pmax}-1")
-        runner = mersenne.METHODS[args.method]
         return [
-            runner(p).to_dict(with_timing=timing)
+            _timed_report(args.method, p).to_dict(with_timing=timing)
             for p in range(lower, args.pmax + 1)
             if mersenne.is_prime_small(p)
         ]
@@ -299,7 +309,7 @@ def _cmd_mersenne(args) -> list[dict]:
         _require_printable(
             psi_bit_bound(1, 4, 1 << (args.p - 1)), f"the ab ratio at p={args.p}"
         )
-    report = mersenne.METHODS[args.method](args.p, **_battery_kwargs(args))
+    report = _timed_report(args.method, args.p, **_battery_kwargs(args))
     return [report.to_dict(with_timing=timing)]
 
 

@@ -157,28 +157,27 @@ def _expansion_holds(n: int, point: tuple, values: list) -> bool:
     return lhs == rhs
 
 
-# Defaults of the expansion checks: the largest index checked symbolically and
-# the number of points sampled beyond it.
+# The expansion checks are symbolic up to this index and sample this many
+# points beyond it.
 SYMBOLIC_LIMIT = 16
 SAMPLE_POINTS = 5
 
 
-def verify_expansion(
-    n: int, symbolic_limit: int = SYMBOLIC_LIMIT, points: int = SAMPLE_POINTS, seed: int = 0
-) -> bool:
+def verify_expansion(n: int, seed: int = 0) -> bool:
     """Check the expansion identity for index n.
 
-    Up to ``symbolic_limit`` the check is a full six-variable polynomial
+    Up to SYMBOLIC_LIMIT the check is a full six-variable polynomial
     identity.  Beyond it, term explosion is avoided by deterministic
-    evaluation at ``points`` seeded integer points with beta*a - alpha*b != 0;
-    that is a randomized check along sampled lines, not a proof.
+    evaluation at SAMPLE_POINTS seeded integer points with
+    beta*a - alpha*b != 0; that is a randomized check along sampled lines, not
+    a proof.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    if n > symbolic_limit:
+    if n > SYMBOLIC_LIMIT:
         return all(
             _expansion_holds(n, point, coeff_values(n, *point[2:])[n])
-            for point in _sample_points(seed, points)
+            for point in _sample_points(seed, SAMPLE_POINTS)
         )
     m = half(n)
     x, y, a, b, alpha, beta = variables("x y a b alpha beta")

@@ -7,18 +7,16 @@ n = 2**(p-1) and M = 2n - 1 = 2**p - 1.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from math import factorial, isqrt
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, NotInvertibleError, mod_inverse
 from .psicore import _lucas_walk, psi_mod_ladder, psi_symbolic
-from .records import FrozenRecord, Record
+from .records import Record
 
 __all__ = [
     "TestReport",
-    "MersenneCandidate",
     "is_prime_small",
     "ll_classic",
     "ll_chain",
@@ -110,30 +108,13 @@ class TestReport(Record):
         }
 
 
-class MersenneCandidate(FrozenRecord):
-    """Exponent p with n = 2**(p-1) and M = 2**p - 1; p must be prime."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not is_prime_small(p):
-            raise ValueError(f"exponent {p} is not prime")
-        self._set(p=p)
-
-    @property
-    def n(self) -> int:
-        return 1 << (self.p - 1)
-
-    @property
-    def modulus(self) -> int:
-        return (1 << self.p) - 1
-
-
-def _candidate(p: int, min_p: int) -> MersenneCandidate:
-    cand = MersenneCandidate(p)
+def _candidate(p: int, min_p: int) -> tuple[int, int]:
+    """n = 2**(p-1) and M = 2**p - 1, once p is checked to be a prime >= min_p."""
+    if not is_prime_small(p):
+        raise ValueError(f"exponent {p} is not prime")
     if p < min_p:
         raise ValueError(f"method requires prime p >= {min_p}, got {p}")
-    return cand
+    return 1 << (p - 1), (1 << p) - 1
 
 
 def _check_cap(method: str, p: int, max_p: int, work: str) -> None:
@@ -163,7 +144,6 @@ def ll_chain(p: int, seed: int = 4) -> int:
 
 def ll_classic(p: int) -> TestReport:
     """Classical s -> s**2 - 2 test: prime iff the (p-2)-th iterate is 0."""
-    started = time.perf_counter()
     _candidate(p, 3)
     residue = ll_chain(p)
     verdict = "prime" if residue == 0 else "composite"
@@ -172,22 +152,19 @@ def ll_classic(p: int) -> TestReport:
         p=p,
         verdict=verdict,
         residues=[residue],
-        elapsed_ms=(time.perf_counter() - started) * 1000,
     )
 
 
 def psi_test(p: int) -> TestReport:
     """Prime iff 2**p - 1 divides psi(1, 4, 2**(p-1)); evaluated by ladder."""
-    started = time.perf_counter()
-    cand = _candidate(p, 5)
-    residue = psi_mod_ladder(1, 4, cand.n, cand.modulus)
+    n, m = _candidate(p, 5)
+    residue = psi_mod_ladder(1, 4, n, m)
     verdict = "prime" if residue == 0 else "composite"
     return TestReport(
         method="psi",
         p=p,
         verdict=verdict,
         residues=[residue],
-        elapsed_ms=(time.perf_counter() - started) * 1000,
     )
 
 
@@ -210,15 +187,13 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     addition, r_(mu+1) = r_1 * r_mu - r_(mu-1) with r_0 = 2, one product
     each.
     """
-    started = time.perf_counter()
-    cand = _candidate(p, 5)
+    n, m = _candidate(p, 5)
     if mu_max < 1:
         raise ValueError("mu_max must be >= 1")
     if mu_max > MU_MAX_CAP:
         raise CapacityError(f"mu: mu_max={mu_max} is above the cap {MU_MAX_CAP}")
-    m = cand.modulus
     reduce = MersenneMod(p).reduce
-    prev, cur = 2, psi_mod_ladder(1, 4, cand.n, m)
+    prev, cur = 2, psi_mod_ladder(1, 4, n, m)
     residues = [cur]
     for _ in range(mu_max - 1):
         prev, cur = cur, reduce(residues[0] * cur - prev)
@@ -237,7 +212,6 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
         p=p,
         verdict=verdict,
         residues=residues,
-        elapsed_ms=(time.perf_counter() - started) * 1000,
         notes=notes,
     )
 
@@ -287,23 +261,21 @@ def enhanced_sum_test(p: int, mu: int = 1, max_p: int = ENHANCED_SUM_MAX_P) -> T
     """Exact-arithmetic variant: the signed factorial-product sum over index
     n*mu reduces mod M to +1/0/-1 by mu mod 4, and twice the sum equals
     psi(1, 4, n*mu) exactly."""
-    started = time.perf_counter()
     if mu < 0:
         raise ValueError("mu must be >= 0")
     terms = f"2**{p - 3} * {mu} + 1 exact big-integer terms"
     _check_cap("sum", p, max_p, terms)
-    cand = _candidate(p, 5)
-    if cand.n * mu > ENHANCED_SUM_MAX_INDEX:
+    n, m = _candidate(p, 5)
+    if n * mu > ENHANCED_SUM_MAX_INDEX:
         raise CapacityError(
             f"sum at p={p}, mu={mu} needs {terms}; the index n * mu is capped "
             f"at {ENHANCED_SUM_MAX_INDEX}"
         )
-    m = cand.modulus
-    total = 1 if mu == 0 else signed_factorial_product_sum(cand.n * mu)
+    total = 1 if mu == 0 else signed_factorial_product_sum(n * mu)
     residue = total % m
     expected = 1 if mu % 4 == 0 else (m - 1 if mu % 4 == 2 else 0)
     notes = []
-    if 2 * total != psi14_exact(cand.n, mu):
+    if 2 * total != psi14_exact(n, mu):
         notes.append("doubled sum failed to match the sequence value exactly")
         verdict = "condition-fails"
     else:
@@ -313,7 +285,6 @@ def enhanced_sum_test(p: int, mu: int = 1, max_p: int = ENHANCED_SUM_MAX_P) -> T
         p=p,
         verdict=verdict,
         residues=[residue, expected],
-        elapsed_ms=(time.perf_counter() - started) * 1000,
         notes=notes,
     )
 
@@ -327,13 +298,11 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
     ((4(k-1))**2 - 1) / (2k (2k-1)) mod M.  A failed inverse surfaces its gcd
     witness, which is a nontrivial factor of M.
     """
-    started = time.perf_counter()
     _check_cap("necessary", p, max_p, f"2**{p - 2} + 1 modular terms")
-    cand = _candidate(p, 5)
-    m = cand.modulus
+    n, m = _candidate(p, 5)
     term = 1
     total = 1
-    for k in range(1, cand.n // 2 + 1):
+    for k in range(1, n // 2 + 1):
         term = term * ((4 * (k - 1)) ** 2 - 1) % m
         try:
             term = term * mod_inverse((2 * k) * (2 * k - 1) % m, m) % m
@@ -344,7 +313,6 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
                 p=p,
                 verdict="condition-fails",
                 residues=[factor],
-                elapsed_ms=(time.perf_counter() - started) * 1000,
                 notes=[f"factor found: {factor} divides {m}"],
             )
         total = (total + term) % m
@@ -354,7 +322,6 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
         p=p,
         verdict=verdict,
         residues=[total],
-        elapsed_ms=(time.perf_counter() - started) * 1000,
         notes=["denominators read as (2k)!"],
     )
 
@@ -366,11 +333,9 @@ def composite_criterion(p: int) -> TestReport:
     n - 1 = 2k + 1 the chain state (V_k, V_(k+1)) holds
     psi(n - 1) = (V_k + V_(k+1)) / d and psi(n) = V_(k+1), and
     psi(n + 1) = psi(n) - psi(n - 1) at even n."""
-    started = time.perf_counter()
-    cand = _candidate(p, 3)
-    m = cand.modulus
+    n, m = _candidate(p, 3)
     reduce = MersenneMod(p).reduce
-    v, w = _lucas_walk((cand.n >> 1) - 1, -4, reduce)
+    v, w = _lucas_walk((n >> 1) - 1, -4, reduce)
     below = reduce((v + w) * pow(-2, -1, m))
     above = (w - below) % m
     verdict = "composite" if below == 0 or above == 0 else "inconclusive"
@@ -379,7 +344,6 @@ def composite_criterion(p: int) -> TestReport:
         p=p,
         verdict=verdict,
         residues=[below, above],
-        elapsed_ms=(time.perf_counter() - started) * 1000,
     )
 
 
@@ -391,6 +355,12 @@ def ab_ratios(p: int) -> tuple[int, int]:
     against the O(4**p) double-indexed layer table (kept as an oracle in the
     tests) for odd p <= 13.  The first fails at p = 4, but only odd prime
     p >= 5 reach the test.
+
+    Given the closed form, ``ab`` is the Lucas-Lehmer test on exact integers.
+    psi(1, 4, 2k) = V_k(-4, 1) and V_2k = V_k**2 - 2, so psi(1, 4, 2**(p-1))
+    is the (p - 2)-th iterate of s -> s**2 - 2 from -4 (see ``ll_chain``),
+    the Lucas-Lehmer iterate itself, not reduced; 2**p - 1 divides it iff
+    the classical test's residue is 0.
     """
     return (1 << p) - 1, psi14_exact(1 << (p - 1), 1)
 
@@ -402,7 +372,6 @@ def ab_ratio_test(p: int, max_p: int = AB_RATIO_MAX_P) -> TestReport:
     the divisibility criterion 2**p - 1 | psi(1, 4, 2**(p-1)) on exact
     integers.
     """
-    started = time.perf_counter()
     _check_cap("ab", p, max_p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
     _candidate(p, 5)
     a_ratio, b_ratio = ab_ratios(p)
@@ -412,7 +381,6 @@ def ab_ratio_test(p: int, max_p: int = AB_RATIO_MAX_P) -> TestReport:
         p=p,
         verdict=verdict,
         ratios=(a_ratio, b_ratio),
-        elapsed_ms=(time.perf_counter() - started) * 1000,
     )
 
 
@@ -425,24 +393,30 @@ def _tau_terms(tau: int):
         yield k, prod
 
 
+# The base s of each tau sum's k-th denominator (2k)! * s**k.
+_TAU_SCALE = {"quarter": 4, "half": 16, "root2": 8}
+
+
 def tau_identity_value(l: int, variant: str) -> Fraction:
-    """Exact value of one tau = 2**l combinatorial sum."""
+    """Exact value of one tau = 2**l combinatorial sum: the sum over k of
+    prod_{l<k} ((4l)**2 - tau**2) / ((2k)! * s**k), with s = 4 for quarter,
+    16 for half (whose sum is doubled) and 8 for root2.
+
+    The terms are added over their common denominator, which grows by
+    2k (2k - 1) s at step k, and the sum is normalised once at the end.
+    """
     if l < 3:
         raise ValueError("l must be >= 3")
-    tau = 1 << l
-    total = Fraction(0)
-    for k, prod in _tau_terms(tau):
-        if variant == "quarter":
-            total += Fraction(prod, factorial(2 * k) * 4**k)
-        elif variant == "half":
-            total += Fraction(prod, factorial(2 * k) * 4 ** (2 * k))
-        elif variant == "root2":
-            total += Fraction(prod, factorial(2 * k) * 2 ** (3 * k))
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    if variant == "half":
-        total *= 2
-    return total
+    if variant not in _TAU_SCALE:
+        raise ValueError(f"unknown variant {variant!r}")
+    scale = _TAU_SCALE[variant]
+    num, den = 0, 1
+    for k, prod in _tau_terms(1 << l):
+        if k:
+            step = 2 * k * (2 * k - 1) * scale
+            num, den = num * step, den * step
+        num += prod
+    return Fraction(2 * num if variant == "half" else num, den)
 
 
 def tau_identity_expected(l: int, variant: str) -> int:

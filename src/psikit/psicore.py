@@ -42,16 +42,12 @@ from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
 
 from .errors import CapacityError
-from .exactmath import MersenneMod, QuadExt
+from .exactmath import MersenneMod
 from .multipoly import MAX_DEGREE, SparsePoly
-from .records import FrozenRecord
-
-RingElement = int | Fraction | QuadExt | SparsePoly
 
 __all__ = [
     "parity",
     "half",
-    "PsiParams",
     "psi_terms",
     "psi_recurrence",
     "psi_sequence",
@@ -77,34 +73,6 @@ def parity(n: int) -> int:
 def half(n: int) -> int:
     """floor(n / 2)."""
     return n // 2
-
-
-class PsiParams(FrozenRecord):
-    """Validated (a, b) pair with its ring tag, used by the CLI front end."""
-
-    __slots__ = ("a", "b", "modulus")
-
-    def __init__(self, a: RingElement, b: RingElement, modulus: int | None = None):
-        if modulus is not None:
-            if modulus < 2:
-                raise ValueError("modulus must be >= 2")
-            if not isinstance(a, int) or not isinstance(b, int):
-                raise ValueError("modular evaluation needs integer parameters")
-        if isinstance(a, QuadExt) and isinstance(b, QuadExt):
-            if not (a.is_rational or b.is_rational or a.d == b.d):
-                raise ValueError("parameters live in different quadratic rings")
-        self._set(a=a, b=b, modulus=modulus)
-
-    @property
-    def ring(self) -> str:
-        if self.modulus is not None:
-            return f"modular({self.modulus})"
-        if isinstance(self.a, QuadExt) or isinstance(self.b, QuadExt):
-            d = self.a.d if isinstance(self.a, QuadExt) else self.b.d
-            return f"quadratic({d})"
-        if isinstance(self.a, Fraction) or isinstance(self.b, Fraction):
-            return "rational"
-        return "integer"
 
 
 def psi_terms(a, b) -> Iterator:

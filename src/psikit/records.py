@@ -1,6 +1,6 @@
-"""Record classes written by hand: the equality, repr and immutability that
-``@dataclass`` would generate, without importing ``dataclasses`` (which pulls
-in ``inspect`` and ``ast``) on every start of the command line.
+"""Record classes written by hand: the equality and repr that ``@dataclass``
+would generate, without importing ``dataclasses`` (which pulls in ``inspect``
+and ``ast``) on every start of the command line.
 
 A record lists its fields in ``__slots__``, in order, and sets them in
 ``__init__``.  Records that neither validate nor change are
@@ -29,22 +29,3 @@ class Record:
         body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({body})"
 
-
-class FrozenRecord(Record):
-    """A record whose fields are set once, by ``_set`` in ``__init__``, and
-    hashed together."""
-
-    __slots__ = ()
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-
-    def __hash__(self) -> int:
-        return hash(self._astuple())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")

@@ -293,3 +293,21 @@ def psi_matrix_mod(a: int, b: int, n: int, m: int) -> int:
         j >>= 1
     row = power[n & 1]
     return (2 * row[0] + row[1]) % m
+
+
+def tau_identity_value(l: int, variant: str) -> Fraction:
+    """One tau = 2**l sum as it is written: each term a Fraction over its own
+    (2k)! times the variant's power, added one at a time."""
+    tau = 1 << l
+    total = Fraction(0)
+    prod = 1
+    for k in range(tau // 4 + 1):
+        if k:
+            prod *= (4 * (k - 1)) ** 2 - tau * tau
+        if variant == "quarter":
+            total += Fraction(prod, factorial(2 * k) * 4**k)
+        elif variant == "half":
+            total += Fraction(prod, factorial(2 * k) * 4 ** (2 * k))
+        else:
+            total += Fraction(prod, factorial(2 * k) * 2 ** (3 * k))
+    return 2 * total if variant == "half" else total

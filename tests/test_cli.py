@@ -26,6 +26,7 @@ from psikit.cli import (
 )
 from psikit.eightlevels import verify_expansion
 from psikit.errors import CapacityError
+from psikit.mersenne import METHODS
 from psikit.psicore import SYMBOLIC_INDEX_CAP
 
 
@@ -230,6 +231,22 @@ class TestExitCodes:
         for a, b in (("x", "1"), ("1/0", "4"), ("0/0", "4"), ("1", "1/0")):
             code, recs = run_json("psi", "eval", "--a", a, "--b", b, "--n", "5")
             assert code == EXIT_USAGE and recs[0]["error"] == "usage", (a, b)
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["psi", "eval", "--a", "1/2", "--b", "4", "--n", "10", "--mod", "7"],
+         "modular evaluation needs integer parameters"),
+        (["psi", "eval", "--a", "1", "--b", "3/2", "--n", "10", "--mod", "7"],
+         "modular evaluation needs integer parameters"),
+        (["psi", "eval", "--a", "1", "--b", "4", "--n", "10", "--mod", "1"],
+         "modulus must be >= 2"),
+        (["mersenne", "test", "--p", "9", "--method", "psi"], "exponent 9 is not prime"),
+        (["mersenne", "test", "--p", "3", "--method", "psi"],
+         "method requires prime p >= 5, got 3"),
+    ], ids=["eval-rational-a", "eval-rational-b", "eval-mod-1", "test-p-9", "test-p-3"])
+    def test_parameter_and_exponent_checks(self, argv, reason):
+        code, recs = run_json(*argv)
+        assert code == EXIT_USAGE
+        assert recs == [{"command": argv[0], "error": "usage", "reason": reason}]
 
     def test_capacity_error(self):
         code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")
@@ -625,10 +642,15 @@ class TestDeterminism:
     def test_timing_zeroed_by_default(self):
         _, recs = run_json("mersenne", "test", "--p", "13", "--method", "ab")
         assert recs[0]["elapsed_ms"] == 0
+        _, recs = run_json("mersenne", "scan", "--pmax", "31")
+        assert recs and all(rec["elapsed_ms"] == 0 for rec in recs)
 
     def test_timing_flag(self):
-        _, recs = run_json("mersenne", "test", "--p", "7", "--method", "ll", "--timing")
-        assert isinstance(recs[0]["elapsed_ms"], (int, float))
+        for method in sorted(METHODS):
+            _, recs = run_json("mersenne", "test", "--p", "13", "--method", method, "--timing")
+            assert recs[0]["elapsed_ms"] > 0, method
+        _, recs = run_json("mersenne", "scan", "--pmax", "31", "--timing")
+        assert len(recs) == 9 and all(rec["elapsed_ms"] > 0 for rec in recs)
 
 
 # The subcommand runs whose concatenated stdout is each evidence file.

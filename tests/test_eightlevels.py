@@ -140,8 +140,8 @@ class TestExpansionIdentity:
         assert lhs == rhs
 
     def test_randomized_path_beyond_symbolic_limit(self):
-        assert verify_expansion(24, symbolic_limit=12, seed=0)
-        assert verify_expansion(33, symbolic_limit=12, seed=1)
+        assert verify_expansion(24, seed=0)
+        assert verify_expansion(33, seed=1)
 
     def test_randomized_path_detects_corruption(self, monkeypatch):
         # a deliberately wrong coefficient row must fail the sampled check
@@ -155,7 +155,7 @@ class TestExpansionIdentity:
             return lists
 
         monkeypatch.setattr(el, "coeff_values", corrupted)
-        assert not el.verify_expansion(20, symbolic_limit=12, seed=0)
+        assert not el.verify_expansion(20, seed=0)
 
 
 class TestBasisCoefficients:

@@ -8,7 +8,6 @@ from psikit.mersenne import (
     CEILING_P,
     ENHANCED_SUM_MAX_INDEX,
     METHODS,
-    MersenneCandidate,
     ab_ratio_test,
     ab_ratios,
     composite_criterion,
@@ -28,6 +27,8 @@ from psikit.mersenne import (
     tau_polynomial_identity,
 )
 from psikit.psicore import psi_mod_ladder, psi_recurrence
+
+import oracles
 
 PRIMES_TO_31 = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 ALL_PRIMES_TO_31 = (2, 3) + PRIMES_TO_31
@@ -53,23 +54,7 @@ def _trial_division_factor(m: int) -> int:
 
 
 class TestCandidates:
-    def test_fields(self):
-        cand = MersenneCandidate(13)
-        assert cand.n == 4096 and cand.modulus == 8191
-        assert cand.modulus == 2 * cand.n - 1
-
-    def test_record_semantics(self):
-        cand = MersenneCandidate(13)
-        assert cand == MersenneCandidate(p=13) and cand != MersenneCandidate(7)
-        assert hash(cand) == hash(MersenneCandidate(13))
-        assert repr(cand) == "MersenneCandidate(p=13)"
-        with pytest.raises(AttributeError):
-            cand.p = 7
-        assert cand.p == 13
-
     def test_composite_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            MersenneCandidate(9)
         with pytest.raises(ValueError):
             psi_test(15)
 
@@ -155,8 +140,7 @@ class TestSequenceDivisibilityTest:
 
     def test_ladder_value_is_sequence_value(self):
         for p in (5, 7):
-            cand = MersenneCandidate(p)
-            direct = psi_recurrence(1, 4, cand.n) % cand.modulus
+            direct = psi_recurrence(1, 4, 1 << (p - 1)) % ((1 << p) - 1)
             assert psi_test(p).residues[0] == direct
 
     def test_requires_p_at_least_5(self):
@@ -174,9 +158,8 @@ class TestMuPattern:
     def test_recursion_consistency(self):
         # psi(n)*psi(n mu) == psi(n(mu+1)) + psi(n(mu-1)) mod M
         for p in (5, 7):
-            cand = MersenneCandidate(p)
-            m = cand.modulus
-            vals = [psi_mod_ladder(1, 4, cand.n * mu, m) for mu in range(0, 10)]
+            n, m = 1 << (p - 1), (1 << p) - 1
+            vals = [psi_mod_ladder(1, 4, n * mu, m) for mu in range(0, 10)]
             for mu in range(1, 9):
                 assert vals[1] * vals[mu] % m == (vals[mu + 1] + vals[mu - 1]) % m
 
@@ -197,19 +180,14 @@ class TestMuPattern:
         for p in range(5, 128):
             if not is_prime_small(p):
                 continue
-            cand = MersenneCandidate(p)
-            expected = [
-                psi_mod_ladder(1, 4, cand.n * mu, cand.modulus) for mu in range(1, 17)
-            ]
+            n, m = 1 << (p - 1), (1 << p) - 1
+            expected = [psi_mod_ladder(1, 4, n * mu, m) for mu in range(1, 17)]
             assert mu_pattern_test(p, 16).residues == expected, p
 
     def test_exact_values_match_ladder(self):
-        cand = MersenneCandidate(5)
+        n, m = 16, 31
         for mu in range(1, 6):
-            exact = psi14_exact(cand.n, mu)
-            assert exact % cand.modulus == psi_mod_ladder(
-                1, 4, cand.n * mu, cand.modulus
-            )
+            assert psi14_exact(n, mu) % m == psi_mod_ladder(1, 4, n * mu, m)
 
 
 class TestEnhancedSum:
@@ -304,11 +282,11 @@ class TestCompositeCriterion:
     def test_neighbour_residues_match_ladder(self):
         # the two ladders to n - 1 and n + 1 are the oracle
         for p in [*filter(is_prime_small, range(3, 128)), 2203, 2213, 4423]:
-            cand = MersenneCandidate(p)
+            n, m = 1 << (p - 1), (1 << p) - 1
             rep = composite_criterion(p)
             assert rep.residues == [
-                psi_mod_ladder(1, 4, cand.n - 1, cand.modulus),
-                psi_mod_ladder(1, 4, cand.n + 1, cand.modulus),
+                psi_mod_ladder(1, 4, n - 1, m),
+                psi_mod_ladder(1, 4, n + 1, m),
             ], p
 
 
@@ -456,6 +434,13 @@ class TestTauIdentities:
             for variant in ("quarter", "half", "root2"):
                 assert tau_identity_check(l, variant), (l, variant)
 
+    def test_common_denominator_matches_term_by_term_oracle(self):
+        for l in range(3, 11):
+            for variant in ("quarter", "half", "root2"):
+                value = tau_identity_value(l, variant)
+                assert type(value) is Fraction, (l, variant)
+                assert value == oracles.tau_identity_value(l, variant), (l, variant)
+
     def test_root2_sign_rule(self):
         assert tau_identity_value(3, "root2") == -1  # tau = 8
         assert tau_identity_value(4, "root2") == 1  # tau = 16
@@ -483,6 +468,7 @@ class TestRunMethod:
 
     def test_report_serialisation(self):
         rep = ll_classic(5)
+        assert rep.elapsed_ms == 0.0  # the command line times the call
         data = rep.to_dict()
         assert list(data) == [
             "method",

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psikit.errors import CapacityError
-from psikit.exactmath import MersenneMod, QuadExt, SQRT2
+from psikit.exactmath import MersenneMod, SQRT2
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import (
-    PsiParams,
     half,
     ladder_step,
     parity,
@@ -335,35 +334,6 @@ class TestExtendedAndProduct:
             assert lam ** half(n) * psi_recurrence(a, b, n) == psi_recurrence(
                 lam * a, lam * b, n
             )
-
-
-class TestPsiParams:
-    def test_ring_tags(self):
-        assert PsiParams(1, 4).ring == "integer"
-        assert PsiParams(Fraction(1, 2), 1).ring == "rational"
-        assert PsiParams(1, SQRT2).ring == "quadratic(2)"
-        assert PsiParams(1, 4, modulus=31).ring == "modular(31)"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PsiParams(1, 4, modulus=1)
-        with pytest.raises(ValueError):
-            PsiParams(Fraction(1, 2), 4, modulus=7)
-        with pytest.raises(ValueError):
-            PsiParams(QuadExt(2, 0, 1), QuadExt(3, 0, 1))
-
-    def test_record_semantics(self):
-        params = PsiParams(1, 4, modulus=31)
-        assert params == PsiParams(1, 4, 31) and params != PsiParams(1, 4)
-        assert params != (1, 4, 31)
-        assert hash(params) == hash(PsiParams(a=1, b=4, modulus=31))
-        assert repr(params) == "PsiParams(a=1, b=4, modulus=31)"
-        assert repr(PsiParams(1, 4)) == "PsiParams(a=1, b=4, modulus=None)"
-        with pytest.raises(AttributeError):
-            params.a = 2
-        with pytest.raises(AttributeError):
-            del params.modulus
-        assert params.a == 1
 
 
 def _bits(value) -> int:
