@@ -235,12 +235,11 @@ def default_bridges() -> list[BridgeSpec]:
         BridgeSpec(
             "chebyshev-first-kind",
             "x**parity(n)/2**parity(n+1) * psi(1, 2-4x^2, n) equals the Chebyshev polynomial",
-            _psi_values(
-                1,
-                2 - 4 * x**2,
-                lambda v, n: Fraction(1, 2 ** parity(n + 1)) * (x ** parity(n) * v),
-            ),
-            chebyshev_t_terms,
+            _psi_values(1, 2 - 4 * x**2, lambda v, n: x ** parity(n) * v),
+            # the 1/2**parity(n+1) of the description, multiplied through
+            lambda n_max: [
+                2 ** parity(n + 1) * t for n, t in enumerate(chebyshev_t_terms(n_max))
+            ],
             _all_indices,
         ),
         BridgeSpec(

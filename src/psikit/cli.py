@@ -245,10 +245,10 @@ VERIFY_CEILING = {
     "theta": 37, "fundamental": 51,
 }
 # Largest ``bridges check --nmax`` (on the same box a run at 64 takes 0.3 s) and
-# ``identities tau --l`` (a whole run at l = 13 takes about 0.15 s, the sums
-# 0.04 s of it; each step of l takes 3 to 5 times longer).
+# ``identities tau --l`` (a whole run at l = 15 takes about 0.8 s, the three
+# sums about 0.7 s of it; each step of l takes the sums 4 to 5 times longer).
 BRIDGES_NMAX_CEILING = 64
-TAU_L_CEILING = 13
+TAU_L_CEILING = 15
 
 
 def _cmd_verify(args) -> list[dict]:

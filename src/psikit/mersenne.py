@@ -446,7 +446,10 @@ def tau_polynomial_identity(l: int) -> bool:
     b = SparsePoly.variable("b")
     total = SparsePoly.zero()
     for k, prod in _tau_terms(tau):
-        w = Fraction(2 * prod, factorial(2 * k) * 4 ** (2 * k))
+        # each weight is an integer where the identity holds
+        w, rem = divmod(2 * prod, factorial(2 * k) * 4 ** (2 * k))
+        if rem:
+            return False
         total = total + w * a ** (tau // 2 - 2 * k) * b ** (2 * k)
     target = psi_symbolic(tau)
     flipped = target.subst({"b": -b})

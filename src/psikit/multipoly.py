@@ -1,12 +1,11 @@
-"""Sparse multivariate polynomials with exact rational coefficients.
+"""Sparse multivariate polynomials with integer coefficients.
 
 Canonical form: variable names are sorted, variables that no longer occur
 are dropped, and zero coefficients are never stored, so structural equality
-coincides with mathematical equality.  Coefficients are ``int``; a
-``Fraction`` is stored only where a true division leaves one (``exact_div``,
-or a fractional scalar such as ``Fraction(1, 2)``), and a ``Fraction`` with
-denominator 1 is stored as its ``int``.  The printed form orders terms by
-graded-lex exponent order, e.g. ``-2*a^2 + b^2``.
+coincides with mathematical equality.  Coefficients are ``int``: any other
+coefficient, an integral fraction included, is refused with ``TypeError``, and
+``exact_div`` refuses a quotient that would leave the integers.  The printed
+form orders terms by graded-lex exponent order, e.g. ``-2*a^2 + b^2``.
 
 Each monomial is packed into one ``int`` (Monagan and Pearce, *Sparse
 polynomial multiplication and division in Maple 14*, 2009): the total degree
@@ -41,7 +40,6 @@ memory.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import mul, or_
@@ -80,12 +78,10 @@ def _check_cap(degree: int) -> None:
         raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
 
 
-def _coeff(value) -> int | Fraction:
+def _coeff(value) -> int:
     if isinstance(value, int):
         return int(value)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficients must be exact rationals, got {value!r}")
+    raise TypeError(f"coefficients must be int, got {value!r}")
 
 
 @lru_cache(maxsize=None)
@@ -122,7 +118,7 @@ class SparsePoly:
         vars = tuple(vars)
         if len(set(vars)) != len(vars):
             raise ValueError(f"duplicate variable names in {vars!r}")
-        cleaned: dict[tuple, int | Fraction] = {}
+        cleaned: dict[tuple, int] = {}
         if terms:
             width = len(vars)
             for exps, c in terms.items():
@@ -153,7 +149,7 @@ class SparsePoly:
         raise AttributeError("SparsePoly instances are immutable")
 
     @property
-    def terms(self) -> Mapping[tuple, int | Fraction]:
+    def terms(self) -> Mapping[tuple, int]:
         """The terms keyed by exponent tuples over ``vars``, read-only."""
         shifts = _shifts(len(self.vars))
         return MappingProxyType(
@@ -186,12 +182,12 @@ class SparsePoly:
             return 0
         return max(self._terms) >> len(self.vars) * _BITS
 
-    def constant_value(self) -> int | Fraction:
+    def constant_value(self) -> int:
         if self.vars:
             raise ValueError(f"{self} is not constant")
         return self._terms.get(0, 0)
 
-    def coefficient(self, monomial: Mapping[str, int]) -> int | Fraction:
+    def coefficient(self, monomial: Mapping[str, int]) -> int:
         """Coefficient of the monomial given as ``{var: exponent}``."""
         for var in monomial:
             if monomial[var] and var not in self.vars:
@@ -218,7 +214,7 @@ class SparsePoly:
         vars_, mine, theirs = self._aligned(other)
         out = dict(mine)
         _add_into(out, theirs)
-        return _pruned(vars_, _whole(out))
+        return _pruned(vars_, out)
 
     __radd__ = __add__
 
@@ -236,9 +232,9 @@ class SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, int):
                 return NotImplemented
-            return self._scaled(_coeff(other))
+            return self._scaled(int(other))
         if not other.vars:
             return self._scaled(other._terms.get(0, 0))
         if not self.vars:
@@ -246,16 +242,16 @@ class SparsePoly:
         _check_cap(self.total_degree() + other.total_degree())
         vars_, mine, theirs = self._aligned(other)
         # both factors are non-constant, hence non-zero: every variable is used
-        return _make(vars_, _whole(_product(mine, theirs)))
+        return _make(vars_, _product(mine, theirs))
 
     __rmul__ = __mul__
 
-    def _scaled(self, s: int | Fraction) -> "SparsePoly":
-        """``s * self`` for a scalar ``s`` in coefficient form."""
+    def _scaled(self, s: int) -> "SparsePoly":
+        """``s * self`` for an integer ``s``."""
         if not s or not self._terms:
             return SparsePoly.zero()
         _check_cap(self.total_degree())
-        return _make(self.vars, _whole({k: c * s for k, c in self._terms.items()}))
+        return _make(self.vars, {k: c * s for k, c in self._terms.items()})
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -263,14 +259,14 @@ class SparsePoly:
         if not exponent:
             return SparsePoly.constant(1)
         _check_cap(self.total_degree() * exponent)
-        return _make(self.vars, _whole(_power(self._terms, exponent)))
+        return _make(self.vars, _power(self._terms, exponent))
 
     # -- equality / hashing -------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePoly):
             return self.vars == other.vars and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return not self.vars and self.constant_value() == other
         return NotImplemented
 
@@ -296,7 +292,7 @@ class SparsePoly:
             e = k >> shift & _FIELD
             if e:
                 out[k - step] = c * e
-        return _pruned(self.vars, _whole(out))
+        return _pruned(self.vars, out)
 
     def subst(self, bindings: Mapping[str, PolyLike]) -> "SparsePoly":
         """Substitute polynomials or scalars for variables, exactly."""
@@ -327,7 +323,7 @@ class SparsePoly:
             for v, p in relevant.items()
             if p
         ]
-        total: dict[int, int | Fraction] = {}
+        total: dict[int, int] = {}
         for k, c in self._terms.items():
             if k & vanish:
                 continue
@@ -343,7 +339,7 @@ class SparsePoly:
                         power = powers[e] = _power(image, e)
                     piece = _product(piece, power)
             _add_into(total, piece)
-        return _pruned(outvars, _whole(total))
+        return _pruned(outvars, total)
 
     def eval_scalar(self, values: Mapping[str, object]):
         """Evaluate with values from any exact commutative ring."""
@@ -361,7 +357,8 @@ class SparsePoly:
     # -- exact division -------------------------------------------------------
 
     def exact_div(self, divisor: "SparsePoly") -> "SparsePoly":
-        """Exact quotient; raises :class:`ExactDivisionError` otherwise."""
+        """Exact quotient with integer coefficients; raises
+        :class:`ExactDivisionError` otherwise."""
         divisor = as_poly(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -375,16 +372,17 @@ class SparsePoly:
         dc = den[dlead]
         num = dict(num)
         # the leading monomial falls at each step, so no quotient monomial repeats
-        quotient: dict[int, int | Fraction] = {}
+        quotient: dict[int, int] = {}
         while num:
             lead = max(num)
+            qc, rem = divmod(num[lead], dc)
             # with every exponent below its guard bit, a field of lead minus
             # dlead clears its guard exactly when that exponent would go negative;
             # an exact quotient never leads with an exponent past the guard
-            if lead & guards or ((lead & fields | guards) - dfields) & guards != guards:
+            if rem or lead & guards or ((lead & fields | guards) - dfields) & guards != guards:
                 raise ExactDivisionError("division is not exact")
             qe = lead - dlead
-            qc = quotient[qe] = _coeff(Fraction(num[lead], dc))
+            quotient[qe] = qc
             for e, c in den.items():
                 key = qe + e
                 s = num.get(key, 0) - qc * c
@@ -433,8 +431,8 @@ _set_terms = SparsePoly._terms.__set__
 
 def _make(vars: tuple, terms: dict) -> SparsePoly:
     """A polynomial from canonical parts, unchecked: ``vars`` sorted and each
-    used by some term, ``terms`` keyed by packed monomials over ``vars``, no
-    zero and no integral ``Fraction`` among them."""
+    used by some term, ``terms`` keyed by packed monomials over ``vars``,
+    coefficients ``int`` and none of them zero."""
     poly = object.__new__(SparsePoly)
     _set_vars(poly, vars)
     _set_terms(poly, terms)
@@ -451,15 +449,6 @@ def _pruned(vars: tuple, terms: dict) -> SparsePoly:
     keep = tuple(v for v, s in zip(vars, _shifts(len(vars))) if used >> s & _FIELD)
     recode = _recoder(vars, keep)
     return _make(keep, {recode(k): c for k, c in terms.items()})
-
-
-def _whole(terms: dict) -> dict:
-    """``terms`` with each integral ``Fraction`` coefficient turned into its
-    ``int``, in place."""
-    for k, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[k] = c.numerator
-    return terms
 
 
 def _add_into(acc: dict, terms: Mapping) -> None:
@@ -481,7 +470,7 @@ def _product(mine: dict, theirs: dict) -> dict:
         ((k1, c1),) = mine.items()
         # a fixed shift keeps the keys apart, and no product of coefficients is 0
         return {k1 + k2: c1 * c2 for k2, c2 in theirs.items()}
-    out: dict[int, int | Fraction] = {}
+    out: dict[int, int] = {}
     get = out.get
     for k1, c1 in mine.items():
         for k2, c2 in theirs.items():
@@ -555,12 +544,12 @@ def _widened(poly: SparsePoly, allvars: tuple) -> dict:
 def _coerce(value):
     if isinstance(value, SparsePoly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return SparsePoly.constant(value)
     return None
 
 
-PolyLike = int | Fraction | SparsePoly
+PolyLike = int | SparsePoly
 
 
 def as_poly(value: PolyLike) -> SparsePoly:

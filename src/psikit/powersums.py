@@ -9,9 +9,6 @@ right-hand side) and the quintic parametric family x^5+y^5+z^5+t^5 = d^2.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
-
 from .eightlevels import expand_powersum_basis, power_sum_poly
 from .errors import CapacityError
 from .multipoly import SparsePoly, variables
@@ -84,18 +81,15 @@ def verify_special_case(n: int) -> bool:
         - bracket(x, y, u, v) ** m * p_zt
         - bracket(z, t, x, y) ** m * p_uv
     )
-    rhs = SparsePoly.zero()
+    # the right side minus the left, times (m - 1)!, so that term r carries the
+    # integer (m - 1)! / r!: by Horner's rule, step r multiplies the sum by r
+    gap = -lhs
     derivatives = _derivative_terms(n)
     for r in range(1, m):
         shifted = derivatives[r - 1].subst({"s1": z * t, "s2": z * z + t * t})
-        # the integer product first, so that only its terms meet the Fraction
-        rhs = rhs + (
-            bracket(x, y, u, v) ** (m - r)
-            * bracket(z, t, x, y) ** r
-            * shifted
-            * Fraction(1, factorial(r))
-        )
-    return lhs == rhs
+        term = bracket(x, y, u, v) ** (m - r) * bracket(z, t, x, y) ** r * shifted
+        gap = gap * r + term
+    return gap.is_zero
 
 
 def bracket_xy_identity_check() -> bool:

@@ -19,18 +19,18 @@ For even n the chain walks the bits of the odd part of k = n >> 1 with
 ``ladder_step``, two products per bit, and squares down the trailing zero bits
 of k with V_2j = V_j**2 - 2, one product per bit; for odd n it walks every
 bit of k.  One ``pow(a, k or k + 1, m)`` at the end, and d**-1 for odd n,
-finish the value.  The chain needs a invertible mod m, and d too for odd n;
-when a gcd is not 1 the ladder takes the three-product walk ``_psi_walk``
-over (psi(k), psi(k+1), a**k) instead.  That walk is common on generic
-moduli, not a corner case: 3 divides 2**k + 1 for every odd k, so about half
-of random (a, b, n) take it on such an m, and about a fifth on a random odd
-m, which often shares a small prime with a.  So it must stay as cheap per
-bit as it is; a 2 x 2 matrix power, with more products per bit, is the
-tests' oracle, not a route.  The reduction is chosen once per call:
-moduli 2**p - 1 use the fold-and-add ``MersenneMod.reduce``, every other
-modulus plain ``%``.  t is kept as the signed representative of least
-absolute value, so for psi(1, 4, .) it is -4, not m - 4; the three-product
-walk keeps a and d so too.
+finish the value.  The chain needs a invertible mod m, and d too for odd n.
+A shared prime is common on generic moduli: 3 divides 2**k + 1 for every odd
+k, and a random odd m often shares a small prime with a.  So the ladder strips
+those primes from m and runs the chain on the coprime part, and the
+inverse-free three-product walk ``_psi_walk`` over (psi(k), psi(k+1), a**k),
+reducing by plain ``%``, on the shared cofactor alone, usually a small prime
+power; the Chinese remainder theorem joins the two.  A 2 x 2 matrix power,
+with more products per bit, is the tests' oracle, not a route.  The chain's
+reduction is chosen once per call: moduli 2**p - 1 use the fold-and-add
+``MersenneMod.reduce``, every other modulus plain ``%``.  t is kept as the
+signed representative of least absolute value, so for psi(1, 4, .) it is -4,
+not m - 4; the three-product walk keeps a and d so too.
 """
 
 from __future__ import annotations
@@ -237,9 +237,9 @@ def _psi_walk(a: int, d: int, n: int, reduce) -> int:
 def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     """psi(a, b, n) mod m in O(log n) ring operations.
 
-    Runs the Lucas chain over the bits of n >> 1, or the three-product walk
-    when a, or d = 2a - b at odd n, shares a factor with m; see the module
-    docstring.
+    Runs the Lucas chain over the bits of n >> 1 on the part of m coprime to
+    a, and to d = 2a - b at odd n, and the three-product walk on the rest of
+    m; see the module docstring.
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
@@ -247,11 +247,26 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
         raise ValueError("index must be >= 0")
     if n == 0:
         return 2 % m
+    d = 2 * a - b
+    coprime = m
+    for x in (a, d) if n & 1 else (a,):
+        while (g := gcd(x, coprime)) > 1:
+            coprime //= g
+    shared = m // coprime
+    # a part of modulus 1 has residue 0, and the join needs no case for it:
+    # pow(coprime, -1, 1) is 0, and pow(1, -1, shared) is 1
+    walk = chain = 0
+    if shared > 1:
+        walk = _psi_walk(_signed(a, shared), _signed(d, shared), n, shared.__rmod__)
+    if coprime > 1:
+        chain = _psi_chain(a, b, d, n, coprime)
+    return chain + coprime * ((walk - chain) * pow(coprime, -1, shared) % shared)
+
+
+def _psi_chain(a: int, b: int, d: int, n: int, m: int) -> int:
+    """psi(a, b, n) mod m by the Lucas chain; a, and d at odd n, are units mod m."""
     reduce = MersenneMod(m.bit_length()).reduce if m & (m + 1) == 0 else m.__rmod__
     odd = n & 1
-    d = 2 * a - b
-    if gcd(a, m) != 1 or (odd and gcd(d, m) != 1):
-        return _psi_walk(_signed(a, m), _signed(d, m), n, reduce)
     t = _signed(-b * pow(a, -1, m), m)
     k = n >> 1
     if odd:

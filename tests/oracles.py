@@ -39,8 +39,9 @@ class TuplePoly:
     through the canonicalising constructor, and powers are repeated products.
 
     It takes the same canonical form (sorted used variables, no zero terms,
-    integral ``Fraction`` stored as ``int``), prints the same text and
-    refuses the same products past ``MAX_DEGREE``.
+    integral ``Fraction`` stored as ``int``), prints the same text, and
+    refuses the same products past ``MAX_DEGREE`` and the same quotients that
+    leave the integers.
     """
 
     def __init__(self, vars=(), terms=None):
@@ -154,6 +155,9 @@ class TuplePoly:
             if min(qe, default=0) < 0:
                 raise ExactDivisionError("division is not exact")
             qc = quotient[qe] = Fraction(num[lead], den[dlead])
+            # the kernel is integral: a quotient that needs a fraction is refused
+            if qc.denominator != 1:
+                raise ExactDivisionError("quotient is not integral")
             for e, c in den.items():
                 key = tuple(map(add, qe, e))
                 num[key] = num.get(key, 0) - qc * c
@@ -184,10 +188,15 @@ def coeff_dual(n: int, r: int) -> SparsePoly:
     current = psi_symbolic(n, "alpha", "beta")
     for _ in range(m - r):
         current = apply_direction(current, a, b, "alpha", "beta")
-    row = Fraction((-1) ** r, factorial(m - r)) * current
-    if any(c.denominator != 1 for c in row.terms.values()):
-        raise ArithmeticError(f"non-integer dual coefficient at r={r}, n={n}")
-    return row
+    return divided((-1) ** r * current, factorial(m - r))
+
+
+def divided(poly: SparsePoly, den: int) -> SparsePoly:
+    """``poly`` with each coefficient divided by the integer ``den``; raises
+    ArithmeticError where one is not a multiple of it."""
+    if any(c % den for c in poly.terms.values()):
+        raise ArithmeticError(f"{poly} is not divisible by {den}")
+    return SparsePoly(poly.vars, {e: c // den for e, c in poly.terms.items()})
 
 
 def coeff_via_basechange(n: int) -> tuple[SparsePoly, ...]:
@@ -215,7 +224,7 @@ def coeff_via_basechange(n: int) -> tuple[SparsePoly, ...]:
         total = total + (-1) ** i * int(w) * xy_image**i * sq_image ** (m - i)
     rows = []
     for r in range(m + 1):
-        picked: dict[tuple, Fraction] = {}
+        picked: dict[tuple, int] = {}
         for exps, c in total.terms.items():
             dexp = dict(zip(total.vars, exps))
             if dexp.get("q1", 0) == m - r and dexp.get("q2", 0) == r:
@@ -230,11 +239,11 @@ def reduce_square(poly: SparsePoly, var: str, value) -> SparsePoly:
     if var not in poly.vars:
         return poly
     i = poly.vars.index(var)
-    out: dict[tuple, Fraction] = {}
+    out: dict[tuple, int] = {}
     for e, c in poly.terms.items():
         q, r = divmod(e[i], 2)
         key = e[:i] + (r,) + e[i + 1:]
-        s = out.get(key, Fraction(0)) + c * Fraction(value) ** q
+        s = out.get(key, 0) + c * value**q
         if s:
             out[key] = s
         else:

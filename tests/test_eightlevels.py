@@ -26,7 +26,7 @@ from psikit.exactmath import QuadExt
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import SYMBOLIC_INDEX_CAP, half, psi_recurrence, psi_symbolic
 
-from oracles import coeff_dual, coeff_via_basechange
+from oracles import coeff_dual, coeff_via_basechange, divided
 
 A, B, AL, BE = variables("a b alpha beta")
 X, Y = variables("x y")
@@ -40,7 +40,7 @@ def operator_rows(n):
     for r in range(half(n) + 1):
         if r:
             current = apply_direction(current, AL, BE)
-        rows.append(Fraction((-1) ** r, factorial(r)) * current)
+        rows.append(divided((-1) ** r * current, factorial(r)))
     return tuple(rows)
 
 

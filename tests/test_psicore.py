@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psikit import psicore
 from psikit.errors import CapacityError
 from psikit.exactmath import MersenneMod, SQRT2
 from psikit.multipoly import SparsePoly, variables
@@ -179,11 +180,15 @@ class TestLadder:
 @st.composite
 def ladder_cases(draw):
     """(a, b, n, m): Mersenne, near-miss, random odd and even moduli, and
-    moduli m = g * h; a = 1 (mod m), a = g * u sharing the factor g with m,
-    or random; d = 2a - b random, or g * v, which is 0 (mod m) when g = m;
-    signed a and b; n = 0, powers of two and odd * 2**j.  A gcd(a, m) > 1,
-    or a gcd(d, m) > 1 at odd n, sends the ladder to its three-product walk."""
-    form = draw(st.sampled_from(("mersenne", "plus1", "minus3", "odd", "even", "product")))
+    moduli m = g * h or p**e * h with p a small prime; a = 1 (mod m),
+    a = g * u sharing the factor g (or p) with m, or random; d = 2a - b
+    random, or g * v, which is 0 (mod m) when g = m; signed a and b; n = 0,
+    powers of two and odd * 2**j.  The primes of m that a, or d at odd n,
+    shares go to the three-product walk; with m = p**e * h the ladder strips
+    p from m more than once."""
+    form = draw(
+        st.sampled_from(("mersenne", "plus1", "minus3", "odd", "even", "product", "power"))
+    )
     if form == "mersenne":
         m = (1 << draw(st.integers(2, 61))) - 1
     elif form == "plus1":
@@ -194,10 +199,13 @@ def ladder_cases(draw):
         m = 2 * draw(st.integers(1, 1 << 64))
     elif form == "odd":
         m = 2 * draw(st.integers(1, 1 << 64)) + 1
-    else:
+    elif form == "product":
         g = draw(st.integers(2, 1 << 16))
         m = g * draw(st.integers(1, 1 << 48))
-    if form != "product":
+    else:
+        g = draw(st.sampled_from((2, 3, 5, 7)))
+        m = g ** draw(st.integers(2, 30)) * draw(st.integers(1, 1 << 48))
+    if form not in ("product", "power"):
         g = m
     a = draw(
         st.one_of(
@@ -243,15 +251,19 @@ class TestLadderProperties:
 
 
 class TestWalkAtScale:
-    """The inverse-free walk at the size of a large generic modulus, against
-    the matrix power: m = 2**2203 + 1, which 3 divides, and n of about 2200
-    bits.  Each case asserts the gcd that sends it to the walk."""
+    """The inverse-free walk on all of a large generic modulus, and the
+    ladder that splits it, against the matrix power: m = 2**2203 + 1, which 3
+    divides, and n of about 2200 bits.  The ladder walks only the factor 3
+    here, so the walk is called directly.  Each case asserts the gcd that
+    would send the whole modulus to the walk."""
 
     M = (1 << 2203) + 1
 
     def _check(self, a, b, n):
         m = self.M
-        assert psi_mod_ladder(a, b, n, m) == psi_matrix_mod(a, b, n, m)
+        expected = psi_matrix_mod(a, b, n, m)
+        assert walk(a, b, n, m) == expected
+        assert psi_mod_ladder(a, b, n, m) == expected
 
     def test_a_shares_three_with_m_even_and_odd_n(self):
         rng = random.Random(2203)
@@ -272,6 +284,49 @@ class TestWalkAtScale:
         n = rng.getrandbits(2200) | (1 << 2199) | 1
         assert gcd(2 * a - b, self.M) != 1
         self._check(a, b, n)
+
+
+class TestSharedCofactor:
+    """The ladder walks only the part of m made of the primes that a, or d at
+    odd n, shares with it, and takes the chain on the rest."""
+
+    def _walked(self, monkeypatch, a, b, n, m):
+        """The moduli that the walk reduces by in one ladder call, which must
+        agree with the matrix power."""
+        seen = []
+
+        def spy(a, d, n, reduce):
+            seen.append(reduce.__self__)
+            return _psi_walk(a, d, n, reduce)
+
+        monkeypatch.setattr(psicore, "_psi_walk", spy)
+        assert psi_mod_ladder(a, b, n, m) == psi_matrix_mod(a, b, n, m)
+        return seen
+
+    def test_only_three_is_walked_modulo_two_power_plus_one(self, monkeypatch):
+        # 9 does not divide m, as 2203 = 1 (mod 6), and the other primes of m
+        # are above 4406, so u and d miss them
+        m = (1 << 2203) + 1
+        rng = random.Random(2205)
+        u = rng.getrandbits(2200)
+        while gcd(u, m) != 1:
+            u += 1
+        a, b = 3 * u, rng.getrandbits(2203)
+        assert gcd(2 * a - b, m // 3) == 1
+        for low in (0, 1):
+            n = rng.getrandbits(2200) | (1 << 2199)
+            n = n - (n & 1) + low
+            assert self._walked(monkeypatch, a, b, n, m) == [3]
+
+    def test_the_prime_power_is_walked_and_the_mersenne_factor_chained(self, monkeypatch):
+        m = 3**40 * ((1 << 61) - 1)
+        for n in (1000, 1001, 1 << 200, (1 << 200) + 1):
+            assert self._walked(monkeypatch, 3, 7, n, m) == [3**40]
+
+    def test_all_of_m_is_walked_when_every_prime_is_shared(self, monkeypatch):
+        m = 3**40
+        for n in (1000, 1001, 1 << 200, (1 << 200) + 1):
+            assert self._walked(monkeypatch, 3, 7, n, m) == [m]
 
 
 class TestExtendedAndProduct:
