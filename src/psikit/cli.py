@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 
 from . import bridges as bridges_mod
 from . import eightlevels, mersenne, powersums
@@ -36,6 +37,37 @@ EXIT_CAPACITY = 3
 
 # Largest bit length of a ``base^exp`` index; the ladder spends one step per bit.
 INDEX_BITS_CAP = 1 << 20
+
+# The one bounded option of each command: its name, first value and ceiling.
+# eightlevels and powersums stop at their library caps.  A whole run at the
+# ceiling takes, on a shared 2-core box with CPython 3.11, about 0.3 s for
+# eightlevels, 0.1 s for powersums, 1.2 s for theta, 1.4 s for fundamental,
+# 0.1 s for bridges and 0.7 s for tau (each step of l takes its sums 4 to 5
+# times longer).  psi eval bounds the exact value only; --mod takes any index.
+CEILINGS = {
+    "verify eightlevels": ("nmax", 1, SYMBOLIC_INDEX_CAP),
+    "verify powersums": ("nmax", 2, powersums.SPECIAL_CASE_CAP),
+    "verify theta": ("nmax", 1, 37),
+    "verify fundamental": ("nmax", 1, 51),
+    "bridges check": ("nmax", 0, 64),
+    "identities tau": ("l", 3, 15),
+    "psi eval": ("n", 0, 100_000),
+}
+# The largest estimated work of a ``mersenne scan``, the sum of p * p * isqrt(p)
+# over its exponents (the chain at p costs about p**2.5): that of --pmax 4000,
+# whose whole run takes 6 to 10 s by ll or psi on the same box.
+SCAN_WORK_CEILING = 140_612_888_302
+
+
+def _check_range(command: str, value: int) -> int:
+    """Refuse, before any work, a value of the command's bounded option above
+    its ceiling or below its first value; return the first value."""
+    option, first, ceiling = CEILINGS[command]
+    if value > ceiling:
+        raise CapacityError(f"{command}: {option}={value} is above the ceiling {ceiling}")
+    if value < first:
+        raise ValueError(f"{command}: {option}={value} is below the first index {first}")
+    return first
 
 
 def _parse_scalar(text: str) -> Fraction | int:
@@ -161,8 +193,7 @@ def _cmd_psi(args) -> list[dict]:
             _require_echoable(n, mod)
             value = psi_mod_ladder(a, b, n, mod)
         else:
-            if n > 100_000:
-                raise CapacityError("exact evaluation capped at n <= 100000; use --mod")
+            _check_range("psi eval", n)
             _require_printable(psi_bit_bound(a, b, n), f"psi at n={n}")
             value = psi_recurrence(a, b, n)
         return [
@@ -236,46 +267,16 @@ _VERIFY_SUITES = {
 
 
 _DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
-# Largest --nmax of each suite: eightlevels and powersums stop at their index
-# caps.  The theta and fundamental ceilings were set where a whole run took
-# about 30 s on a shared 2-core box with CPython 3.11; on that box a whole run
-# at the ceiling takes about 2.0 s for theta and 2.2 s for fundamental.
-VERIFY_CEILING = {
-    "eightlevels": SYMBOLIC_INDEX_CAP, "powersums": powersums.SPECIAL_CASE_CAP,
-    "theta": 37, "fundamental": 51,
-}
-# Largest ``bridges check --nmax`` (on the same box a run at 64 takes 0.3 s) and
-# ``identities tau --l`` (a whole run at l = 15 takes about 0.8 s, the three
-# sums about 0.7 s of it; each step of l takes the sums 4 to 5 times longer).
-BRIDGES_NMAX_CEILING = 64
-TAU_L_CEILING = 15
 
 
 def _cmd_verify(args) -> list[dict]:
-    suite = _VERIFY_SUITES[args.suite]
-    start = 2 if args.suite == "powersums" else 1
     nmax = _DEFAULT_NMAX[args.suite] if args.nmax is None else args.nmax
-    ceiling = VERIFY_CEILING[args.suite]
-    if nmax > ceiling:
-        raise CapacityError(f"verify {args.suite}: nmax={nmax} is above the ceiling {ceiling}")
-    if nmax < start:
-        raise ValueError(f"verify {args.suite}: nmax={nmax} is below the first index {start}")
-    results = suite(start, nmax, args.seed)
+    start = _check_range(f"verify {args.suite}", nmax)
+    results = _VERIFY_SUITES[args.suite](start, nmax, args.seed)
     return [
         {"command": "verify", "suite": args.suite, "n": n, "ok": ok}
         for n, ok in enumerate(results, start)
     ]
-
-
-def _battery_kwargs(args) -> dict:
-    kwargs = {}
-    if args.method == "mu":
-        kwargs["mu_max"] = args.mu_max
-    if args.method == "sum":
-        kwargs["mu"] = args.mu
-    if args.method in ("sum", "necessary", "ab") and args.max_p is not None:
-        kwargs["max_p"] = args.max_p
-    return kwargs
 
 
 def _timed_report(method: str, p: int, **kwargs) -> mersenne.TestReport:
@@ -287,8 +288,23 @@ def _timed_report(method: str, p: int, **kwargs) -> mersenne.TestReport:
     return report
 
 
+def _scan_exponents(lower: int, pmax: int) -> list[int]:
+    """The prime exponents lower..pmax of a scan, refused before any test
+    once their estimated work passes SCAN_WORK_CEILING.  An exponent whose own
+    work passes it counts untested, so that no huge p is trial-divided."""
+    exponents, work = [], 0
+    for p in range(lower, pmax + 1):
+        cost = p * p * isqrt(p)
+        if cost > SCAN_WORK_CEILING or mersenne.is_prime_small(p):
+            work += cost
+            if work > SCAN_WORK_CEILING:
+                raise CapacityError(f"mersenne scan: work={work} up to p={p} is above "
+                                    f"the ceiling {SCAN_WORK_CEILING}")
+            exponents.append(p)
+    return exponents
+
+
 def _cmd_mersenne(args) -> list[dict]:
-    timing = args.timing
     if args.mersenne_command == "scan":
         lower = max(args.pmin, 3 if args.method == "ll" else 5)
         if args.pmax < lower:
@@ -298,19 +314,19 @@ def _cmd_mersenne(args) -> list[dict]:
         # a residue mod 2**p - 1 has at most p bits
         _require_printable(args.pmax, f"a residue mod 2^{args.pmax}-1")
         return [
-            _timed_report(args.method, p).to_dict(with_timing=timing)
-            for p in range(lower, args.pmax + 1)
-            if mersenne.is_prime_small(p)
+            _timed_report(args.method, p).to_dict(with_timing=args.timing)
+            for p in _scan_exponents(lower, args.pmax)
         ]
     if args.method in ("ll", "psi", "composite", "mu"):
         _require_printable(args.p, f"a residue mod 2^{args.p}-1")
-    elif args.method == "ab" and 5 <= args.p <= mersenne.AB_RATIO_MAX_P:
+    elif args.method == "ab" and 5 <= args.p <= mersenne.CEILING_P["ab"]:
         # outside these bounds ab_ratio_test refuses p itself
-        _require_printable(
-            psi_bit_bound(1, 4, 1 << (args.p - 1)), f"the ab ratio at p={args.p}"
-        )
-    report = _timed_report(args.method, args.p, **_battery_kwargs(args))
-    return [report.to_dict(with_timing=timing)]
+        bits = psi_bit_bound(1, 4, 1 << (args.p - 1))
+        _require_printable(bits, f"the ab ratio at p={args.p}")
+    # --mu and --mu-max go to the one method that takes each
+    kwargs = {"mu": {"mu_max": args.mu_max}, "sum": {"mu": args.mu}}.get(args.method, {})
+    report = _timed_report(args.method, args.p, **kwargs)
+    return [report.to_dict(with_timing=args.timing)]
 
 
 def _cmd_bridges(args) -> list[dict]:
@@ -320,12 +336,7 @@ def _cmd_bridges(args) -> list[dict]:
             {"command": "bridge-spec", **spec.describe()} for spec in registry
         ]
     if args.bridges_command == "check":
-        if args.nmax > BRIDGES_NMAX_CEILING:
-            raise CapacityError(
-                f"bridges check: nmax={args.nmax} is above the ceiling {BRIDGES_NMAX_CEILING}"
-            )
-        if args.nmax < 0:
-            raise ValueError(f"bridges check: nmax={args.nmax} is below 0")
+        _check_range("bridges check", args.nmax)
         records = []
         for spec in registry:
             failures = spec.check(args.nmax)
@@ -367,8 +378,7 @@ _TAU_VARIANTS = ("quarter", "half", "root2")
 
 
 def _cmd_identities(args) -> list[dict]:
-    if args.l > TAU_L_CEILING:
-        raise CapacityError(f"identities tau: l={args.l} is above the ceiling {TAU_L_CEILING}")
+    _check_range("identities tau", args.l)
     variants = _TAU_VARIANTS if args.variant == "all" else (args.variant,)
     records = []
     for variant in variants:
@@ -483,8 +493,6 @@ COMMANDS = {
             ("--method", {"choices": sorted(mersenne.METHODS), "required": True}),
             ("--mu", {"type": int, "default": 1}),
             ("--mu-max", {"type": int, "default": 8}),
-            ("--max-p", {"type": int, "help": "override the capacity cap of "
-                         "sum/necessary/ab, up to each method's ceiling"}),
         ]),
         "scan": ("all prime exponents up to a bound", [
             ("--pmax", _REQUIRED_INT),

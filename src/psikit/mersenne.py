@@ -12,7 +12,7 @@ from math import factorial, isqrt
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, NotInvertibleError, mod_inverse
-from .psicore import _lucas_walk, psi_mod_ladder, psi_symbolic
+from .psicore import _lucas_walk, _square_chain, psi_mod_ladder, psi_symbolic
 from .records import Record
 
 __all__ = [
@@ -35,23 +35,17 @@ __all__ = [
     "tau_identity_value",
     "tau_polynomial_identity",
     "METHODS",
-    "ENHANCED_SUM_MAX_P",
     "ENHANCED_SUM_MAX_INDEX",
-    "AB_RATIO_MAX_P",
-    "NECESSARY_MAX_P",
     "MU_MAX_CAP",
     "CEILING_P",
 ]
 
-# Default caps on p of the methods whose work grows exponentially in p.
-ENHANCED_SUM_MAX_P = 13
-AB_RATIO_MAX_P = 23
-NECESSARY_MAX_P = 23
-# Hard ceilings that a ``max_p`` override cannot pass.  On a shared 2-core box
-# with CPython 3.11: sum at index n * mu = 2**17 takes 2 s (2**18: 9 s);
-# necessary at prime p = 19 takes 0.3 s, and p = 23 and 29 stop at once at a
-# factor of 2**p - 1 (p = 31 would need 2**29 terms); ab at p = 23 takes 0.4 s
-# (p = 29 would square integers of up to 2**28 bits).
+# The largest p of each method whose work grows exponentially in p.  One call
+# on a shared 2-core box with CPython 3.11: sum at p = 17 takes 0.3 s (1.8 s
+# with mu = 2; index n * mu = 2**18 would take 9 s); necessary at prime p = 19
+# takes 0.15 s, and p = 23 and 29 stop at once at a factor of 2**p - 1 (p = 31
+# would need 2**29 terms); ab at p = 23 takes 0.3 s (p = 29 would square
+# integers of up to 2**28 bits).
 CEILING_P = {"sum": 17, "necessary": 29, "ab": 23}
 ENHANCED_SUM_MAX_INDEX = 1 << 17
 # Largest mu_max of the mu pattern; its record holds one residue of p bits per mu.
@@ -117,15 +111,11 @@ def _candidate(p: int, min_p: int) -> tuple[int, int]:
     return 1 << (p - 1), (1 << p) - 1
 
 
-def _check_cap(method: str, p: int, max_p: int, work: str) -> None:
-    """Refuse, before any work, a cap above the method's ceiling or p above
-    the cap; ``work`` says what p would cost."""
-    if max_p > CEILING_P[method]:
-        raise CapacityError(
-            f"{method}: max_p={max_p} is above the ceiling p <= {CEILING_P[method]}"
-        )
-    if p > max_p:
-        raise CapacityError(f"{method} at p={p} needs {work}; cap is p <= {max_p}")
+def _check_cap(method: str, p: int, work: str) -> None:
+    """Refuse, before any work, p above the method's ceiling; ``work`` says
+    what p would cost."""
+    if p > (ceiling := CEILING_P[method]):
+        raise CapacityError(f"{method} at p={p} needs {work}; cap is p <= {ceiling}")
 
 
 def ll_chain(p: int, seed: int = 4) -> int:
@@ -136,10 +126,7 @@ def ll_chain(p: int, seed: int = 4) -> int:
     from seed -4 the k-th iterate is psi(1, 4, 2**(k + 1)).
     """
     reduce = MersenneMod(p).reduce
-    s = reduce(seed)
-    for _ in range(p - 2):
-        s = reduce(s * s - 2)
-    return s
+    return _square_chain(reduce(seed), p - 2, reduce)
 
 
 def ll_classic(p: int) -> TestReport:
@@ -246,25 +233,22 @@ def psi14_exact(n: int, mu: int) -> int:
         raise ValueError("mu must be >= 0")
     if mu == 0:
         return 2
-    base = -4  # psi(1, 4, 2)
-    k = 2
-    while k < n:
-        base = base * base - 2
-        k *= 2
+    # from psi(1, 4, 2) = -4, unreduced: int is the identity on integers
+    base = _square_chain(-4, n.bit_length() - 2, int)
     prev, cur = 2, base  # psi(1,4,0), psi(1,4,n)
     for _ in range(mu - 1):
         prev, cur = cur, base * cur - prev
     return cur
 
 
-def enhanced_sum_test(p: int, mu: int = 1, max_p: int = ENHANCED_SUM_MAX_P) -> TestReport:
+def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
     """Exact-arithmetic variant: the signed factorial-product sum over index
     n*mu reduces mod M to +1/0/-1 by mu mod 4, and twice the sum equals
     psi(1, 4, n*mu) exactly."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
     terms = f"2**{p - 3} * {mu} + 1 exact big-integer terms"
-    _check_cap("sum", p, max_p, terms)
+    _check_cap("sum", p, terms)
     n, m = _candidate(p, 5)
     if n * mu > ENHANCED_SUM_MAX_INDEX:
         raise CapacityError(
@@ -289,7 +273,7 @@ def enhanced_sum_test(p: int, mu: int = 1, max_p: int = ENHANCED_SUM_MAX_P) -> T
     )
 
 
-def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
+def necessary_condition(p: int) -> TestReport:
     """sum_k prod_{l<k} ((4l)**2 - 1) / (2k)! == -1 (mod M) when M is prime.
 
     The factorial denominators are handled with modular inverses, so the terms
@@ -298,7 +282,7 @@ def necessary_condition(p: int, max_p: int = NECESSARY_MAX_P) -> TestReport:
     ((4(k-1))**2 - 1) / (2k (2k-1)) mod M.  A failed inverse surfaces its gcd
     witness, which is a nontrivial factor of M.
     """
-    _check_cap("necessary", p, max_p, f"2**{p - 2} + 1 modular terms")
+    _check_cap("necessary", p, f"2**{p - 2} + 1 modular terms")
     n, m = _candidate(p, 5)
     term = 1
     total = 1
@@ -365,14 +349,14 @@ def ab_ratios(p: int) -> tuple[int, int]:
     return (1 << p) - 1, psi14_exact(1 << (p - 1), 1)
 
 
-def ab_ratio_test(p: int, max_p: int = AB_RATIO_MAX_P) -> TestReport:
+def ab_ratio_test(p: int) -> TestReport:
     """Prime iff the first layer ratio divides the second.
 
     With the ratios in their observed closed form (see ``ab_ratios``) this is
     the divisibility criterion 2**p - 1 | psi(1, 4, 2**(p-1)) on exact
     integers.
     """
-    _check_cap("ab", p, max_p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
+    _check_cap("ab", p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
     _candidate(p, 5)
     a_ratio, b_ratio = ab_ratios(p)
     verdict = "prime" if b_ratio % a_ratio == 0 else "composite"

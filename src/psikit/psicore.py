@@ -184,6 +184,14 @@ def ladder_step(state: tuple[int, int], bit: int, t: int, reduce) -> tuple[int, 
     return reduce(v * v - 2), mid
 
 
+def _square_chain(v: int, times: int, reduce) -> int:
+    """The ``times``-th iterate of v -> reduce(v**2 - 2): V_j to V_(j * 2**times)
+    of a Lucas V sequence with Q = 1, by V_2j = V_j**2 - 2."""
+    for _ in range(times):
+        v = reduce(v * v - 2)
+    return v
+
+
 def _lucas_walk(k: int, t: int, reduce) -> tuple[int, int]:
     """(V_k, V_(k+1)) of V = V(t, 1) mod m: ``ladder_step`` over the bits of
     k from (V_0, V_1) = (2, t)."""
@@ -278,10 +286,7 @@ def _psi_chain(a: int, b: int, d: int, n: int, m: int) -> int:
     if odd:
         v = reduce((state[0] + state[1]) * pow(d, -1, m))
         return reduce(v * pow(a, k + 1, m))
-    v = state[0]
-    for _ in range(zeros):
-        v = reduce(v * v - 2)
-    return reduce(v * pow(a, k, m))
+    return reduce(_square_chain(state[0], zeros, reduce) * pow(a, k, m))
 
 
 def psi_product_identity_check(a, b, n: int, m: int) -> bool:

@@ -6,27 +6,29 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from math import isqrt
 from pathlib import Path
 
 import pytest
 
 import psikit
+from psikit import mersenne
 from psikit.cli import (
-    BRIDGES_NMAX_CEILING,
+    CEILINGS,
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     INDEX_BITS_CAP,
-    TAU_L_CEILING,
-    VERIFY_CEILING,
+    SCAN_WORK_CEILING,
     _parse_index,
+    _scan_exponents,
     main,
     render_records,
 )
-from psikit.eightlevels import verify_expansion
+from psikit.eightlevels import TABLE_DEGREE_CAP, verify_expansion
 from psikit.errors import CapacityError
-from psikit.mersenne import METHODS
+from psikit.mersenne import CEILING_P, METHODS, MU_MAX_CAP, is_prime_small
 from psikit.psicore import SYMBOLIC_INDEX_CAP
 
 
@@ -221,6 +223,39 @@ class TestBridgesAndIdentities:
         assert [r["value"] for r in recs] == ["1", "-1", "-1"]
 
 
+# What a command of cli.CEILINGS needs besides its bounded option.
+OPERANDS = {"psi eval": ["--a", "1", "--b", "2"]}
+# Each bounded input: the argv that sets it, its first value and its ceiling,
+# read from the tables of the program and the library.
+BOUNDED = {
+    **{
+        command: (
+            lambda v, command=command, option=option: [
+                *command.split(), *OPERANDS.get(command, []), f"--{option}", str(v)
+            ],
+            first,
+            ceiling,
+        )
+        for command, (option, first, ceiling) in CEILINGS.items()
+    },
+    **{
+        f"mersenne test {method}": (
+            lambda v, method=method: ["mersenne", "test", "--p", str(v), "--method", method],
+            5,
+            ceiling,
+        )
+        for method, ceiling in CEILING_P.items()
+    },
+    "mersenne test mu": (
+        lambda v: ["mersenne", "test", "--p", "5", "--method", "mu", "--mu-max", str(v)],
+        1,
+        MU_MAX_CAP,
+    ),
+    "coeff table": (lambda v: ["coeff", "table", "--n", str(v)], 0, 2 * TABLE_DEGREE_CAP + 1),
+    "psi poly": (lambda v: ["psi", "poly", "--n", str(v)], 0, SYMBOLIC_INDEX_CAP),
+}
+
+
 class TestExitCodes:
     def test_usage_error(self):
         code, _ = run_cli("nonsense")
@@ -252,21 +287,17 @@ class TestExitCodes:
         code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
 
-    def test_capacity_override(self):
-        # necessary condition above its default cap still runs when forced
-        code, recs = run_json(
-            "mersenne", "test", "--p", "13", "--method", "necessary", "--max-p", "13"
-        )
-        assert code == EXIT_OK and recs[0]["verdict"] == "condition-holds"
+    def test_max_p_is_a_usage_error(self, capsys):
+        # each method has one ceiling on p, and no option moves it
+        code = main(["mersenne", "test", "--p", "13", "--method", "necessary", "--max-p", "13"])
+        assert code == EXIT_USAGE and capsys.readouterr().out == ""
 
-    def test_max_p_above_the_ceiling_is_refused_at_once(self):
-        started = time.perf_counter()
-        for p, method in (("29", "ab"), ("61", "necessary"), ("19", "sum"), ("5", "ab")):
-            code, recs = run_json(
-                "mersenne", "test", "--p", p, "--method", method, "--max-p", "61"
-            )
-            assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity", method
-        assert time.perf_counter() - started < 1.0
+    def test_sum_and_necessary_run_at_their_ceilings(self):
+        code, recs = run_json("mersenne", "test", "--p", "17", "--method", "sum")
+        assert code == EXIT_OK and recs[0]["verdict"] == "condition-holds"
+        code, recs = run_json("mersenne", "test", "--p", "29", "--method", "necessary")
+        assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
+        assert recs[0]["residues"] == ["233"]
 
     def test_unprintable_ab_ratio_is_capacity(self, monkeypatch):
         # psi(1, 4, 2^16) has about 18700 digits, past CPython's default 4300
@@ -333,24 +364,59 @@ class TestExitCodes:
         code, recs = run_json("verify", "powersums", "--nmax", "11")
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
 
-    def test_verify_ceilings_are_checked_before_the_work(self):
-        for suite, ceiling in VERIFY_CEILING.items():
+    @pytest.mark.parametrize("name", sorted(BOUNDED))
+    def test_each_ceiling_plus_one_is_refused_at_once(self, name):
+        argv, _, ceiling = BOUNDED[name]
+        for value in (ceiling + 1, ceiling + 7):
             started = time.perf_counter()
-            code, recs = run_json("verify", suite, "--nmax", str(ceiling + 1))
-            assert code == EXIT_CAPACITY and len(recs) == 1, suite
-            assert recs[0]["error"] == "capacity", suite
-            assert time.perf_counter() - started < 1.0, suite
+            code, recs = run_json(*argv(value))
+            assert code == EXIT_CAPACITY and len(recs) == 1, value
+            assert recs[0]["error"] == "capacity", value
+            assert time.perf_counter() - started < 1.0, value
 
-    def test_nmax_below_the_first_index_is_a_usage_error(self):
-        below = [("verify", suite, "--nmax", str(nmax))
-                 for suite, first in (("eightlevels", 1), ("theta", 1), ("fundamental", 1),
-                                      ("powersums", 2))
-                 for nmax in (first - 1, -3)]
-        below += [("bridges", "check", "--nmax", "-1"), ("bridges", "check", "--nmax", "-7")]
-        for argv in below:
-            code, recs = run_json(*argv)
-            assert code == EXIT_USAGE and len(recs) == 1, argv
-            assert recs[0]["error"] == "usage" and "below" in recs[0]["reason"], argv
+    @pytest.mark.parametrize("name", sorted(BOUNDED))
+    def test_each_first_value_minus_one_is_a_usage_error(self, name):
+        argv, first, _ = BOUNDED[name]
+        for value in (first - 1, first - 7):
+            code, recs = run_json(*argv(value))
+            assert code == EXIT_USAGE and len(recs) == 1, value
+            assert recs[0]["error"] == "usage", value
+            # psi eval's index is refused as it is parsed, as for every psi command
+            if name in CEILINGS and name != "psi eval":
+                assert recs[0]["reason"] == (
+                    f"{name}: {CEILINGS[name][0]}={value} is below the first index {first}"
+                )
+
+    def test_scan_work_ceiling_is_that_of_pmax_4000(self):
+        work = sum(p * p * isqrt(p) for p in range(3, 4001) if is_prime_small(p))
+        assert work == SCAN_WORK_CEILING
+        # the widest scan, the one measured at about a second and the benchmark's
+        for lower, pmax in ((3, 4000), (1000, 2300), (2200, 2300)):
+            primes = [p for p in range(lower, pmax + 1) if is_prime_small(p)]
+            assert _scan_exponents(lower, pmax) == primes
+
+    @pytest.mark.parametrize("argv", [
+        ("mersenne", "scan", "--pmax", "4001", "--method", "ll"),
+        ("mersenne", "scan", "--pmax", "4500"),
+        ("mersenne", "scan", "--pmin", "14000", "--pmax", "14281"),
+        ("mersenne", "scan", "--pmin", str(10**30), "--pmax", str(10**30 + 99)),
+    ], ids=["pmax-4001", "pmax-4500", "pmin-14000", "pmin-1e30"])
+    def test_scan_above_the_work_ceiling_is_refused_at_once(self, argv, monkeypatch):
+        # with the int-to-str limit lifted, the work ceiling alone bounds a scan
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        trial_division = mersenne.is_prime_small
+
+        def small_only(p):
+            assert p < 10**6, f"p={p} was trial-divided"
+            return trial_division(p)
+
+        monkeypatch.setattr(mersenne, "is_prime_small", small_only)
+        started = time.perf_counter()
+        code, recs = run_json(*argv)
+        assert code == EXIT_CAPACITY and len(recs) == 1
+        assert recs[0]["error"] == "capacity"
+        assert recs[0]["reason"].endswith(f"is above the ceiling {SCAN_WORK_CEILING}")
+        assert time.perf_counter() - started < 1.0
 
     def test_nmax_at_the_first_index_runs(self):
         for suite, first in (("eightlevels", 1), ("theta", 1), ("fundamental", 1),
@@ -383,23 +449,9 @@ class TestExitCodes:
 
     def test_coeff_table_above_degree_cap(self):
         started = time.perf_counter()
-        code, recs = run_json("coeff", "table", "--n", "130")
-        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
+        code, recs = run_json("coeff", "table", "--nmin", "1", "--n", "130")
+        assert code == EXIT_CAPACITY and len(recs) == 1 and recs[0]["error"] == "capacity"
         assert time.perf_counter() - started < 1.0
-
-    def test_each_limit_plus_one_is_refused_at_once(self):
-        above = [
-            ("bridges", "check", "--nmax", str(BRIDGES_NMAX_CEILING + 1)),
-            ("identities", "tau", "--l", str(TAU_L_CEILING + 1)),
-            ("coeff", "table", "--nmin", "1", "--n", "130"),
-            ("psi", "poly", "--n", str(SYMBOLIC_INDEX_CAP + 1)),
-        ]
-        for argv in above:
-            started = time.perf_counter()
-            code, recs = run_json(*argv)
-            assert code == EXIT_CAPACITY and len(recs) == 1, argv
-            assert recs[0]["error"] == "capacity", argv
-            assert time.perf_counter() - started < 1.0, argv
         # a table built at the limit does not let the next index through
         code, recs = run_json("coeff", "table", "--n", "129")
         assert code == EXIT_OK and len(recs[0]["entries"]) == 65
@@ -474,7 +526,7 @@ LEAF_OPTIONS = {
     ("psi", "ladder"): ("--a", "--b", "--n", "--mod"),
     ("coeff", "table"): ("--n", "--nmin"),
     ("verify",): ("eightlevels", "powersums", "theta", "fundamental", "--nmax"),
-    ("mersenne", "test"): ("--p", "--method", "--mu", "--mu-max", "--max-p"),
+    ("mersenne", "test"): ("--p", "--method", "--mu", "--mu-max"),
     ("mersenne", "scan"): ("--pmax", "--pmin", "--method"),
     ("bridges", "check"): ("--nmax",),
     ("bridges", "list"): (),

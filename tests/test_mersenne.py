@@ -189,6 +189,11 @@ class TestMuPattern:
         for mu in range(1, 6):
             assert psi14_exact(n, mu) % m == psi_mod_ladder(1, 4, n * mu, m)
 
+    def test_exact_chain_from_the_first_power_of_two(self):
+        # n = 2 takes no squaring; each doubling of n takes one, unreduced
+        for j in range(1, 11):
+            assert psi14_exact(1 << j, 1) == psi_recurrence(1, 4, 1 << j), j
+
 
 class TestEnhancedSum:
     def test_hand_computed_p5(self):
@@ -221,7 +226,7 @@ class TestEnhancedSum:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            enhanced_sum_test(17, 1)
+            enhanced_sum_test(19, 1)
         rep = enhanced_sum_test(13, 1)
         assert rep.verdict == "condition-holds"
 
@@ -263,7 +268,7 @@ class TestNecessaryCondition:
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            necessary_condition(29)
+            necessary_condition(31)
 
 
 class TestCompositeCriterion:
@@ -388,21 +393,16 @@ class TestLayeredRatios:
 
 
 class TestCeilings:
-    def test_max_p_cannot_pass_the_ceiling(self):
-        runs = {
-            "sum": lambda p, max_p: enhanced_sum_test(p, 1, max_p=max_p),
-            "necessary": lambda p, max_p: necessary_condition(p, max_p=max_p),
-            "ab": lambda p, max_p: ab_ratio_test(p, max_p=max_p),
-        }
-        for method, run in runs.items():
-            ceiling = CEILING_P[method]
-            with pytest.raises(CapacityError, match="ceiling"):
-                run(5, ceiling + 1)
-            with pytest.raises(CapacityError, match="ceiling"):
-                run(61, 61)
+    @pytest.mark.parametrize("method", sorted(CEILING_P))
+    def test_each_ceiling_plus_one_is_refused_before_primality(self, method):
+        ceiling = CEILING_P[method]
+        # 2**61 - 1 is prime: trial division of p would run for hours
+        for p in (ceiling + 1, ceiling + 2, (1 << 61) - 1):
+            with pytest.raises(CapacityError, match=f"cap is p <= {ceiling}$"):
+                METHODS[method](p)
 
     def test_necessary_up_to_its_ceiling(self):
-        rep = necessary_condition(29, max_p=29)
+        rep = necessary_condition(29)
         assert rep.verdict == "condition-fails" and rep.residues == [233]
 
     def test_sum_index_cap(self):
@@ -411,7 +411,7 @@ class TestCeilings:
         with pytest.raises(CapacityError, match="index"):
             enhanced_sum_test(13, largest_mu + 1)
         with pytest.raises(CapacityError, match="index"):
-            enhanced_sum_test(17, 4, max_p=17)
+            enhanced_sum_test(17, 4)
 
 
 class TestTauIdentities:
