@@ -18,7 +18,6 @@ from .exactmath import (
 )
 from .multipoly import (
     DegreeCapExceeded,
-    ExactDivisionError,
     SparsePoly,
     variables,
 )

@@ -144,19 +144,20 @@ def _flatten(value):
     return str(value)
 
 
-def render_records(records: list[dict], fmt: str, out) -> None:
+def render_records(records, fmt: str, out) -> None:
+    """Write each record of the iterable ``records`` as it comes."""
     if fmt == "json":
         for rec in records:
             out.write(json.dumps(rec, separators=(",", ":")) + "\n")
     elif fmt == "csv":
-        if not records:
-            return
         import csv  # only here: the default JSON output never needs it
 
         writer = csv.writer(out, lineterminator="\n")
-        header = list(records[0].keys())
-        writer.writerow(header)
+        header = None
         for rec in records:
+            if header is None:
+                header = list(rec)
+                writer.writerow(header)
             writer.writerow([_flatten(rec.get(k)) for k in header])
     else:
         for rec in records:
@@ -165,14 +166,21 @@ def render_records(records: list[dict], fmt: str, out) -> None:
             )
 
 
-def _records_ok(records: list[dict]) -> bool:
+def _record_ok(rec: dict) -> bool:
+    return rec.get("ok") is not False and rec.get("matches_catalogue") is not False
+
+
+def _tally(records, verdicts: list):
+    """``records`` unchanged, each one's verdict appended to ``verdicts`` as
+    it passes."""
     for rec in records:
-        if rec.get("ok") is False or rec.get("matches_catalogue") is False:
-            return False
-    return True
+        verdicts.append(_record_ok(rec))
+        yield rec
 
 
 # -- subcommand implementations ------------------------------------------------
+# Each handler checks all of its input, raising before any record is made, and
+# returns its records as an iterable that makes each one when it is reached.
 
 
 def _require_echoable(n: int, m: int) -> None:
@@ -182,7 +190,7 @@ def _require_echoable(n: int, m: int) -> None:
     _require_printable(m.bit_length(), "the modulus")
 
 
-def _cmd_psi(args) -> list[dict]:
+def _cmd_psi(args):
     if args.psi_command == "eval":
         mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
         a, b = _parse_scalar(args.a), _parse_scalar(args.b)
@@ -228,23 +236,24 @@ def _cmd_psi(args) -> list[dict]:
     ]
 
 
-def _cmd_coeff(args) -> list[dict]:
+def _cmd_coeff(args):
     first = args.n if args.nmin is None else args.nmin
     if args.n < first:
         raise ValueError(f"coeff table: n={args.n} is below nmin={first}")
-    indices = range(first, args.n + 1)
-    # largest index first, so that one above the cap is refused before any work
-    tables = {n: eightlevels.coeff_table_polys(n) for n in reversed(indices)}
-    return [
-        {"command": "coeff-table", "n": n, "entries": [str(e) for e in tables[n]]}
-        for n in indices
-    ]
+    # the largest index first: a range past the cap is a capacity error,
+    # whatever its first index
+    for n in (args.n, first):
+        eightlevels.table_degree(n)
+    return (
+        {"command": "coeff-table", "n": n, "entries": eightlevels.coeff_table_text(n)}
+        for n in range(first, args.n + 1)
+    )
 
 
 def _each_index(check):
     """A suite that checks each index on its own: (start, nmax, seed) to the
-    result of check(n, seed) for n = start..nmax."""
-    return lambda start, nmax, seed: [check(n, seed) for n in range(start, nmax + 1)]
+    results of check(n, seed) for n = start..nmax, each made when reached."""
+    return lambda start, nmax, seed: (check(n, seed) for n in range(start, nmax + 1))
 
 
 # Each suite maps (start, nmax, seed) to one result per index start..nmax.
@@ -269,14 +278,14 @@ _VERIFY_SUITES = {
 _DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 12}
 
 
-def _cmd_verify(args) -> list[dict]:
+def _cmd_verify(args):
     nmax = _DEFAULT_NMAX[args.suite] if args.nmax is None else args.nmax
     start = _check_range(f"verify {args.suite}", nmax)
     results = _VERIFY_SUITES[args.suite](start, nmax, args.seed)
-    return [
+    return (
         {"command": "verify", "suite": args.suite, "n": n, "ok": ok}
         for n, ok in enumerate(results, start)
-    ]
+    )
 
 
 def _timed_report(method: str, p: int, **kwargs) -> mersenne.TestReport:
@@ -304,7 +313,7 @@ def _scan_exponents(lower: int, pmax: int) -> list[int]:
     return exponents
 
 
-def _cmd_mersenne(args) -> list[dict]:
+def _cmd_mersenne(args):
     if args.mersenne_command == "scan":
         lower = max(args.pmin, 3 if args.method == "ll" else 5)
         if args.pmax < lower:
@@ -313,10 +322,10 @@ def _cmd_mersenne(args) -> list[dict]:
             )
         # a residue mod 2**p - 1 has at most p bits
         _require_printable(args.pmax, f"a residue mod 2^{args.pmax}-1")
-        return [
+        return (
             _timed_report(args.method, p).to_dict(with_timing=args.timing)
             for p in _scan_exponents(lower, args.pmax)
-        ]
+        )
     if args.method in ("ll", "psi", "composite", "mu"):
         _require_printable(args.p, f"a residue mod 2^{args.p}-1")
     elif args.method == "ab" and 5 <= args.p <= mersenne.CEILING_P["ab"]:
@@ -329,71 +338,57 @@ def _cmd_mersenne(args) -> list[dict]:
     return [report.to_dict(with_timing=args.timing)]
 
 
-def _cmd_bridges(args) -> list[dict]:
+def _bridge_record(spec, nmax: int) -> dict:
+    failures = spec.check(nmax)
+    return {
+        "command": "bridge",
+        "name": spec.name,
+        "nmax": nmax,
+        "ok": not failures,
+        "failures": [str(n) for n in failures],
+    }
+
+
+def _period_record(label: str, entry: dict) -> dict:
+    result = bridges_mod.detect_period(entry["a"], entry["b"])
+    matches = result.period == entry["period"] and list(result.table) == list(entry["table"])
+    return {
+        "command": "period",
+        "label": label,
+        "a": str(entry["a"]),
+        "b": str(entry["b"]),
+        "period": result.period,
+        "table": [str(v) for v in result.table],
+        "matches_catalogue": matches,
+    }
+
+
+def _cmd_bridges(args):
     registry = bridges_mod.default_bridges()
     if args.bridges_command == "list":
-        return [
-            {"command": "bridge-spec", **spec.describe()} for spec in registry
-        ]
+        return ({"command": "bridge-spec", **spec.describe()} for spec in registry)
     if args.bridges_command == "check":
         _check_range("bridges check", args.nmax)
-        records = []
-        for spec in registry:
-            failures = spec.check(args.nmax)
-            records.append(
-                {
-                    "command": "bridge",
-                    "name": spec.name,
-                    "nmax": args.nmax,
-                    "ok": not failures,
-                    "failures": [str(n) for n in failures],
-                }
-            )
-        return records
+        return (_bridge_record(spec, args.nmax) for spec in registry)
     # period
     labels = [args.label] if args.label else sorted(bridges_mod.PERIOD_CATALOGUE)
-    records = []
-    for label in labels:
-        entry = bridges_mod.catalogue_entry(label)
-        result = bridges_mod.detect_period(entry["a"], entry["b"])
-        matches = (
-            result.period == entry["period"]
-            and list(result.table) == list(entry["table"])
-        )
-        records.append(
-            {
-                "command": "period",
-                "label": label,
-                "a": str(entry["a"]),
-                "b": str(entry["b"]),
-                "period": result.period,
-                "table": [str(v) for v in result.table],
-                "matches_catalogue": matches,
-            }
-        )
-    return records
+    entries = [(label, bridges_mod.catalogue_entry(label)) for label in labels]
+    return (_period_record(label, entry) for label, entry in entries)
 
 
 _TAU_VARIANTS = ("quarter", "half", "root2")
 
 
-def _cmd_identities(args) -> list[dict]:
+def _tau_record(l: int, variant: str) -> dict:
+    value = mersenne.tau_identity_value(l, variant)
+    ok = value == mersenne.tau_identity_expected(l, variant)
+    return {"command": "tau", "l": l, "variant": variant, "value": str(value), "ok": ok}
+
+
+def _cmd_identities(args):
     _check_range("identities tau", args.l)
     variants = _TAU_VARIANTS if args.variant == "all" else (args.variant,)
-    records = []
-    for variant in variants:
-        value = mersenne.tau_identity_value(args.l, variant)
-        ok = value == mersenne.tau_identity_expected(args.l, variant)
-        records.append(
-            {
-                "command": "tau",
-                "l": args.l,
-                "variant": variant,
-                "value": str(value),
-                "ok": ok,
-            }
-        )
-    return records
+    return (_tau_record(args.l, variant) for variant in variants)
 
 
 def _powersum_basis_records() -> list[dict]:
@@ -436,27 +431,29 @@ def _repro_jobs(seed: int) -> dict:
     }
 
 
-def _cmd_repro(args) -> list[dict]:
+def _repro_file(outdir, filename: str, job) -> dict:
+    """Write one evidence file; its summary record."""
+    if callable(job):
+        records = job()
+    else:
+        records = [rec for argv in job for rec in _records(parse(argv))]
+    buf = io.StringIO()
+    render_records(records, "json", buf)
+    (outdir / filename).write_text(buf.getvalue())
+    return {"command": "repro", "file": str(outdir / filename),
+            "records": len(records), "ok": all(map(_record_ok, records))}
+
+
+def _cmd_repro(args):
     """Run every evidence job, each argv parsed as the command line would be."""
     from pathlib import Path  # only repro writes files
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary = []
-    for filename, job in _repro_jobs(args.seed).items():
-        if callable(job):
-            records = job()
-        else:
-            records = [rec for argv in job for rec in _records(parse(argv))]
-        buf = io.StringIO()
-        render_records(records, "json", buf)
-        (outdir / filename).write_text(buf.getvalue())
-        summary.append({"command": "repro", "file": str(outdir / filename),
-                        "records": len(records), "ok": _records_ok(records)})
-    return summary
+    return (_repro_file(outdir, name, job) for name, job in _repro_jobs(args.seed).items())
 
 
-def _records(args) -> list[dict]:
+def _records(args):
     """The records of one parsed invocation, from its command's handler."""
     return COMMANDS[args.command][2](args)
 
@@ -606,8 +603,10 @@ def main(argv=None) -> int:
         render_records([error], args.format, sys.stdout)
         return EXIT_CAPACITY if capacity else EXIT_USAGE
 
-    render_records(records, args.format, sys.stdout)
-    return EXIT_OK if _records_ok(records) else EXIT_CHECK_FAILED
+    # each record is written as it is made; the exit code waits for the last
+    verdicts: list[bool] = []
+    render_records(_tally(records, verdicts), args.format, sys.stdout)
+    return EXIT_OK if all(verdicts) else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

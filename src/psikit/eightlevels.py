@@ -23,13 +23,16 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import CapacityError
-from .multipoly import SparsePoly, as_poly, variables
-from .psicore import SYMBOLIC_INDEX_CAP, half, parity, psi_recurrence, psi_symbolic
+from .multipoly import SparsePoly, as_poly, format_terms, power_texts, variables
+from .psicore import SYMBOLIC_INDEX_CAP, half, parity, psi_coeffs, psi_recurrence, psi_symbolic
 
 __all__ = [
     "power_sum_poly",
     "apply_direction",
     "coeff_table_polys",
+    "coeff_row_terms",
+    "coeff_table_text",
+    "table_degree",
     "TABLE_DEGREE_CAP",
     "coeff_values",
     "verify_expansion",
@@ -48,15 +51,13 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def power_sum_poly(n: int, xv: str = "x", yv: str = "y") -> SparsePoly:
-    """(x**n + y**n) / (x + y)**parity(n) as an exact polynomial."""
+    """(x**n + y**n) / (x + y)**parity(n) as an exact polynomial: for odd n
+    the quotient is sum_j (-1)**j * x**j * y**(n - 1 - j)."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    x = SparsePoly.variable(xv)
-    y = SparsePoly.variable(yv)
-    num = x**n + y**n
     if parity(n):
-        return num.exact_div(x + y)
-    return num
+        return SparsePoly.binary_form([(-1) ** j for j in range(n)], xv, yv)
+    return SparsePoly.binary_form([1] + [0] * (n - 1) + [1] if n else [2], xv, yv)
 
 
 def apply_direction(f: SparsePoly, alpha, beta, avar: str = "a", bvar: str = "b") -> SparsePoly:
@@ -64,35 +65,71 @@ def apply_direction(f: SparsePoly, alpha, beta, avar: str = "a", bvar: str = "b"
     return as_poly(alpha) * f.diff(avar) + as_poly(beta) * f.diff(bvar)
 
 
-# Largest row degree of a coefficient table, so n <= 129; all tables up to 129
-# take about 20 s.  The limit is fixed, so the cache below never holds a table
-# that a later call would refuse.
+# Largest row degree of a coefficient table, so n <= 129; writing every table
+# up to 129 takes about 2 s.  The limit is fixed, so the cache below never
+# holds a table that a later call would refuse.
 TABLE_DEGREE_CAP = 64
+_TABLE_VARS = ("a", "alpha", "b", "beta")
+
+
+def table_degree(n: int) -> int:
+    """The degree floor(n/2) of the rows of the table for index n, refused
+    below index 0 and above TABLE_DEGREE_CAP."""
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    m = half(n)
+    if m > TABLE_DEGREE_CAP:
+        raise CapacityError(f"rows for n={n} have degree {m}; cap is {TABLE_DEGREE_CAP}")
+    return m
+
+
+def coeff_row_terms(coeffs: list[int], r: int):
+    """The terms of row r of the table of the binary form with coefficients
+    ``coeffs`` (``psi_coeffs(n)`` for index n), as (exponents of a, alpha, b,
+    beta; coefficient) in print order, no coefficient zero.
+
+    Row r is the theta**r coefficient of psi(a - alpha*theta, b - beta*theta, n):
+    with m = len(coeffs) - 1, the binomial theorem puts
+    (-1)**r * C(j, k) * C(m - j, r - k) * coeffs[j] on
+    a**(j-k) * alpha**k * b**(m-j-r+k) * beta**(r-k).  So a's exponent e and
+    alpha's k fix j = e + k and b's exponent m - e - r: each monomial has one
+    contribution, and e descending, then k descending, is graded-lex order.
+    """
+    m = len(coeffs) - 1
+    sign = (-1) ** r
+    for e in range(m - r, -1, -1):
+        for k in range(r, -1, -1):
+            if c := coeffs[e + k]:
+                yield (e, k, m - e - r, r - k), sign * comb(e + k, k) * comb(m - e - k, r - k) * c
 
 
 @lru_cache(maxsize=None)
 def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
-    """All coefficients for index n, canonical polynomials in a, b, alpha, beta.
+    """All coefficients for index n, canonical polynomials in a, b, alpha, beta,
+    row r from ``coeff_row_terms``.  Rows have degree floor(n/2), at most
+    TABLE_DEGREE_CAP."""
+    table_degree(n)
+    coeffs = psi_coeffs(n)
+    return tuple(
+        SparsePoly(_TABLE_VARS, dict(coeff_row_terms(coeffs, r))) for r in range(len(coeffs))
+    )
 
-    Row r is the theta**r coefficient of psi(a - alpha*theta, b - beta*theta, n):
-    the binomial theorem puts (-1)**(k+l) * C(i, k) * C(j, l) * c on
-    a**(i-k) * alpha**k * b**(j-l) * beta**l in row k + l for each term
-    c * a**i * b**j of psi(a, b, n).  Rows have degree floor(n/2), at most
-    TABLE_DEGREE_CAP.
-    """
-    m = half(n)
-    if m > TABLE_DEGREE_CAP:
-        raise CapacityError(f"rows for n={n} have degree {m}; cap is {TABLE_DEGREE_CAP}")
-    base = psi_symbolic(n)
-    rows: list[dict] = [{} for _ in range(m + 1)]
-    for exps, c in base.terms.items():
-        powers = dict(zip(base.vars, exps))
-        i, j = powers.get("a", 0), powers.get("b", 0)
-        for k in range(i + 1):
-            ck = (-1) ** k * comb(i, k) * c
-            for l in range(j + 1):
-                rows[k + l][(i - k, k, j - l, l)] = (-1) ** l * comb(j, l) * ck
-    return tuple(SparsePoly(("a", "alpha", "b", "beta"), row) for row in rows)
+
+def coeff_table_text(n: int) -> list[str]:
+    """The rows of the table for index n as ``coeff_table_polys`` prints them,
+    written from ``coeff_row_terms`` with no polynomial built."""
+    m = table_degree(n)
+    coeffs = psi_coeffs(n)
+    # each printed power followed by "*", or "" for exponent 0; the monomial
+    # is the four joined, its last "*" cut
+    pa, pal, pb, pbe = ([t and t + "*" for t in power_texts(v, m)] for v in _TABLE_VARS)
+    return [
+        format_terms(
+            (c, (pa[i] + pal[k] + pb[j] + pbe[l])[:-1])
+            for (i, k, j, l), c in coeff_row_terms(coeffs, r)
+        )
+        for r in range(m + 1)
+    ]
 
 
 def coeff_values(n: int, a, b, alpha, beta) -> list[list]:
@@ -258,28 +295,20 @@ def eight_level_coeff(n: int, k: int) -> int:
 
 
 def expand_powersum_basis(n: int) -> list[int]:
-    """Coefficients of the power sum over the basis (xy, x^2+y^2).
+    """Coefficients of the power sum over the basis (xy, x^2+y^2): element k
+    is the coefficient of (xy)**(m-k) * (x^2+y^2)**k, m = n // 2.
 
-    Computed by exact symbolic expansion and triangular elimination: the
-    basis element for k has leading monomial x**(m+k) * y**(m-k) with unit
-    coefficient, so peeling from k = m downward is exact and must leave a
-    zero remainder.
+    x**n + y**n = (x^2+y^2) * (x**(n-2) + y**(n-2)) - (xy)**2 * (x**(n-4) + y**(n-4)),
+    and so for the quotients by x + y at odd n; so the lists follow
+    p_n = s2 * p_(n-2) - s1**2 * p_(n-4) from p_0 = [2], p_1 = [1],
+    p_2 = [0, 1] and p_3 = [-1, 1].
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    m = half(n)
-    x, y = variables("x y")
-    rem = power_sum_poly(n)
-    s1 = x * y
-    s2 = x * x + y * y
-    coeffs = [0] * (m + 1)
-    for k in range(m, -1, -1):
-        c = coeffs[k] = rem.coefficient({"x": m + k, "y": m - k})
-        if c:
-            rem = rem - c * s1 ** (m - k) * s2**k
-    if not rem.is_zero:
-        raise ArithmeticError(f"basis expansion left a remainder for n={n}")
-    return coeffs
+    lo, hi = ([1], [-1, 1]) if parity(n) else ([2], [0, 1])
+    for _ in range(half(n) - 1):
+        lo, hi = hi, [x - y for x, y in zip([0] + hi, lo + [0, 0])]
+    return hi if n > 1 else lo
 
 
 def theta_sum_check(n: int) -> bool:

@@ -3,9 +3,9 @@
 Canonical form: variable names are sorted, variables that no longer occur
 are dropped, and zero coefficients are never stored, so structural equality
 coincides with mathematical equality.  Coefficients are ``int``: any other
-coefficient, an integral fraction included, is refused with ``TypeError``, and
-``exact_div`` refuses a quotient that would leave the integers.  The printed
-form orders terms by graded-lex exponent order, e.g. ``-2*a^2 + b^2``.
+coefficient, an integral fraction included, is refused with ``TypeError``.
+The printed form orders terms by graded-lex exponent order, e.g.
+``-2*a^2 + b^2``; ``format_terms`` writes it from terms in that order.
 
 Each monomial is packed into one ``int`` (Monagan and Pearce, *Sparse
 polynomial multiplication and division in Maple 14*, 2009): the total degree
@@ -14,8 +14,8 @@ first variable of ``vars`` highest.  So a product of monomials is one integer
 addition, graded-lex order is integer order, the total degree is a shift, and
 the variables that cancelled out show in one OR over the keys.  An exponent
 must fit in the low 8 bits of its field (at most 255, above ``MAX_DEGREE``):
-the top bit is a guard that exact division reads to see whether one monomial
-divides another.  The validating constructor refuses a wider exponent with
+the top bit is a guard, which shows at once which fields of a key are not
+zero.  The validating constructor refuses a wider exponent with
 ``DegreeCapExceeded``; no ring operation makes one, as every product stays
 within ``MAX_DEGREE``.  ``terms`` is a read-only view of the same polynomial
 keyed by exponent tuples.
@@ -23,8 +23,8 @@ keyed by exponent tuples.
 ``SparsePoly(vars, terms)`` validates and canonicalises its input.  The ring
 operations build their results from canonical operands with a trusted
 constructor instead: a product of non-zero polynomials uses every variable of
-both factors, and a sum, derivative, substitution or quotient only has to
-drop a variable that cancelled out.  Where an operand has the shape for it,
+both factors, and a sum, derivative or substitution only has to drop a
+variable that cancelled out.  Where an operand has the shape for it,
 the kernel takes a closed form instead of the general product: a one-term
 base to the power k multiplies its key by k, a two-term base expands by the
 binomial theorem, and a product with a one-term factor shifts every key of
@@ -50,9 +50,10 @@ from .errors import CapacityError
 __all__ = [
     "SparsePoly",
     "DegreeCapExceeded",
-    "ExactDivisionError",
     "as_poly",
     "variables",
+    "format_terms",
+    "power_texts",
     "MAX_DEGREE",
 ]
 
@@ -61,13 +62,9 @@ class DegreeCapExceeded(CapacityError):
     """A product would exceed ``MAX_DEGREE``, or an exponent its field."""
 
 
-class ExactDivisionError(ArithmeticError):
-    """The divisor does not divide the dividend exactly."""
-
-
 MAX_DEGREE = 128
 
-# One exponent field of a packed monomial; its top bit is the division guard.
+# One exponent field of a packed monomial; its top bit is a guard.
 _BITS = 9
 _FIELD = (1 << _BITS) - 1
 _MAX_EXP = (1 << (_BITS - 1)) - 1
@@ -101,12 +98,6 @@ def _weights(width: int) -> list[int]:
     """The key of each single variable to the power 1: its field's unit plus
     the degree's, so that a key is the dot product of exponents and weights."""
     return [(1 << s) + (1 << width * _BITS) for s in _shifts(width)]
-
-
-def _pack(exps) -> int:
-    """The key of an exponent vector over sorted variables, each entry within
-    its field."""
-    return sum(map(mul, exps, _weights(len(exps))))
 
 
 class SparsePoly:
@@ -169,7 +160,19 @@ class SparsePoly:
 
     @classmethod
     def variable(cls, name: str) -> "SparsePoly":
-        return _make((name,), {_pack((1,)): 1})
+        return _make((name,), {_weights(1)[0]: 1})
+
+    @classmethod
+    def binary_form(cls, coeffs, x: str, y: str) -> "SparsePoly":
+        """The binary form sum_j coeffs[j] * x**j * y**(m - j), m = len(coeffs) - 1,
+        of integer coefficients and degree m within ``MAX_DEGREE``."""
+        if x == y:
+            raise ValueError(f"duplicate variable names in {(x, y)!r}")
+        m = len(coeffs) - 1
+        _check_cap(m)
+        wx, wy = _weights(2) if x < y else _weights(2)[::-1]
+        terms = {j * wx + (m - j) * wy: _coeff(c) for j, c in enumerate(coeffs) if c}
+        return _pruned(tuple(sorted((x, y))), terms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -186,16 +189,6 @@ class SparsePoly:
         if self.vars:
             raise ValueError(f"{self} is not constant")
         return self._terms.get(0, 0)
-
-    def coefficient(self, monomial: Mapping[str, int]) -> int:
-        """Coefficient of the monomial given as ``{var: exponent}``."""
-        for var in monomial:
-            if monomial[var] and var not in self.vars:
-                return 0
-        exps = [monomial.get(v, 0) for v in self.vars]
-        if any(not 0 <= e <= _MAX_EXP for e in exps):
-            return 0
-        return self._terms.get(_pack(exps), 0)
 
     # -- alignment over variable universes ---------------------------------
 
@@ -341,83 +334,16 @@ class SparsePoly:
             _add_into(total, piece)
         return _pruned(outvars, total)
 
-    def eval_scalar(self, values: Mapping[str, object]):
-        """Evaluate with values from any exact commutative ring."""
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise ValueError(f"unbound variables {missing}")
-        total = 0
-        for e, term in self.terms.items():
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = term * values[v] ** k
-            total = total + term
-        return total
-
-    # -- exact division -------------------------------------------------------
-
-    def exact_div(self, divisor: "SparsePoly") -> "SparsePoly":
-        """Exact quotient with integer coefficients; raises
-        :class:`ExactDivisionError` otherwise."""
-        divisor = as_poly(divisor)
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero:
-            return SparsePoly.zero()
-        vars_, num, den = self._aligned(divisor)
-        fields = (1 << len(vars_) * _BITS) - 1
-        guards = _masks(len(vars_))[1]
-        dlead = max(den)
-        dfields = dlead & fields
-        dc = den[dlead]
-        num = dict(num)
-        # the leading monomial falls at each step, so no quotient monomial repeats
-        quotient: dict[int, int] = {}
-        while num:
-            lead = max(num)
-            qc, rem = divmod(num[lead], dc)
-            # with every exponent below its guard bit, a field of lead minus
-            # dlead clears its guard exactly when that exponent would go negative;
-            # an exact quotient never leads with an exponent past the guard
-            if rem or lead & guards or ((lead & fields | guards) - dfields) & guards != guards:
-                raise ExactDivisionError("division is not exact")
-            qe = lead - dlead
-            quotient[qe] = qc
-            for e, c in den.items():
-                key = qe + e
-                s = num.get(key, 0) - qc * c
-                if s:
-                    num[key] = s
-                else:
-                    num.pop(key, None)
-        return _pruned(vars_, quotient)
-
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        # per variable: its field and its printed powers, "" for 0 up to the degree
-        top = range(2, self.total_degree() + 1)
-        fields = [
-            (s, ["", v] + [f"{v}^{e}" for e in top])
-            for v, s in zip(self.vars, _shifts(len(self.vars)))
-        ]
-        pieces = []
-        for k, c in sorted(self._terms.items(), reverse=True):
-            mono = "*".join([power[e] for s, power in fields if (e := k >> s & _FIELD)])
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        # per variable: its field and its printed powers up to the degree
+        top = self.total_degree()
+        fields = [(s, power_texts(v, top)) for v, s in zip(self.vars, _shifts(len(self.vars)))]
+        return format_terms(
+            (c, "*".join([power[e] for s, power in fields if (e := k >> s & _FIELD)]))
+            for k, c in sorted(self._terms.items(), reverse=True)
+        )
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
@@ -557,6 +483,26 @@ def as_poly(value: PolyLike) -> SparsePoly:
     if got is None:
         raise TypeError(f"cannot interpret {value!r} as a polynomial")
     return got
+
+
+def power_texts(var: str, top: int) -> list[str]:
+    """The printed powers of ``var`` by exponent: "" for 0, then ``var``,
+    ``var^2``, ... up to ``top``."""
+    return ["", var] + [f"{var}^{e}" for e in range(2, top + 1)]
+
+
+def format_terms(terms) -> str:
+    """The printed form of a polynomial from its (coefficient, monomial text)
+    pairs in print order, no coefficient zero: ``-2*a^2 + b^2``."""
+    pieces = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = mono if mag == 1 and mono else f"{mag}*{mono}" if mono else str(mag)
+        if pieces:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+        else:
+            pieces.append(f"-{body}" if c < 0 else body)
+    return " ".join(pieces) or "0"
 
 
 def variables(names: str) -> tuple[SparsePoly, ...]:

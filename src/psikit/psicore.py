@@ -4,8 +4,10 @@ psi(0) = 2, psi(1) = 1 and
 
     psi(n + 1) = (2a - b)**parity(n) * psi(n) - a * psi(n - 1).
 
-Modes: direct recurrence (any exact ring), explicit binomial formula,
-symbolic polynomial in (a, b), and an O(log n) modular doubling ladder for
+Modes: direct recurrence (any exact ring), explicit binomial formula, the
+binary form in (a, b), as its list of integer coefficients (``psi_coeffs``,
+one recurrence pass at an integer point) or as a polynomial
+(``psi_symbolic``), and an O(log n) modular doubling ladder for
 astronomically large indices.
 
 The ladder is a Lucas chain (Montgomery 1992; Joye and Quisquater 1996).
@@ -52,6 +54,7 @@ __all__ = [
     "psi_recurrence",
     "psi_sequence",
     "psi_explicit",
+    "psi_coeffs",
     "psi_symbolic",
     "psi_bit_bound",
     "psi_mod_ladder",
@@ -121,17 +124,38 @@ def psi_explicit(a, b, n: int):
     return total
 
 
+def psi_coeffs(n: int) -> list[int]:
+    """psi(a, b, n) as a binary form of degree m = n // 2: element j is the
+    coefficient of a**j * b**(m - j).
+
+    One ``psi_recurrence`` pass at the integer point a = 2**K, b = 1 gives
+    sum_j c_j * 2**(K*j), read off as m + 1 signed K-bit digits (Kronecker
+    substitution).  The digits do not overlap: psi = sum_j w_j (-a)**j d**(m-j)
+    with d = 2a - b and every w_j >= 0, so sum_j |c_j| <= psi(-1, -5, n), where
+    -a = 1 and d = 3, and K leaves two bits above that bound.
+    """
+    if n < 0:
+        raise ValueError("index must be >= 0")
+    k = psi_recurrence(-1, -5, n).bit_length() + 2
+    packed = psi_recurrence(1 << k, 1, n)
+    mask, sign = (1 << k) - 1, 1 << (k - 1)
+    coeffs = []
+    for _ in range(half(n) + 1):
+        digit = (packed + sign & mask) - sign
+        coeffs.append(digit)
+        packed = (packed - digit) >> k
+    return coeffs
+
+
 @lru_cache(maxsize=None)
 def psi_symbolic(n: int, avar: str = "a", bvar: str = "b") -> SparsePoly:
-    """psi(a, b, n) as a canonical polynomial in two named variables."""
+    """psi(a, b, n) as a canonical polynomial in two named variables, built
+    from ``psi_coeffs``."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n > SYMBOLIC_INDEX_CAP:
         raise CapacityError(f"symbolic index {n} exceeds cap {SYMBOLIC_INDEX_CAP}")
-    value = psi_recurrence(SparsePoly.variable(avar), SparsePoly.variable(bvar), n)
-    if isinstance(value, int):
-        return SparsePoly.constant(value)
-    return value
+    return SparsePoly.binary_form(psi_coeffs(n), avar, bvar)
 
 
 def _power_bits(x: int, k: int) -> int:

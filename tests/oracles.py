@@ -7,14 +7,73 @@ from operator import add
 
 from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
 from psikit.eightlevels import apply_direction
-from psikit.multipoly import (
-    MAX_DEGREE,
-    DegreeCapExceeded,
-    ExactDivisionError,
-    SparsePoly,
-    variables,
-)
-from psikit.psicore import half, psi_symbolic
+from psikit import multipoly
+from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
+from psikit.psicore import half, psi_symbolic, psi_terms
+
+
+def eval_scalar(poly: SparsePoly, values):
+    """``poly`` evaluated with values from any exact commutative ring, term by
+    term: the oracle of every evaluation at a point."""
+    missing = [v for v in poly.vars if v not in values]
+    if missing:
+        raise ValueError(f"unbound variables {missing}")
+    total = 0
+    for e, term in poly.terms.items():
+        for v, k in zip(poly.vars, e):
+            if k:
+                term = term * values[v] ** k
+        total = total + term
+    return total
+
+
+def coefficient(poly: SparsePoly, monomial) -> int:
+    """Coefficient in ``poly`` of the monomial given as ``{var: exponent}``."""
+    if any(e and v not in poly.vars for v, e in monomial.items()):
+        return 0
+    return poly.terms.get(tuple(monomial.get(v, 0) for v in poly.vars), 0)
+
+
+class ExactDivisionError(ArithmeticError):
+    """The divisor does not divide the dividend exactly."""
+
+
+def exact_div(poly: SparsePoly, divisor) -> SparsePoly:
+    """The exact quotient with integer coefficients, by long division over the
+    packed keys of ``SparsePoly``; raises ExactDivisionError otherwise.  The
+    power-sum oracle divides by it."""
+    divisor = as_poly(divisor)
+    if divisor.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if poly.is_zero:
+        return SparsePoly.zero()
+    vars_, num, den = poly._aligned(divisor)
+    fields = (1 << len(vars_) * multipoly._BITS) - 1
+    guards = multipoly._masks(len(vars_))[1]
+    dlead = max(den)
+    dfields = dlead & fields
+    dc = den[dlead]
+    num = dict(num)
+    # the leading monomial falls at each step, so no quotient monomial repeats
+    quotient: dict[int, int] = {}
+    while num:
+        lead = max(num)
+        qc, rem = divmod(num[lead], dc)
+        # with every exponent below its guard bit, a field of lead minus
+        # dlead clears its guard exactly when that exponent would go negative;
+        # an exact quotient never leads with an exponent past the guard
+        if rem or lead & guards or ((lead & fields | guards) - dfields) & guards != guards:
+            raise ExactDivisionError("division is not exact")
+        qe = lead - dlead
+        quotient[qe] = qc
+        for e, c in den.items():
+            key = qe + e
+            s = num.get(key, 0) - qc * c
+            if s:
+                num[key] = s
+            else:
+                num.pop(key, None)
+    return multipoly._pruned(vars_, quotient)
 
 
 # Term n of each polynomial family of the bridges: the tests' view of the
@@ -176,6 +235,56 @@ class TuplePoly:
             else:
                 pieces.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(pieces) or "0"
+
+
+def psi_symbolic_sequence(n_max: int, avar: str = "a", bvar: str = "b") -> list[SparsePoly]:
+    """psi(a, b, 0..n_max) by the defining recurrence run over ``SparsePoly``
+    in one pass: the oracle of ``psi_coeffs`` and ``psi_symbolic``."""
+    terms = psi_terms(SparsePoly.variable(avar), SparsePoly.variable(bvar))
+    return [as_poly(t) for _, t in zip(range(n_max + 1), terms)]
+
+
+def coeff_table_binomial(n: int) -> tuple[SparsePoly, ...]:
+    """The coefficient table for index n by binomial expansion of each term
+    c * a**i * b**j of psi(a, b, n): (-1)**(k+l) * C(i, k) * C(j, l) * c goes
+    on a**(i-k) * alpha**k * b**(j-l) * beta**l in row k + l.  The oracle of
+    ``coeff_row_terms``."""
+    base = psi_symbolic_sequence(n)[n]
+    rows: list[dict] = [{} for _ in range(half(n) + 1)]
+    for exps, c in base.terms.items():
+        powers = dict(zip(base.vars, exps))
+        i, j = powers.get("a", 0), powers.get("b", 0)
+        for k in range(i + 1):
+            ck = (-1) ** k * comb(i, k) * c
+            for l in range(j + 1):
+                rows[k + l][(i - k, k, j - l, l)] = (-1) ** l * comb(j, l) * ck
+    return tuple(SparsePoly(("a", "alpha", "b", "beta"), row) for row in rows)
+
+
+def power_sum_by_division(n: int) -> SparsePoly:
+    """(x**n + y**n) / (x + y)**parity(n) by ``exact_div``: the oracle of the
+    closed form ``power_sum_poly``."""
+    x, y = variables("x y")
+    num = x**n + y**n
+    return exact_div(num, x + y) if n % 2 else num
+
+
+def powersum_basis_by_elimination(n: int) -> list[int]:
+    """The power sum over the basis (xy, x^2+y^2) by triangular elimination:
+    the basis element for k has leading monomial x**(m+k) * y**(m-k) with unit
+    coefficient, so peeling from k = m downward is exact and must leave a zero
+    remainder.  The oracle of ``expand_powersum_basis``."""
+    m = half(n)
+    x, y = variables("x y")
+    rem = power_sum_by_division(n)
+    coeffs = [0] * (m + 1)
+    for k in range(m, -1, -1):
+        c = coeffs[k] = coefficient(rem, {"x": m + k, "y": m - k})
+        if c:
+            rem = rem - c * (x * y) ** (m - k) * (x * x + y * y) ** k
+    if not rem.is_zero:
+        raise ArithmeticError(f"basis expansion left a remainder for n={n}")
+    return coeffs
 
 
 def coeff_dual(n: int, r: int) -> SparsePoly:

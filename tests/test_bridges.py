@@ -17,7 +17,7 @@ from psikit.exactmath import GOLDEN_RATIO, QuadExt, SQRT2
 from psikit.multipoly import variables
 from psikit.psicore import psi_recurrence
 
-from oracles import chebyshev_t, dickson_d, pell_lucas_poly
+from oracles import chebyshev_t, dickson_d, eval_scalar, pell_lucas_poly
 
 X, AL = variables("x alpha")
 
@@ -46,7 +46,7 @@ class TestOracles:
 
     def test_pell_lucas_poly_at_one(self):
         for n in range(10):
-            assert pell_lucas_poly(n).eval_scalar({"x": 1}) == pell_lucas(n)
+            assert eval_scalar(pell_lucas_poly(n), {"x": 1}) == pell_lucas(n)
 
 
 def _poly_recurrence(n: int, first, second, step):

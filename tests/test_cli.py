@@ -518,6 +518,61 @@ PARITY_RUNS = {
                     EXIT_USAGE, "5a0e9e54accca5a9"),
 }
 
+# Each error exit of the streaming contract: every bounded input one past its
+# ceiling and one below its first value, and an empty coeff table range.
+ERROR_EXITS = {
+    **{f"{name} above": (argv(ceiling + 1), EXIT_CAPACITY)
+       for name, (argv, _, ceiling) in BOUNDED.items()},
+    **{f"{name} below": (argv(first - 1), EXIT_USAGE)
+       for name, (argv, first, _) in BOUNDED.items()},
+    "coeff table empty range": (["coeff", "table", "--nmin", "5", "--n", "3"], EXIT_USAGE),
+}
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+    def test_an_error_exit_prints_the_error_alone(self, name):
+        argv, code = ERROR_EXITS[name]
+        got, out = run_cli(*argv)
+        error = json.loads(out)  # one line, or this raises
+        assert got == code and list(error) == ["command", "error", "reason"]
+        for fmt in ("text", "csv"):
+            buf = io.StringIO()
+            render_records([error], fmt, buf)
+            assert run_cli("--format", fmt, *argv) == (code, buf.getvalue()), fmt
+
+    def test_each_record_is_written_before_the_next_is_made(self, monkeypatch):
+        from psikit import eightlevels
+
+        buf, seen = io.StringIO(), []
+        build = eightlevels.coeff_table_text
+
+        def watched(n):
+            seen.append((n, buf.getvalue().count("\n")))
+            return build(n)
+
+        monkeypatch.setattr(eightlevels, "coeff_table_text", watched)
+        with redirect_stdout(buf):
+            assert main(["coeff", "table", "--nmin", "3", "--n", "7"]) == EXIT_OK
+        assert seen == [(n, n - 3) for n in range(3, 8)]
+
+    def test_a_failed_check_after_records_exits_1(self, monkeypatch):
+        from psikit import eightlevels
+
+        monkeypatch.setattr(eightlevels, "theta_sum_check", lambda n: n != 2)
+        code, recs = run_json("verify", "theta", "--nmax", "3")
+        assert code == EXIT_CHECK_FAILED
+        assert [r["ok"] for r in recs] == [True, False, True]
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "82bade94dff249ce162a67c35b4ae93bec7478da6e5edf7ab51349d1a0e80597"),
+        ("text", "9c118cf1b01b4516ee77985193ef96963ac306f5af2ccc822266ede077132745"),
+    ])
+    def test_coeff_table_in_csv_and_text_is_unchanged(self, fmt, digest):
+        code, out = run_cli("--format", fmt, "coeff", "table", "--nmin", "1", "--n", "12")
+        assert code == EXIT_OK and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 GLOBAL_OPTIONS = ("--format", "--seed", "--timing")
 # The options of each leaf, as its --help names them.
 LEAF_OPTIONS = {

@@ -8,6 +8,7 @@ from psikit.eightlevels import (
     TABLE_DEGREE_CAP,
     apply_direction,
     coeff_table_polys,
+    coeff_table_text,
     coeff_values,
     eight_level_coeff,
     expand_powersum_basis,
@@ -26,7 +27,15 @@ from psikit.exactmath import QuadExt
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import SYMBOLIC_INDEX_CAP, half, psi_recurrence, psi_symbolic
 
-from oracles import coeff_dual, coeff_via_basechange, divided
+from oracles import (
+    coeff_dual,
+    coeff_table_binomial,
+    coeff_via_basechange,
+    divided,
+    eval_scalar,
+    power_sum_by_division,
+    powersum_basis_by_elimination,
+)
 
 A, B, AL, BE = variables("a b alpha beta")
 X, Y = variables("x y")
@@ -92,6 +101,25 @@ class TestOperatorRows:
             "4*a*alpha - 2*b*beta",
             "-2*alpha^2 + beta^2",
         ]
+
+
+class TestDenseRoutes:
+    def test_rows_and_text_match_the_binomial_builder(self):
+        for n in range(61):
+            oracle = coeff_table_binomial(n)
+            assert coeff_table_polys(n) == oracle, n
+            assert coeff_table_text(n) == [str(row) for row in oracle], n
+
+    def test_basis_recurrence_matches_elimination(self):
+        for n in range(1, 129):
+            assert expand_powersum_basis(n) == powersum_basis_by_elimination(n), n
+
+    def test_power_sum_closed_form_matches_division(self):
+        U, V = variables("u v")
+        for n in range(129):
+            oracle = power_sum_by_division(n)
+            assert power_sum_poly(n) == oracle, n
+            assert power_sum_poly(n, "v", "u") == oracle.subst({"x": V, "y": U}), n
 
 
 class TestDualAndBasechangeOracles:
@@ -271,9 +299,7 @@ class TestCoeffValues:
                     rows = coeff_table_polys(n)
                     assert len(lists[n]) == len(rows)
                     for r, row in enumerate(rows):
-                        expected = row.eval_scalar(
-                            {"a": a, "b": b, "alpha": al, "beta": be}
-                        )
+                        expected = eval_scalar(row, {"a": a, "b": b, "alpha": al, "beta": be})
                         assert lists[n][r] == expected, (n, r, a, b, al, be)
 
     def test_one_pass_matches_oracles_at_every_index(self):
@@ -287,9 +313,9 @@ class TestCoeffValues:
             at = {"a": a, "b": b, "alpha": al, "beta": be}
             lists = coeff_values(40, a, b, al, be)
             for n in range(41):
-                assert lists[n] == [row.eval_scalar(at) for row in duals[n]], (n, at)
+                assert lists[n] == [eval_scalar(row, at) for row in duals[n]], (n, at)
                 if n <= 12:
-                    assert lists[n] == [row.eval_scalar(at) for row in coeff_table_polys(n)]
+                    assert lists[n] == [eval_scalar(row, at) for row in coeff_table_polys(n)]
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
@@ -302,8 +328,11 @@ class TestCoeffValues:
         assert coeff_values(0, 1, 2, 3, 4) == [[2]]
         # rows of n = 130 have degree 65
         assert TABLE_DEGREE_CAP == 64
-        with pytest.raises(CapacityError):
-            coeff_table_polys(130)
+        for build in (coeff_table_polys, coeff_table_text):
+            with pytest.raises(CapacityError):
+                build(130)
+            with pytest.raises(ValueError):
+                build(-1)
 
     def test_power_sum_polynomial(self):
         assert power_sum_poly(3) == X**2 - X * Y + Y**2

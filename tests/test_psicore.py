@@ -12,10 +12,12 @@ from psikit.errors import CapacityError
 from psikit.exactmath import MersenneMod, SQRT2
 from psikit.multipoly import SparsePoly, variables
 from psikit.psicore import (
+    SYMBOLIC_INDEX_CAP,
     half,
     ladder_step,
     parity,
     psi_bit_bound,
+    psi_coeffs,
     psi_explicit,
     psi_mod_ladder,
     psi_product_identity_check,
@@ -26,7 +28,7 @@ from psikit.psicore import (
     _signed,
 )
 
-from oracles import psi_matrix_mod, psi_recurrence_mod
+from oracles import eval_scalar, psi_matrix_mod, psi_recurrence_mod, psi_symbolic_sequence
 
 A, B = variables("a b")
 
@@ -105,14 +107,14 @@ class TestExplicit:
             n = rng.randint(1, 200)
             v = psi_recurrence(a, b, n)
             assert psi_explicit(a, b, n) == v
-            assert psi_symbolic(n).eval_scalar({"a": a, "b": b}) == v
+            assert eval_scalar(psi_symbolic(n), {"a": a, "b": b}) == v
 
     def test_three_modes_small_sweep(self):
         for n in range(1, 26):
             for a, b in ((1, 4), (-1, -3), (2, -5), (0, 1), (3, 3)):
                 v = psi_recurrence(a, b, n)
                 assert psi_explicit(a, b, n) == v
-                assert psi_symbolic(n).eval_scalar({"a": a, "b": b}) == v
+                assert eval_scalar(psi_symbolic(n), {"a": a, "b": b}) == v
 
     def test_explicit_over_other_rings(self):
         assert psi_explicit(1, SQRT2, 16) == psi_recurrence(1, SQRT2, 16) == 2
@@ -126,6 +128,39 @@ class TestSymbolicCap:
     def test_cap_enforced(self):
         with pytest.raises(CapacityError):
             psi_symbolic(300)
+
+
+class TestBinaryForm:
+    def test_coefficients_match_the_sparse_recurrence(self):
+        oracle = psi_symbolic_sequence(SYMBOLIC_INDEX_CAP)
+        for n, expected in enumerate(oracle):
+            m = half(n)
+            coeffs = psi_coeffs(n)
+            assert len(coeffs) == m + 1, n
+            assert SparsePoly(("a", "b"), {(j, m - j): c for j, c in enumerate(coeffs)}) == expected
+            assert psi_symbolic(n) == expected, n
+
+    def test_named_variables_in_either_order(self):
+        for avar, bvar in (("beta", "alpha"), ("x", "y"), ("z", "a")):
+            for n, expected in enumerate(psi_symbolic_sequence(40, avar, bvar)):
+                assert psi_symbolic(n, avar, bvar) == expected, (avar, bvar, n)
+
+    def test_absolute_coefficients_sum_to_at_most_psi_at_minus_one_minus_five(self):
+        # the bound that keeps the Kronecker digits of psi_coeffs apart
+        for n in range(SYMBOLIC_INDEX_CAP + 1):
+            assert sum(map(abs, psi_coeffs(n))) <= abs(psi_recurrence(-1, -5, n)), n
+
+    def test_coefficients_at_seeded_points(self):
+        rng = random.Random(18)
+        for _ in range(60):
+            n, a, b = rng.randint(0, SYMBOLIC_INDEX_CAP), rng.randint(-9, 9), rng.randint(-9, 9)
+            m = half(n)
+            value = sum(c * a**j * b ** (m - j) for j, c in enumerate(psi_coeffs(n)))
+            assert value == psi_recurrence(a, b, n), (n, a, b)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError):
+            psi_coeffs(-1)
 
 
 class TestLadder:
