@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from fractions import Fraction
 from itertools import islice
 
 from .eightlevels import coeff_values
@@ -193,8 +192,9 @@ def default_bridges() -> list[BridgeSpec]:
         BridgeSpec(
             "two-power-thirds",
             "psi(2, -5, n) equals (2**n + 1) / 3**parity(n)",
-            _psi_values(2, -5),
-            _each(lambda n: Fraction(2**n + 1, 3 ** parity(n))),
+            # the 1/3**parity(n) of the description, multiplied through
+            _psi_values(2, -5, lambda v, n: 3 ** parity(n) * v),
+            _each(lambda n: 2**n + 1),
             _all_indices,
         ),
         BridgeSpec(

@@ -16,7 +16,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 from math import isqrt
 
 from . import bridges as bridges_mod
@@ -70,10 +69,13 @@ def _check_range(command: str, value: int) -> int:
     return first
 
 
-def _parse_scalar(text: str) -> Fraction | int:
-    """Accept integers and exact fractions like ``-3`` or ``3/2``."""
+def _parse_scalar(text: str):
+    """Accept integers and exact fractions like ``-3`` or ``3/2``: an ``int``,
+    or a ``Fraction`` for a text with ``/``."""
     try:
         if "/" in text:
+            from fractions import Fraction  # only a fraction's text needs it
+
             return Fraction(text)
         return int(text)
     except (ValueError, ZeroDivisionError) as err:

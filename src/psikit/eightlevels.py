@@ -18,7 +18,6 @@ the theta-sum, scaling, ladder and closed-form properties of the family.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -263,35 +262,36 @@ def eight_level_coeff(n: int, k: int) -> int:
     if k == 0:
         return _K0_TABLE[r8]
     j = k // 2
-    den = Fraction(1, 4**k * factorial(k))
     if r8 in (0, 4):
         if k % 2:
             return 0
         prod = 1
         for lam in range(j):
             prod *= n * n - (4 * lam) ** 2
-        value = 2 * (-1) ** (j + (1 if r8 == 4 else 0)) * prod * den
+        num = 2 * (-1) ** (j + (1 if r8 == 4 else 0)) * prod
     elif r8 in (2, 6):
         if k % 2 == 0:
             return 0
         prod = 1
         for lam in range(1, j + 1):
             prod *= n * n - (4 * lam - 2) ** 2
-        value = 2 * (-1) ** (j + (1 if r8 == 6 else 0)) * n * prod * den
+        num = 2 * (-1) ** (j + (1 if r8 == 6 else 0)) * n * prod
     elif r8 in (1, 5):
         prod = 1
         for lam in range(1, j + 1):
             prod *= (n + 1) ** 2 - (4 * lam - 2) ** 2
-        value = (-1) ** (j + (1 if r8 == 5 else 0)) * (n + 1 - 2 * k) ** parity(k) * prod * den
+        num = (-1) ** (j + (1 if r8 == 5 else 0)) * (n + 1 - 2 * k) ** parity(k) * prod
     else:  # r8 in (3, 7)
         prod = 1
         for lam in range(1, (k - 1) // 2 + 1):
             prod *= (n + 1) ** 2 - (4 * lam) ** 2
         sign = j + (parity(k - 1) if r8 == 3 else parity(k))
-        value = (-1) ** sign * (n + 1) * (n + 1 - 2 * k) ** parity(k - 1) * prod * den
-    if value.denominator != 1:
-        raise ArithmeticError(f"closed form not integral at n={n}, k={k}: {value}")
-    return int(value)
+        num = (-1) ** sign * (n + 1) * (n + 1 - 2 * k) ** parity(k - 1) * prod
+    den = 4**k * factorial(k)
+    value, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"closed form not integral at n={n}, k={k}: {num}/{den}")
+    return value
 
 
 def expand_powersum_basis(n: int) -> list[int]:
@@ -465,10 +465,10 @@ def explicit_formula_check(n: int) -> bool:
     m = half(n)
     first = coeff_values(n, 0, 1, 1, 2)[n]
     for r in range(m + 1):
-        w = Fraction(n, n - r) * comb(n - r, r)
-        if w.denominator != 1:
+        w, rem = divmod(n * comb(n - r, r), n - r)
+        if rem:
             return False
-        if first[r] != (-1) ** (m - r) * int(w):
+        if first[r] != (-1) ** (m - r) * w:
             return False
     second = coeff_values(n, 1, -2, 1, 2)[n]
     scale = 2 ** parity(n - 1)

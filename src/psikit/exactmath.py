@@ -1,22 +1,19 @@
 """Exact arithmetic substrate.
 
-Arbitrary-precision integers are plain Python ``int``; exact rationals are
-``fractions.Fraction`` (already kept in lowest terms with a positive
-denominator).  On top of those this module provides elements of real
-quadratic extensions ``u + v*sqrt(d)`` and a shift-and-add reduction for
+Arbitrary-precision integers are plain Python ``int``, and every value here is
+held as integers over one denominator.  ``fractions.Fraction`` appears only
+where a rational is taken in or handed out, and is imported there, so that
+importing this module does not load it.  The module provides elements of real
+quadratic extensions ``(u + v*sqrt(d)) / q`` and a shift-and-add reduction for
 moduli of the form ``2**p - 1``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-Rational = int | Fraction
+import sys
+from math import gcd, lcm
 
 __all__ = [
-    "Rational",
-    "Scalar",
     "RadicandMismatchError",
     "NotInvertibleError",
     "QuadExt",
@@ -61,97 +58,165 @@ def _is_square_free(d: int) -> bool:
     return True
 
 
+def _ratio(x) -> tuple[int, int] | None:
+    """(numerator, denominator) of an ``int`` or a ``Fraction``, else None.
+
+    A Fraction can exist only once ``fractions`` is imported, so the class is
+    looked up among the loaded modules rather than imported here.
+    """
+    if isinstance(x, int):
+        return x.numerator, 1
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(x, fractions.Fraction):
+        return x.numerator, x.denominator
+    return None
+
+
+def _ratio_text(n: int, q: int) -> str:
+    """n / q as ``str(Fraction(n, q))`` writes it."""
+    g = gcd(n, q)
+    n, q = n // g, q // g
+    return str(n) if q == 1 else f"{n}/{q}"
+
+
+def _make(d: int, u: int, v: int, q: int) -> "QuadExt":
+    """(u + v*sqrt(d)) / q from canonical parts, unchecked: ``d`` a valid
+    radicand, q > 0 and gcd(u, v, q) = 1."""
+    x = object.__new__(QuadExt)
+    x.d, x._u, x._v, x._q = d, u, v, q
+    return x
+
+
+def _normal(d: int, u: int, v: int, q: int) -> "QuadExt":
+    """(u + v*sqrt(d)) / q for any q != 0, brought to canonical parts."""
+    if q != 1:
+        g = gcd(u, v, q)
+        if q < 0:
+            g = -g
+        if g != 1:
+            u, v, q = u // g, v // g, q // g
+    return _make(d, u, v, q)
+
+
 class QuadExt:
     """Exact element ``u + v*sqrt(d)`` with rational ``u``, ``v``.
 
-    ``d`` must be a square-free positive integer.  Arithmetic is exact and
-    instances are immutable; mixing two extensions is allowed only when one
-    operand is purely rational (``v == 0``).
+    ``d`` must be a square-free integer > 1 and ``u``, ``v`` each an ``int``
+    or a ``Fraction``.  The element is held as four integers, d and
+    (u + v*sqrt(d)) / q over one denominator q > 0 with gcd(u, v, q) = 1, and
+    each operation is integer products and one gcd.  ``.u``, ``.v`` and
+    ``norm()`` return ``Fraction``.  Arithmetic is exact and instances are
+    immutable; mixing two extensions is allowed only when one operand is
+    purely rational (``v == 0``).
     """
 
-    __slots__ = ("d", "u", "v")
+    __slots__ = ("d", "_u", "_v", "_q")
 
-    def __init__(self, d: int, u: Rational = 0, v: Rational = 0) -> None:
+    def __init__(self, d: int, u=0, v=0) -> None:
         if not isinstance(d, int) or not _is_square_free(d) or d == 1:
             raise ValueError(f"radicand must be a square-free integer > 1, got {d!r}")
-        self.d = d
-        self.u = Fraction(u)
-        self.v = Fraction(v)
+        parts = _ratio(u), _ratio(v)
+        if None in parts:
+            bad = u if parts[0] is None else v
+            raise TypeError(f"parts must be int or Fraction, got {bad!r}")
+        (un, ud), (vn, vd) = parts
+        # u and v are each in lowest terms, so gcd(u, v, q) = 1 over their lcm
+        q = lcm(ud, vd)
+        self.d, self._u, self._v, self._q = d, un * (q // ud), vn * (q // vd), q
 
     # -- helpers -------------------------------------------------------
 
     @property
-    def is_rational(self) -> bool:
-        return self.v == 0
+    def u(self):
+        from fractions import Fraction
 
-    def _as_pair(self, other) -> tuple["QuadExt", "QuadExt"]:
-        """Coerce ``other`` into this element's extension (or vice versa)."""
+        return Fraction(self._u, self._q)
+
+    @property
+    def v(self):
+        from fractions import Fraction
+
+        return Fraction(self._v, self._q)
+
+    @property
+    def is_rational(self) -> bool:
+        return self._v == 0
+
+    def _pair(self, other) -> tuple[int, int, int, int] | None:
+        """The radicand both operands live in and (u, v, q) of ``other``;
+        None when ``other`` is not a number of these rings."""
         if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return self, other
-            if other.is_rational:
-                return self, QuadExt(self.d, other.u, 0)
-            if self.is_rational:
-                return QuadExt(other.d, self.u, 0), other
-            raise RadicandMismatchError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
-        if isinstance(other, (int, Fraction)):
-            return self, QuadExt(self.d, other, 0)
-        raise TypeError(f"unsupported operand {other!r}")
+            d = self.d
+            if other.d != d and other._v:
+                if self._v:
+                    raise RadicandMismatchError(
+                        f"cannot combine sqrt({d}) with sqrt({other.d})"
+                    )
+                d = other.d
+            return d, other._u, other._v, other._q
+        ratio = _ratio(other)
+        if ratio is None:
+            return None
+        return self.d, ratio[0], 0, ratio[1]
 
     # -- arithmetic ----------------------------------------------------
 
+    def _sum(self, d: int, u: int, v: int, q: int) -> "QuadExt":
+        """self + (u + v*sqrt(d)) / q, over the common denominator."""
+        p = self._q
+        if p == q:
+            return _normal(d, self._u + u, self._v + v, q)
+        return _normal(d, self._u * q + u * p, self._v * q + v * p, p * q)
+
     def __add__(self, other):
-        try:
-            a, b = self._as_pair(other)
-        except TypeError:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return QuadExt(a.d, a.u + b.u, a.v + b.v)
+        return self._sum(*pair)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(self.d, -self.u, -self.v)
+        return _make(self.d, -self._u, -self._v, self._q)
 
     def __sub__(self, other):
-        try:
-            a, b = self._as_pair(other)
-        except TypeError:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return QuadExt(a.d, a.u - b.u, a.v - b.v)
+        d, u, v, q = pair
+        return self._sum(d, -u, -v, q)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            a, b = self._as_pair(other)
-        except TypeError:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return QuadExt(
-            a.d,
-            a.u * b.u + a.d * a.v * b.v,
-            a.u * b.v + a.v * b.u,
-        )
+        d, u, v, q = pair
+        su, sv = self._u, self._v
+        return _normal(d, su * u + d * sv * v, su * v + sv * u, self._q * q)
 
     __rmul__ = __mul__
 
-    def norm(self) -> Fraction:
-        return self.u * self.u - self.d * self.v * self.v
+    def norm(self):
+        from fractions import Fraction
+
+        u, v, q = self._u, self._v, self._q
+        return Fraction(u * u - self.d * v * v, q * q)
 
     def inverse(self) -> "QuadExt":
-        n = self.norm()
+        u, v, q = self._u, self._v, self._q
+        n = u * u - self.d * v * v
         if n == 0:
             raise ZeroDivisionError("element has zero norm")
-        return QuadExt(self.d, self.u / n, -self.v / n)
+        return _normal(self.d, q * u, -q * v, n)
 
     def __truediv__(self, other):
-        try:
-            a, b = self._as_pair(other)
-        except TypeError:
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        return a * b.inverse()
+        return self * _make(*pair).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -161,7 +226,7 @@ class QuadExt:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadExt(self.d, 1, 0)
+        result = _make(self.d, 1, 0, 1)
         base = self
         e = exponent
         while e:
@@ -175,44 +240,38 @@ class QuadExt:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, QuadExt):
-            if self.v == 0 and other.v == 0:
-                return self.u == other.u
-            return self.d == other.d and self.u == other.u and self.v == other.v
-        if isinstance(other, (int, Fraction)):
-            return self.v == 0 and self.u == other
-        return NotImplemented
+            same = self._u == other._u and self._v == other._v and self._q == other._q
+            return same and (self.d == other.d or not self._v)
+        ratio = _ratio(other)
+        if ratio is None:
+            return NotImplemented
+        return not self._v and self._u == ratio[0] and self._q == ratio[1]
 
     def __hash__(self):
-        if self.v == 0:
-            return hash(self.u)
-        return hash((self.d, self.u, self.v))
+        # the hashes of Fraction parts, which equal those of int parts at q = 1
+        if self._q == 1:
+            return hash((self.d, self._u, self._v) if self._v else self._u)
+        return hash((self.d, self.u, self.v) if self._v else self.u)
 
     def __repr__(self) -> str:
         return f"QuadExt({self.d}, {self.u!r}, {self.v!r})"
 
     def __str__(self) -> str:
-        if self.v == 0:
-            return str(self.u)
+        u, v, q = self._u, self._v, self._q
+        if not v:
+            return _ratio_text(u, q)
         root = f"sqrt({self.d})"
-        if self.v == 1:
-            tail = root
-        elif self.v == -1:
-            tail = f"-{root}"
-        else:
-            tail = f"{self.v}*{root}"
-        if self.u == 0:
-            return tail
-        sign = "+" if self.v > 0 else "-"
-        mag = tail.lstrip("-")
-        return f"{self.u} {sign} {mag}"
+        size = _ratio_text(abs(v), q)
+        mag = root if size == "1" else f"{size}*{root}"
+        if not u:
+            return mag if v > 0 else f"-{mag}"
+        return f"{_ratio_text(u, q)} {'+' if v > 0 else '-'} {mag}"
 
 
-Scalar = int | Fraction | QuadExt
-
-SQRT2 = QuadExt(2, 0, 1)
-SQRT3 = QuadExt(3, 0, 1)
-SQRT5 = QuadExt(5, 0, 1)
-GOLDEN_RATIO = QuadExt(5, Fraction(1, 2), Fraction(1, 2))
+SQRT2 = _make(2, 0, 1, 1)
+SQRT3 = _make(3, 0, 1, 1)
+SQRT5 = _make(5, 0, 1, 1)
+GOLDEN_RATIO = _make(5, 1, 1, 2)
 
 
 class MersenneMod:

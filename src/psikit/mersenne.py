@@ -7,7 +7,6 @@ n = 2**(p-1) and M = 2n - 1 = 2**p - 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, isqrt
 
 from .errors import CapacityError
@@ -381,10 +380,10 @@ def _tau_terms(tau: int):
 _TAU_SCALE = {"quarter": 4, "half": 16, "root2": 8}
 
 
-def tau_identity_value(l: int, variant: str) -> Fraction:
-    """Exact value of one tau = 2**l combinatorial sum: the sum over k of
-    prod_{l<k} ((4l)**2 - tau**2) / ((2k)! * s**k), with s = 4 for quarter,
-    16 for half (whose sum is doubled) and 8 for root2.
+def tau_identity_value(l: int, variant: str):
+    """Exact value, as a ``Fraction``, of one tau = 2**l combinatorial sum:
+    the sum over k of prod_{l<k} ((4l)**2 - tau**2) / ((2k)! * s**k), with
+    s = 4 for quarter, 16 for half (whose sum is doubled) and 8 for root2.
 
     The terms are added over their common denominator, which grows by
     2k (2k - 1) s at step k, and the sum is normalised once at the end.
@@ -400,6 +399,8 @@ def tau_identity_value(l: int, variant: str) -> Fraction:
             step = 2 * k * (2 * k - 1) * scale
             num, den = num * step, den * step
         num += prod
+    from fractions import Fraction  # the one rational this module returns
+
     return Fraction(2 * num if variant == "half" else num, den)
 
 

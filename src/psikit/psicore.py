@@ -38,7 +38,6 @@ not m - 4; the three-product walk keeps a and d so too.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
@@ -117,10 +116,10 @@ def psi_explicit(a, b, n: int):
     d = 2 * a - b
     total = 0
     for i in range(m + 1):
-        w = Fraction(n, n - i) * comb(n - i, i)
-        if w.denominator != 1:
+        w, rem = divmod(n * comb(n - i, i), n - i)
+        if rem:
             raise ArithmeticError(f"non-integral weight at i={i}, n={n}")
-        total = total + int(w) * (-a) ** i * d ** (m - i)
+        total = total + w * (-a) ** i * d ** (m - i)
     return total
 
 
@@ -166,7 +165,8 @@ def _power_bits(x: int, k: int) -> int:
 
 def psi_bit_bound(a, b, n: int) -> int:
     """An upper bound on the bit length of psi(a, b, n), and of its
-    numerator and denominator for rational a, b, found without computing it.
+    numerator and denominator for rational a, b (each an ``int`` or a
+    ``Fraction``), found without computing it.
 
     psi is homogeneous of degree n // 2, so for a = A/q, b = B/q the value is
     psi(A, B, n) / q**(n // 2).  For integers, with d = 2a - b, the explicit
@@ -179,10 +179,9 @@ def psi_bit_bound(a, b, n: int) -> int:
     """
     if n < 2:
         return 2
-    a, b = Fraction(a), Fraction(b)
     q = lcm(a.denominator, b.denominator)
     den_bits = _power_bits(q, half(n))
-    a, b = int(a * q), int(b * q)
+    a, b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
     if 2 * a == b:
         return max(den_bits, n.bit_length() + _power_bits(abs(a), half(n)))
     disc = b * b - 4 * a * a

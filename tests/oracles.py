@@ -7,6 +7,7 @@ from operator import add
 
 from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
 from psikit.eightlevels import apply_direction
+from psikit.exactmath import RadicandMismatchError, _is_square_free
 from psikit import multipoly
 from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
 from psikit.psicore import half, psi_symbolic, psi_terms
@@ -411,6 +412,151 @@ def psi_matrix_mod(a: int, b: int, n: int, m: int) -> int:
         j >>= 1
     row = power[n & 1]
     return (2 * row[0] + row[1]) % m
+
+
+class FractionQuadExt:
+    """The ``Fraction``-based quadratic extension, an oracle for
+    ``exactmath.QuadExt``: ``u`` and ``v`` are kept as two ``Fraction`` parts
+    and every result goes through the constructor.  It prints, compares and
+    hashes as ``QuadExt`` does.
+    """
+
+    __slots__ = ("d", "u", "v")
+
+    def __init__(self, d: int, u=0, v=0) -> None:
+        if not isinstance(d, int) or not _is_square_free(d) or d == 1:
+            raise ValueError(f"radicand must be a square-free integer > 1, got {d!r}")
+        self.d = d
+        self.u = Fraction(u)
+        self.v = Fraction(v)
+
+    # -- helpers -------------------------------------------------------
+
+    @property
+    def is_rational(self) -> bool:
+        return self.v == 0
+
+    def _as_pair(self, other):
+        """Coerce ``other`` into this element's extension (or vice versa)."""
+        if isinstance(other, FractionQuadExt):
+            if other.d == self.d:
+                return self, other
+            if other.is_rational:
+                return self, FractionQuadExt(self.d, other.u, 0)
+            if self.is_rational:
+                return FractionQuadExt(other.d, self.u, 0), other
+            raise RadicandMismatchError(
+                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
+            )
+        if isinstance(other, (int, Fraction)):
+            return self, FractionQuadExt(self.d, other, 0)
+        raise TypeError(f"unsupported operand {other!r}")
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        try:
+            a, b = self._as_pair(other)
+        except TypeError:
+            return NotImplemented
+        return FractionQuadExt(a.d, a.u + b.u, a.v + b.v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQuadExt(self.d, -self.u, -self.v)
+
+    def __sub__(self, other):
+        try:
+            a, b = self._as_pair(other)
+        except TypeError:
+            return NotImplemented
+        return FractionQuadExt(a.d, a.u - b.u, a.v - b.v)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        try:
+            a, b = self._as_pair(other)
+        except TypeError:
+            return NotImplemented
+        return FractionQuadExt(
+            a.d,
+            a.u * b.u + a.d * a.v * b.v,
+            a.u * b.v + a.v * b.u,
+        )
+
+    __rmul__ = __mul__
+
+    def norm(self) -> Fraction:
+        return self.u * self.u - self.d * self.v * self.v
+
+    def inverse(self) -> "FractionQuadExt":
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("element has zero norm")
+        return FractionQuadExt(self.d, self.u / n, -self.v / n)
+
+    def __truediv__(self, other):
+        try:
+            a, b = self._as_pair(other)
+        except TypeError:
+            return NotImplemented
+        return a * b.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return self.inverse() ** (-exponent)
+        result = FractionQuadExt(self.d, 1, 0)
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    # -- comparison / formatting ----------------------------------------
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FractionQuadExt):
+            if self.v == 0 and other.v == 0:
+                return self.u == other.u
+            return self.d == other.d and self.u == other.u and self.v == other.v
+        if isinstance(other, (int, Fraction)):
+            return self.v == 0 and self.u == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.v == 0:
+            return hash(self.u)
+        return hash((self.d, self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"QuadExt({self.d}, {self.u!r}, {self.v!r})"
+
+    def __str__(self) -> str:
+        if self.v == 0:
+            return str(self.u)
+        root = f"sqrt({self.d})"
+        if self.v == 1:
+            tail = root
+        elif self.v == -1:
+            tail = f"-{root}"
+        else:
+            tail = f"{self.v}*{root}"
+        if self.u == 0:
+            return tail
+        sign = "+" if self.v > 0 else "-"
+        mag = tail.lstrip("-")
+        return f"{self.u} {sign} {mag}"
 
 
 def tau_identity_value(l: int, variant: str) -> Fraction:

@@ -680,6 +680,20 @@ class TestColdStart:
         )
         assert proc.stdout.split() == []
 
+    def test_import_and_parser_skip_fractions_decimal_and_numbers(self):
+        # rationals are parsed or returned at the edges only; a module that a
+        # site hook loaded before psikit's import does not count
+        code = (
+            "import sys; before = set(sys.modules); import psikit.cli; "
+            "psikit.cli.build_parser(); print(' '.join(m for m in "
+            "('fractions', 'decimal', 'numbers') if m in sys.modules and m not in before))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(psikit.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+            timeout=60, check=True,
+        )
+        assert proc.stdout.split() == []
 
     @staticmethod
     def parsers_built(call: str, *args: str) -> list[str]:

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from psikit.exactmath import (
     SQRT5,
     mod_inverse,
 )
+
+from oracles import FractionQuadExt
 
 
 class TestMersenneReduce:
@@ -127,6 +130,136 @@ class TestQuadExt:
         assert SQRT3 * SQRT3 == 3
         assert SQRT5 * SQRT5 == 5
         assert 2 * GOLDEN_RATIO - 1 == SQRT5
+
+
+def _rand_part(rng):
+    """A zero, an int or a Fraction with denominator up to 9."""
+    return rng.choice(
+        (0, rng.randint(-9, 9), Fraction(rng.randint(-30, 30), rng.randint(1, 9)))
+    )
+
+
+def _assert_same(got, want):
+    """``got`` (a QuadExt) and the oracle's ``want`` are one element, and
+    print and hash alike."""
+    assert type(got) is QuadExt
+    assert (got.d, got.u, got.v) == (want.d, want.u, want.v)
+    assert type(got.u) is Fraction and type(got.v) is Fraction
+    assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
+
+
+class TestQuadExtAgainstOracle:
+    """Seeded comparisons with the Fraction-based oracle over Q(sqrt 2),
+    Q(sqrt 3) and Q(sqrt 5)."""
+
+    def pairs(self, seed, count=1500):
+        rng = random.Random(seed)
+        for _ in range(count):
+            d = rng.choice((2, 3, 5))
+            parts = [(_rand_part(rng), _rand_part(rng)) for _ in range(2)]
+            yield (
+                rng,
+                [QuadExt(d, u, v) for u, v in parts],
+                [FractionQuadExt(d, u, v) for u, v in parts],
+                _rand_part(rng),
+            )
+
+    def test_ring_operations(self):
+        for _, (x, y), (ox, oy), s in self.pairs(1901):
+            _assert_same(-x, -ox)
+            _assert_same(x + y, ox + oy)
+            _assert_same(x - y, ox - oy)
+            _assert_same(x * y, ox * oy)
+            _assert_same(x + s, ox + s)
+            _assert_same(s + x, s + ox)
+            _assert_same(x - s, ox - s)
+            _assert_same(s - x, s - ox)
+            _assert_same(x * s, ox * s)
+            _assert_same(s * x, s * ox)
+
+    def test_norm_inverse_division_and_powers(self):
+        for rng, (x, y), (ox, oy), s in self.pairs(1902):
+            norm = x.norm()
+            assert type(norm) is Fraction and norm == ox.norm()
+            if oy.norm():
+                _assert_same(y.inverse(), oy.inverse())
+                _assert_same(x / y, ox / oy)
+                _assert_same(s / y, s / oy)
+            else:
+                for divide in (y.inverse, lambda: x / y, lambda: s / y, lambda: y**-1):
+                    with pytest.raises(ZeroDivisionError):
+                        divide()
+            if s:
+                _assert_same(x / s, ox / s)
+            e = rng.randint(-4, 6)
+            if e >= 0 or ox.norm():
+                _assert_same(x**e, ox**e)
+
+    def test_equality_and_hash(self):
+        for rng, (x, y), (ox, oy), s in self.pairs(1903):
+            assert (x == y) == (ox == oy) and (x != y) == (ox != oy)
+            assert (x == s) == (ox == s) and (s == x) == (s == ox)
+            # the same element reached through other parts
+            k = rng.randint(2, 5)
+            for same in ((x + y) - y, (x * k) / k, x * (1 + SQRT5 - SQRT5)):
+                assert same == x and hash(same) == hash(x)
+            # a rational element equals its value, in any ring, with its hash
+            r = QuadExt(rng.choice((2, 3, 5)), s, 0)
+            assert r == s and hash(r) == hash(s) == hash(FractionQuadExt(r.d, s, 0))
+            assert r == QuadExt(7, s, 0)
+            assert (r == x) == (FractionQuadExt(r.d, s) == ox)
+
+    def test_rational_elements_cross_rings(self):
+        for _, (x, _), (ox, _), s in self.pairs(1904, 300):
+            other = 2 if x.d != 2 else 3
+            r, orr = QuadExt(other, s, 0), FractionQuadExt(other, s, 0)
+            for op in ("__add__", "__sub__", "__mul__"):
+                _assert_same(getattr(r, op)(x), getattr(orr, op)(ox))
+                _assert_same(getattr(x, op)(r), getattr(ox, op)(orr))
+
+    def test_constants_match_the_oracle(self):
+        half = Fraction(1, 2)
+        _assert_same(GOLDEN_RATIO, FractionQuadExt(5, half, half))
+        for const, d in ((SQRT2, 2), (SQRT3, 3), (SQRT5, 5)):
+            _assert_same(const, FractionQuadExt(d, 0, 1))
+
+    def test_period_texts(self):
+        assert str(1 - GOLDEN_RATIO) == "1/2 - 1/2*sqrt(5)"
+        assert str(GOLDEN_RATIO - 1) == "-1/2 + 1/2*sqrt(5)"
+        assert str(-1 - SQRT2) == "-1 - sqrt(2)"
+        assert str(-SQRT3) == "-sqrt(3)"
+        assert str(QuadExt(3, 0, Fraction(-2, 3))) == "-2/3*sqrt(3)"
+
+    def test_mixed_radicands_refused(self):
+        x, y = QuadExt(2, 1, 1), QuadExt(3, Fraction(1, 2), 1)
+        ox, oy = FractionQuadExt(2, 1, 1), FractionQuadExt(3, Fraction(1, 2), 1)
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            for a, b in ((x, y), (y, x), (ox, oy), (oy, ox)):
+                with pytest.raises(RadicandMismatchError):
+                    getattr(a, op)(b)
+        assert (x == y) is (ox == oy) is False
+
+
+class TestQuadExtParts:
+    @pytest.mark.parametrize("part", [0.1, 0.5, "3/4", "1", Decimal("0.5"), None, 1j])
+    def test_constructor_refuses_parts_not_int_or_fraction(self, part):
+        for args in ((part,), (1, part), (part, 0)):
+            with pytest.raises(TypeError):
+                QuadExt(2, *args)
+
+    def test_int_and_fraction_parts(self):
+        x = QuadExt(2, True, Fraction(6, 4))
+        assert (x.u, x.v) == (1, Fraction(3, 2))
+        assert repr(x) == "QuadExt(2, Fraction(1, 1), Fraction(3, 2))"
+
+    def test_float_operands_refused(self):
+        for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+            assert getattr(SQRT2, op)(0.5) is NotImplemented
+        with pytest.raises(TypeError):
+            SQRT2 * 0.5
+        with pytest.raises(TypeError):
+            0.5 + SQRT2
+        assert SQRT2.__eq__(0.5) is NotImplemented and SQRT2 != 1.5
 
 
 class TestRationalCanonicalForm:
