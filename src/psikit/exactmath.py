@@ -11,7 +11,9 @@ moduli of the form ``2**p - 1``.
 from __future__ import annotations
 
 import sys
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+
+from .errors import CapacityError
 
 __all__ = [
     "RadicandMismatchError",
@@ -47,15 +49,31 @@ class NotInvertibleError(ValueError):
         self.witness = witness
 
 
+# Radicands are refused from 2**64 up; below it, trial division up to the
+# cube root takes well under a second.
+RADICAND_CAP = 1 << 64
+
+
 def _is_square_free(d: int) -> bool:
+    """Whether no square > 1 divides ``d`` > 0, by trial division up to the
+    cube root: what is left then has no prime factor below its own cube root,
+    so it is 1, p, pq or p**2, and square-free unless it is a square > 1."""
     if d <= 0:
         return False
-    f = 2
-    while f * f <= d:
-        if d % (f * f) == 0:
-            return False
-        f += 1
-    return True
+    if d >= RADICAND_CAP:
+        raise CapacityError(f"radicand {d} is not below the cap 2**64")
+    if not d % 4:
+        return False
+    if not d % 2:
+        d //= 2
+    f = 3
+    while f * f * f <= d:
+        if not d % f:
+            d //= f
+            if not d % f:
+                return False
+        f += 2
+    return d == 1 or isqrt(d) ** 2 != d
 
 
 def _ratio(x) -> tuple[int, int] | None:
@@ -101,8 +119,9 @@ def _normal(d: int, u: int, v: int, q: int) -> "QuadExt":
 class QuadExt:
     """Exact element ``u + v*sqrt(d)`` with rational ``u``, ``v``.
 
-    ``d`` must be a square-free integer > 1 and ``u``, ``v`` each an ``int``
-    or a ``Fraction``.  The element is held as four integers, d and
+    ``d`` must be a square-free integer > 1 below ``RADICAND_CAP`` (2**64;
+    from there up it raises ``CapacityError``), and ``u``, ``v`` each an
+    ``int`` or a ``Fraction``.  The element is held as four integers, d and
     (u + v*sqrt(d)) / q over one denominator q > 0 with gcd(u, v, q) = 1, and
     each operation is integer products and one gcd.  ``.u``, ``.v`` and
     ``norm()`` return ``Fraction``.  Arithmetic is exact and instances are

@@ -3,12 +3,11 @@ production code in ``psikit``."""
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import add
+from operator import add, sub
 
 from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
 from psikit.eightlevels import apply_direction
-from psikit.exactmath import RadicandMismatchError, _is_square_free
-from psikit import multipoly
+from psikit.exactmath import RadicandMismatchError
 from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
 from psikit.psicore import half, psi_symbolic, psi_terms
 
@@ -40,41 +39,37 @@ class ExactDivisionError(ArithmeticError):
 
 
 def exact_div(poly: SparsePoly, divisor) -> SparsePoly:
-    """The exact quotient with integer coefficients, by long division over the
-    packed keys of ``SparsePoly``; raises ExactDivisionError otherwise.  The
-    power-sum oracle divides by it."""
+    """The exact quotient with integer coefficients, by graded-lex long
+    division over the exponent tuples of ``terms``; raises ExactDivisionError
+    otherwise.  The power-sum oracle divides by it."""
     divisor = as_poly(divisor)
     if divisor.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if poly.is_zero:
-        return SparsePoly.zero()
-    vars_, num, den = poly._aligned(divisor)
-    fields = (1 << len(vars_) * multipoly._BITS) - 1
-    guards = multipoly._masks(len(vars_))[1]
+    names = tuple(sorted(set(poly.vars) | set(divisor.vars)))
+
+    def graded(p):
+        """The terms of ``p`` keyed by (degree, exponents over names)."""
+        return {
+            (sum(e), *[dict(zip(p.vars, e)).get(v, 0) for v in names]): c
+            for e, c in p.terms.items()
+        }
+
+    num, den = graded(poly), graded(divisor)
     dlead = max(den)
-    dfields = dlead & fields
-    dc = den[dlead]
-    num = dict(num)
-    # the leading monomial falls at each step, so no quotient monomial repeats
-    quotient: dict[int, int] = {}
+    quotient = {}
     while num:
         lead = max(num)
-        qc, rem = divmod(num[lead], dc)
-        # with every exponent below its guard bit, a field of lead minus
-        # dlead clears its guard exactly when that exponent would go negative;
-        # an exact quotient never leads with an exponent past the guard
-        if rem or lead & guards or ((lead & fields | guards) - dfields) & guards != guards:
+        qe = tuple(map(sub, lead, dlead))
+        qc, rem = divmod(num[lead], den[dlead])
+        if rem or min(qe) < 0:
             raise ExactDivisionError("division is not exact")
-        qe = lead - dlead
-        quotient[qe] = qc
+        quotient[qe[1:]] = qc
         for e, c in den.items():
-            key = qe + e
-            s = num.get(key, 0) - qc * c
-            if s:
-                num[key] = s
-            else:
-                num.pop(key, None)
-    return multipoly._pruned(vars_, quotient)
+            key = tuple(map(add, qe, e))
+            num[key] = num.get(key, 0) - qc * c
+            if not num[key]:
+                del num[key]
+    return SparsePoly(names, quotient)
 
 
 # Term n of each polynomial family of the bridges: the tests' view of the
@@ -414,6 +409,19 @@ def psi_matrix_mod(a: int, b: int, n: int, m: int) -> int:
     return (2 * row[0] + row[1]) % m
 
 
+def is_square_free_by_trial(d: int) -> bool:
+    """Whether no square > 1 divides ``d`` > 0, by trial division with every
+    f * f up to d: the oracle of ``exactmath._is_square_free``."""
+    if d <= 0:
+        return False
+    f = 2
+    while f * f <= d:
+        if d % (f * f) == 0:
+            return False
+        f += 1
+    return True
+
+
 class FractionQuadExt:
     """The ``Fraction``-based quadratic extension, an oracle for
     ``exactmath.QuadExt``: ``u`` and ``v`` are kept as two ``Fraction`` parts
@@ -424,7 +432,7 @@ class FractionQuadExt:
     __slots__ = ("d", "u", "v")
 
     def __init__(self, d: int, u=0, v=0) -> None:
-        if not isinstance(d, int) or not _is_square_free(d) or d == 1:
+        if not isinstance(d, int) or not is_square_free_by_trial(d) or d == 1:
             raise ValueError(f"radicand must be a square-free integer > 1, got {d!r}")
         self.d = d
         self.u = Fraction(u)

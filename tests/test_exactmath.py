@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psikit.errors import CapacityError
 from psikit.exactmath import (
     GOLDEN_RATIO,
     MersenneMod,
@@ -15,10 +16,11 @@ from psikit.exactmath import (
     SQRT2,
     SQRT3,
     SQRT5,
+    _is_square_free,
     mod_inverse,
 )
 
-from oracles import FractionQuadExt
+from oracles import FractionQuadExt, is_square_free_by_trial
 
 
 class TestMersenneReduce:
@@ -146,6 +148,34 @@ def _assert_same(got, want):
     assert (got.d, got.u, got.v) == (want.d, want.u, want.v)
     assert type(got.u) is Fraction and type(got.v) is Fraction
     assert (str(got), repr(got), hash(got)) == (str(want), repr(want), hash(want))
+
+
+class TestSquareFree:
+    def test_against_the_trial_division_oracle(self):
+        for d in range(-3, 5000):
+            assert _is_square_free(d) == is_square_free_by_trial(d), d
+        rng = random.Random(20)
+        for _ in range(200):
+            d = rng.randrange(1, 10**9)
+            assert _is_square_free(d) == is_square_free_by_trial(d), d
+
+    def test_cofactors_past_the_cube_root(self):
+        # what trial division to the cube root leaves: 1, p, pq or p^2
+        p, q = 1_000_003, 999_983
+        for d, want in [
+            (p, True), (p * q, True), (p * p, False), (2 * p * q, True),
+            (6 * p * p, False), (4 * p, False), (9 * p * q, False),
+            (2**61 - 1, True), (2**64 - 1, True),
+        ]:
+            assert _is_square_free(d) is want, d
+
+    def test_radicand_cap(self):
+        for d in (2**64, 2**64 + 1, 4**40):
+            with pytest.raises(CapacityError):
+                _is_square_free(d)
+            with pytest.raises(CapacityError):
+                QuadExt(d, 1, 1)
+        assert QuadExt(2**61 - 1, 1, 1).d == 2**61 - 1
 
 
 class TestQuadExtAgainstOracle:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -571,7 +575,9 @@ class TestPackedAgainstOracle:
 
     def test_constructor_refuses_an_exponent_wider_than_its_field(self):
         assert str(SparsePoly(("x", "y"), {(0, 255): 1})) == "y^255"
-        for exps in ((0, 256), (256, 0), (1000, 1)):
+        assert SparsePoly(("x", "y"), {(200, 55): 1}).total_degree() == 255
+        # the total degree has a field of the same width
+        for exps in ((0, 256), (256, 0), (1000, 1), (200, 56)):
             with pytest.raises(DegreeCapExceeded):
                 SparsePoly(("x", "y"), {exps: 1})
         # a zero coefficient is dropped before its exponents are read
@@ -595,3 +601,93 @@ class TestEvaluate:
         f = i**2 * u + i**3 + i * u
         g = reduce_square(f, "i", -1)
         assert g == -u - i + i * u
+
+
+# -- one monomial layout for the whole process ----------------------------------
+
+# every variable name that psikit's modules build a polynomial over
+PSIKIT_NAMES = "a alpha b beta eta lam p q s1 s2 t theta u v x xi y z".split()
+
+# the commands whose stdout must not depend on the order names were first seen
+ORDER_RUNS = [
+    "psi poly --n 64",
+    "verify eightlevels",
+    "verify theta",
+    "verify fundamental",
+    "verify powersums",
+    "bridges check --nmax 40",
+]
+
+
+def _python(code: str) -> str:
+    """The stdout of ``code`` run by a fresh interpreter that imports psikit
+    and the oracles from this checkout."""
+    root = Path(__file__).parent
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(root.parent / "src"), str(root)]),
+        PYTHONHASHSEED="0",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        timeout=120, check=True,
+    )
+    return proc.stdout
+
+
+class TestSharedLayout:
+    def test_registration_order_shows_in_no_output(self):
+        body = (
+            "import io\n"
+            "from contextlib import redirect_stdout\n"
+            "from psikit import cli\n"
+            "from psikit.multipoly import SparsePoly, variables\n"
+            f"for args in {ORDER_RUNS!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with redirect_stdout(out):\n"
+            "        code = cli.main(args.split())\n"
+            "    print(args, code, out.getvalue())\n"
+            "a, theta, xi, y, s2 = variables('a theta xi y s2')\n"
+            "f = (a - 2 * theta) ** 3 * xi - y * s2 + 5\n"
+            "g = SparsePoly(('y', 'xi', 'a'), {(2, 1, 0): 7, (0, 0, 3): -1})\n"
+            "print(g == 7 * y**2 * xi - a**3, g == 7 * xi * y**2 - a**2)\n"
+            "for p in (f, g, f * g, f.subst({'theta': y * y}), g.diff('xi')):\n"
+            "    print(p, p.vars, sorted(p.terms.items()), hash(p), SparsePoly(p.vars, p.terms) == p)\n"
+        )
+        fresh = " ".join(PSIKIT_NAMES[::-1] + ["unused_name"])
+        plain = _python(body)
+        reversed_order = _python(f"from psikit.multipoly import variables\nvariables({fresh!r})\n{body}")
+        assert reversed_order == plain
+        assert "psi poly --n 64 0 " in plain and "True False" in plain
+
+    def test_threads_registering_at_once_never_share_a_field(self):
+        code = (
+            "import sys, threading\n"
+            "from psikit import multipoly\n"
+            "from psikit.multipoly import variables\n"
+            "from oracles import TuplePoly\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start = threading.Barrier(8)\n"
+            "registered = threading.Barrier(8, action=lambda: sys.setswitchinterval(0.005))\n"
+            "names, failures = {}, []\n"
+            "def work(i):\n"
+            "    mine = [f'w{i}_{j}' for j in range(50)]\n"
+            "    start.wait()\n"
+            "    polys = variables(' '.join(mine))\n"
+            "    names[i] = mine\n"
+            "    registered.wait()\n"
+            "    for j, p in enumerate(polys):\n"
+            "        for k in range(j, 50):\n"
+            "            got = p * polys[k]\n"
+            "            want = TuplePoly((mine[j],), {(1,): 1}) * TuplePoly((mine[k],), {(1,): 1})\n"
+            "            if (got.vars, dict(got.terms), str(got)) != (want.vars, want.terms, str(want)):\n"
+            "                failures.append((mine[j], mine[k], str(got)))\n"
+            "threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+            "for t in threads:\n"
+            "    t.start()\n"
+            "for t in threads:\n"
+            "    t.join()\n"
+            "fields = [multipoly._FIELDS[n] for mine in names.values() for n in mine]\n"
+            "print(len(fields), len(set(fields)), len(failures))\n"
+        )
+        assert _python(code).split() == ["400", "400", "0"]
