@@ -328,7 +328,7 @@ def _cmd_mersenne(args):
             _timed_report(args.method, p).to_dict(with_timing=args.timing)
             for p in _scan_exponents(lower, args.pmax)
         )
-    if args.method in ("ll", "psi", "composite", "mu"):
+    if args.method in ("ll", "psi", "composite", "mu", "sum", "necessary"):
         _require_printable(args.p, f"a residue mod 2^{args.p}-1")
     elif args.method == "ab" and 5 <= args.p <= mersenne.CEILING_P["ab"]:
         # outside these bounds ab_ratio_test refuses p itself

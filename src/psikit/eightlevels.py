@@ -119,9 +119,8 @@ def coeff_table_text(n: int) -> list[str]:
     written from ``coeff_row_terms`` with no polynomial built."""
     m = table_degree(n)
     coeffs = psi_coeffs(n)
-    # each printed power followed by "*", or "" for exponent 0; the monomial
-    # is the four joined, its last "*" cut
-    pa, pal, pb, pbe = ([t and t + "*" for t in power_texts(v, m)] for v in _TABLE_VARS)
+    # the monomial is the four printed powers joined, its last "*" cut
+    pa, pal, pb, pbe = (power_texts(v, m) for v in _TABLE_VARS)
     return [
         format_terms(
             (c, (pa[i] + pal[k] + pb[j] + pbe[l])[:-1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import factorial, isqrt
 
 from .errors import CapacityError
-from .exactmath import MersenneMod, NotInvertibleError, mod_inverse
+from .exactmath import MersenneMod
 from .psicore import _lucas_walk, _square_chain, psi_mod_ladder, psi_symbolic
 from .records import Record
 
@@ -23,7 +23,6 @@ __all__ = [
     "mu_pattern_test",
     "mu_expected_residue",
     "enhanced_sum_test",
-    "signed_factorial_product_sum",
     "psi14_exact",
     "necessary_condition",
     "composite_criterion",
@@ -34,19 +33,25 @@ __all__ = [
     "tau_identity_value",
     "tau_polynomial_identity",
     "METHODS",
-    "ENHANCED_SUM_MAX_INDEX",
     "MU_MAX_CAP",
+    "SUM_MU_CAP",
+    "FACTOR_SEARCH_CEILING",
     "CEILING_P",
 ]
 
-# The largest p of each method whose work grows exponentially in p.  One call
-# on a shared 2-core box with CPython 3.11: sum at p = 17 takes 0.3 s (1.8 s
-# with mu = 2; index n * mu = 2**18 would take 9 s); necessary at prime p = 19
-# takes 0.15 s, and p = 23 and 29 stop at once at a factor of 2**p - 1 (p = 31
-# would need 2**29 terms); ab at p = 23 takes 0.3 s (p = 29 would square
-# integers of up to 2**28 bits).
-CEILING_P = {"sum": 17, "necessary": 29, "ab": 23}
-ENHANCED_SUM_MAX_INDEX = 1 << 17
+# The largest p of each method.  sum and necessary report a residue of up to
+# p bits, and at p = 14281 that has 4300 decimal digits, CPython's default
+# int-to-str limit.  One call on a shared 2-core box with CPython 3.11: at
+# p = 14281, sum takes 1.0-1.3 s (one ladder) and necessary 1.0 s (the
+# Lucas-Lehmer chain, then 488 trial factors up to its factor 13938257); ab
+# at p = 23 takes 0.3 s (p = 29 would square integers of up to 2**28 bits).
+CEILING_P = {"sum": 14281, "necessary": 14281, "ab": 23}
+# sum refuses mu >= 2**64, so its ladder's index n * mu has at most p + 63 bits.
+SUM_MU_CAP = 1 << 64
+# necessary tries factors of a composite 2**p - 1 below this, and refuses one
+# with none.  p = 67's least factor, 193707721, the largest among p < 100, is
+# found in 0.25 s, about as long as the whole fruitless search at p = 101.
+FACTOR_SEARCH_CEILING = 1 << 28
 # Largest mu_max of the mu pattern; its record holds one residue of p bits per mu.
 MU_MAX_CAP = 16
 
@@ -202,27 +207,6 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     )
 
 
-def signed_factorial_product_sum(big_n: int) -> int:
-    """sum_j prod_{l<j} ((4l)**2 - N**2) / (2j)! for j = 0..N/4, exactly.
-
-    Every term is an integer (the running value is asserted to divide
-    exactly at each step) and twice the total equals psi(1, 4, N).
-    """
-    if big_n % 8:
-        raise ValueError("index must be divisible by 8")
-    total = 0
-    term = 1
-    nsq = big_n * big_n
-    for j in range(big_n // 4 + 1):
-        if j:
-            term *= 16 * (j - 1) * (j - 1) - nsq
-            term, rem = divmod(term, (2 * j) * (2 * j - 1))
-            if rem:
-                raise ArithmeticError(f"non-integer term at j={j}")
-        total += term
-    return total
-
-
 def psi14_exact(n: int, mu: int) -> int:
     """Exact psi(1, 4, n*mu) for n a power of two: squaring chain to
     psi(1, 4, n), then the index-addition recurrence across multiples."""
@@ -241,71 +225,91 @@ def psi14_exact(n: int, mu: int) -> int:
 
 
 def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
-    """Exact-arithmetic variant: the signed factorial-product sum over index
-    n*mu reduces mod M to +1/0/-1 by mu mod 4, and twice the sum equals
-    psi(1, 4, n*mu) exactly."""
+    """The signed factorial-product sum over index N = n*mu,
+    sum_j prod_{l<j} ((4l)**2 - N**2) / (2j)! for j = 0..N/4, reduces mod M
+    to +1/0/-1 by mu mod 4.
+
+    Twice the sum equals psi(1, 4, N) exactly, and M is odd with
+    2 * n = M + 1, so n is the inverse of 2 mod M and the reduced sum is
+    psi(1, 4, N) * n mod M: one ladder, not N/4 exact big-integer terms
+    (the term-by-term sum is the tests' oracle).  At mu = 0 it is 2 * n = 1.
+    """
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    terms = f"2**{p - 3} * {mu} + 1 exact big-integer terms"
-    _check_cap("sum", p, terms)
+    if mu >= SUM_MU_CAP:
+        raise CapacityError(f"sum: mu of {mu.bit_length()} bits is above the cap mu < 2**64")
+    _check_cap("sum", p, f"psi(1, 4, 2**{p - 1} * mu) mod 2**{p} - 1")
     n, m = _candidate(p, 5)
-    if n * mu > ENHANCED_SUM_MAX_INDEX:
-        raise CapacityError(
-            f"sum at p={p}, mu={mu} needs {terms}; the index n * mu is capped "
-            f"at {ENHANCED_SUM_MAX_INDEX}"
-        )
-    total = 1 if mu == 0 else signed_factorial_product_sum(n * mu)
-    residue = total % m
+    residue = psi_mod_ladder(1, 4, n * mu, m) * n % m
     expected = 1 if mu % 4 == 0 else (m - 1 if mu % 4 == 2 else 0)
-    notes = []
-    if 2 * total != psi14_exact(n, mu):
-        notes.append("doubled sum failed to match the sequence value exactly")
-        verdict = "condition-fails"
-    else:
-        verdict = "condition-holds" if residue == expected else "condition-fails"
+    verdict = "condition-holds" if residue == expected else "condition-fails"
     return TestReport(
         method="sum",
         p=p,
         verdict=verdict,
         residues=[residue, expected],
-        notes=notes,
     )
 
 
-def necessary_condition(p: int) -> TestReport:
-    """sum_k prod_{l<k} ((4l)**2 - 1) / (2k)! == -1 (mod M) when M is prime.
+def _smallest_factor(p: int) -> int | None:
+    """The smallest prime factor of 2**p - 1 below FACTOR_SEARCH_CEILING, for
+    prime p, or None.
 
-    The factorial denominators are handled with modular inverses, so the terms
-    here are residues rather than integers (the exact terms are half-integers);
-    the sum is normalised so that each term is the previous one times
-    ((4(k-1))**2 - 1) / (2k (2k-1)) mod M.  A failed inverse surfaces its gcd
-    witness, which is a nontrivial factor of M.
+    Every prime factor q of 2**p - 1 is 2kp + 1 and +/-1 mod 8 (Fermat, Euler).
+    The candidates are tried in increasing order, and the first q with
+    2**p == 1 mod q divides 2**p - 1; it is prime, since its least prime
+    factor also divides 2**p - 1 and would have been met first.
     """
-    _check_cap("necessary", p, f"2**{p - 2} + 1 modular terms")
-    n, m = _candidate(p, 5)
-    term = 1
-    total = 1
-    for k in range(1, n // 2 + 1):
-        term = term * ((4 * (k - 1)) ** 2 - 1) % m
-        try:
-            term = term * mod_inverse((2 * k) * (2 * k - 1) % m, m) % m
-        except NotInvertibleError as err:
-            factor = err.witness
-            return TestReport(
-                method="necessary",
-                p=p,
-                verdict="condition-fails",
-                residues=[factor],
-                notes=[f"factor found: {factor} divides {m}"],
-            )
-        total = (total + term) % m
-    verdict = "condition-holds" if total == m - 1 else "condition-fails"
+    step = 2 * p
+    for q in range(step + 1, FACTOR_SEARCH_CEILING, step):
+        if q & 7 in (1, 7) and pow(2, p, q) == 1:
+            return q
+    return None
+
+
+def necessary_condition(p: int) -> TestReport:
+    """sum_k prod_{l<k} ((4l)**2 - 1) / (2k)! == -1 (mod M) when M is prime,
+    the sum over k = 0..n/2 with the denominators read as inverses mod M.
+
+    The k-th term is -Cat(2k - 1) / 2**(2k - 1), a Catalan number over a power
+    of two, so the sum is settled in closed form, with the Lucas-Lehmer chain
+    deciding which case holds (the term-by-term loop is the tests' oracle):
+
+    * M prime.  With h = (M - 1)/2 == -1/2, C(2j, j) == (-4)**j C(h, j) mod M,
+      which sums the terms to 1 + (3**n - 1) / (4n).  For odd p, M == 1 mod 3
+      and M == 3 mod 4, so (3/M) = -1 by quadratic reciprocity, and Euler's
+      criterion at base 3 gives 3**n == -3.  With 1/n == 2 the sum is -1, and
+      the report holds M - 1.
+    * M composite, with least prime factor f <= sqrt(M) < n.  The sum has
+      no value mod M: the denominator 2k (2k - 1) of step k first shares a
+      prime with M at 2k - 1 = f, as every earlier 2k and 2k - 1 is below f,
+      and the prime factors of 2k = f + 1 are below f too, so the gcd of that
+      denominator and M, the witness, is exactly f.  It is found by the
+      search of ``_smallest_factor``; an f at or above
+      FACTOR_SEARCH_CEILING is refused with CapacityError.
+    """
+    _check_cap("necessary", p, f"the Lucas-Lehmer chain mod 2**{p} - 1")
+    _, m = _candidate(p, 5)
+    if ll_chain(p) == 0:
+        return TestReport(
+            method="necessary",
+            p=p,
+            verdict="condition-holds",
+            residues=[m - 1],
+            notes=["denominators read as (2k)!"],
+        )
+    factor = _smallest_factor(p)
+    if factor is None:
+        raise CapacityError(
+            f"necessary at p={p}: 2**{p} - 1 is composite with no factor below "
+            f"the search ceiling 2**{FACTOR_SEARCH_CEILING.bit_length() - 1}"
+        )
     return TestReport(
         method="necessary",
         p=p,
-        verdict=verdict,
-        residues=[total],
-        notes=["denominators read as (2k)!"],
+        verdict="condition-fails",
+        residues=[factor],
+        notes=[f"factor found: {factor} divides {m}"],
     )
 
 

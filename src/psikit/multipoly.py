@@ -329,17 +329,27 @@ class SparsePoly:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        # per variable: its field and its printed powers up to the degree
+        # Terms print by degree, then exponents in sorted-name order, both
+        # descending.  Each pass takes one name's field across all terms: it
+        # appends the printed power ("" or "x^e*") to each term's monomial
+        # and, for every name but the last (whose exponent the degree and the
+        # others fix), the exponent to each term's one-integer sort key.
+        names = self.vars
         top = self.total_degree()
-        fields = [(_FIELDS[v], power_texts(v, top)) for v in self.vars]
-        rows = sorted(
-            ((k & _FIELD, *[k >> s & _FIELD for s, _ in fields]), c)
-            for k, c in self._terms.items()
-        )
-        return format_terms(
-            (c, "*".join([power[e] for e, (_, power) in zip(exps[1:], fields) if e]))
-            for exps, c in reversed(rows)
-        )
+        keys = list(self._terms)
+        field = _FIELD
+        width = _BITS * max(len(names) - 1, 0)
+        order = [(k & field) << width for k in keys]
+        monos = [""] * len(keys)
+        for i, v in enumerate(names, 1):
+            shift = _FIELDS[v]
+            power = power_texts(v, top)
+            monos = [m + power[k >> shift & field] for m, k in zip(monos, keys)]
+            if i < len(names):
+                at = width - _BITS * i
+                order = [r | (k >> shift & field) << at for r, k in zip(order, keys)]
+        rows = sorted(zip(order, monos, self._terms.values()), reverse=True)
+        return format_terms((c, m[:-1]) for _, m, c in rows)
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"
@@ -435,9 +445,10 @@ def as_poly(value: PolyLike) -> SparsePoly:
 
 
 def power_texts(var: str, top: int) -> list[str]:
-    """The printed powers of ``var`` by exponent: "" for 0, then ``var``,
-    ``var^2``, ... up to ``top``."""
-    return ["", var] + [f"{var}^{e}" for e in range(2, top + 1)]
+    """The printed powers of ``var`` by exponent, each followed by "*": ""
+    for 0, then ``var*``, ``var^2*``, ... up to ``top``.  A monomial prints as
+    the texts of its variables joined, the last "*" cut."""
+    return ["", f"{var}*"] + [f"{var}^{e}*" for e in range(2, top + 1)]
 
 
 def format_terms(terms) -> str:

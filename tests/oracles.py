@@ -7,7 +7,8 @@ from operator import add, sub
 
 from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
 from psikit.eightlevels import apply_direction
-from psikit.exactmath import RadicandMismatchError
+from psikit.exactmath import NotInvertibleError, RadicandMismatchError, mod_inverse
+from psikit.mersenne import TestReport, psi14_exact
 from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
 from psikit.psicore import half, psi_symbolic, psi_terms
 
@@ -583,3 +584,72 @@ def tau_identity_value(l: int, variant: str) -> Fraction:
         else:
             total += Fraction(prod, factorial(2 * k) * 2 ** (3 * k))
     return 2 * total if variant == "half" else total
+
+
+def signed_factorial_product_sum(big_n: int) -> int:
+    """sum_j prod_{l<j} ((4l)**2 - N**2) / (2j)! for j = 0..N/4, exactly.
+
+    Every term is an integer (the running value is asserted to divide
+    exactly at each step) and twice the total equals psi(1, 4, N).
+    """
+    if big_n % 8:
+        raise ValueError("index must be divisible by 8")
+    total = 0
+    term = 1
+    nsq = big_n * big_n
+    for j in range(big_n // 4 + 1):
+        if j:
+            term *= 16 * (j - 1) * (j - 1) - nsq
+            term, rem = divmod(term, (2 * j) * (2 * j - 1))
+            if rem:
+                raise ArithmeticError(f"non-integer term at j={j}")
+        total += term
+    return total
+
+
+def enhanced_sum_by_terms(p: int, mu: int) -> TestReport:
+    """The ``sum`` report from the exact sum over index n*mu, term by term,
+    with twice the sum checked against psi(1, 4, n*mu): the oracle of
+    ``mersenne.enhanced_sum_test``, O(n*mu) big-integer terms."""
+    n, m = 1 << (p - 1), (1 << p) - 1
+    total = 1 if mu == 0 else signed_factorial_product_sum(n * mu)
+    residue = total % m
+    expected = 1 if mu % 4 == 0 else (m - 1 if mu % 4 == 2 else 0)
+    notes = []
+    if 2 * total != psi14_exact(n, mu):
+        notes.append("doubled sum failed to match the sequence value exactly")
+        verdict = "condition-fails"
+    else:
+        verdict = "condition-holds" if residue == expected else "condition-fails"
+    return TestReport(method="sum", p=p, verdict=verdict, residues=[residue, expected], notes=notes)
+
+
+def necessary_by_inverses(p: int) -> TestReport:
+    """The ``necessary`` report from its sum over k = 0..n/2, each term the
+    previous one times ((4(k-1))**2 - 1) / (2k (2k-1)) mod M, stopping at the
+    first denominator with no inverse, whose gcd with M is the witness: the
+    oracle of ``mersenne.necessary_condition``, 2**(p-2) modular inverses."""
+    n, m = 1 << (p - 1), (1 << p) - 1
+    term = total = 1
+    for k in range(1, n // 2 + 1):
+        term = term * ((4 * (k - 1)) ** 2 - 1) % m
+        try:
+            term = term * mod_inverse((2 * k) * (2 * k - 1) % m, m) % m
+        except NotInvertibleError as err:
+            factor = err.witness
+            return TestReport(method="necessary", p=p, verdict="condition-fails",
+                              residues=[factor], notes=[f"factor found: {factor} divides {m}"])
+        total = (total + term) % m
+    verdict = "condition-holds" if total == m - 1 else "condition-fails"
+    return TestReport(method="necessary", p=p, verdict=verdict, residues=[total],
+                      notes=["denominators read as (2k)!"])
+
+
+def least_factor_by_trial(m: int) -> int:
+    """The least prime factor of ``m`` > 1, by trial division."""
+    f = 2
+    while m % f:
+        if f * f > m:
+            return m
+        f += 1
+    return f

@@ -30,7 +30,6 @@ from psikit.mersenne import (
     mu_pattern_test,
     necessary_condition,
     psi_test,
-    signed_factorial_product_sum,
     tau_identity_check,
     tau_identity_value,
 )
@@ -50,7 +49,7 @@ from psikit.psicore import (
     psi_sequence,
 )
 
-from oracles import psi_recurrence_mod
+from oracles import psi_recurrence_mod, signed_factorial_product_sum
 
 PRIMES_TO_31 = [p for p in range(5, 32) if p in (5, 7, 11, 13, 17, 19, 23, 29, 31)]
 MERSENNE_PRIMES = {5, 7, 13, 17, 19, 31}

@@ -293,11 +293,14 @@ class TestExitCodes:
         assert code == EXIT_USAGE and capsys.readouterr().out == ""
 
     def test_sum_and_necessary_run_at_their_ceilings(self):
-        code, recs = run_json("mersenne", "test", "--p", "17", "--method", "sum")
-        assert code == EXIT_OK and recs[0]["verdict"] == "condition-holds"
-        code, recs = run_json("mersenne", "test", "--p", "29", "--method", "necessary")
+        # 2^14281 - 1 is composite; its residues print at CPython's default limit
+        code, recs = run_json("mersenne", "test", "--p", str(CEILING_P["sum"]), "--method", "sum")
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
-        assert recs[0]["residues"] == ["233"]
+        assert 4200 < len(recs[0]["residues"][0]) <= 4300
+        p = CEILING_P["necessary"]
+        code, recs = run_json("mersenne", "test", "--p", str(p), "--method", "necessary")
+        assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
+        assert recs[0]["residues"] == ["13938257"]
 
     def test_unprintable_ab_ratio_is_capacity(self, monkeypatch):
         # psi(1, 4, 2^16) has about 18700 digits, past CPython's default 4300
@@ -329,6 +332,15 @@ class TestExitCodes:
             code, recs = run_json(*argv)
             assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], argv
             assert time.perf_counter() - started < 1.0, argv
+
+    def test_unprintable_sum_or_necessary_residue_is_refused_before_the_work(self, monkeypatch):
+        # under a lowered limit a residue mod 2^9941 - 1 (2993 digits) cannot print
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 2000)
+        for method in ("sum", "necessary"):
+            started = time.perf_counter()
+            code, recs = run_json("mersenne", "test", "--p", "9941", "--method", method)
+            assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], method
+            assert time.perf_counter() - started < 1.0, method
 
     def test_unprintable_index_or_modulus_is_refused_before_the_work(self, monkeypatch):
         # the record echoes n and the modulus in decimal; 2^19936 has 6002 digits

@@ -6,8 +6,8 @@ from psikit import mersenne
 from psikit.errors import CapacityError
 from psikit.mersenne import (
     CEILING_P,
-    ENHANCED_SUM_MAX_INDEX,
     METHODS,
+    SUM_MU_CAP,
     ab_ratio_test,
     ab_ratios,
     composite_criterion,
@@ -20,7 +20,6 @@ from psikit.mersenne import (
     necessary_condition,
     psi14_exact,
     psi_test,
-    signed_factorial_product_sum,
     tau_identity_check,
     tau_identity_expected,
     tau_identity_value,
@@ -197,7 +196,7 @@ class TestMuPattern:
 
 class TestEnhancedSum:
     def test_hand_computed_p5(self):
-        total = signed_factorial_product_sum(16)
+        total = oracles.signed_factorial_product_sum(16)
         assert total == 18817
         assert 2 * 18817 == 37634
         assert 18817 == 31 * 607
@@ -218,17 +217,26 @@ class TestEnhancedSum:
     def test_doubled_sum_is_exact_sequence_value(self):
         for p in (5, 7):
             n = 1 << (p - 1)
-            assert 2 * signed_factorial_product_sum(n) == psi_recurrence(1, 4, n)
+            assert 2 * oracles.signed_factorial_product_sum(n) == psi_recurrence(1, 4, n)
 
     def test_term_integrality_guard(self):
         with pytest.raises(ValueError):
-            signed_factorial_product_sum(12)  # not divisible by 8
+            oracles.signed_factorial_product_sum(12)  # not divisible by 8
+
+    def test_matches_the_term_by_term_sum(self):
+        # every p and mu <= 4 whose index n * mu the term-by-term sum reached
+        # before the closed form, under its cap of 2**17
+        for p in (5, 7, 11, 13, 17):
+            for mu in range(5):
+                if mu << (p - 1) <= 1 << 17:
+                    want = oracles.enhanced_sum_by_terms(p, mu).to_dict()
+                    assert enhanced_sum_test(p, mu).to_dict() == want, (p, mu)
 
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            enhanced_sum_test(19, 1)
-        rep = enhanced_sum_test(13, 1)
-        assert rep.verdict == "condition-holds"
+        # p and the index n * mu pass the old caps of 17 and 2**17
+        assert enhanced_sum_test(19, 1).verdict == "condition-holds"
+        assert enhanced_sum_test(17, 4).verdict == "condition-holds"
+        assert enhanced_sum_test(23, 1).verdict == "condition-fails"
 
     def test_pattern_p7_all_mu(self):
         m = 127
@@ -254,10 +262,10 @@ class TestNecessaryCondition:
         assert sum(residues) % m == 30
 
     def test_primes_give_minus_one(self):
-        for p in (5, 7, 13):
+        for p in (5, 7, 13, 31, 61, 89, 107, 127):
             rep = necessary_condition(p)
-            assert rep.verdict == "condition-holds"
-            assert rep.residues[0] == (1 << p) - 2  # -1 mod M
+            assert rep.verdict == "condition-holds", p
+            assert rep.residues == [(1 << p) - 2], p  # -1 mod M
 
     def test_composite_yields_factor_witness(self):
         rep = necessary_condition(11)
@@ -266,9 +274,22 @@ class TestNecessaryCondition:
         assert factor in (23, 89)
         assert 2047 % factor == 0
 
+    def test_matches_the_sum_by_inverses(self):
+        for p in PRIMES_TO_31[:-1]:
+            assert necessary_condition(p).to_dict() == oracles.necessary_by_inverses(p).to_dict(), p
+
+    def test_witness_is_the_least_factor(self):
+        for p, f in ((37, 223), (41, 13367), (43, 431), (47, 2351), (53, 6361), (59, 179951)):
+            assert oracles.least_factor_by_trial((1 << p) - 1) == f, p
+            rep = necessary_condition(p)
+            assert rep.verdict == "condition-fails" and rep.residues == [f], p
+        # p = 67's, the largest least factor of any p < 100, is within the search
+        assert necessary_condition(67).residues == [193707721]
+
     def test_capacity(self):
-        with pytest.raises(CapacityError):
-            necessary_condition(31)
+        # 2**101 - 1 = 7432339208719 * ...: no factor below the search ceiling
+        with pytest.raises(CapacityError, match="search ceiling"):
+            necessary_condition(101)
 
 
 class TestCompositeCriterion:
@@ -406,12 +427,14 @@ class TestCeilings:
         assert rep.verdict == "condition-fails" and rep.residues == [233]
 
     def test_sum_index_cap(self):
-        # at p = 13, n = 2**12: mu may reach the cap over n, no further
-        largest_mu = ENHANCED_SUM_MAX_INDEX >> 12
-        with pytest.raises(CapacityError, match="index"):
-            enhanced_sum_test(13, largest_mu + 1)
-        with pytest.raises(CapacityError, match="index"):
-            enhanced_sum_test(17, 4)
+        # mu alone is bounded, before any work: even at an exponent that is
+        # not prime or above the ceiling.  The old index cap of 2**17 took mu
+        # up to 8192, at p = 5
+        assert enhanced_sum_test(5, 8192).verdict == "condition-holds"
+        assert enhanced_sum_test(13, SUM_MU_CAP - 1).verdict == "condition-holds"
+        for p in (13, 9, (1 << 61) - 1):
+            with pytest.raises(CapacityError, match="mu"):
+                enhanced_sum_test(p, SUM_MU_CAP)
 
 
 class TestTauIdentities:
