@@ -40,8 +40,8 @@ INDEX_BITS_CAP = 1 << 20
 # The one bounded option of each command: its name, first value and ceiling.
 # eightlevels and powersums stop at their library caps.  A whole run at the
 # ceiling takes, on a shared 2-core box with CPython 3.11, about 0.3 s for
-# eightlevels, 0.1 s for powersums, 1.2 s for theta, 1.4 s for fundamental,
-# 0.1 s for bridges and 0.7 s for tau (each step of l takes its sums 4 to 5
+# eightlevels, 0.1 s for powersums, 0.6 s for theta, 0.65 s for fundamental,
+# 0.1 s for bridges and 0.8 s for tau (each step of l takes its sums 4 to 5
 # times longer).  psi eval bounds the exact value only; --mod takes any index.
 CEILINGS = {
     "verify eightlevels": ("nmax", 1, SYMBOLIC_INDEX_CAP),

@@ -214,16 +214,25 @@ def verify_expansion(n: int, seed: int = 0) -> bool:
             _expansion_holds(n, point, coeff_values(n, *point[2:])[n])
             for point in _sample_points(seed, SAMPLE_POINTS)
         )
+    lhs, rhs = _expansion_sides(n)
+    return lhs == rhs
+
+
+def _expansion_sides(n: int) -> tuple[SparsePoly, SparsePoly]:
+    """Both sides of the expansion identity for index n as polynomials in
+    x, y, a, b, alpha, beta."""
     m = half(n)
     x, y, a, b, alpha, beta = variables("x y a b alpha beta")
     q1 = alpha * x**2 + beta * x * y + alpha * y**2
     q2 = a * x**2 + b * x * y + a * y**2
     rows = coeff_table_polys(n)
     lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
-    rhs = SparsePoly.zero()
-    for r in range(m + 1):
-        rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
-    return lhs == rhs
+    # sum_r rows[r] * q1**(m - r) * q2**r, homogeneous Horner over r
+    rhs, q2_power = rows[0], SparsePoly.constant(1)
+    for row in rows[1:]:
+        q2_power = q2_power * q2
+        rhs = rhs * q1 + row * q2_power
+    return lhs, rhs
 
 
 def verify_expansion_sweep(n_max: int, seed: int = 0) -> list[bool]:

@@ -32,8 +32,12 @@ factors', as Z[x...] is an integral domain) and otherwise finds it once, when
 it is first asked for.  Where an operand has the shape for it, the kernel
 takes a closed form instead of the general product: a one-term base to the
 power k multiplies its key by k, a two-term base expands by the binomial
-theorem, and a product with a one-term factor shifts every key of the other;
-so a substitution whose bindings each have one term maps the keys linearly.
+theorem, and a product with a one-term factor shifts every key of the other.
+A substitution is one pass over the terms: a variable bound to a one-term
+image moves the term's key and scales its coefficient, and the product of the
+powers of the longer images is built once per distinct vector of their
+variables' exponents, then added, shifted and scaled, for each term that has
+that vector.
 
 A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
 largest any entry point reaches within its input limits) is refused before
@@ -287,43 +291,92 @@ class SparsePoly:
         )
 
     def subst(self, bindings: Mapping[str, PolyLike]) -> "SparsePoly":
-        """Substitute polynomials or scalars for variables, exactly."""
-        used = reduce(or_, self._terms, 0)
-        # per bound variable with a non-zero image: its field, the degree its
-        # image adds per power (deg - 1), the image's terms, and the powers of
-        # the image made so far, by exponent
-        images = []
-        bound = vanish = 0
+        """Substitute polynomials or scalars for variables, exactly.
+
+        One pass over the terms.  A variable bound to a one-term image moves
+        the term's key and scales its coefficient.  The other bound variables
+        map each term to a product of powers of their images, which depends
+        only on the term's exponents of those variables: it is built once per
+        distinct vector of them, with those exponents already taken off the
+        key, and each term adds it, shifted and scaled, into the result."""
+        terms = self._terms
+        used = reduce(or_, terms, 0)
+        # moves, per variable bound to a one-term image: its field, the key
+        # step from one power of the variable to one of the image, and the
+        # image's coefficient.  spreads, per variable bound to a longer image:
+        # its field and the image's terms.  weights, per variable bound to a
+        # non-zero image: its field and the degree a power of it adds.
+        moves, spreads, weights = [], [], []
+        vanish = spread = 0
+        top = 1  # the largest degree of an image, at least 1
         for v, x in bindings.items():
             shift = _FIELDS.get(v)
             if shift is None or not used >> shift & _FIELD:
                 continue
             p = as_poly(x)
-            bound |= _FIELD << shift
-            if p:
-                images.append((shift, p.total_degree() - 1, p._terms, {}))
-            else:
+            image = p._terms
+            if not image:
                 # the field of a variable bound to zero: a term that uses it vanishes
                 vanish |= _FIELD << shift
-        if not bound:
+                continue
+            degree = p.total_degree()
+            top = max(top, degree)
+            weights.append((shift, degree - 1))
+            if len(image) == 1:
+                ((key, c),) = image.items()
+                moves.append((shift, key - (1 << shift) - 1, c))
+            else:
+                spreads.append((shift, image))
+                spread |= _FIELD << shift
+        if not (weights or vanish):
             return self
+        if self.total_degree() * top > MAX_DEGREE:
+            # no term's image has a degree above total_degree() * top; past
+            # the cap, each one's is checked before any power or product is
+            # formed, whatever the order of the bindings
+            for k in terms:
+                if not k & vanish:
+                    _check_cap((k & _FIELD) + sum((k >> s & _FIELD) * d for s, d in weights))
+        # by the part of a key that holds the spread variables' exponents: the
+        # step that takes that part off the key, and the product of the
+        # powers of their images
+        products = {0: (0, {0: 1})}
         total: dict[int, int] = {}
-        for k, c in self._terms.items():
+        get = total.get
+        for k, c in terms.items():
             if k & vanish:
                 continue
-            exps = [k >> shift & _FIELD for shift, _, _, _ in images]
-            # the degree of the term's image, checked before any power or
-            # product of it is formed and whatever the order of the bindings
-            _check_cap((k & _FIELD) + sum(e * d for e, (_, d, _, _) in zip(exps, images)))
-            # the kept variables, with the bound exponents off the degree
-            piece = {(k & ~bound) - sum(exps): c}
-            for e, (_, _, image, powers) in zip(exps, images):
+            key = k
+            for shift, step, s in moves:
+                e = k >> shift & _FIELD
                 if e:
-                    power = powers.get(e)
-                    if power is None:
-                        power = powers[e] = _power(image, e)
-                    piece = _product(piece, power)
-            _add_into(total, piece)
+                    key += e * step
+                    c *= s**e
+            part = k & spread
+            entry = products.get(part)
+            if entry is None:
+                offset, product = -part, None
+                for s, image in spreads:
+                    e = part >> s & _FIELD
+                    if e:
+                        offset -= e
+                        power = _power(image, e)
+                        product = power if product is None else _product(product, power)
+                entry = products[part] = offset, product
+            offset, product = entry
+            key += offset
+            for pk, pc in product.items():
+                pk += key
+                pc *= c
+                t = get(pk)
+                if t is None:
+                    total[pk] = pc
+                else:
+                    t += pc
+                    if t:
+                        total[pk] = t
+                    else:
+                        del total[pk]
         return _make(total)
 
     # -- printing ---------------------------------------------------------------

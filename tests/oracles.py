@@ -6,7 +6,7 @@ from math import comb, factorial
 from operator import add, sub
 
 from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
-from psikit.eightlevels import apply_direction
+from psikit.eightlevels import apply_direction, coeff_table_polys, power_sum_poly
 from psikit.exactmath import NotInvertibleError, RadicandMismatchError, mod_inverse
 from psikit.mersenne import TestReport, psi14_exact
 from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
@@ -71,6 +71,33 @@ def exact_div(poly: SparsePoly, divisor) -> SparsePoly:
             if not num[key]:
                 del num[key]
     return SparsePoly(names, quotient)
+
+
+def subst_by_terms(poly: SparsePoly, bindings) -> SparsePoly:
+    """``poly.subst(bindings)`` term by term through the ring operations:
+    each term's image is its coefficient times the powers of the images of
+    its variables (a variable with no binding is its own image), added into
+    the total.  A term that uses a variable bound to zero is skipped, never
+    expanded, and the degree of each other term's image is checked against
+    ``MAX_DEGREE`` before any of it is formed.  The oracle of ``subst``."""
+    images = {v: as_poly(x) for v, x in bindings.items()}
+    total = SparsePoly.zero()
+    for exps, c in poly.terms.items():
+        factors = [
+            (images[v] if v in images else SparsePoly.variable(v), e)
+            for v, e in zip(poly.vars, exps)
+            if e
+        ]
+        if any(f.is_zero for f, _ in factors):
+            continue
+        degree = sum(f.total_degree() * e for f, e in factors)
+        if degree > MAX_DEGREE:
+            raise DegreeCapExceeded(f"product degree {degree} exceeds cap {MAX_DEGREE}")
+        piece = SparsePoly.constant(c)
+        for f, e in factors:
+            piece = piece * f**e
+        total = total + piece
+    return total
 
 
 # Term n of each polynomial family of the bridges: the tests' view of the
@@ -338,6 +365,22 @@ def coeff_via_basechange(n: int) -> tuple[SparsePoly, ...]:
                 picked[key] = c
         rows.append(SparsePoly(("a", "alpha", "b", "beta"), picked))
     return tuple(rows)
+
+
+def expansion_sides_by_powers(n: int) -> tuple[SparsePoly, SparsePoly]:
+    """Both sides of the expansion identity for index n, the right side
+    sum_r rows[r] * q1**(m - r) * q2**r with fresh powers of both forms for
+    each r: the oracle of the Horner sum in ``verify_expansion``."""
+    m = half(n)
+    x, y, a, b, alpha, beta = variables("x y a b alpha beta")
+    q1 = alpha * x**2 + beta * x * y + alpha * y**2
+    q2 = a * x**2 + b * x * y + a * y**2
+    rows = coeff_table_polys(n)
+    lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
+    rhs = SparsePoly.zero()
+    for r in range(m + 1):
+        rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
+    return lhs, rhs
 
 
 def reduce_square(poly: SparsePoly, var: str, value) -> SparsePoly:

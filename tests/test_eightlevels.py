@@ -33,6 +33,7 @@ from oracles import (
     coeff_via_basechange,
     divided,
     eval_scalar,
+    expansion_sides_by_powers,
     power_sum_by_division,
     powersum_basis_by_elimination,
 )
@@ -184,6 +185,62 @@ class TestExpansionIdentity:
 
         monkeypatch.setattr(el, "coeff_values", corrupted)
         assert not el.verify_expansion(20, seed=0)
+
+    def test_horner_sum_matches_the_sum_of_fresh_powers(self):
+        import psikit.eightlevels as el
+
+        for n in range(1, el.SYMBOLIC_LIMIT + 1):
+            lhs, rhs = el._expansion_sides(n)
+            oracle_lhs, oracle_rhs = expansion_sides_by_powers(n)
+            assert rhs == oracle_rhs and str(rhs) == str(oracle_rhs)
+            assert lhs == oracle_lhs == rhs
+
+
+def _flipped(poly: SparsePoly) -> SparsePoly:
+    """``poly`` with the sign of one coefficient flipped."""
+    terms = dict(poly.terms)
+    first = min(terms)
+    terms[first] = -terms[first]
+    return SparsePoly(poly.vars, terms)
+
+
+class TestSymbolicChecksDetectCorruption:
+    """Each symbolic check fails once one coefficient of the table or of
+    psi(a, b, n) is wrong, so no fast path can make a check vacuous."""
+
+    @pytest.fixture
+    def bad_row(self, monkeypatch):
+        import psikit.eightlevels as el
+
+        orig = el.coeff_table_polys
+        monkeypatch.setattr(el, "coeff_table_polys", lambda n: (_flipped(orig(n)[0]), *orig(n)[1:]))
+        return el
+
+    @pytest.fixture
+    def bad_psi(self, monkeypatch):
+        import psikit.eightlevels as el
+
+        orig = el.psi_symbolic
+        monkeypatch.setattr(el, "psi_symbolic", lambda *args: _flipped(orig(*args)))
+        return el
+
+    def test_a_wrong_row(self, bad_row):
+        el = bad_row
+        for n in range(1, el.SYMBOLIC_LIMIT + 1):
+            assert not el.verify_expansion(n)
+        for n in range(1, 13):
+            assert not el.theta_sum_check(n)
+        # at n = 1 the one row is a constant, self-dual and flat
+        for n in range(2, 13):
+            assert not el.scaling_check(n)
+            assert not el.first_fundamental_check(n)
+
+    def test_a_wrong_base_polynomial(self, bad_psi):
+        el = bad_psi
+        for n in range(1, 13):
+            assert not el.theta_sum_check(n)
+            assert not el.second_fundamental_check(n)
+            assert not el.power_sum_representation_check(n)
 
 
 class TestBasisCoefficients:

@@ -13,6 +13,7 @@ from psikit.multipoly import (
     DegreeCapExceeded,
     MAX_DEGREE,
     SparsePoly,
+    as_poly,
     variables,
 )
 
@@ -23,6 +24,7 @@ from oracles import (
     eval_scalar,
     exact_div,
     reduce_square,
+    subst_by_terms,
 )
 
 X, Y = variables("x y")
@@ -582,6 +584,90 @@ class TestPackedAgainstOracle:
                 SparsePoly(("x", "y"), {exps: 1})
         # a zero coefficient is dropped before its exponents are read
         assert SparsePoly(("x",), {(256,): 0}).is_zero
+
+
+def _image(rng, kind):
+    """A seeded image of the given kind over u, w and the bound names x, y."""
+    if kind == "zero":
+        return 0
+    if kind == "integer":
+        return rng.choice([1, -1, 3, -(1 << 70)])
+    names = rng.choice([("u",), ("w", "u"), ("x", "u"), ("y", "x")])
+    size = 1 if kind == "one-term" else rng.randint(2, 3)
+    terms = {}
+    while len(terms) < size:
+        exps = tuple(rng.randint(0, 2) for _ in names)
+        terms[exps] = rng.choice([1, -1, 2, -5, 1 << 70])
+    return SparsePoly(names, terms)
+
+
+def _subst_same(f, bind):
+    """``f.subst(bind)`` is canonical and equals the term-by-term oracle's
+    image, term for term and in print, or both refuse the degree."""
+    try:
+        got = f.subst(bind)
+    except DegreeCapExceeded:
+        with pytest.raises(DegreeCapExceeded):
+            subst_by_terms(f, bind)
+        return None
+    want = subst_by_terms(f, bind)
+    _assert_canonical(got)
+    assert got.vars == want.vars and got.terms == want.terms and str(got) == str(want)
+    return got
+
+
+class TestSubstAgainstTermByTerm:
+    KINDS = ("one-term", "multi-term", "zero", "integer")
+
+    def test_mixed_bindings(self):
+        rng = random.Random(59)
+        kinds_seen = set()
+        for _ in range(400):
+            f, g = _operands(rng)
+            f = f + g
+            # "q" is a name no operand uses
+            names = rng.sample(["x", "y", "z", "q"], rng.randint(1, 4))
+            kinds = [rng.choice(self.KINDS) for _ in names]
+            kinds_seen.update(kinds)
+            _subst_same(f, {v: _image(rng, k) for v, k in zip(names, kinds)})
+        assert kinds_seen == set(self.KINDS)
+
+    def test_images_that_collide_cancel_to_canonical_form(self):
+        x, y, a, b, c = variables("x y a b c")
+        for image in (x, -3 * x * y, x + y, x * x - 2 * y + 5):
+            folded = _subst_same(a - b + c, {"a": image, "b": image})
+            assert folded == c and folded.vars == ("c",)
+            assert _subst_same(a * c - b * c + a * b - b**2, {"a": image, "b": image}).is_zero
+        rng = random.Random(61)
+        for _ in range(200):
+            f = SparsePoly(
+                ("a", "b", "c"),
+                {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(-4, 4) for _ in range(5)},
+            )
+            # the same monomial, up to sign, for both: a^i b^j and a^j b^i meet
+            image = _image(rng, rng.choice(("one-term", "multi-term")))
+            sign = rng.choice((1, -1))
+            _subst_same(f - f.subst({"a": b, "b": a}), {"a": image, "b": sign * image})
+            _subst_same(f, {"a": image, "b": sign * image, "c": rng.choice((0, 1, image))})
+
+    def test_degree_cap_in_either_binding_order(self):
+        x, y, u = variables("x y u")
+        rng = random.Random(67)
+        refused = 0
+        for _ in range(150):
+            i, j = rng.randint(1, 64), rng.randint(1, 64)
+            f = SparsePoly(("a", "b"), {(i, j): 1, (1, 0): 2})
+            da, db = rng.randint(0, 3), rng.randint(0, 3)
+            ia = rng.choice((x**da, x**da + u if da else 7))
+            ib = rng.choice((y**db, y**db - x if db else -1))
+            over = i * da + j * db > MAX_DEGREE
+            for bind in ({"a": ia, "b": ib}, {"b": ib, "a": ia}):
+                assert (_subst_same(f, bind) is None) == over
+            refused += over
+            # a term whose image vanishes is never expanded
+            for bind in ({"a": ia, "b": 0}, {"b": 0, "a": ia}):
+                assert _subst_same(f, bind) == 2 * as_poly(ia)
+        assert 0 < refused < 150
 
 
 class TestEvaluate:
