@@ -87,8 +87,9 @@ def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
     for astronomically large n (and moduli, with ``least=2``).
 
     The bit length of ``mult*base^exp`` is bounded by
-    ``mult.bit_length() + exp * base.bit_length()``; above INDEX_BITS_CAP the
-    value is refused before the power is built.
+    ``mult.bit_length() + exp * ceil(log2 |base|)``, the ceiling being
+    ``(abs(base) - 1).bit_length()``; above INDEX_BITS_CAP the value is refused
+    before the power is built.
     """
     text = text.strip()
     mult = 1
@@ -104,7 +105,7 @@ def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
         base, exp = int(base_text), int(exp_text)
         if exp < 0:
             raise ValueError(f"{what} exponent must be >= 0")
-        bits = mult.bit_length() + exp * base.bit_length()
+        bits = mult.bit_length() + exp * (abs(base) - 1).bit_length()
         if bits > INDEX_BITS_CAP:
             raise CapacityError(
                 f"{what} {text!r} has up to {bits} bits; cap is {INDEX_BITS_CAP}"

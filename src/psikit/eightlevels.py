@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import CapacityError
-from .multipoly import SparsePoly, as_poly, format_terms, power_texts, variables
+from .multipoly import SparsePoly, as_poly, form_at, format_terms, power_texts, variables
 from .psicore import SYMBOLIC_INDEX_CAP, half, parity, psi_coeffs, psi_recurrence, psi_symbolic
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def power_sum_poly(n: int, xv: str = "x", yv: str = "y") -> SparsePoly:
     """(x**n + y**n) / (x + y)**parity(n) as an exact polynomial: for odd n
     the quotient is sum_j (-1)**j * x**j * y**(n - 1 - j)."""
@@ -184,12 +183,7 @@ def _expansion_holds(n: int, point: tuple, values: list) -> bool:
     lhs = (bev * av - alv * bv) ** m * ps
     q1v = alv * xv * xv + bev * xv * yv + alv * yv * yv
     q2v = av * xv * xv + bv * xv * yv + av * yv * yv
-    # sum_r values[r] * q1v**(m - r) * q2v**r, homogeneous Horner over r
-    rhs, q2_power = 0, 1
-    for c in values:
-        rhs = rhs * q1v + c * q2_power
-        q2_power *= q2v
-    return lhs == rhs
+    return lhs == form_at(values, q1v, q2v)
 
 
 # The expansion checks are symbolic up to this index and sample this many
@@ -227,12 +221,7 @@ def _expansion_sides(n: int) -> tuple[SparsePoly, SparsePoly]:
     q2 = a * x**2 + b * x * y + a * y**2
     rows = coeff_table_polys(n)
     lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
-    # sum_r rows[r] * q1**(m - r) * q2**r, homogeneous Horner over r
-    rhs, q2_power = rows[0], SparsePoly.constant(1)
-    for row in rows[1:]:
-        q2_power = q2_power * q2
-        rhs = rhs * q1 + row * q2_power
-    return lhs, rhs
+    return lhs, form_at(rows, q1, q2)
 
 
 def verify_expansion_sweep(n_max: int, seed: int = 0) -> list[bool]:
@@ -332,44 +321,27 @@ def theta_sum_check(n: int) -> bool:
         raise ValueError("index must be >= 1")
     m = half(n)
     rows = coeff_table_polys(n)
-    theta, xi, eta = variables("theta xi eta")
-    alpha = SparsePoly.variable("alpha")
-    beta = SparsePoly.variable("beta")
-    a = SparsePoly.variable("a")
-    b = SparsePoly.variable("b")
+    theta, xi, eta, a, b, alpha, beta = variables("theta xi eta a b alpha beta")
     psi_ab = psi_symbolic(n)
+    one = SparsePoly.constant(1)
     shift = {"a": a - alpha * theta, "b": b - beta * theta}
-    lhs = SparsePoly.zero()
-    for r in range(m + 1):
-        lhs = lhs + rows[r] * theta**r
-    if lhs != psi_ab.subst(shift):
+    if form_at(rows, one, theta) != psi_ab.subst(shift):
         return False
-
-    if sum(rows, SparsePoly.zero()) != psi_ab.subst({"a": a - alpha, "b": b - beta}):
+    if form_at(rows, one, one) != psi_ab.subst({"a": a - alpha, "b": b - beta}):
         return False
-    alternating = SparsePoly.zero()
-    for r in range(m + 1):
-        alternating = alternating + (-1) ** r * rows[r]
-    if alternating != psi_ab.subst({"a": a + alpha, "b": b + beta}):
+    if form_at(rows, one, -one) != psi_ab.subst({"a": a + alpha, "b": b + beta}):
         return False
-
     homog = {"a": a * xi - alpha * eta, "b": b * xi - beta * eta}
-    lhs = SparsePoly.zero()
-    for r in range(m + 1):
-        lhs = lhs + rows[r] * xi ** (m - r) * eta**r
-    if lhs != psi_ab.subst(homog):
+    if form_at(rows, xi, eta) != psi_ab.subst(homog):
         return False
 
+    # sum_r C(r, k) * rows[r] * theta**(r - k), and its twin with
+    # xi**(m - r) * eta**(r - k), are forms of degree m - k
     for k in range(m + 1):
-        lhs_k = SparsePoly.zero()
-        lhs_h = SparsePoly.zero()
-        for r in range(k, m + 1):
-            w = comb(r, k)
-            lhs_k = lhs_k + w * rows[r] * theta ** (r - k)
-            lhs_h = lhs_h + w * rows[r] * xi ** (m - r) * eta ** (r - k)
-        if lhs_k != rows[k].subst(shift):
+        weighted = [comb(r, k) * rows[r] for r in range(k, m + 1)]
+        if form_at(weighted, one, theta) != rows[k].subst(shift):
             return False
-        if lhs_h != rows[k].subst(homog):
+        if form_at(weighted, xi, eta) != rows[k].subst(homog):
             return False
     return True
 
@@ -434,8 +406,7 @@ def second_fundamental_check(n: int) -> bool:
     if n < 1:
         raise ValueError("index must be >= 1")
     m = half(n)
-    alpha = SparsePoly.variable("alpha")
-    beta = SparsePoly.variable("beta")
+    alpha, beta = variables("alpha beta")
     current = psi_symbolic(n)
     for _ in range(m):
         current = apply_direction(current, alpha, beta)
@@ -444,12 +415,7 @@ def second_fundamental_check(n: int) -> bool:
         return False
     x, y = variables("x y")
     instance = target.subst({"alpha": x * y, "beta": -(x * x + y * y)})
-    coeffs = expand_powersum_basis(n)
-    rebuilt = SparsePoly.zero()
-    s1 = x * y
-    s2 = x * x + y * y
-    for k, c in enumerate(coeffs):
-        rebuilt = rebuilt + c * s1 ** (m - k) * s2**k
+    rebuilt = form_at(expand_powersum_basis(n), x * y, x * x + y * y)
     return instance == rebuilt and instance == power_sum_poly(n)
 
 
@@ -485,11 +451,7 @@ def explicit_formula_check(n: int) -> bool:
             return False
     if n <= 12:
         x, y = variables("x y")
-        plus = (x + y) ** 2
-        minus = (x - y) ** 2
-        rhs = SparsePoly.zero()
-        for r in range(m + 1):
-            rhs = rhs + scale * comb(n, 2 * r) * plus ** (m - r) * minus**r
+        rhs = form_at([scale * comb(n, 2 * r) for r in range(m + 1)], (x + y) ** 2, (x - y) ** 2)
         if 4**m * power_sum_poly(n) != rhs:
             return False
     return True

@@ -429,17 +429,17 @@ def tau_polynomial_identity(l: int) -> bool:
     if l < 3:
         raise ValueError("l must be >= 3")
     tau = 1 << l
-    from .multipoly import SparsePoly
+    from .multipoly import form_at, variables
 
-    a = SparsePoly.variable("a")
-    b = SparsePoly.variable("b")
-    total = SparsePoly.zero()
+    a, b = variables("a b")
+    weights = []
     for k, prod in _tau_terms(tau):
         # each weight is an integer where the identity holds
         w, rem = divmod(2 * prod, factorial(2 * k) * 4 ** (2 * k))
         if rem:
             return False
-        total = total + w * a ** (tau // 2 - 2 * k) * b ** (2 * k)
+        weights.append(w)
+    total = form_at(weights, a * a, b * b)  # weights[k] * a**(tau/2 - 2k) * b**(2k)
     target = psi_symbolic(tau)
     flipped = target.subst({"b": -b})
     return total == target and total == flipped

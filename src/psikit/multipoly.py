@@ -37,7 +37,10 @@ A substitution is one pass over the terms: a variable bound to a one-term
 image moves the term's key and scales its coefficient, and the product of the
 powers of the longer images is built once per distinct vector of their
 variables' exponents, then added, shifted and scaled, for each term that has
-that vector.
+that vector.  ``form_at(coeffs, p, q)`` is the one evaluator of a binary form
+sum_k coeffs[k] * p**(m - k) * q**k in two operands: when both have one term,
+each coefficient's terms are shifted and scaled straight into one sum;
+otherwise it is homogeneous Horner, total = total*p + coeffs[k]*q**k.
 
 A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
 largest any entry point reaches within its input limits) is refused before
@@ -63,6 +66,7 @@ __all__ = [
     "variables",
     "format_terms",
     "power_texts",
+    "form_at",
     "MAX_DEGREE",
 ]
 
@@ -495,6 +499,44 @@ def as_poly(value: PolyLike) -> SparsePoly:
     if got is None:
         raise TypeError(f"cannot interpret {value!r} as a polynomial")
     return got
+
+
+def form_at(coeffs, p: PolyLike, q: PolyLike) -> PolyLike:
+    """sum_k coeffs[k] * p**(m - k) * q**k, m = len(coeffs) - 1, of ``int`` or
+    polynomial coefficients and operands; a polynomial when p or q is one, and
+    then a term past ``MAX_DEGREE`` is refused before any term is built.  Two
+    one-term operands shift and scale each coefficient's terms into one sum;
+    others take homogeneous Horner, total = total*p + coeffs[k]*q**k."""
+    m = len(coeffs) - 1
+    if isinstance(p, SparsePoly) or isinstance(q, SparsePoly):
+        p, q = as_poly(p), as_poly(q)
+        dp, dq = p.total_degree(), q.total_degree()
+        top = max(
+            (as_poly(c).total_degree() + (m - k) * dp + k * dq for k, c in enumerate(coeffs) if c),
+            default=0,
+        )
+        _check_cap(top)
+        if len(p._terms) == len(q._terms) == 1:
+            ((kp, cp),), ((kq, cq),) = p._terms.items(), q._terms.items()
+            total: dict[int, int] = {}
+            for k, c in enumerate(coeffs):
+                if c:
+                    shift, scale = (m - k) * kp + k * kq, cp ** (m - k) * cq**k
+                    terms = as_poly(c)._terms
+                    _add_into(total, {key + shift: v * scale for key, v in terms.items()})
+            return _make(total)
+    stop = len(coeffs)
+    while stop and not coeffs[stop - 1]:
+        stop -= 1
+    if not stop:
+        return 0 * p  # a zero polynomial when p is a polynomial
+    total, power = 0, 1
+    for c in coeffs[: stop - 1]:
+        total = total * p + c * power
+        power = power * q
+    total = total * p + coeffs[stop - 1] * power
+    # one power of p for the zero coefficients after the last non-zero one
+    return total * p ** (m + 1 - stop) if stop <= m else total
 
 
 def power_texts(var: str, top: int) -> list[str]:

@@ -9,9 +9,11 @@ right-hand side) and the quintic parametric family x^5+y^5+z^5+t^5 = d^2.
 
 from __future__ import annotations
 
+from math import factorial
+
 from .eightlevels import expand_powersum_basis, power_sum_poly
 from .errors import CapacityError
-from .multipoly import SparsePoly, variables
+from .multipoly import form_at, variables
 from .psicore import half
 
 __all__ = [
@@ -42,15 +44,11 @@ def _derivative_terms(n: int):
     symbols are substituted back.
     """
     m = half(n)
-    coeffs = expand_powersum_basis(n)
     s1, s2, u, v = variables("s1 s2 u v")
-    h = SparsePoly.zero()
-    for k, c in enumerate(coeffs):
-        h = h + c * s1 ** (m - k) * s2**k
     direction_a = u * v
     direction_b = u * u + v * v
     out = []
-    current = h
+    current = form_at(expand_powersum_basis(n), s1, s2)
     for _ in range(1, m):
         current = direction_a * current.diff("s1") + direction_b * current.diff("s2")
         out.append(current)
@@ -73,23 +71,17 @@ def verify_special_case(n: int) -> bool:
         raise CapacityError(f"index {n} above cap {SPECIAL_CASE_CAP}")
     m = half(n)
     x, y, z, t, u, v = variables("x y z t u v")
-    p_xy = power_sum_poly(n, "x", "y")
-    p_zt = power_sum_poly(n, "z", "t")
-    p_uv = power_sum_poly(n, "u", "v")
+    zt_uv, xy_uv, zt_xy = bracket(z, t, u, v), bracket(x, y, u, v), bracket(z, t, x, y)
     lhs = (
-        bracket(z, t, u, v) ** m * p_xy
-        - bracket(x, y, u, v) ** m * p_zt
-        - bracket(z, t, x, y) ** m * p_uv
+        zt_uv**m * power_sum_poly(n, "x", "y")
+        - xy_uv**m * power_sum_poly(n, "z", "t")
+        - zt_xy**m * power_sum_poly(n, "u", "v")
     )
-    # the right side minus the left, times (m - 1)!, so that term r carries the
-    # integer (m - 1)! / r!: by Horner's rule, step r multiplies the sum by r
-    gap = -lhs
-    derivatives = _derivative_terms(n)
-    for r in range(1, m):
-        shifted = derivatives[r - 1].subst({"s1": z * t, "s2": z * z + t * t})
-        term = bracket(x, y, u, v) ** (m - r) * bracket(z, t, x, y) ** r * shifted
-        gap = gap * r + term
-    return gap.is_zero
+    # both sides times (m - 1)!, so that term r carries the integer (m - 1)! / r!
+    back = {"s1": z * t, "s2": z * z + t * t}
+    scale = factorial(m - 1)
+    weights = [scale // factorial(r) * d.subst(back) for r, d in enumerate(_derivative_terms(n), 1)]
+    return form_at([0, *weights, 0], xy_uv, zt_xy) == scale * lhs
 
 
 def bracket_xy_identity_check() -> bool:

@@ -44,7 +44,7 @@ from math import comb, gcd, isqrt, lcm
 
 from .errors import CapacityError
 from .exactmath import MersenneMod
-from .multipoly import MAX_DEGREE, SparsePoly
+from .multipoly import MAX_DEGREE, SparsePoly, form_at
 
 __all__ = [
     "parity",
@@ -112,15 +112,14 @@ def psi_explicit(a, b, n: int):
     """
     if n < 1:
         raise ValueError("explicit formula needs n >= 1 (psi(0) = 2 by definition)")
-    m = half(n)
-    d = 2 * a - b
-    total = 0
-    for i in range(m + 1):
+    weights = []
+    for i in range(half(n) + 1):
         w, rem = divmod(n * comb(n - i, i), n - i)
         if rem:
             raise ArithmeticError(f"non-integral weight at i={i}, n={n}")
-        total = total + w * (-a) ** i * d ** (m - i)
-    return total
+        weights.append(w)
+    # sum_i weights[i] * (-a)**i * (2a - b)**(n // 2 - i)
+    return form_at(weights, 2 * a - b, -a)
 
 
 def psi_coeffs(n: int) -> list[int]:

@@ -367,20 +367,28 @@ def coeff_via_basechange(n: int) -> tuple[SparsePoly, ...]:
     return tuple(rows)
 
 
+def form_by_powers(coeffs, p, q):
+    """sum_k coeffs[k] * p**(m - k) * q**k, m = len(coeffs) - 1, from fresh
+    powers of p and q for each non-zero coefficient, term by term: the oracle
+    of ``multipoly.form_at``."""
+    m = len(coeffs) - 1
+    total = 0
+    for k, c in enumerate(coeffs):
+        if c:
+            total = total + c * p ** (m - k) * q**k
+    return total
+
+
 def expansion_sides_by_powers(n: int) -> tuple[SparsePoly, SparsePoly]:
     """Both sides of the expansion identity for index n, the right side
     sum_r rows[r] * q1**(m - r) * q2**r with fresh powers of both forms for
-    each r: the oracle of the Horner sum in ``verify_expansion``."""
+    each r: the oracle of ``verify_expansion``'s sum."""
     m = half(n)
     x, y, a, b, alpha, beta = variables("x y a b alpha beta")
     q1 = alpha * x**2 + beta * x * y + alpha * y**2
     q2 = a * x**2 + b * x * y + a * y**2
-    rows = coeff_table_polys(n)
     lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
-    rhs = SparsePoly.zero()
-    for r in range(m + 1):
-        rhs = rhs + rows[r] * q1 ** (m - r) * q2**r
-    return lhs, rhs
+    return lhs, form_by_powers(coeff_table_polys(n), q1, q2)
 
 
 def reduce_square(poly: SparsePoly, var: str, value) -> SparsePoly:

@@ -479,9 +479,21 @@ class TestExitCodes:
         )
         assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
         # 3^(10^11) would take hours to build; the estimate refuses it at once
-        with pytest.raises(CapacityError):
-            _parse_index("5*3^100000000000")
+        for text in ("5*3^100000000000", "2^100000000"):
+            with pytest.raises(CapacityError):
+                _parse_index(text)
         assert time.perf_counter() - started < 1.0
+
+    def test_index_bit_estimate_is_exact_for_powers_of_two(self):
+        # 2^k has k + 1 bits: the estimate takes ceil(log2 2) = 1 bit per factor
+        assert _parse_index(f"2^{INDEX_BITS_CAP - 1}").bit_length() == INDEX_BITS_CAP
+        with pytest.raises(CapacityError, match=f"has up to {INDEX_BITS_CAP + 1} bits"):
+            _parse_index(f"2^{INDEX_BITS_CAP}")
+        # a base that is not a power of two rounds its bits per factor up
+        assert _parse_index("3^100") == 3**100
+        with pytest.raises(CapacityError):
+            _parse_index(f"3^{INDEX_BITS_CAP // 2 + 1}")
+        assert _parse_index(f"4^{INDEX_BITS_CAP // 2 - 1}") == 1 << (INDEX_BITS_CAP - 2)
 
     def test_index_forms_within_cap(self):
         assert _parse_index("2^60") == 1 << 60

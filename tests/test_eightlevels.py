@@ -204,6 +204,12 @@ def _flipped(poly: SparsePoly) -> SparsePoly:
     return SparsePoly(poly.vars, terms)
 
 
+def _flipped_list(coeffs: list[int]) -> list[int]:
+    """``coeffs`` with the sign of its first non-zero element flipped."""
+    first = next(k for k, c in enumerate(coeffs) if c)
+    return coeffs[:first] + [-coeffs[first]] + coeffs[first + 1:]
+
+
 class TestSymbolicChecksDetectCorruption:
     """Each symbolic check fails once one coefficient of the table or of
     psi(a, b, n) is wrong, so no fast path can make a check vacuous."""
@@ -241,6 +247,41 @@ class TestSymbolicChecksDetectCorruption:
             assert not el.theta_sum_check(n)
             assert not el.second_fundamental_check(n)
             assert not el.power_sum_representation_check(n)
+
+    @staticmethod
+    def _corrupt(monkeypatch, module, name, spoil):
+        orig = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: spoil(orig(*args)))
+
+    def test_a_wrong_power_sum(self, monkeypatch):
+        import psikit.eightlevels as el
+        import psikit.powersums as ps
+
+        self._corrupt(monkeypatch, el, "power_sum_poly", _flipped)
+        self._corrupt(monkeypatch, ps, "power_sum_poly", _flipped)
+        for n in range(2, ps.SPECIAL_CASE_CAP + 1):
+            assert not ps.verify_special_case(n)
+        for n in range(1, 13):
+            assert not el.explicit_formula_check(n)
+
+    def test_a_wrong_basis_expansion(self, monkeypatch):
+        import psikit.eightlevels as el
+        import psikit.powersums as ps
+
+        self._corrupt(monkeypatch, el, "expand_powersum_basis", _flipped_list)
+        self._corrupt(monkeypatch, ps, "expand_powersum_basis", _flipped_list)
+        for n in range(1, 13):
+            assert not el.second_fundamental_check(n)
+        # at n = 2, 3 the right side is empty: no derivative term is formed
+        for n in range(4, ps.SPECIAL_CASE_CAP + 1):
+            assert not ps.verify_special_case(n)
+
+    def test_a_wrong_tau_target(self, monkeypatch):
+        import psikit.mersenne as me
+
+        self._corrupt(monkeypatch, me, "psi_symbolic", _flipped)
+        for l in (3, 4, 5):
+            assert not me.tau_polynomial_identity(l)
 
 
 class TestBasisCoefficients:

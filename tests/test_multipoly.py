@@ -14,6 +14,7 @@ from psikit.multipoly import (
     MAX_DEGREE,
     SparsePoly,
     as_poly,
+    form_at,
     variables,
 )
 
@@ -23,6 +24,7 @@ from oracles import (
     coefficient,
     eval_scalar,
     exact_div,
+    form_by_powers,
     reduce_square,
     subst_by_terms,
 )
@@ -668,6 +670,139 @@ class TestSubstAgainstTermByTerm:
             for bind in ({"a": ia, "b": 0}, {"b": 0, "a": ia}):
                 assert _subst_same(f, bind) == 2 * as_poly(ia)
         assert 0 < refused < 150
+
+
+def _form_operand(rng, kind):
+    """A seeded operand of ``form_at`` of the given kind."""
+    if kind == "integer":
+        return rng.choice([1, -1, 0, 2, -(1 << 70)])
+    if kind == "constant":
+        return SparsePoly.constant(rng.choice([1, -1, 3]))
+    return _image(rng, kind)
+
+
+def _form_coeffs(rng, m):
+    """m + 1 seeded coefficients: integers, polynomials or a mix, zeros among them."""
+    kind = rng.choice(("integer", "polynomial", "mixed"))
+    coeffs = []
+    for _ in range(m + 1):
+        if kind == "integer" or (kind == "mixed" and rng.random() < 0.5):
+            coeffs.append(rng.choice([0, 0, 1, -1, 7, 1 << 70]))
+        else:
+            coeffs.append(_kernel_poly(rng, rng.choice([("x", "y"), ("u",), ("a", "x")])))
+    return coeffs
+
+
+def _form_same(coeffs, p, q):
+    """``form_at(coeffs, p, q)`` equals the sum of fresh powers in value and
+    in print, or both refuse the degree; no coefficient is changed or shared
+    with the result."""
+    before = [str(c) for c in coeffs]
+    try:
+        got = form_at(coeffs, p, q)
+    except DegreeCapExceeded:
+        with pytest.raises(DegreeCapExceeded):
+            form_by_powers(coeffs, p, q)
+        got = None
+    else:
+        want = form_by_powers(coeffs, p, q)
+        assert got == want and str(got) == str(want)
+        if isinstance(got, SparsePoly):
+            _assert_canonical(got)
+            assert all(got._terms is not c._terms for c in coeffs if isinstance(c, SparsePoly))
+        elif not any(isinstance(v, SparsePoly) for v in (*coeffs, p, q)):
+            assert type(got) is int
+        # a polynomial operand makes the result one, a zero sum included
+        if isinstance(p, SparsePoly) or isinstance(q, SparsePoly):
+            assert isinstance(got, SparsePoly)
+    assert [str(c) for c in coeffs] == before
+    return got
+
+
+class TestFormAgainstPowers:
+    KINDS = ("one-term", "multi-term", "constant", "integer")
+
+    def test_mixed_operands(self):
+        rng = random.Random(71)
+        seen = set()
+        for _ in range(500):
+            kp, kq = rng.choice(self.KINDS), rng.choice(self.KINDS)
+            p = _form_operand(rng, kp)
+            q = p if rng.random() < 0.15 else _form_operand(rng, kq)
+            seen.add((kp, kp if q is p else kq))
+            _form_same(_form_coeffs(rng, rng.randint(0, 6)), p, q)
+        assert len(seen) == len(self.KINDS) ** 2
+
+    def test_one_term_operands(self):
+        x, y, u = variables("x y u")
+        rows = [x - 2 * y, 0, 3 * u**2 + 1, -x * y, 5]
+        for p, q in ((x, y), (u, -u), (2 * x * y, -(1 << 70) * u**3), (x, x), (1, y), (u, -1)):
+            got = _form_same(rows, p, q)
+            # both one-term: every term is shifted and scaled into one sum
+            p, q = as_poly(p), as_poly(q)
+            assert got == sum(c * p ** (4 - k) * q**k for k, c in enumerate(rows))
+        one = SparsePoly.constant(1)
+        assert _form_same(rows, one, one) == sum(rows, SparsePoly.zero())
+        assert _form_same(rows, one, -one) == rows[0] + rows[2] - rows[3] + rows[4]
+
+    def test_plain_integers(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 8))]
+            p, q = rng.randint(-(1 << 40), 1 << 40), rng.choice([0, 1, -1, rng.randint(-99, 99)])
+            assert type(_form_same(coeffs, p, q)) is int
+
+    def test_single_coefficient(self):
+        x, y = variables("x y")
+        for c in (0, 5, -(1 << 70), x * y - 3, SparsePoly.zero()):
+            for p, q in ((x, y), (x + y, x - y), (2, -3), (SparsePoly.constant(-1), x + 1)):
+                assert _form_same([c], p, q) == c
+
+    def test_zero_coefficients_build_no_extra_power(self):
+        x, y = variables("x y")
+        # q**3 would pass the cap, but only q**0 has a non-zero coefficient
+        for q in (y**50, y**50 + x):
+            assert _form_same([1, 0, 0, 0], x + 1, q) == (x + 1) ** 3
+            assert _form_same([0, 0, 0], x + 1, q) == 0
+        assert _form_same([0, 2, 0], x**100 + 1, y) == 2 * (x**100 + 1) * y
+
+    def test_degree_cap_before_any_product(self, monkeypatch):
+        import psikit.multipoly as mp
+
+        x, y = variables("x y")
+        cases = [
+            # both one-term, and term 1 (degree 130) past the cap
+            ([1, 1, 1, 1], x**40, y**50),
+            ([0, x**29, 0], x**40, y**60),
+            # Horner, with the cap passed at the first term and at the last
+            ([1, 1, 1, 1], x**43 + y, y**30 + 1),
+            ([1, 0, y**69], x + y, x**30 - y),
+            ([x**110, 2], x**20 + 1, y),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a product was formed before the cap was checked")
+
+        for name in ("_product", "_power", "_add_into"):
+            monkeypatch.setattr(mp, name, refuse)
+        monkeypatch.setattr(SparsePoly, "_scaled", refuse)
+        for coeffs, p, q in cases:
+            with pytest.raises(DegreeCapExceeded):
+                form_at(coeffs, p, q)
+        monkeypatch.undo()
+        for coeffs, p, q in cases:
+            assert _form_same(coeffs, p, q) is None
+
+    def test_cached_rows_are_not_changed(self):
+        from psikit.eightlevels import coeff_table_polys
+
+        rows = coeff_table_polys(9)
+        texts = [str(r) for r in rows]
+        theta, xi, eta, lam = variables("theta xi eta lam")
+        for p, q in ((1, theta), (xi, eta), (lam + 1, theta), (SparsePoly.constant(1), -1)):
+            _form_same(rows, p, q)
+            _form_same(rows[:1], p, q)
+        assert [str(r) for r in coeff_table_polys(9)] == texts
 
 
 class TestEvaluate:
