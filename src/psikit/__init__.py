@@ -11,10 +11,8 @@ from .exactmath import (
     SQRT3,
     SQRT5,
     MersenneMod,
-    NotInvertibleError,
     QuadExt,
     RadicandMismatchError,
-    mod_inverse,
 )
 from .multipoly import (
     DegreeCapExceeded,
@@ -45,7 +43,6 @@ from .mersenne import (
     mu_pattern_test,
     necessary_condition,
     psi_test,
-    tau_identity_check,
 )
 from .bridges import default_bridges, detect_period
 

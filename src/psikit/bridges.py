@@ -40,24 +40,15 @@ __all__ = [
 
 
 def lucas(n: int) -> int:
-    a, b = 2, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _poly_terms(n, 2, 1, lambda a, b: a + b)[n]
 
 
 def fibonacci(n: int) -> int:
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
+    return _poly_terms(n, 0, 1, lambda a, b: a + b)[n]
 
 
 def pell_lucas(n: int) -> int:
-    a, b = 2, 2
-    for _ in range(n):
-        a, b = b, 2 * b + a
-    return a
+    return _poly_terms(n, 2, 2, lambda a, b: 2 * b + a)[n]
 
 
 def _poly_terms(n_max: int, first, second, step) -> list:

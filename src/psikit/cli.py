@@ -39,10 +39,10 @@ INDEX_BITS_CAP = 1 << 20
 
 # The one bounded option of each command: its name, first value and ceiling.
 # eightlevels and powersums stop at their library caps.  A whole run at the
-# ceiling takes, on a shared 2-core box with CPython 3.11, about 0.3 s for
-# eightlevels, 0.1 s for powersums, 0.6 s for theta, 0.65 s for fundamental,
-# 0.1 s for bridges and 0.8 s for tau (each step of l takes its sums 4 to 5
-# times longer).  psi eval bounds the exact value only; --mod takes any index.
+# ceiling takes, on a shared 2-core box with CPython 3.11, 0.2-0.35 s for
+# eightlevels, 0.06-0.08 s for powersums, 0.4-0.6 s for theta, 0.45-0.65 s for
+# fundamental, 0.1 s for bridges and 0.6-0.65 s for tau (each step of l takes
+# its sums 4 to 5 times longer).  psi eval bounds the exact value, not --mod's.
 CEILINGS = {
     "verify eightlevels": ("nmax", 1, SYMBOLIC_INDEX_CAP),
     "verify powersums": ("nmax", 2, powersums.SPECIAL_CASE_CAP),
@@ -186,11 +186,21 @@ def _tally(records, verdicts: list):
 # returns its records as an iterable that makes each one when it is reached.
 
 
-def _require_echoable(n: int, m: int) -> None:
-    """Refuse, before the ladder runs, an index or modulus that the record
-    could not echo in decimal; the value, below m, then prints too."""
+def _ladder_record(command: str, a: int, b: int, n: int, m: int) -> dict:
+    """The record of psi(a, b, n) mod m by the ladder.  An index or modulus
+    that the record could not echo in decimal is refused before the ladder
+    runs; the value, below m, then prints too."""
     _require_printable(n.bit_length(), "the index")
     _require_printable(m.bit_length(), "the modulus")
+    value = psi_mod_ladder(a, b, n, m)
+    return {
+        "command": command,
+        "a": str(a),
+        "b": str(b),
+        "n": str(n),
+        "mod": str(m),
+        "value": str(value),
+    }
 
 
 def _cmd_psi(args):
@@ -201,19 +211,17 @@ def _cmd_psi(args):
             raise ValueError("modular evaluation needs integer parameters")
         n = _parse_index(args.n)
         if mod is not None:
-            _require_echoable(n, mod)
-            value = psi_mod_ladder(a, b, n, mod)
-        else:
-            _check_range("psi eval", n)
-            _require_printable(psi_bit_bound(a, b, n), f"psi at n={n}")
-            value = psi_recurrence(a, b, n)
+            return [_ladder_record("psi-eval", a, b, n, mod)]
+        _check_range("psi eval", n)
+        _require_printable(psi_bit_bound(a, b, n), f"psi at n={n}")
+        value = psi_recurrence(a, b, n)
         return [
             {
                 "command": "psi-eval",
                 "a": str(a),
                 "b": str(b),
                 "n": str(n),
-                "mod": None if mod is None else str(mod),
+                "mod": None,
                 "value": str(value),
             }
         ]
@@ -225,18 +233,7 @@ def _cmd_psi(args):
     b = int(args.b)
     n = _parse_index(args.n)
     m = _parse_index(args.mod, 2, "modulus")
-    _require_echoable(n, m)
-    value = psi_mod_ladder(a, b, n, m)
-    return [
-        {
-            "command": "psi-ladder",
-            "a": str(a),
-            "b": str(b),
-            "n": str(n),
-            "mod": str(m),
-            "value": str(value),
-        }
-    ]
+    return [_ladder_record("psi-ladder", a, b, n, m)]
 
 
 def _cmd_coeff(args):

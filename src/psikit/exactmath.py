@@ -17,36 +17,17 @@ from .errors import CapacityError
 
 __all__ = [
     "RadicandMismatchError",
-    "NotInvertibleError",
     "QuadExt",
     "SQRT2",
     "SQRT3",
     "SQRT5",
     "GOLDEN_RATIO",
     "MersenneMod",
-    "mod_inverse",
 ]
 
 
 class RadicandMismatchError(ValueError):
     """Combining elements of incompatible quadratic extensions."""
-
-
-class NotInvertibleError(ValueError):
-    """A modular inverse does not exist.
-
-    ``witness`` carries gcd(value, modulus); when the modulus was expected to
-    be prime this witness is a nontrivial factor of it, so callers should
-    surface it rather than discard it.
-    """
-
-    def __init__(self, value: int, modulus: int, witness: int) -> None:
-        super().__init__(
-            f"{value} is not invertible modulo {modulus} (gcd = {witness})"
-        )
-        self.value = value
-        self.modulus = modulus
-        self.witness = witness
 
 
 # Radicands are refused from 2**64 up; below it, trial division up to the
@@ -327,17 +308,3 @@ class MersenneMod:
     def __hash__(self):
         return hash(("MersenneMod", self.p))
 
-
-def mod_inverse(x: int, m: int) -> int:
-    """Return y in [0, m) with x*y == 1 (mod m).
-
-    Raises :class:`NotInvertibleError` carrying gcd(x, m) when no inverse
-    exists; when m was believed prime that gcd is a factor of m.
-    """
-    if m <= 1:
-        raise ValueError("modulus must be > 1")
-    x0 = x % m
-    g = gcd(x0, m)
-    if g != 1:
-        raise NotInvertibleError(x, m, g)
-    return pow(x0, -1, m)

@@ -23,12 +23,10 @@ __all__ = [
     "mu_pattern_test",
     "mu_expected_residue",
     "enhanced_sum_test",
-    "psi14_exact",
     "necessary_condition",
     "composite_criterion",
     "ab_ratio_test",
     "ab_ratios",
-    "tau_identity_check",
     "tau_identity_expected",
     "tau_identity_value",
     "tau_polynomial_identity",
@@ -207,23 +205,6 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     )
 
 
-def psi14_exact(n: int, mu: int) -> int:
-    """Exact psi(1, 4, n*mu) for n a power of two: squaring chain to
-    psi(1, 4, n), then the index-addition recurrence across multiples."""
-    if n < 2 or n & (n - 1):
-        raise ValueError("n must be a power of two >= 2")
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    if mu == 0:
-        return 2
-    # from psi(1, 4, 2) = -4, unreduced: int is the identity on integers
-    base = _square_chain(-4, n.bit_length() - 2, int)
-    prev, cur = 2, base  # psi(1,4,0), psi(1,4,n)
-    for _ in range(mu - 1):
-        prev, cur = cur, base * cur - prev
-    return cur
-
-
 def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
     """The signed factorial-product sum over index N = n*mu,
     sum_j prod_{l<j} ((4l)**2 - N**2) / (2j)! for j = 0..N/4, reduces mod M
@@ -349,7 +330,7 @@ def ab_ratios(p: int) -> tuple[int, int]:
     the Lucas-Lehmer iterate itself, not reduced; 2**p - 1 divides it iff
     the classical test's residue is 0.
     """
-    return (1 << p) - 1, psi14_exact(1 << (p - 1), 1)
+    return (1 << p) - 1, _square_chain(-4, p - 2, int)  # int: not reduced
 
 
 def ab_ratio_test(p: int) -> TestReport:
@@ -416,11 +397,6 @@ def tau_identity_expected(l: int, variant: str) -> int:
     if variant == "half":
         return -1
     return 1 if (1 << l) % 16 == 0 else -1
-
-
-def tau_identity_check(l: int, variant: str) -> bool:
-    """Whether the tau = 2**l sum takes its expected value."""
-    return tau_identity_value(l, variant) == tau_identity_expected(l, variant)
 
 
 def tau_polynomial_identity(l: int) -> bool:

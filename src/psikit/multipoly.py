@@ -198,6 +198,11 @@ class SparsePoly:
             _set_degree(self, degree)
         return degree
 
+    def degrees_in(self, *names: str) -> set[int]:
+        """The degrees in the variables ``names`` of the terms."""
+        shifts = [_FIELDS[v] for v in names if v in _FIELDS]
+        return {sum([k >> s & _FIELD for s in shifts]) for k in self._terms}
+
     def constant_value(self) -> int:
         if any(self._terms):
             raise ValueError(f"{self} is not constant")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .eightlevels import expand_powersum_basis, power_sum_poly
+from .eightlevels import apply_direction, expand_powersum_basis, power_sum_poly
 from .errors import CapacityError
 from .multipoly import form_at, variables
 from .psicore import half
@@ -50,7 +50,7 @@ def _derivative_terms(n: int):
     out = []
     current = form_at(expand_powersum_basis(n), s1, s2)
     for _ in range(1, m):
-        current = direction_a * current.diff("s1") + direction_b * current.diff("s2")
+        current = apply_direction(current, direction_a, direction_b, "s1", "s2")
         out.append(current)
     return out
 

@@ -2,15 +2,15 @@
 production code in ``psikit``."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add, sub
 
 from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
 from psikit.eightlevels import apply_direction, coeff_table_polys, power_sum_poly
-from psikit.exactmath import NotInvertibleError, RadicandMismatchError, mod_inverse
-from psikit.mersenne import TestReport, psi14_exact
+from psikit.exactmath import RadicandMismatchError
+from psikit.mersenne import TestReport
 from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
-from psikit.psicore import half, psi_symbolic, psi_terms
+from psikit.psicore import _square_chain, half, psi_symbolic, psi_terms
 
 
 def eval_scalar(poly: SparsePoly, values):
@@ -658,6 +658,23 @@ def signed_factorial_product_sum(big_n: int) -> int:
     return total
 
 
+def psi14_exact(n: int, mu: int) -> int:
+    """Exact psi(1, 4, n*mu) for n a power of two: squaring chain to
+    psi(1, 4, n), then the index-addition recurrence across multiples."""
+    if n < 2 or n & (n - 1):
+        raise ValueError("n must be a power of two >= 2")
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    if mu == 0:
+        return 2
+    # from psi(1, 4, 2) = -4, unreduced: int is the identity on integers
+    base = _square_chain(-4, n.bit_length() - 2, int)
+    prev, cur = 2, base  # psi(1,4,0), psi(1,4,n)
+    for _ in range(mu - 1):
+        prev, cur = cur, base * cur - prev
+    return cur
+
+
 def enhanced_sum_by_terms(p: int, mu: int) -> TestReport:
     """The ``sum`` report from the exact sum over index n*mu, term by term,
     with twice the sum checked against psi(1, 4, n*mu): the oracle of
@@ -684,12 +701,12 @@ def necessary_by_inverses(p: int) -> TestReport:
     term = total = 1
     for k in range(1, n // 2 + 1):
         term = term * ((4 * (k - 1)) ** 2 - 1) % m
-        try:
-            term = term * mod_inverse((2 * k) * (2 * k - 1) % m, m) % m
-        except NotInvertibleError as err:
-            factor = err.witness
+        den = (2 * k) * (2 * k - 1) % m
+        factor = gcd(den, m)
+        if factor != 1:
             return TestReport(method="necessary", p=p, verdict="condition-fails",
                               residues=[factor], notes=[f"factor found: {factor} divides {m}"])
+        term = term * pow(den, -1, m) % m
         total = (total + term) % m
     verdict = "condition-holds" if total == m - 1 else "condition-fails"
     return TestReport(method="necessary", p=p, verdict=verdict, residues=[total],

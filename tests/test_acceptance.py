@@ -30,7 +30,7 @@ from psikit.mersenne import (
     mu_pattern_test,
     necessary_condition,
     psi_test,
-    tau_identity_check,
+    tau_identity_expected,
     tau_identity_value,
 )
 from psikit.multipoly import variables
@@ -245,7 +245,7 @@ def test_criterion_12_tau_identities():
     assert tau_identity_value(3, "root2") == -1 and 1 - 4 + 2 == -1
     for l in range(3, 8):
         for variant in ("quarter", "half", "root2"):
-            assert tau_identity_check(l, variant), (l, variant)
+            assert tau_identity_value(l, variant) == tau_identity_expected(l, variant), (l, variant)
     _report(12, "all three power-of-two identities exact for l = 3..7")
 
 

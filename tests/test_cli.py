@@ -78,6 +78,19 @@ class TestPsiCommands:
         code, recs = run_json("psi", "ladder", "--a", "3", "--b", "5", "--n", "99", "--mod", "1")
         assert code == EXIT_USAGE and recs[0]["reason"] == "modulus must be >= 2"
 
+    def test_records_in_full(self):
+        # eval --mod and ladder make one record by one ladder, and differ in
+        # the command name only
+        for argv, line in (
+            ("eval --a 3 --b -5 --n 37 --mod 1000003",
+             '{"command":"psi-eval","a":"3","b":"-5","n":"37","mod":"1000003","value":"375996"}'),
+            ("eval --a 3 --b -5 --n 37",
+             '{"command":"psi-eval","a":"3","b":"-5","n":"37","mod":null,"value":"-64624199"}'),
+            ("ladder --a 3 --b -5 --n 37 --mod 1000003",
+             '{"command":"psi-ladder","a":"3","b":"-5","n":"37","mod":"1000003","value":"375996"}'),
+        ):
+            assert run_cli("psi", *argv.split()) == (EXIT_OK, line + "\n"), argv
+
     def test_poly(self):
         code, recs = run_json("psi", "poly", "--n", "7")
         assert code == EXIT_OK
@@ -282,6 +295,56 @@ class TestExitCodes:
         code, recs = run_json(*argv)
         assert code == EXIT_USAGE
         assert recs == [{"command": argv[0], "error": "usage", "reason": reason}]
+
+    # several bad inputs at once: eval checks the modulus, then a and b, then
+    # that they are integers, then n (its range, then whether psi prints, on
+    # the exact route; the index, then the modulus, for the record's echo);
+    # ladder checks a, b, n, then the modulus
+    @pytest.mark.parametrize("argv, code, reason", [
+        ("eval --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
+        ("eval --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
+         "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("eval --a x --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'x'"),
+        ("eval --a 1 --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'y'"),
+        ("eval --a 1/2 --b 4 --n -1 --mod 7", EXIT_USAGE,
+         "modular evaluation needs integer parameters"),
+        ("eval --a 1 --b 3/2 --n 2^2000000 --mod 7", EXIT_USAGE,
+         "modular evaluation needs integer parameters"),
+        ("eval --a 1 --b 4 --n -1 --mod 7", EXIT_USAGE, "index must be >= 0"),
+        ("eval --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY,
+         "index '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("eval --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY,
+         "the index has up to 6002 decimal digits; the int-to-str limit is 4300 "
+         "(PYTHONINTMAXSTRDIGITS)"),
+        ("eval --a x --b y --n -1", EXIT_USAGE, "not an exact scalar: 'x'"),
+        ("eval --a 3 --b 1 --n -1", EXIT_USAGE, "index must be >= 0"),
+        ("eval --a 3 --b 1 --n 100001", EXIT_CAPACITY,
+         "psi eval: n=100001 is above the ceiling 100000"),
+        ("ladder --a x --b y --n -1 --mod 1", EXIT_USAGE,
+         "invalid literal for int() with base 10: 'x'"),
+        ("ladder --a 1/2 --b 4 --n -1 --mod 1", EXIT_USAGE,
+         "invalid literal for int() with base 10: '1/2'"),
+        ("ladder --a 1 --b y --n -1 --mod 1", EXIT_USAGE,
+         "invalid literal for int() with base 10: 'y'"),
+        ("ladder --a 1 --b 4 --n -1 --mod 1", EXIT_USAGE, "index must be >= 0"),
+        ("ladder --a 1 --b 4 --n 2^2000000 --mod 1", EXIT_CAPACITY,
+         "index '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("ladder --a 1 --b 4 --n 5 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
+        ("ladder --a 1 --b 4 --n 5 --mod 2^2000000", EXIT_CAPACITY,
+         "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("ladder --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY,
+         "the index has up to 6002 decimal digits; the int-to-str limit is 4300 "
+         "(PYTHONINTMAXSTRDIGITS)"),
+        ("ladder --a 1 --b 4 --n 5 --mod 2^19937-1", EXIT_CAPACITY,
+         "the modulus has up to 6002 decimal digits; the int-to-str limit is 4300 "
+         "(PYTHONINTMAXSTRDIGITS)"),
+    ])
+    def test_psi_error_precedence(self, argv, code, reason, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        error = "capacity" if code == EXIT_CAPACITY else "usage"
+        assert run_json("psi", *argv.split()) == (
+            code, [{"command": "psi", "error": error, "reason": reason}]
+        )
 
     def test_capacity_error(self):
         code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")
@@ -856,3 +919,25 @@ class TestRepro:
             assert code == EXIT_OK, argv
             outputs.append(out)
         assert "".join(outputs) == (COMMITTED / filename).read_text()
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        import importlib
+        import pkgutil
+
+        exported = 0
+        for info in pkgutil.iter_modules(psikit.__path__):
+            module = importlib.import_module(f"psikit.{info.name}")
+            names = getattr(module, "__all__", ())
+            assert [n for n in names if not hasattr(module, n)] == [], info.name
+            exported += len(names)
+        assert exported > 50
+
+    def test_removed_names_are_gone(self):
+        from psikit import exactmath
+
+        for name in ("mod_inverse", "NotInvertibleError", "tau_identity_check", "psi14_exact"):
+            assert not hasattr(psikit, name), name
+        assert not hasattr(exactmath, "mod_inverse") and not hasattr(exactmath, "NotInvertibleError")
+        assert not hasattr(mersenne, "tau_identity_check") and not hasattr(mersenne, "psi14_exact")

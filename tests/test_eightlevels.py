@@ -276,6 +276,34 @@ class TestSymbolicChecksDetectCorruption:
         for n in range(4, ps.SPECIAL_CASE_CAP + 1):
             assert not ps.verify_special_case(n)
 
+    def test_a_row_term_of_the_wrong_degree(self, monkeypatch):
+        # row 0 gains alpha * a**m, of (alpha, beta)-degree 1, and row m its
+        # dual, so the role-swap duality still holds and only a degree fails
+        import psikit.eightlevels as el
+
+        orig = el.coeff_table_polys
+        a, alpha = variables("a alpha")
+
+        def table(n):
+            rows = list(orig(n))
+            m = len(rows) - 1
+            rows[0] = rows[0] + alpha * a**m
+            rows[m] = rows[m] + (-1) ** m * a * alpha**m
+            return tuple(rows)
+
+        monkeypatch.setattr(el, "coeff_table_polys", table)
+        for n in range(2, 13):
+            assert not el.scaling_check(n)
+
+    def test_a_base_polynomial_term_of_the_wrong_degree(self, monkeypatch):
+        import psikit.eightlevels as el
+
+        # psi(a, b, n) has degree m; b**(m + 1) is one term above it
+        (b,) = variables("b")
+        self._corrupt(monkeypatch, el, "psi_symbolic", lambda psi: psi + b ** (psi.total_degree() + 1))
+        for n in range(2, 13):
+            assert not el.scaling_check(n)
+
     def test_a_wrong_tau_target(self, monkeypatch):
         import psikit.mersenne as me
 

@@ -10,14 +10,12 @@ from psikit.errors import CapacityError
 from psikit.exactmath import (
     GOLDEN_RATIO,
     MersenneMod,
-    NotInvertibleError,
     QuadExt,
     RadicandMismatchError,
     SQRT2,
     SQRT3,
     SQRT5,
     _is_square_free,
-    mod_inverse,
 )
 
 from oracles import FractionQuadExt, is_square_free_by_trial
@@ -307,32 +305,3 @@ class TestRationalCanonicalForm:
     def test_integral_iff_denominator_one(self):
         assert Fraction(6, 3).denominator == 1
         assert Fraction(6, 4).denominator == 2
-
-
-class TestModInverse:
-    def test_known_values(self):
-        assert mod_inverse(2, 31) == 16
-        assert 2 * 16 % 31 == 1
-        assert mod_inverse(1, 7) == 1
-        assert mod_inverse(24, 31) == 22
-        assert 24 * 22 == 17 * 31 + 1
-
-    def test_witness_is_a_factor(self):
-        with pytest.raises(NotInvertibleError) as exc:
-            mod_inverse(23 * 3, 2047)  # 2047 = 23 * 89
-        assert exc.value.witness == 23
-        assert 2047 % exc.value.witness == 0
-
-    def test_random_inverses(self):
-        rng = random.Random(3)
-        from math import gcd
-
-        for _ in range(2000):
-            m = rng.randint(2, 10_000)
-            x = rng.randint(1, m - 1)
-            if gcd(x, m) == 1:
-                y = mod_inverse(x, m)
-                assert 0 <= y < m and x * y % m == 1
-            else:
-                with pytest.raises(NotInvertibleError):
-                    mod_inverse(x, m)

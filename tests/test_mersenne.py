@@ -18,9 +18,7 @@ from psikit.mersenne import (
     mu_expected_residue,
     mu_pattern_test,
     necessary_condition,
-    psi14_exact,
     psi_test,
-    tau_identity_check,
     tau_identity_expected,
     tau_identity_value,
     tau_polynomial_identity,
@@ -186,12 +184,12 @@ class TestMuPattern:
     def test_exact_values_match_ladder(self):
         n, m = 16, 31
         for mu in range(1, 6):
-            assert psi14_exact(n, mu) % m == psi_mod_ladder(1, 4, n * mu, m)
+            assert oracles.psi14_exact(n, mu) % m == psi_mod_ladder(1, 4, n * mu, m)
 
     def test_exact_chain_from_the_first_power_of_two(self):
         # n = 2 takes no squaring; each doubling of n takes one, unreduced
         for j in range(1, 11):
-            assert psi14_exact(1 << j, 1) == psi_recurrence(1, 4, 1 << j), j
+            assert oracles.psi14_exact(1 << j, 1) == psi_recurrence(1, 4, 1 << j), j
 
 
 class TestEnhancedSum:
@@ -360,7 +358,7 @@ class TestLayeredRatios:
         for p in (3, 5, 7, 9, 11):
             assert ab_ratios(p) == _layer_table_ratios(p) == (
                 (1 << p) - 1,
-                psi14_exact(1 << (p - 1), 1),
+                oracles.psi14_exact(1 << (p - 1), 1),
             ), p
 
     def test_hand_evaluation_p5(self):
@@ -446,7 +444,7 @@ class TestTauIdentities:
         assert tau_identity_value(3, "half") == 2 - 4 + 1 == -1
         # root2: 1 - 4 + 2 = -1, and 8 % 16 == 8 selects -1
         assert tau_identity_value(3, "root2") == 1 - 4 + 2 == -1
-        assert all(tau_identity_check(3, v) for v in ("quarter", "half", "root2"))
+        assert all(tau_identity_value(3, v) == tau_identity_expected(3, v) for v in ("quarter", "half", "root2"))
 
     def test_vanishing_term_at_l3(self):
         # the k = 3 term vanishes because (4*2)^2 - 64 == 0
@@ -455,7 +453,7 @@ class TestTauIdentities:
     def test_all_variants_l3_to_l7(self):
         for l in range(3, 8):
             for variant in ("quarter", "half", "root2"):
-                assert tau_identity_check(l, variant), (l, variant)
+                assert tau_identity_value(l, variant) == tau_identity_expected(l, variant), (l, variant)
 
     def test_common_denominator_matches_term_by_term_oracle(self):
         for l in range(3, 11):

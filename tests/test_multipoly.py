@@ -534,6 +534,13 @@ class TestPackedAgainstOracle:
         _same(lambda f, bx: f.subst({"x": bx}), f, images[0])
 
     @ORACLE_RUNS
+    @given(f=kernel_polys(), names=st.lists(st.sampled_from(["x", "y", "z", "u", "w", "never_used"]),
+                                            unique=True, max_size=3))
+    def test_degrees_in(self, f, names):
+        at = [i for i, v in enumerate(f.vars) if v in names]
+        assert f.degrees_in(*names) == {sum(e[i] for i in at) for e in f.terms}
+
+    @ORACLE_RUNS
     @given(f=kernel_polys(names=("x", "y", "z")), c=NONZERO)
     def test_simultaneous_swap(self, f, c):
         x, y = variables("x y")
