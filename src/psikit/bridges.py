@@ -23,9 +23,9 @@ from .records import Record
 __all__ = [
     "BridgeSpec",
     "PeriodResult",
-    "lucas",
-    "fibonacci",
-    "pell_lucas",
+    "lucas_terms",
+    "fibonacci_terms",
+    "pell_lucas_terms",
     "pell_lucas_poly_terms",
     "chebyshev_t_terms",
     "dickson_d_terms",
@@ -39,16 +39,16 @@ __all__ = [
 # -- independent oracle recurrences -----------------------------------------
 
 
-def lucas(n: int) -> int:
-    return _poly_terms(n, 2, 1, lambda a, b: a + b)[n]
+def lucas_terms(n_max: int) -> list[int]:
+    return _poly_terms(n_max, 2, 1, lambda a, b: a + b)
 
 
-def fibonacci(n: int) -> int:
-    return _poly_terms(n, 0, 1, lambda a, b: a + b)[n]
+def fibonacci_terms(n_max: int) -> list[int]:
+    return _poly_terms(n_max, 0, 1, lambda a, b: a + b)
 
 
-def pell_lucas(n: int) -> int:
-    return _poly_terms(n, 2, 2, lambda a, b: 2 * b + a)[n]
+def pell_lucas_terms(n_max: int) -> list[int]:
+    return _poly_terms(n_max, 2, 2, lambda a, b: 2 * b + a)
 
 
 def _poly_terms(n_max: int, first, second, step) -> list:
@@ -113,9 +113,15 @@ def _indices_from(start: int):
     return lambda n_max: range(start, n_max + 1)
 
 
-def _each(term: Callable[[int], object]) -> Callable[[int], list]:
-    """The terms 0..n_max of a sequence given term by term."""
-    return lambda n_max: [term(n) for n in range(n_max + 1)]
+def _each(term: Callable[..., object], *sequences) -> Callable[[int], list]:
+    """The terms 0..n_max of a sequence given term by term: term(n, *lists),
+    where lists holds terms 0..n_max of each of ``sequences``, built once."""
+
+    def terms(n_max: int) -> list:
+        lists = [sequence(n_max) for sequence in sequences]
+        return [term(n, *lists) for n in range(n_max + 1)]
+
+    return terms
 
 
 def _psi_values(a, b, transform=lambda v, n: v) -> Callable[[int], list]:
@@ -138,18 +144,18 @@ def _psi_tuples(*pairs) -> Callable[[int], list]:
     return lambda n_max: list(zip(*(psi_sequence(a, b, n_max) for a, b in pairs)))
 
 
-def _sqrt5_table(sign: int) -> Callable[[int], QuadExt]:
-    def oracle(n: int) -> QuadExt:
+def _sqrt5_table(sign: int) -> Callable[[int], list]:
+    def oracle(n: int, luc: list, fib: list) -> QuadExt:
         r = n % 4
         if r == 0:
-            return QuadExt(5, lucas(n // 2), 0)
+            return QuadExt(5, luc[n // 2], 0)
         if r == 1:
-            return QuadExt(5, lucas((n + 1) // 2), sign * fibonacci((n - 1) // 2))
+            return QuadExt(5, luc[(n + 1) // 2], sign * fib[(n - 1) // 2])
         if r == 2:
-            return QuadExt(5, 0, -sign * fibonacci(n // 2))
-        return QuadExt(5, -lucas((n - 1) // 2), -sign * fibonacci((n + 1) // 2))
+            return QuadExt(5, 0, -sign * fib[n // 2])
+        return QuadExt(5, -luc[(n - 1) // 2], -sign * fib[(n + 1) // 2])
 
-    return oracle
+    return _each(oracle, lucas_terms, fibonacci_terms)
 
 
 _POW2_SET = (16, 32, 64)
@@ -163,14 +169,14 @@ def default_bridges() -> list[BridgeSpec]:
             "lucas",
             "psi(-1, -3, n) equals the Lucas number L(n)",
             _psi_values(-1, -3),
-            _each(lucas),
+            lucas_terms,
             _all_indices,
         ),
         BridgeSpec(
             "fibonacci-lucas-parity",
             "psi(1, -3, n) equals F(n) for odd n and L(n) for even n",
             _psi_values(1, -3),
-            _each(lambda n: fibonacci(n) if n % 2 else lucas(n)),
+            _each(lambda n, fib, luc: fib[n] if n % 2 else luc[n], fibonacci_terms, lucas_terms),
             _all_indices,
         ),
         BridgeSpec(
@@ -206,7 +212,7 @@ def default_bridges() -> list[BridgeSpec]:
             "pell-lucas-numbers",
             "2**parity(n) * psi(-1, -6, n) equals the Pell-Lucas number Q(n)",
             _psi_values(-1, -6, lambda v, n: 2 ** parity(n) * v),
-            _each(pell_lucas),
+            pell_lucas_terms,
             _all_indices,
         ),
         BridgeSpec(
@@ -237,14 +243,14 @@ def default_bridges() -> list[BridgeSpec]:
             "sqrt5-lucas-fibonacci",
             "psi(1, sqrt5, n) follows the four-case Lucas/Fibonacci table",
             _psi_values(1, SQRT5),
-            _each(_sqrt5_table(+1)),
+            _sqrt5_table(+1),
             _all_indices,
         ),
         BridgeSpec(
             "sqrt5-conjugate",
             "psi(1, -sqrt5, n) follows the mirrored table",
             _psi_values(1, -SQRT5),
-            _each(_sqrt5_table(-1)),
+            _sqrt5_table(-1),
             _all_indices,
         ),
         BridgeSpec(
@@ -259,7 +265,7 @@ def default_bridges() -> list[BridgeSpec]:
             "psi(1, 3, n) equals (-1)**floor(n/2) * L(n) (numerical lemma that "
             "subsumes the power-of-two cases)",
             _psi_values(1, 3),
-            _each(lambda n: (-1) ** half(n) * lucas(n)),
+            _each(lambda n, luc: (-1) ** half(n) * luc[n], lucas_terms),
             _all_indices,
         ),
         BridgeSpec(
@@ -275,7 +281,7 @@ def default_bridges() -> list[BridgeSpec]:
             "at n = 2**l, l > 3: psi(1,0,n)=2, psi(0,1,n)=1, psi(1,1,n)=-1, "
             "psi(1,2,n)=2, psi(1,sqrt2,n)=2, psi(1,3,n)=L(n), psi(2,5,n)=2**n+1",
             _psi_tuples((1, 0), (0, 1), (1, 1), (1, 2), (1, SQRT2), (1, 3), (2, 5)),
-            _each(lambda n: (2, 1, -1, 2, QuadExt(2, 2, 0), lucas(n), 2**n + 1)),
+            _each(lambda n, luc: (2, 1, -1, 2, QuadExt(2, 2, 0), luc[n], 2**n + 1), lucas_terms),
             lambda n_max: [k for k in _POW2_SET if k <= n_max],
         ),
         BridgeSpec(
@@ -289,14 +295,14 @@ def default_bridges() -> list[BridgeSpec]:
             "fibonacci-derivative",
             "the r = 1 expansion coefficient at (-1, -3 | 1, 2) equals n * F(n-1)",
             _coeff_row(1, -1, -3, 1, 2),
-            _each(lambda n: n * fibonacci(n - 1) if half(n) >= 1 else None),
+            _each(lambda n, fib: n * fib[n - 1] if half(n) >= 1 else None, fibonacci_terms),
             _indices_from(2),
         ),
         BridgeSpec(
             "lucas-direction",
             "the r = 0 expansion coefficient at (-1, -3 | 1, 2) equals L(n)",
             _coeff_row(0, -1, -3, 1, 2),
-            _each(lucas),
+            lucas_terms,
             _indices_from(0),
         ),
     ]

@@ -24,9 +24,10 @@ from .errors import CapacityError
 from .psicore import (
     SYMBOLIC_INDEX_CAP,
     psi_bit_bound,
+    psi_coeffs,
     psi_mod_ladder,
     psi_recurrence,
-    psi_symbolic,
+    symbolic_degree,
 )
 
 EXIT_OK = 0
@@ -226,8 +227,10 @@ def _cmd_psi(args):
             }
         ]
     if args.psi_command == "poly":
-        poly = psi_symbolic(args.n)
-        return [{"command": "psi-poly", "n": args.n, "poly": str(poly)}]
+        symbolic_degree(args.n)
+        # psi(a, b, n) is row 0 of its own coefficient table
+        text = eightlevels.coeff_row_texts(psi_coeffs(args.n), 1)[0]
+        return [{"command": "psi-poly", "n": args.n, "poly": text}]
     # ladder
     a = int(args.a)
     b = int(args.b)

@@ -23,7 +23,7 @@ from math import comb, factorial
 
 from .errors import CapacityError
 from .multipoly import SparsePoly, as_poly, form_at, format_terms, power_texts, variables
-from .psicore import SYMBOLIC_INDEX_CAP, half, parity, psi_coeffs, psi_recurrence, psi_symbolic
+from .psicore import half, parity, psi_coeffs, psi_recurrence, psi_symbolic, symbolic_degree
 
 __all__ = [
     "power_sum_poly",
@@ -31,6 +31,7 @@ __all__ = [
     "coeff_table_polys",
     "coeff_row_terms",
     "coeff_table_text",
+    "coeff_row_texts",
     "table_degree",
     "TABLE_DEGREE_CAP",
     "coeff_values",
@@ -114,10 +115,16 @@ def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
 
 
 def coeff_table_text(n: int) -> list[str]:
-    """The rows of the table for index n as ``coeff_table_polys`` prints them,
-    written from ``coeff_row_terms`` with no polynomial built."""
+    """The rows of the table for index n as ``coeff_table_polys`` prints them."""
     m = table_degree(n)
-    coeffs = psi_coeffs(n)
+    return coeff_row_texts(psi_coeffs(n), m + 1)
+
+
+def coeff_row_texts(coeffs: list[int], count: int) -> list[str]:
+    """Rows 0..count-1 of the table of the binary form ``coeffs`` as printed,
+    from ``coeff_row_terms`` with no polynomial built.  Row 0 is the form
+    itself in (a, b): ``psi poly`` writes psi(a, b, n) as row 0 of its table."""
+    m = len(coeffs) - 1
     # the monomial is the four printed powers joined, its last "*" cut
     pa, pal, pb, pbe = (power_texts(v, m) for v in _TABLE_VARS)
     return [
@@ -125,7 +132,7 @@ def coeff_table_text(n: int) -> list[str]:
             (c, (pa[i] + pal[k] + pb[j] + pbe[l])[:-1])
             for (i, k, j, l), c in coeff_row_terms(coeffs, r)
         )
-        for r in range(m + 1)
+        for r in range(count)
     ]
 
 
@@ -135,10 +142,7 @@ def coeff_values(n: int, a, b, alpha, beta) -> list[list]:
     recurrence runs once on the theta-coefficient lists of
     psi(a - alpha*theta, b - beta*theta, k), where both factors,
     a - alpha*theta and 2a - b - (2*alpha - beta)*theta, are linear in theta."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n > SYMBOLIC_INDEX_CAP:
-        raise CapacityError(f"coefficient index {n} exceeds cap {SYMBOLIC_INDEX_CAP}")
+    symbolic_degree(n)
 
     def times(c0, c1, p):
         """(c0 - c1*theta) * p"""

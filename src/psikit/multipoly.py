@@ -54,7 +54,7 @@ from collections.abc import Mapping
 from functools import reduce
 from itertools import count
 from math import comb
-from operator import or_
+from operator import getitem, or_
 from types import MappingProxyType
 
 from .errors import CapacityError
@@ -391,27 +391,10 @@ class SparsePoly:
     # -- printing ---------------------------------------------------------------
 
     def __str__(self) -> str:
-        # Terms print by degree, then exponents in sorted-name order, both
-        # descending.  Each pass takes one name's field across all terms: it
-        # appends the printed power ("" or "x^e*") to each term's monomial
-        # and, for every name but the last (whose exponent the degree and the
-        # others fix), the exponent to each term's one-integer sort key.
-        names = self.vars
-        top = self.total_degree()
-        keys = list(self._terms)
-        field = _FIELD
-        width = _BITS * max(len(names) - 1, 0)
-        order = [(k & field) << width for k in keys]
-        monos = [""] * len(keys)
-        for i, v in enumerate(names, 1):
-            shift = _FIELDS[v]
-            power = power_texts(v, top)
-            monos = [m + power[k >> shift & field] for m, k in zip(monos, keys)]
-            if i < len(names):
-                at = width - _BITS * i
-                order = [r | (k >> shift & field) << at for r, k in zip(order, keys)]
-        rows = sorted(zip(order, monos, self._terms.values()), reverse=True)
-        return format_terms((c, m[:-1]) for _, m, c in rows)
+        # terms print by degree, then exponents in sorted-name order, both descending
+        powers = [power_texts(v, self.total_degree()) for v in self.vars]
+        rows = sorted(((sum(e), e, c) for e, c in self.terms.items()), reverse=True)
+        return format_terms((c, "".join(map(getitem, powers, e))[:-1]) for _, e, c in rows)
 
     def __repr__(self) -> str:
         return f"SparsePoly({self})"

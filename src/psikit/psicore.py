@@ -55,6 +55,7 @@ __all__ = [
     "psi_explicit",
     "psi_coeffs",
     "psi_symbolic",
+    "symbolic_degree",
     "psi_bit_bound",
     "psi_mod_ladder",
     "ladder_step",
@@ -145,14 +146,20 @@ def psi_coeffs(n: int) -> list[int]:
     return coeffs
 
 
-@lru_cache(maxsize=None)
-def psi_symbolic(n: int, avar: str = "a", bvar: str = "b") -> SparsePoly:
-    """psi(a, b, n) as a canonical polynomial in two named variables, built
-    from ``psi_coeffs``."""
+def symbolic_degree(n: int) -> int:
+    """The degree n // 2 of psi(a, b, n), refused below 0 and above SYMBOLIC_INDEX_CAP."""
     if n < 0:
         raise ValueError("index must be >= 0")
     if n > SYMBOLIC_INDEX_CAP:
         raise CapacityError(f"symbolic index {n} exceeds cap {SYMBOLIC_INDEX_CAP}")
+    return half(n)
+
+
+@lru_cache(maxsize=None)
+def psi_symbolic(n: int, avar: str = "a", bvar: str = "b") -> SparsePoly:
+    """psi(a, b, n) as a canonical polynomial in two named variables, built
+    from ``psi_coeffs``."""
+    symbolic_degree(n)
     return SparsePoly.binary_form(psi_coeffs(n), avar, bvar)
 
 

@@ -8,9 +8,9 @@ from psikit.bridges import (
     catalogue_entry,
     default_bridges,
     detect_period,
-    fibonacci,
-    lucas,
-    pell_lucas,
+    fibonacci_terms,
+    lucas_terms,
+    pell_lucas_terms,
 )
 from psikit.eightlevels import coeff_values
 from psikit.exactmath import GOLDEN_RATIO, QuadExt, SQRT2
@@ -20,17 +20,24 @@ from psikit.psicore import psi_recurrence
 from oracles import chebyshev_t, dickson_d, eval_scalar, pell_lucas_poly
 
 X, AL = variables("x alpha")
+LUCAS, FIBONACCI = lucas_terms(64), fibonacci_terms(64)
 
 
 class TestOracles:
     def test_lucas(self):
-        assert [lucas(n) for n in range(8)] == [2, 1, 3, 4, 7, 11, 18, 29]
+        assert lucas_terms(7) == [2, 1, 3, 4, 7, 11, 18, 29]
 
     def test_fibonacci(self):
-        assert [fibonacci(n) for n in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
+        assert fibonacci_terms(7) == [0, 1, 1, 2, 3, 5, 8, 13]
 
     def test_pell_lucas(self):
-        assert [pell_lucas(n) for n in range(5)] == [2, 2, 6, 14, 34]
+        assert pell_lucas_terms(4) == [2, 2, 6, 14, 34]
+
+    def test_short_lists(self):
+        for terms, first, second in ((lucas_terms, 2, 1), (fibonacci_terms, 0, 1),
+                                     (pell_lucas_terms, 2, 2)):
+            assert terms(0) == [first] and terms(1) == [first, second]
+            assert terms(64)[:41] == terms(40)
 
     def test_chebyshev(self):
         assert chebyshev_t(2) == 2 * X**2 - 1
@@ -45,8 +52,8 @@ class TestOracles:
         assert dickson_d(3) == X**3 - 3 * AL * X
 
     def test_pell_lucas_poly_at_one(self):
-        for n in range(10):
-            assert eval_scalar(pell_lucas_poly(n), {"x": 1}) == pell_lucas(n)
+        for n, value in enumerate(pell_lucas_terms(9)):
+            assert eval_scalar(pell_lucas_poly(n), {"x": 1}) == value
 
 
 def _poly_recurrence(n: int, first, second, step):
@@ -82,6 +89,17 @@ class TestOnePass:
             assert spec.values(n_max) == values, spec.name
             assert spec.oracle(n_max) == oracle, spec.name
 
+    def test_each_check_builds_each_sequence_once(self, monkeypatch):
+        # the most sequences one oracle reads, Lucas and Fibonacci
+        calls = []
+        build = bridges._poly_terms
+        monkeypatch.setattr(bridges, "_poly_terms",
+                            lambda *args: calls.append(args) or build(*args))
+        for spec in default_bridges():
+            calls.clear()
+            assert not spec.check(64), spec.name
+            assert len(calls) <= 2, spec.name
+
 
 def _bridge(name):
     for spec in default_bridges():
@@ -107,7 +125,7 @@ class TestBridges:
                 assert not spec.check(60), spec.name
 
     def test_lucas_point(self):
-        assert psi_recurrence(-1, -3, 4) == -2 + 9 == 7 == lucas(4)
+        assert psi_recurrence(-1, -3, 4) == -2 + 9 == 7 == LUCAS[4]
 
     def test_fermat_point(self):
         assert psi_recurrence(-2, -5, 4) == -8 + 25 == 17 == 2**4 + 1
@@ -119,20 +137,20 @@ class TestBridges:
 
     def test_fibonacci_derivative_point(self):
         # row 1 at (-1, -3 | 1, 2): 4a*alpha - 2b*beta at those values is 8
-        assert coeff_values(4, -1, -3, 1, 2)[4][1] == 8 == 4 * fibonacci(3)
+        assert coeff_values(4, -1, -3, 1, 2)[4][1] == 8 == 4 * FIBONACCI[3]
 
     def test_pell_lucas_point(self):
-        assert 2 * psi_recurrence(-1, -6, 3) == 14 == pell_lucas(3)
+        assert 2 * psi_recurrence(-1, -6, 3) == 14 == pell_lucas_terms(3)[3]
 
     def test_power_of_two_claims(self):
         spec = _bridge("pow2-direction-values")
         assert not spec.check(64)
         # these claims are genuinely restricted: n = 2 breaks the Lucas one
-        assert psi_recurrence(1, 3, 2) == -3 != lucas(2)
+        assert psi_recurrence(1, 3, 2) == -3 != LUCAS[2]
 
     def test_fibonacci_parity_both_branches(self):
         for n in range(0, 40):
-            expected = fibonacci(n) if n % 2 else lucas(n)
+            expected = FIBONACCI[n] if n % 2 else LUCAS[n]
             assert psi_recurrence(1, -3, n) == expected
 
     def test_golden_ratio_restricted_values(self):
@@ -147,11 +165,11 @@ class TestBridges:
         assert psi_recurrence(1, SQRT2, 16) == 2
         assert psi_recurrence(1, 1, 16) == -1
         assert psi_recurrence(1, 2, 16) == 2
-        assert psi_recurrence(1, 3, 16) == lucas(16)
+        assert psi_recurrence(1, 3, 16) == LUCAS[16]
 
     def test_signed_lemmas_subsume_restricted_claims(self):
         for n in range(61):
-            assert psi_recurrence(1, 3, n) == (-1) ** (n // 2) * lucas(n)
+            assert psi_recurrence(1, 3, n) == (-1) ** (n // 2) * LUCAS[n]
             assert psi_recurrence(2, 5, n) == (-1) ** (n // 2) * (2**n + (-1) ** n)
 
     def test_alternating_closed_form_to_200(self):

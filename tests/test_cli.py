@@ -26,10 +26,11 @@ from psikit.cli import (
     main,
     render_records,
 )
-from psikit.eightlevels import TABLE_DEGREE_CAP, verify_expansion
+from psikit import multipoly
+from psikit.eightlevels import TABLE_DEGREE_CAP, coeff_table_text, verify_expansion
 from psikit.errors import CapacityError
 from psikit.mersenne import CEILING_P, METHODS, MU_MAX_CAP, is_prime_small
-from psikit.psicore import SYMBOLIC_INDEX_CAP
+from psikit.psicore import SYMBOLIC_INDEX_CAP, psi_symbolic
 
 
 def run_cli(*argv):
@@ -95,6 +96,33 @@ class TestPsiCommands:
         code, recs = run_json("psi", "poly", "--n", "7")
         assert code == EXIT_OK
         assert recs[0]["poly"] == "a^3 + 2*a^2*b - a*b^2 - b^3"
+
+    def test_poly_is_the_kernel_text_and_row_0_of_the_table(self):
+        # the polynomial's own printing is the oracle of the row writer
+        for n in range(SYMBOLIC_INDEX_CAP + 1):
+            code, recs = run_json("psi", "poly", "--n", str(n))
+            assert code == EXIT_OK
+            assert recs == [{"command": "psi-poly", "n": n, "poly": str(psi_symbolic(n))}], n
+            if n <= 2 * TABLE_DEGREE_CAP + 1:
+                assert recs[0]["poly"] == coeff_table_text(n)[0], n
+
+    def test_poly_builds_no_polynomial(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        psi_symbolic.cache_clear()
+        monkeypatch.setattr(multipoly, "_make", refuse)
+        monkeypatch.setattr(multipoly.SparsePoly, "__init__", refuse)
+        for n in (0, 1, 7, SYMBOLIC_INDEX_CAP):
+            assert run_json("psi", "poly", "--n", str(n))[0] == EXIT_OK, n
+
+    @pytest.mark.parametrize("n, code, reason", [
+        (-1, EXIT_USAGE, '"usage","reason":"index must be >= 0"'),
+        (257, EXIT_CAPACITY, '"capacity","reason":"symbolic index 257 exceeds cap 256"'),
+    ])
+    def test_poly_refusals(self, n, code, reason):
+        line = f'{{"command":"psi","error":{reason}}}\n'
+        assert run_cli("psi", "poly", "--n", str(n)) == (code, line)
 
 
 class TestFieldOrderAndFormats:
@@ -426,6 +454,34 @@ class TestExitCodes:
             )
             assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity", method
             assert time.perf_counter() - started < 1.0, method
+
+    def test_cap_is_checked_before_the_exponent_at_any_str_limit(self):
+        # with the int-to-str limit lifted, only the ceiling stops a huge p
+        # before its trial division; 10**18 + 3 is prime, as is 44501
+        code = (
+            "import io, sys, time\n"
+            "from contextlib import redirect_stdout\n"
+            "from psikit import cli\n"
+            "if hasattr(sys, 'set_int_max_str_digits'):\n"
+            "    sys.set_int_max_str_digits(0)\n"
+            "for method in ('ll', 'psi', 'composite', 'mu'):\n"
+            "    for p in (10**18 + 3, 44501):\n"
+            "        started = time.perf_counter()\n"
+            "        with redirect_stdout(io.StringIO()) as out:\n"
+            "            code = cli.main(['mersenne', 'test', '--p', str(p), '--method', method])\n"
+            "        seconds = time.perf_counter() - started\n"
+            "        print(method, p, code, seconds, out.getvalue().strip())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 8
+        for line in lines:
+            method, p, exit_code, seconds, record = line.split(" ", 4)
+            assert int(exit_code) == EXIT_CAPACITY and float(seconds) < 1.0, line
+            assert json.loads(record)["reason"].endswith(f"cap is p <= {CEILING_P[method]}")
+            assert CEILING_P[method] == 44497 < int(p), line
 
     def test_mu_max_cap(self):
         started = time.perf_counter()
