@@ -20,8 +20,16 @@ sequence (V_0 = 2, V_1 = t, V_(j+1) = t * V_j - V_(j-1)),
 For even n the chain walks the bits of the odd part of k = n >> 1 with
 ``ladder_step``, two products per bit, and squares down the trailing zero bits
 of k with V_2j = V_j**2 - 2, one product per bit; for odd n it walks every
-bit of k.  One ``pow(a, k or k + 1, m)`` at the end, and d**-1 for odd n,
-finish the value.  The chain needs a invertible mod m, and d too for odd n.
+bit of k.  One product by the finishing factor, a**k for even n and
+a**(k + 1) / d for odd n, ends the value.  The chain does not need that factor
+before this product, so a forked child computes it (``pow``, about 1.2
+products per bit) while the chain runs, and sends it back over a pipe.  The
+child is used only when the call shows that this pays: the process can fork,
+may run on at least two CPUs and has one thread, a is not +-1 mod m, and
+(index bits) * (modulus bits)**2 is at least ``FORK_BREAK_EVEN``.  Otherwise,
+or when the fork fails or the child does not deliver, the factor is computed
+after the chain, by the same code.  The chain needs a invertible mod m, and d
+too for odd n.
 A shared prime is common on generic moduli: 3 divides 2**k + 1 for every odd
 k, and a random odd m often shares a small prime with a.  So the ladder strips
 those primes from m and runs the chain on the coprime part, and the
@@ -311,11 +319,98 @@ def _psi_chain(a: int, b: int, d: int, n: int, m: int) -> int:
     else:
         zeros = (k & -k).bit_length() - 1
         walk = k >> zeros
-    state = _lucas_walk(walk, t, reduce)
-    if odd:
-        v = reduce((state[0] + state[1]) * pow(d, -1, m))
-        return reduce(v * pow(a, k + 1, m))
-    return reduce(_square_chain(state[0], zeros, reduce) * pow(a, k, m))
+
+    def chain() -> int:
+        state = _lucas_walk(walk, t, reduce)
+        return state[0] + state[1] if odd else _square_chain(state[0], zeros, reduce)
+
+    v, factor = _alongside(chain, a, d, n, m)
+    return reduce(v * factor)
+
+
+def _finishing_factor(a: int, d: int, n: int, m: int) -> int:
+    """The factor that turns the chain's V_k, or V_k + V_(k+1), into psi(n)
+    mod m: a**k for n = 2k, a**(k+1) / d for n = 2k + 1."""
+    k = n >> 1
+    if n & 1:
+        return pow(a, k + 1, m) * pow(d, -1, m) % m
+    return pow(a, k, m)
+
+
+# The least (index bits) * (modulus bits)**2 at which a forked child computes
+# the finishing factor.  On a 2-CPU Linux box a fork, pipe and wait round trip
+# took about 1 ms, and pow at 640-bit exponent and modulus 1.1 ms, at 1024 bits
+# 4.6 ms.  With the second CPU free, a ladder at 512-bit index and modulus
+# took 1.5 times its serial time forked, at 640 bits 0.81 and at 768 bits 0.77:
+# the break-even lies between 2**27 and 2**28.
+FORK_BREAK_EVEN = 1 << 28
+
+
+def _fork_pays(a: int, n: int, m: int) -> bool:
+    """Whether a child computing ``_finishing_factor`` saves time: the power
+    is real work (a is not +-1 mod m) above the break-even, and the process
+    can fork, may run on two CPUs and has one thread."""
+    import os
+    import sys
+
+    threading = sys.modules.get("threading")
+    return (
+        a % m not in (1, m - 1)
+        and n.bit_length() * m.bit_length() ** 2 >= FORK_BREAK_EVEN
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+def _alongside(work, a: int, d: int, n: int, m: int) -> tuple[int, int]:
+    """(work(), _finishing_factor(a, d, n, m)).  When ``_fork_pays``, a forked
+    child computes the factor while work() runs here, and sends it back over a
+    pipe.  If the fork fails, or the child exits non-zero or sends a short
+    reply, the factor is computed here; the child is always reaped, and
+    killed first if work() raises."""
+    if not _fork_pays(a, n, m):
+        return work(), _finishing_factor(a, d, n, m)
+    import os
+    import signal
+
+    size = (m.bit_length() + 7) // 8
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return work(), _finishing_factor(a, d, n, m)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            reply = memoryview(_finishing_factor(a, d, n, m).to_bytes(size, "little"))
+            while reply:
+                reply = reply[os.write(w, reply):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    reaped = False
+    try:
+        value = work()
+        chunks = []
+        while chunk := os.read(r, 1 << 16):
+            chunks.append(chunk)
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        os.close(r)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    reply = b"".join(chunks)
+    if status or len(reply) != size:
+        return value, _finishing_factor(a, d, n, m)
+    return value, int.from_bytes(reply, "little")
 
 
 def psi_product_identity_check(a, b, n: int, m: int) -> bool:

@@ -266,6 +266,8 @@ class TestBridgesAndIdentities:
 
 # What a command of cli.CEILINGS needs besides its bounded option.
 OPERANDS = {"psi eval": ["--a", "1", "--b", "2"]}
+# The least p of each mersenne test method, where it is not 5.
+FIRST_P = {"ll": 3, "composite": 3}
 # Each bounded input: the argv that sets it, its first value and its ceiling,
 # read from the tables of the program and the library.
 BOUNDED = {
@@ -282,7 +284,7 @@ BOUNDED = {
     **{
         f"mersenne test {method}": (
             lambda v, method=method: ["mersenne", "test", "--p", str(v), "--method", method],
-            5,
+            FIRST_P.get(method, 5),
             ceiling,
         )
         for method, ceiling in CEILING_P.items()
@@ -517,6 +519,13 @@ class TestExitCodes:
                 assert recs[0]["reason"] == (
                     f"{name}: {CEILINGS[name][0]}={value} is below the first index {first}"
                 )
+
+    @pytest.mark.parametrize("method", sorted(CEILING_P))
+    def test_each_method_accepts_its_first_p(self, method):
+        first = FIRST_P.get(method, 5)
+        code, recs = run_json("mersenne", "test", "--p", str(first), "--method", method)
+        assert code == EXIT_OK and len(recs) == 1
+        assert recs[0]["method"] == method and recs[0]["p"] == first
 
     def test_scan_work_ceiling_is_that_of_pmax_4000(self):
         work = sum(p * p * isqrt(p) for p in range(3, 4001) if is_prime_small(p))

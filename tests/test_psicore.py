@@ -1,4 +1,6 @@
+import os
 import random
+import threading
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -362,6 +364,179 @@ class TestSharedCofactor:
         m = 3**40
         for n in (1000, 1001, 1 << 200, (1 << 200) + 1):
             assert self._walked(monkeypatch, 3, 7, n, m) == [m]
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The ladder sees two CPUs whatever the host's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+class TestForkedFactor:
+    """The finishing factor from a forked child, above the break-even:
+    m = 2**2203 + 1 and n of about 2200 bits, a coprime to m or sharing its
+    factor 3, at even and odd n.  Each case gives the matrix power's value
+    with the fork taken, with the fork failing, with a child that exits
+    non-zero and with one that sends nothing, and leaves no child behind."""
+
+    M = (1 << 2203) + 1
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(2206)
+        out = []
+        for shared in (False, True):
+            a = rng.getrandbits(2200)
+            while gcd(a, self.M) != 1:
+                a += 1
+            a *= 3 if shared else 1
+            b = rng.getrandbits(2203)
+            for low in (0, 1):
+                n = rng.getrandbits(2200) | (1 << 2199)
+                n = n - (n & 1) + low
+                if low:
+                    assert gcd(2 * a - b, self.M // 3) == 1
+                out.append((a, b, n, psi_matrix_mod(a, b, n, self.M)))
+        return out
+
+    def _run(self, monkeypatch, cases, fork, child_factor=None):
+        """The ladder over every case with ``fork`` as os.fork and, in a child,
+        ``child_factor`` as the finishing factor; the factors the parent
+        computed itself."""
+        parent, made_here = os.getpid(), []
+        real = psicore._finishing_factor
+
+        def factor(a, d, n, m):
+            if os.getpid() != parent:
+                return (child_factor or real)(a, d, n, m)
+            made_here.append(n)
+            return real(a, d, n, m)
+
+        monkeypatch.setattr(psicore, "_finishing_factor", factor)
+        monkeypatch.setattr(os, "fork", fork)
+        for a, b, n, expected in cases:
+            assert psi_mod_ladder(a, b, n, self.M) == expected
+            assert no_child_left()
+        return made_here
+
+    def test_the_child_computes_the_factor(self, monkeypatch, two_cpus, cases):
+        forks, real_fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return real_fork()
+
+        assert self._run(monkeypatch, cases, counted) == []
+        assert len(forks) == len(cases)
+
+    def test_a_failed_fork_computes_the_factor_here(self, monkeypatch, two_cpus, cases):
+        def refused():
+            raise OSError("fork refused")
+
+        made_here = self._run(monkeypatch, cases, refused)
+        assert made_here == [n for _, _, n, _ in cases]
+
+    def test_a_child_that_fails_or_sends_nothing_is_replaced_here(
+        self, monkeypatch, two_cpus, cases
+    ):
+        real_exit = os._exit
+
+        def fails(a, d, n, m):
+            raise ArithmeticError("the child fails")
+
+        def sends_nothing(a, d, n, m):
+            real_exit(0)
+
+        def sends_a_wrong_factor_then_exits_3(a, d, n, m):
+            # the child's own os module: the child never returns to the test
+            os._exit = lambda status: real_exit(3)
+            return 1
+
+        for child_factor in (fails, sends_nothing, sends_a_wrong_factor_then_exits_3):
+            made_here = self._run(monkeypatch, cases, os.fork, child_factor)
+            assert made_here == [n for _, _, n, _ in cases]
+
+    def test_the_child_is_reaped_when_the_walk_raises(self, monkeypatch, two_cpus, cases):
+        real_walk = psicore._lucas_walk
+
+        def breaks_halfway(k, t, reduce):
+            real_walk(k >> (k.bit_length() // 2), t, reduce)
+            raise RuntimeError("the walk breaks")
+
+        monkeypatch.setattr(psicore, "_lucas_walk", breaks_halfway)
+        for a, b, n, _ in cases:
+            with pytest.raises(RuntimeError, match="the walk breaks"):
+                psi_mod_ladder(a, b, n, self.M)
+            assert no_child_left()
+
+
+def must_not_fork():
+    pytest.fail("os.fork was called")
+
+
+class TestNeverForks:
+    """The routes that must run serially, with os.fork patched to fail the
+    test: every Mersenne route has a = 1, and so does ladder-generic's last
+    shape; a small ladder is below the break-even; a second thread or a
+    single CPU rules the child out."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch, two_cpus):
+        monkeypatch.setattr(os, "fork", must_not_fork)
+        yield
+        assert no_child_left()
+
+    def test_mersenne_routes(self):
+        from psikit import mersenne
+
+        assert mersenne.psi_test(4423).verdict == "prime"
+        assert mersenne.mu_pattern_test(2203, 4).verdict == "condition-holds"
+        assert mersenne.composite_criterion(2203).verdict == "inconclusive"
+
+    def test_mersenne_scan_and_repro_all(self, tmp_path, capsys):
+        from psikit.cli import main
+
+        assert main(["mersenne", "scan", "--pmin", "2200", "--pmax", "2300"]) == 0
+        assert main(["repro", "all", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    def test_a_is_one_on_a_3500_bit_modulus_at_odd_n(self):
+        rng = random.Random(3500)
+        m = rng.getrandbits(3500) | (1 << 3499) | 1
+        n = rng.getrandbits(3500) | (1 << 3499) | 1
+        b = rng.getrandbits(3500)
+        assert psi_mod_ladder(1, b, n, m) == psi_matrix_mod(1, b, n, m)
+
+    def test_a_is_minus_one_and_below_the_break_even(self):
+        m = (1 << 2203) + 1
+        assert psi_mod_ladder(m - 1, 5, (1 << 2200) + 1, m) == psi_matrix_mod(
+            -1, 5, (1 << 2200) + 1, m
+        )
+        m = (1 << 521) - 3
+        assert psi_mod_ladder(7, 5, (1 << 520) + 1, m) == psi_matrix_mod(7, 5, (1 << 520) + 1, m)
+
+    def test_one_cpu_or_a_second_thread(self, monkeypatch):
+        m, n = (1 << 2203) + 1, (1 << 2200) + 1
+        expected = psi_matrix_mod(7, 5, n, m)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert psi_mod_ladder(7, 5, n, m) == expected
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert psi_mod_ladder(7, 5, n, m) == expected
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
 
 
 class TestExtendedAndProduct:
