@@ -37,6 +37,15 @@ EXIT_CAPACITY = 3
 
 # Largest bit length of a ``base^exp`` index; the ladder spends one step per bit.
 INDEX_BITS_CAP = 1 << 20
+# Largest ladder work, (index bits) * (modulus bits)**2 as for
+# psicore.FORK_BREAK_EVEN: that of a 14284-bit index and modulus, the largest
+# that print at CPython's default int-to-str limit.  On a shared 2-core box
+# with CPython 3.11 psi ladder takes 15-16 s there, and 54-66 s at a 2^20-bit
+# index and a 1667-bit modulus (with the limit lifted), the slowest shape.
+LADDER_WORK_CEILING = 14_284**3
+# Largest psicore.psi_bit_bound of an exact psi eval value; just below it psi
+# eval --a 1/3 --b 1 --n 20500 takes about 4 s (integer a and b under 0.2 s).
+VALUE_BITS_CEILING = 1 << 14
 
 # The one bounded option of each command: its name, first value and ceiling.
 # eightlevels and powersums stop at their library caps.  A whole run at the
@@ -187,19 +196,31 @@ def _tally(records, verdicts: list):
 # returns its records as an iterable that makes each one when it is reached.
 
 
-def _ladder_record(command: str, a: int, b: int, n: int, m: int) -> dict:
-    """The record of psi(a, b, n) mod m by the ladder.  An index or modulus
-    that the record could not echo in decimal is refused before the ladder
-    runs; the value, below m, then prints too."""
-    _require_printable(n.bit_length(), "the index")
-    _require_printable(m.bit_length(), "the modulus")
-    value = psi_mod_ladder(a, b, n, m)
+def _psi_record(command: str, a, b, n: int, m: int | None) -> dict:
+    """The record of psi(a, b, n), exact when m is None, else mod m by the
+    ladder.  Before the work, each route refuses (after the exact route's
+    range of n) what the record could not print, then work above its ceiling."""
+    if m is None:
+        _check_range("psi eval", n)
+        bits = psi_bit_bound(a, b, n)
+        _require_printable(bits, f"psi at n={n}")
+        if bits > VALUE_BITS_CEILING:
+            raise CapacityError(f"psi at n={n} has up to {bits} bits; cap is {VALUE_BITS_CEILING}")
+        value = psi_recurrence(a, b, n)
+    else:
+        _require_printable(n.bit_length(), "the index")
+        _require_printable(m.bit_length(), "the modulus")
+        work = n.bit_length() * m.bit_length() ** 2
+        if work > LADDER_WORK_CEILING:
+            raise CapacityError(f"the ladder's work (index bits * modulus bits**2) {work} "
+                                f"is above the ceiling {LADDER_WORK_CEILING}")
+        value = psi_mod_ladder(a, b, n, m)
     return {
         "command": command,
         "a": str(a),
         "b": str(b),
         "n": str(n),
-        "mod": str(m),
+        "mod": None if m is None else str(m),
         "value": str(value),
     }
 
@@ -210,22 +231,7 @@ def _cmd_psi(args):
         a, b = _parse_scalar(args.a), _parse_scalar(args.b)
         if mod is not None and not (isinstance(a, int) and isinstance(b, int)):
             raise ValueError("modular evaluation needs integer parameters")
-        n = _parse_index(args.n)
-        if mod is not None:
-            return [_ladder_record("psi-eval", a, b, n, mod)]
-        _check_range("psi eval", n)
-        _require_printable(psi_bit_bound(a, b, n), f"psi at n={n}")
-        value = psi_recurrence(a, b, n)
-        return [
-            {
-                "command": "psi-eval",
-                "a": str(a),
-                "b": str(b),
-                "n": str(n),
-                "mod": None,
-                "value": str(value),
-            }
-        ]
+        return [_psi_record("psi-eval", a, b, _parse_index(args.n), mod)]
     if args.psi_command == "poly":
         symbolic_degree(args.n)
         # psi(a, b, n) is row 0 of its own coefficient table
@@ -236,7 +242,7 @@ def _cmd_psi(args):
     b = int(args.b)
     n = _parse_index(args.n)
     m = _parse_index(args.mod, 2, "modulus")
-    return [_ladder_record("psi-ladder", a, b, n, m)]
+    return [_psi_record("psi-ladder", a, b, n, m)]
 
 
 def _cmd_coeff(args):
@@ -272,7 +278,6 @@ _VERIFY_SUITES = {
             eightlevels.first_fundamental_check(n)
             and eightlevels.second_fundamental_check(n)
             and eightlevels.scaling_check(n)
-            and eightlevels.power_sum_representation_check(n)
         )
     ),
 }
@@ -318,7 +323,7 @@ def _scan_exponents(lower: int, pmax: int) -> list[int]:
 
 def _cmd_mersenne(args):
     if args.mersenne_command == "scan":
-        lower = max(args.pmin, 3 if args.method == "ll" else 5)
+        lower = max(args.pmin, mersenne.FIRST_P[args.method])
         if args.pmax < lower:
             raise ValueError(
                 f"mersenne scan: pmax={args.pmax} is below the first exponent {lower}"
@@ -331,7 +336,7 @@ def _cmd_mersenne(args):
         )
     if args.method in ("ll", "psi", "composite", "mu", "sum", "necessary"):
         _require_printable(args.p, f"a residue mod 2^{args.p}-1")
-    elif args.method == "ab" and 5 <= args.p <= mersenne.CEILING_P["ab"]:
+    elif args.method == "ab" and mersenne.FIRST_P["ab"] <= args.p <= mersenne.CEILING_P["ab"]:
         # outside these bounds ab_ratio_test refuses p itself
         bits = psi_bit_bound(1, 4, 1 << (args.p - 1))
         _require_printable(bits, f"the ab ratio at p={args.p}")
@@ -496,8 +501,9 @@ COMMANDS = {
         ]),
         "scan": ("all prime exponents up to a bound", [
             ("--pmax", _REQUIRED_INT),
-            ("--pmin", {"type": int, "default": 3, "help": "first exponent; the scan starts "
-                        "no lower than the method's first, 3 for ll and 5 for psi"}),
+            ("--pmin", {"type": int, "default": min(mersenne.FIRST_P.values()),
+                        "help": "first exponent; the scan starts no lower than the method's "
+                        "first, {ll} for ll and {psi} for psi".format_map(mersenne.FIRST_P)}),
             ("--method", {"choices": ("ll", "psi"), "default": "psi"}),
         ]),
     }, _cmd_mersenne),

@@ -82,6 +82,13 @@ def table_degree(n: int) -> int:
     return m
 
 
+def _degree(n: int) -> int:
+    """The degree floor(n/2) of index n of the expansion checks, refused below 1."""
+    if n < 1:
+        raise ValueError("index must be >= 1")
+    return half(n)
+
+
 def coeff_row_terms(coeffs: list[int], r: int):
     """The terms of row r of the table of the binary form with coefficients
     ``coeffs`` (``psi_coeffs(n)`` for index n), as (exponents of a, alpha, b,
@@ -205,13 +212,9 @@ def verify_expansion(n: int, seed: int = 0) -> bool:
     beta*a - alpha*b != 0; that is a randomized check along sampled lines, not
     a proof.
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    _degree(n)
     if n > SYMBOLIC_LIMIT:
-        return all(
-            _expansion_holds(n, point, coeff_values(n, *point[2:])[n])
-            for point in _sample_points(seed, SAMPLE_POINTS)
-        )
+        return _sampled_expansion(n, n, seed)[0]
     lhs, rhs = _expansion_sides(n)
     return lhs == rhs
 
@@ -232,20 +235,25 @@ def verify_expansion_sweep(n_max: int, seed: int = 0) -> list[bool]:
     """``[verify_expansion(n, seed=seed) for n in 1..n_max]`` with one
     coefficient pass per point: the points beyond SYMBOLIC_LIMIT are drawn
     once and each is swept once to n_max."""
-    if n_max < 1:
-        raise ValueError("index must be >= 1")
+    _degree(n_max)
     first = min(SYMBOLIC_LIMIT, n_max)
     results = [verify_expansion(n, seed=seed) for n in range(1, first + 1)]
     if n_max > first:
-        sweeps = [
-            (point, coeff_values(n_max, *point[2:]))
-            for point in _sample_points(seed, SAMPLE_POINTS)
-        ]
-        results += [
-            all(_expansion_holds(n, point, lists[n]) for point, lists in sweeps)
-            for n in range(first + 1, n_max + 1)
-        ]
+        results += _sampled_expansion(first + 1, n_max, seed)
     return results
+
+
+def _sampled_expansion(first: int, n_max: int, seed: int) -> list[bool]:
+    """The expansion identity at each index first..n_max, checked at
+    SAMPLE_POINTS seeded points, each swept once to n_max by ``coeff_values``."""
+    sweeps = [
+        (point, coeff_values(n_max, *point[2:]))
+        for point in _sample_points(seed, SAMPLE_POINTS)
+    ]
+    return [
+        all(_expansion_holds(n, point, lists[n]) for point, lists in sweeps)
+        for n in range(first, n_max + 1)
+    ]
 
 
 _K0_TABLE = {0: 2, 1: 1, 7: 1, 2: 0, 6: 0, 3: -1, 5: -1, 4: -2}
@@ -254,9 +262,7 @@ _K0_TABLE = {0: 2, 1: 1, 7: 1, 2: 0, 6: 0, 3: -1, 5: -1, 4: -2}
 def eight_level_coeff(n: int, k: int) -> int:
     """Integer coefficient of (xy)**(floor(n/2)-k) * (x^2+y^2)**k in the
     power-sum expansion, by the residue-class closed forms (n mod 8)."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    m = half(n)
+    m = _degree(n)
     if not 0 <= k <= m:
         raise ValueError(f"k={k} out of range for n={n}")
     r8 = n % 8
@@ -304,10 +310,9 @@ def expand_powersum_basis(n: int) -> list[int]:
     p_n = s2 * p_(n-2) - s1**2 * p_(n-4) from p_0 = [2], p_1 = [1],
     p_2 = [0, 1] and p_3 = [-1, 1].
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    m = _degree(n)
     lo, hi = ([1], [-1, 1]) if parity(n) else ([2], [0, 1])
-    for _ in range(half(n) - 1):
+    for _ in range(m - 1):
         lo, hi = hi, [x - y for x, y in zip([0] + hi, lo + [0, 0])]
     return hi if n > 1 else lo
 
@@ -321,23 +326,17 @@ def theta_sum_check(n: int) -> bool:
       * the homogenised two-parameter form in (xi, eta)
       * the binomial-weighted derivative shifts of both, for every k.
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    m = half(n)
+    m = _degree(n)
     rows = coeff_table_polys(n)
     theta, xi, eta, a, b, alpha, beta = variables("theta xi eta a b alpha beta")
     psi_ab = psi_symbolic(n)
     one = SparsePoly.constant(1)
     shift = {"a": a - alpha * theta, "b": b - beta * theta}
-    if form_at(rows, one, theta) != psi_ab.subst(shift):
-        return False
-    if form_at(rows, one, one) != psi_ab.subst({"a": a - alpha, "b": b - beta}):
-        return False
-    if form_at(rows, one, -one) != psi_ab.subst({"a": a + alpha, "b": b + beta}):
-        return False
     homog = {"a": a * xi - alpha * eta, "b": b * xi - beta * eta}
-    if form_at(rows, xi, eta) != psi_ab.subst(homog):
-        return False
+    for p, q, image in ((one, theta, shift), (one, one, {"a": a - alpha, "b": b - beta}),
+                        (one, -one, {"a": a + alpha, "b": b + beta}), (xi, eta, homog)):
+        if form_at(rows, p, q) != psi_ab.subst(image):
+            return False
 
     # sum_r C(r, k) * rows[r] * theta**(r - k), and its twin with
     # xi**(m - r) * eta**(r - k), are forms of degree m - k
@@ -352,17 +351,16 @@ def theta_sum_check(n: int) -> bool:
 
 def scaling_check(n: int) -> bool:
     """Homogeneity and duality of the coefficient family: degree r in
-    (alpha, beta), degree m - r in (a, b), the role-swap duality with sign
-    (-1)**m, and m-homogeneity of the base polynomial.  Each degree is read
-    from the exponents, the same test as scaling the pair by a fresh variable."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    m = half(n)
+    (alpha, beta), the role-swap duality with sign (-1)**m, which makes row
+    r's degree in (a, b) that of row m - r in (alpha, beta), and
+    m-homogeneity of the base polynomial.  Each degree is read from the
+    exponents.  All hold for the table of every binary form of degree m."""
+    m = _degree(n)
     rows = coeff_table_polys(n)
     a, b, alpha, beta = variables("a b alpha beta")
     for r in range(m + 1):
         row = rows[r]
-        if not (row.degrees_in("alpha", "beta") <= {r} and row.degrees_in("a", "b") <= {m - r}):
+        if not row.degrees_in("alpha", "beta") <= {r}:
             return False
         swapped = rows[m - r].subst(
             {"a": alpha, "b": beta, "alpha": a, "beta": b}
@@ -373,19 +371,15 @@ def scaling_check(n: int) -> bool:
 
 
 def first_fundamental_check(n: int) -> bool:
-    """Both derivative ladders between neighbouring coefficients:
+    """Both derivative ladders between neighbouring coefficients, which hold
+    for the table of every binary form of degree m:
 
         (alpha*d/da + beta*d/db) coeff_r = -(r+1) * coeff_{r+1}
         (a*d/dalpha + b*d/dbeta) coeff_r = -(m-r+1) * coeff_{r-1}
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    m = half(n)
+    m = _degree(n)
     rows = coeff_table_polys(n)
-    alpha = SparsePoly.variable("alpha")
-    beta = SparsePoly.variable("beta")
-    a = SparsePoly.variable("a")
-    b = SparsePoly.variable("b")
+    alpha, beta, a, b = variables("alpha beta a b")
     for r in range(m + 1):
         up = apply_direction(rows[r], alpha, beta)
         expected_up = SparsePoly.zero() if r == m else -(r + 1) * rows[r + 1]
@@ -399,23 +393,20 @@ def first_fundamental_check(n: int) -> bool:
 
 
 def second_fundamental_check(n: int) -> bool:
-    """The m-th derivative power collapses psi(a,b,n) onto psi(alpha,beta,n);
-    additionally the (xy, -(x^2+y^2)) instance must reconstruct the power sum
-    through the independent basis expansion."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    m = half(n)
+    """The m-th derivative power collapses psi(a,b,n) onto psi(alpha,beta,n),
+    as it does every binary form of degree m; the power-sum half pins psi:
+    psi(xy, -(x^2+y^2), n) (``power_sum_representation_check``) and the
+    independent basis expansion over (xy, x^2+y^2) are the power sum."""
+    m = _degree(n)
     alpha, beta = variables("alpha beta")
     current = psi_symbolic(n)
     for _ in range(m):
         current = apply_direction(current, alpha, beta)
-    target = psi_symbolic(n, "alpha", "beta")
-    if current != factorial(m) * target:
+    if current != factorial(m) * psi_symbolic(n, "alpha", "beta"):
         return False
     x, y = variables("x y")
-    instance = target.subst({"alpha": x * y, "beta": -(x * x + y * y)})
     rebuilt = form_at(expand_powersum_basis(n), x * y, x * x + y * y)
-    return instance == rebuilt and instance == power_sum_poly(n)
+    return power_sum_representation_check(n) and rebuilt == power_sum_poly(n)
 
 
 def power_sum_representation_check(n: int) -> bool:
@@ -433,9 +424,7 @@ def explicit_formula_check(n: int) -> bool:
     2**parity(n-1) * C(n, 2r), the coefficient read off the expansion of
     4**m times the power sum over ((x+y)^2, (x-y)^2).
     """
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    m = half(n)
+    m = _degree(n)
     first = coeff_values(n, 0, 1, 1, 2)[n]
     for r in range(m + 1):
         w, rem = divmod(n * comb(n - r, r), n - r)
@@ -459,12 +448,10 @@ def explicit_formula_check(n: int) -> bool:
 def linear_combination_check(n: int, seed: int = 0, count: int = 3) -> bool:
     """A weighted sum of m-th direction-derivative powers applied to the base
     polynomial equals m! times the same weighted sum of endpoint values."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
+    m = _degree(n)
     import random  # only the randomized checks draw points
 
     rng = random.Random(seed)
-    m = half(n)
     base = psi_symbolic(n)
     total = SparsePoly.zero()
     expected = 0

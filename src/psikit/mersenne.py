@@ -35,6 +35,7 @@ __all__ = [
     "SUM_MU_CAP",
     "FACTOR_SEARCH_CEILING",
     "CEILING_P",
+    "FIRST_P",
 ]
 
 # The largest p of each method.  sum and necessary report a residue of up to
@@ -47,6 +48,8 @@ __all__ = [
 # three times that); at the default int-to-str limit the CLI refuses sooner.
 CEILING_P = {"sum": 14281, "necessary": 14281, "ab": 23,
              "ll": 44497, "psi": 44497, "composite": 44497, "mu": 44497}
+# The least p of each method: ll and composite run at p = 3, the others need 5.
+FIRST_P = {"ll": 3, "composite": 3, "psi": 5, "mu": 5, "sum": 5, "necessary": 5, "ab": 5}
 # sum refuses mu >= 2**64, so its ladder's index n * mu has at most p + 63 bits.
 SUM_MU_CAP = 1 << 64
 # necessary tries factors of a composite 2**p - 1 below this, and refuses one
@@ -107,15 +110,15 @@ class TestReport(Record):
         }
 
 
-def _candidate(method: str, p: int, min_p: int, work: str) -> tuple[int, int]:
+def _candidate(method: str, p: int, work: str) -> tuple[int, int]:
     """n = 2**(p-1) and M = 2**p - 1, once p is checked against the method's ceiling
-    (``work`` says what p would cost), before any work, then to be a prime >= min_p."""
+    (``work`` says what p would cost), before any work, then to be a prime >= FIRST_P."""
     if p > (ceiling := CEILING_P[method]):
         raise CapacityError(f"{method} at p={p} needs {work}; cap is p <= {ceiling}")
     if not is_prime_small(p):
         raise ValueError(f"exponent {p} is not prime")
-    if p < min_p:
-        raise ValueError(f"method requires prime p >= {min_p}, got {p}")
+    if p < (first := FIRST_P[method]):
+        raise ValueError(f"method requires prime p >= {first}, got {p}")
     return 1 << (p - 1), (1 << p) - 1
 
 
@@ -132,7 +135,7 @@ def ll_chain(p: int, seed: int = 4) -> int:
 
 def ll_classic(p: int) -> TestReport:
     """Classical s -> s**2 - 2 test: prime iff the (p-2)-th iterate is 0."""
-    _candidate("ll", p, 3, f"the Lucas-Lehmer chain mod 2**{p} - 1")
+    _candidate("ll", p, f"the Lucas-Lehmer chain mod 2**{p} - 1")
     residue = ll_chain(p)
     verdict = "prime" if residue == 0 else "composite"
     return TestReport(
@@ -145,7 +148,7 @@ def ll_classic(p: int) -> TestReport:
 
 def psi_test(p: int) -> TestReport:
     """Prime iff 2**p - 1 divides psi(1, 4, 2**(p-1)); evaluated by ladder."""
-    n, m = _candidate("psi", p, 5, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
+    n, m = _candidate("psi", p, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
     residue = psi_mod_ladder(1, 4, n, m)
     verdict = "prime" if residue == 0 else "composite"
     return TestReport(
@@ -175,7 +178,7 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     addition, r_(mu+1) = r_1 * r_mu - r_(mu-1) with r_0 = 2, one product
     each.
     """
-    n, m = _candidate("mu", p, 5, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
+    n, m = _candidate("mu", p, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
     if mu_max < 1:
         raise ValueError("mu_max must be >= 1")
     if mu_max > MU_MAX_CAP:
@@ -213,14 +216,15 @@ def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
     2 * n = M + 1, so n is the inverse of 2 mod M and the reduced sum is
     psi(1, 4, N) * n mod M: one ladder, not N/4 exact big-integer terms
     (the term-by-term sum is the tests' oracle).  At mu = 0 it is 2 * n = 1.
+    So the expected value is the mu pattern's +2/0/-2 residue times n.
     """
     if mu < 0:
         raise ValueError("mu must be >= 0")
     if mu >= SUM_MU_CAP:
         raise CapacityError(f"sum: mu of {mu.bit_length()} bits is above the cap mu < 2**64")
-    n, m = _candidate("sum", p, 5, f"psi(1, 4, 2**{p - 1} * mu) mod 2**{p} - 1")
+    n, m = _candidate("sum", p, f"psi(1, 4, 2**{p - 1} * mu) mod 2**{p} - 1")
     residue = psi_mod_ladder(1, 4, n * mu, m) * n % m
-    expected = 1 if mu % 4 == 0 else (m - 1 if mu % 4 == 2 else 0)
+    expected = mu_expected_residue(mu, m) * n % m
     verdict = "condition-holds" if residue == expected else "condition-fails"
     return TestReport(
         method="sum",
@@ -267,7 +271,7 @@ def necessary_condition(p: int) -> TestReport:
       search of ``_smallest_factor``; an f at or above
       FACTOR_SEARCH_CEILING is refused with CapacityError.
     """
-    _, m = _candidate("necessary", p, 5, f"the Lucas-Lehmer chain mod 2**{p} - 1")
+    _, m = _candidate("necessary", p, f"the Lucas-Lehmer chain mod 2**{p} - 1")
     if ll_chain(p) == 0:
         return TestReport(
             method="necessary",
@@ -298,7 +302,7 @@ def composite_criterion(p: int) -> TestReport:
     n - 1 = 2k + 1 the chain state (V_k, V_(k+1)) holds
     psi(n - 1) = (V_k + V_(k+1)) / d and psi(n) = V_(k+1), and
     psi(n + 1) = psi(n) - psi(n - 1) at even n."""
-    n, m = _candidate("composite", p, 3, f"psi(1, 4, 2**{p - 1} +/- 1) mod 2**{p} - 1")
+    n, m = _candidate("composite", p, f"psi(1, 4, 2**{p - 1} +/- 1) mod 2**{p} - 1")
     reduce = MersenneMod(p).reduce
     v, w = _lucas_walk((n >> 1) - 1, -4, reduce)
     below = reduce((v + w) * pow(-2, -1, m))
@@ -337,7 +341,7 @@ def ab_ratio_test(p: int) -> TestReport:
     the divisibility criterion 2**p - 1 | psi(1, 4, 2**(p-1)) on exact
     integers.
     """
-    _candidate("ab", p, 5, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
+    _candidate("ab", p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
     a_ratio, b_ratio = ab_ratios(p)
     verdict = "prime" if b_ratio % a_ratio == 0 else "composite"
     return TestReport(

@@ -20,7 +20,9 @@ from psikit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     INDEX_BITS_CAP,
+    LADDER_WORK_CEILING,
     SCAN_WORK_CEILING,
+    VALUE_BITS_CEILING,
     _parse_index,
     _scan_exponents,
     main,
@@ -29,7 +31,7 @@ from psikit.cli import (
 from psikit import multipoly
 from psikit.eightlevels import TABLE_DEGREE_CAP, coeff_table_text, verify_expansion
 from psikit.errors import CapacityError
-from psikit.mersenne import CEILING_P, METHODS, MU_MAX_CAP, is_prime_small
+from psikit.mersenne import CEILING_P, FIRST_P, METHODS, MU_MAX_CAP, is_prime_small
 from psikit.psicore import SYMBOLIC_INDEX_CAP, psi_symbolic
 
 
@@ -232,6 +234,34 @@ class TestVerifySuites:
         code, recs = run_json("verify", "fundamental", "--nmax", "6")
         assert code == EXIT_OK and all(r["ok"] for r in recs)
 
+    def test_fundamental_detects_a_wrong_psi_coefficient(self, monkeypatch):
+        # one coefficient of the printed binary form off by one for n >= 6:
+        # the power-sum half of the second fundamental check fails at each
+        import psikit.eightlevels as el
+        import psikit.psicore as pc
+
+        orig = pc.psi_coeffs
+
+        def corrupted(n):
+            coeffs = orig(n)
+            if n >= 6:
+                coeffs[1] += 1
+            return coeffs
+
+        for module in (pc, el):
+            monkeypatch.setattr(module, "psi_coeffs", corrupted)
+        caches = (pc.psi_symbolic, el.coeff_table_polys)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            code, recs = run_json("verify", "fundamental", "--nmax", "51")
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert code == EXIT_CHECK_FAILED
+        assert [r["n"] for r in recs] == list(range(1, 52))
+        assert [r["n"] for r in recs if not r["ok"]] == list(range(6, 52))
+
 
 class TestBridgesAndIdentities:
     def test_bridges_check(self):
@@ -266,8 +296,6 @@ class TestBridgesAndIdentities:
 
 # What a command of cli.CEILINGS needs besides its bounded option.
 OPERANDS = {"psi eval": ["--a", "1", "--b", "2"]}
-# The least p of each mersenne test method, where it is not 5.
-FIRST_P = {"ll": 3, "composite": 3}
 # Each bounded input: the argv that sets it, its first value and its ceiling,
 # read from the tables of the program and the library.
 BOUNDED = {
@@ -284,13 +312,14 @@ BOUNDED = {
     **{
         f"mersenne test {method}": (
             lambda v, method=method: ["mersenne", "test", "--p", str(v), "--method", method],
-            FIRST_P.get(method, 5),
+            FIRST_P[method],
             ceiling,
         )
         for method, ceiling in CEILING_P.items()
     },
-    "mersenne test mu": (
-        lambda v: ["mersenne", "test", "--p", "5", "--method", "mu", "--mu-max", str(v)],
+    "mersenne test mu --mu-max": (
+        lambda v: ["mersenne", "test", "--p", str(FIRST_P["mu"]), "--method", "mu",
+                   "--mu-max", str(v)],
         1,
         MU_MAX_CAP,
     ),
@@ -457,33 +486,60 @@ class TestExitCodes:
             assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity", method
             assert time.perf_counter() - started < 1.0, method
 
-    def test_cap_is_checked_before_the_exponent_at_any_str_limit(self):
-        # with the int-to-str limit lifted, only the ceiling stops a huge p
-        # before its trial division; 10**18 + 3 is prime, as is 44501
+    @staticmethod
+    def run_without_str_limit(argvs):
+        """(exit code, seconds, error record) of each argv, run in one
+        subprocess with the int-to-str limit lifted."""
         code = (
-            "import io, sys, time\n"
+            "import io, json, sys, time\n"
             "from contextlib import redirect_stdout\n"
             "from psikit import cli\n"
             "if hasattr(sys, 'set_int_max_str_digits'):\n"
             "    sys.set_int_max_str_digits(0)\n"
-            "for method in ('ll', 'psi', 'composite', 'mu'):\n"
-            "    for p in (10**18 + 3, 44501):\n"
-            "        started = time.perf_counter()\n"
-            "        with redirect_stdout(io.StringIO()) as out:\n"
-            "            code = cli.main(['mersenne', 'test', '--p', str(p), '--method', method])\n"
-            "        seconds = time.perf_counter() - started\n"
-            "        print(method, p, code, seconds, out.getvalue().strip())\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    started = time.perf_counter()\n"
+            "    with redirect_stdout(io.StringIO()) as out:\n"
+            "        code = cli.main(argv)\n"
+            "    seconds = time.perf_counter() - started\n"
+            "    print(code, seconds, out.getvalue().strip())\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=60, check=True)
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 8
-        for line in lines:
-            method, p, exit_code, seconds, record = line.split(" ", 4)
-            assert int(exit_code) == EXIT_CAPACITY and float(seconds) < 1.0, line
-            assert json.loads(record)["reason"].endswith(f"cap is p <= {CEILING_P[method]}")
-            assert CEILING_P[method] == 44497 < int(p), line
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env, timeout=60, check=True)
+        lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
+        assert len(lines) == len(argvs)
+        return [(int(code), float(seconds), json.loads(rec)) for code, seconds, rec in lines]
+
+    def test_cap_is_checked_before_the_exponent_at_any_str_limit(self):
+        # with the int-to-str limit lifted, only the ceiling stops a huge p
+        # before its trial division; 10**18 + 3 is prime, as is 44501
+        runs = [(method, p) for method in ("ll", "psi", "composite", "mu")
+                for p in (10**18 + 3, 44501)]
+        results = self.run_without_str_limit(
+            [["mersenne", "test", "--p", str(p), "--method", method] for method, p in runs]
+        )
+        for (method, p), (exit_code, seconds, record) in zip(runs, results):
+            assert exit_code == EXIT_CAPACITY and seconds < 1.0, (method, p)
+            assert record["reason"].endswith(f"cap is p <= {CEILING_P[method]}")
+            assert CEILING_P[method] == 44497 < p, (method, p)
+
+    def test_psi_work_is_bounded_at_any_str_limit(self):
+        # each would run for hours, or run out of memory; at the default
+        # limit the unprintable value, index or modulus is refused first
+        results = self.run_without_str_limit([
+            ["psi", "eval", "--a", "9" * 300, "--b", "1", "--n", "100000"],
+            ["psi", "ladder", "--a", "3", "--b", "1", "--n", "2^1000000",
+             "--mod", "2^1000000+1"],
+            ["psi", "eval", "--a", "3", "--b", "1", "--n", "2^1000000",
+             "--mod", "2^1000000+1"],
+        ])
+        ladder = (f"the ladder's work (index bits * modulus bits**2) {1000001**3} "
+                  f"is above the ceiling {LADDER_WORK_CEILING}")
+        reasons = [f"psi at n=100000 has up to 49829689 bits; cap is {VALUE_BITS_CEILING}",
+                   ladder, ladder]
+        for (exit_code, seconds, record), reason in zip(results, reasons):
+            assert exit_code == EXIT_CAPACITY and seconds < 1.0, record
+            assert record == {"command": "psi", "error": "capacity", "reason": reason}
 
     def test_mu_max_cap(self):
         started = time.perf_counter()
@@ -522,7 +578,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", sorted(CEILING_P))
     def test_each_method_accepts_its_first_p(self, method):
-        first = FIRST_P.get(method, 5)
+        first = FIRST_P[method]
         code, recs = run_json("mersenne", "test", "--p", str(first), "--method", method)
         assert code == EXIT_OK and len(recs) == 1
         assert recs[0]["method"] == method and recs[0]["p"] == first

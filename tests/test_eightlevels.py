@@ -277,23 +277,27 @@ class TestSymbolicChecksDetectCorruption:
             assert not ps.verify_special_case(n)
 
     def test_a_row_term_of_the_wrong_degree(self, monkeypatch):
-        # row 0 gains alpha * a**m, of (alpha, beta)-degree 1, and row m its
-        # dual, so the role-swap duality still holds and only a degree fails
+        # row 0 gains a term and row m its dual, so the role-swap duality
+        # still holds and only a degree fails: alpha * a**m has (alpha,
+        # beta)-degree 1, and a**(m + 1) has (a, b)-degree m + 1 (its dual,
+        # alpha**(m + 1), has (alpha, beta)-degree m + 1)
         import psikit.eightlevels as el
 
         orig = el.coeff_table_polys
         a, alpha = variables("a alpha")
+        for wrong in (lambda m: alpha * a**m, lambda m: a ** (m + 1)):
 
-        def table(n):
-            rows = list(orig(n))
-            m = len(rows) - 1
-            rows[0] = rows[0] + alpha * a**m
-            rows[m] = rows[m] + (-1) ** m * a * alpha**m
-            return tuple(rows)
+            def table(n, wrong=wrong):
+                rows = list(orig(n))
+                m = len(rows) - 1
+                term = wrong(m)
+                rows[0] = rows[0] + term
+                rows[m] = rows[m] + (-1) ** m * term.subst({"a": alpha, "alpha": a})
+                return tuple(rows)
 
-        monkeypatch.setattr(el, "coeff_table_polys", table)
-        for n in range(2, 13):
-            assert not el.scaling_check(n)
+            monkeypatch.setattr(el, "coeff_table_polys", table)
+            for n in range(2, 13):
+                assert not el.scaling_check(n)
 
     def test_a_base_polynomial_term_of_the_wrong_degree(self, monkeypatch):
         import psikit.eightlevels as el
