@@ -21,8 +21,9 @@ from math import isqrt
 from . import bridges as bridges_mod
 from . import eightlevels, mersenne, powersums
 from .errors import CapacityError
+from .limits import LIMITS
 from .psicore import (
-    SYMBOLIC_INDEX_CAP,
+    _common_denominator,
     psi_bit_bound,
     psi_coeffs,
     psi_mod_ladder,
@@ -35,43 +36,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
-# Largest bit length of a ``base^exp`` index; the ladder spends one step per bit.
-INDEX_BITS_CAP = 1 << 20
-# Largest ladder work, (index bits) * (modulus bits)**2 as for
-# psicore.FORK_BREAK_EVEN: that of a 14284-bit index and modulus, the largest
-# that print at CPython's default int-to-str limit.  On a shared 2-core box
-# with CPython 3.11 psi ladder takes 15-16 s there, and 54-66 s at a 2^20-bit
-# index and a 1667-bit modulus (with the limit lifted), the slowest shape.
-LADDER_WORK_CEILING = 14_284**3
-# Largest psicore.psi_bit_bound of an exact psi eval value; just below it psi
-# eval --a 1/3 --b 1 --n 20500 takes about 4 s (integer a and b under 0.2 s).
-VALUE_BITS_CEILING = 1 << 14
-
-# The one bounded option of each command: its name, first value and ceiling.
-# eightlevels and powersums stop at their library caps.  A whole run at the
-# ceiling takes, on a shared 2-core box with CPython 3.11, 0.2-0.35 s for
-# eightlevels, 0.06-0.08 s for powersums, 0.4-0.6 s for theta, 0.45-0.65 s for
-# fundamental, 0.1 s for bridges and 0.6-0.65 s for tau (each step of l takes
-# its sums 4 to 5 times longer).  psi eval bounds the exact value, not --mod's.
-CEILINGS = {
-    "verify eightlevels": ("nmax", 1, SYMBOLIC_INDEX_CAP),
-    "verify powersums": ("nmax", 2, powersums.SPECIAL_CASE_CAP),
-    "verify theta": ("nmax", 1, 37),
-    "verify fundamental": ("nmax", 1, 51),
-    "bridges check": ("nmax", 0, 64),
-    "identities tau": ("l", 3, 15),
-    "psi eval": ("n", 0, 100_000),
-}
-# The largest estimated work of a ``mersenne scan``, the sum of p * p * isqrt(p)
-# over its exponents (the chain at p costs about p**2.5): that of --pmax 4000,
-# whose whole run takes 6 to 10 s by ll or psi on the same box.
-SCAN_WORK_CEILING = 140_612_888_302
-
-
 def _check_range(command: str, value: int) -> int:
     """Refuse, before any work, a value of the command's bounded option above
     its ceiling or below its first value; return the first value."""
-    option, first, ceiling = CEILINGS[command]
+    _, option, first, ceiling = LIMITS[command]
+    option = option.lstrip("-")
     if value > ceiling:
         raise CapacityError(f"{command}: {option}={value} is above the ceiling {ceiling}")
     if value < first:
@@ -98,8 +67,8 @@ def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
 
     The bit length of ``mult*base^exp`` is bounded by
     ``mult.bit_length() + exp * ceil(log2 |base|)``, the ceiling being
-    ``(abs(base) - 1).bit_length()``; above INDEX_BITS_CAP the value is refused
-    before the power is built.
+    ``(abs(base) - 1).bit_length()``; above the ceiling of its bits the value
+    is refused before the power is built.
     """
     text = text.strip()
     mult = 1
@@ -116,10 +85,8 @@ def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
         if exp < 0:
             raise ValueError(f"{what} exponent must be >= 0")
         bits = mult.bit_length() + exp * (abs(base) - 1).bit_length()
-        if bits > INDEX_BITS_CAP:
-            raise CapacityError(
-                f"{what} {text!r} has up to {bits} bits; cap is {INDEX_BITS_CAP}"
-            )
+        if bits > (cap := LIMITS["index bits"].ceiling):
+            raise CapacityError(f"{what} {text!r} has up to {bits} bits; cap is {cap}")
         value = mult * base**exp + offset
     else:
         value = mult * int(text)
@@ -204,16 +171,21 @@ def _psi_record(command: str, a, b, n: int, m: int | None) -> dict:
         _check_range("psi eval", n)
         bits = psi_bit_bound(a, b, n)
         _require_printable(bits, f"psi at n={n}")
-        if bits > VALUE_BITS_CEILING:
-            raise CapacityError(f"psi at n={n} has up to {bits} bits; cap is {VALUE_BITS_CEILING}")
-        value = psi_recurrence(a, b, n)
+        if bits > (cap := LIMITS["psi eval value bits"].ceiling):
+            raise CapacityError(f"psi at n={n} has up to {bits} bits; cap is {cap}")
+        # psi(A/q, B/q, n) = psi(A, B, n) / q**(n // 2): one fraction, at the end
+        q, a_num, b_num = _common_denominator(a, b)
+        value = psi_recurrence(a_num, b_num, n)
+        if q > 1:
+            from fractions import Fraction  # imported already, to parse a or b
+            value = Fraction(value, q ** (n // 2))
     else:
         _require_printable(n.bit_length(), "the index")
         _require_printable(m.bit_length(), "the modulus")
         work = n.bit_length() * m.bit_length() ** 2
-        if work > LADDER_WORK_CEILING:
+        if work > (ceiling := LIMITS["psi ladder work"].ceiling):
             raise CapacityError(f"the ladder's work (index bits * modulus bits**2) {work} "
-                                f"is above the ceiling {LADDER_WORK_CEILING}")
+                                f"is above the ceiling {ceiling}")
         value = psi_mod_ladder(a, b, n, m)
     return {
         "command": command,
@@ -307,23 +279,24 @@ def _timed_report(method: str, p: int, **kwargs) -> mersenne.TestReport:
 
 def _scan_exponents(lower: int, pmax: int) -> list[int]:
     """The prime exponents lower..pmax of a scan, refused before any test
-    once their estimated work passes SCAN_WORK_CEILING.  An exponent whose own
+    once their estimated work passes its ceiling.  An exponent whose own
     work passes it counts untested, so that no huge p is trial-divided."""
+    ceiling = LIMITS["mersenne scan work"].ceiling
     exponents, work = [], 0
     for p in range(lower, pmax + 1):
         cost = p * p * isqrt(p)
-        if cost > SCAN_WORK_CEILING or mersenne.is_prime_small(p):
+        if cost > ceiling or mersenne.is_prime_small(p):
             work += cost
-            if work > SCAN_WORK_CEILING:
+            if work > ceiling:
                 raise CapacityError(f"mersenne scan: work={work} up to p={p} is above "
-                                    f"the ceiling {SCAN_WORK_CEILING}")
+                                    f"the ceiling {ceiling}")
             exponents.append(p)
     return exponents
 
 
 def _cmd_mersenne(args):
     if args.mersenne_command == "scan":
-        lower = max(args.pmin, mersenne.FIRST_P[args.method])
+        lower = max(args.pmin, LIMITS[f"mersenne test {args.method}"].first)
         if args.pmax < lower:
             raise ValueError(
                 f"mersenne scan: pmax={args.pmax} is below the first exponent {lower}"
@@ -336,7 +309,7 @@ def _cmd_mersenne(args):
         )
     if args.method in ("ll", "psi", "composite", "mu", "sum", "necessary"):
         _require_printable(args.p, f"a residue mod 2^{args.p}-1")
-    elif args.method == "ab" and mersenne.FIRST_P["ab"] <= args.p <= mersenne.CEILING_P["ab"]:
+    elif args.method == "ab" and (ab := LIMITS["mersenne test ab"]).first <= args.p <= ab.ceiling:
         # outside these bounds ab_ratio_test refuses p itself
         bits = psi_bit_bound(1, 4, 1 << (args.p - 1))
         _require_printable(bits, f"the ab ratio at p={args.p}")
@@ -470,6 +443,7 @@ def _records(args):
 
 _REQUIRED, _REQUIRED_INT = {"required": True}, {"type": int, "required": True}
 _MODULUS_HELP = "modulus; accepts 2^p-1 and k*2^e+c"
+_SCAN_FIRST_P = [LIMITS[f"mersenne test {method}"].first for method in ("ll", "psi")]
 
 # Each command word maps to its help, either its subcommands or (for a command
 # without any) its own arguments, and its handler.  A subcommand word maps to
@@ -501,9 +475,9 @@ COMMANDS = {
         ]),
         "scan": ("all prime exponents up to a bound", [
             ("--pmax", _REQUIRED_INT),
-            ("--pmin", {"type": int, "default": min(mersenne.FIRST_P.values()),
+            ("--pmin", {"type": int, "default": min(_SCAN_FIRST_P),
                         "help": "first exponent; the scan starts no lower than the method's "
-                        "first, {ll} for ll and {psi} for psi".format_map(mersenne.FIRST_P)}),
+                        "first, {} for ll and {} for psi".format(*_SCAN_FIRST_P)}),
             ("--method", {"choices": ("ll", "psi"), "default": "psi"}),
         ]),
     }, _cmd_mersenne),

@@ -22,6 +22,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .errors import CapacityError
+from .limits import LIMITS
 from .multipoly import SparsePoly, as_poly, form_at, format_terms, power_texts, variables
 from .psicore import half, parity, psi_coeffs, psi_recurrence, psi_symbolic, symbolic_degree
 
@@ -33,7 +34,6 @@ __all__ = [
     "coeff_table_text",
     "coeff_row_texts",
     "table_degree",
-    "TABLE_DEGREE_CAP",
     "coeff_values",
     "verify_expansion",
     "verify_expansion_sweep",
@@ -64,21 +64,18 @@ def apply_direction(f: SparsePoly, alpha, beta, avar: str = "a", bvar: str = "b"
     return as_poly(alpha) * f.diff(avar) + as_poly(beta) * f.diff(bvar)
 
 
-# Largest row degree of a coefficient table, so n <= 129; writing every table
-# up to 129 takes about 2 s.  The limit is fixed, so the cache below never
-# holds a table that a later call would refuse.
-TABLE_DEGREE_CAP = 64
 _TABLE_VARS = ("a", "alpha", "b", "beta")
 
 
 def table_degree(n: int) -> int:
     """The degree floor(n/2) of the rows of the table for index n, refused
-    below index 0 and above TABLE_DEGREE_CAP."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
+    outside the fixed bounds of coeff table's --n, so no cache holds a table
+    that a later call would refuse."""
+    if n < (limit := LIMITS["coeff table"]).first:
+        raise ValueError(f"index must be >= {limit.first}")
     m = half(n)
-    if m > TABLE_DEGREE_CAP:
-        raise CapacityError(f"rows for n={n} have degree {m}; cap is {TABLE_DEGREE_CAP}")
+    if n > limit.ceiling:
+        raise CapacityError(f"rows for n={n} have degree {m}; cap is {half(limit.ceiling)}")
     return m
 
 
@@ -112,8 +109,8 @@ def coeff_row_terms(coeffs: list[int], r: int):
 @lru_cache(maxsize=None)
 def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
     """All coefficients for index n, canonical polynomials in a, b, alpha, beta,
-    row r from ``coeff_row_terms``.  Rows have degree floor(n/2), at most
-    TABLE_DEGREE_CAP."""
+    row r from ``coeff_row_terms``.  Rows have degree floor(n/2), bounded by
+    ``table_degree``."""
     table_degree(n)
     coeffs = psi_coeffs(n)
     return tuple(

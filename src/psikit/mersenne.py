@@ -11,6 +11,7 @@ from math import factorial, isqrt
 
 from .errors import CapacityError
 from .exactmath import MersenneMod
+from .limits import LIMITS
 from .psicore import _lucas_walk, _square_chain, psi_mod_ladder, psi_symbolic
 from .records import Record
 
@@ -31,33 +32,7 @@ __all__ = [
     "tau_identity_value",
     "tau_polynomial_identity",
     "METHODS",
-    "MU_MAX_CAP",
-    "SUM_MU_CAP",
-    "FACTOR_SEARCH_CEILING",
-    "CEILING_P",
-    "FIRST_P",
 ]
-
-# The largest p of each method.  sum and necessary report a residue of up to
-# p bits, and at p = 14281 that has 4300 decimal digits, CPython's default
-# int-to-str limit.  One call on a shared 2-core box with CPython 3.11: at
-# p = 14281, sum takes 1.0-1.3 s (one ladder) and necessary 1.0 s (the
-# Lucas-Lehmer chain, then 488 trial factors up to its factor 13938257); ab
-# at p = 23 takes 0.3 s (p = 29 would square integers of up to 2**28 bits).
-# ll, psi, composite and mu stop at M44497, about 20 s by ll or psi (composite
-# three times that); at the default int-to-str limit the CLI refuses sooner.
-CEILING_P = {"sum": 14281, "necessary": 14281, "ab": 23,
-             "ll": 44497, "psi": 44497, "composite": 44497, "mu": 44497}
-# The least p of each method: ll and composite run at p = 3, the others need 5.
-FIRST_P = {"ll": 3, "composite": 3, "psi": 5, "mu": 5, "sum": 5, "necessary": 5, "ab": 5}
-# sum refuses mu >= 2**64, so its ladder's index n * mu has at most p + 63 bits.
-SUM_MU_CAP = 1 << 64
-# necessary tries factors of a composite 2**p - 1 below this, and refuses one
-# with none.  p = 67's least factor, 193707721, the largest among p < 100, is
-# found in 0.25 s, about as long as the whole fruitless search at p = 101.
-FACTOR_SEARCH_CEILING = 1 << 28
-# Largest mu_max of the mu pattern; its record holds one residue of p bits per mu.
-MU_MAX_CAP = 16
 
 
 def is_prime_small(n: int) -> bool:
@@ -112,12 +87,13 @@ class TestReport(Record):
 
 def _candidate(method: str, p: int, work: str) -> tuple[int, int]:
     """n = 2**(p-1) and M = 2**p - 1, once p is checked against the method's ceiling
-    (``work`` says what p would cost), before any work, then to be a prime >= FIRST_P."""
-    if p > (ceiling := CEILING_P[method]):
+    (``work`` says what p would cost), before any work, then to be a prime >= its first."""
+    _, _, first, ceiling = LIMITS[f"mersenne test {method}"]
+    if p > ceiling:
         raise CapacityError(f"{method} at p={p} needs {work}; cap is p <= {ceiling}")
     if not is_prime_small(p):
         raise ValueError(f"exponent {p} is not prime")
-    if p < (first := FIRST_P[method]):
+    if p < first:
         raise ValueError(f"method requires prime p >= {first}, got {p}")
     return 1 << (p - 1), (1 << p) - 1
 
@@ -179,10 +155,10 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     each.
     """
     n, m = _candidate("mu", p, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
-    if mu_max < 1:
-        raise ValueError("mu_max must be >= 1")
-    if mu_max > MU_MAX_CAP:
-        raise CapacityError(f"mu: mu_max={mu_max} is above the cap {MU_MAX_CAP}")
+    if mu_max < (limit := LIMITS["mersenne test mu --mu-max"]).first:
+        raise ValueError(f"mu_max must be >= {limit.first}")
+    if mu_max > limit.ceiling:
+        raise CapacityError(f"mu: mu_max={mu_max} is above the cap {limit.ceiling}")
     reduce = MersenneMod(p).reduce
     prev, cur = 2, psi_mod_ladder(1, 4, n, m)
     residues = [cur]
@@ -218,10 +194,11 @@ def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
     (the term-by-term sum is the tests' oracle).  At mu = 0 it is 2 * n = 1.
     So the expected value is the mu pattern's +2/0/-2 residue times n.
     """
-    if mu < 0:
-        raise ValueError("mu must be >= 0")
-    if mu >= SUM_MU_CAP:
-        raise CapacityError(f"sum: mu of {mu.bit_length()} bits is above the cap mu < 2**64")
+    if mu < (limit := LIMITS["mersenne test sum --mu"]).first:
+        raise ValueError(f"mu must be >= {limit.first}")
+    if mu > limit.ceiling:
+        raise CapacityError(f"sum: mu of {mu.bit_length()} bits is above the cap "
+                            f"mu < 2**{limit.ceiling.bit_length()}")
     n, m = _candidate("sum", p, f"psi(1, 4, 2**{p - 1} * mu) mod 2**{p} - 1")
     residue = psi_mod_ladder(1, 4, n * mu, m) * n % m
     expected = mu_expected_residue(mu, m) * n % m
@@ -235,8 +212,8 @@ def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
 
 
 def _smallest_factor(p: int) -> int | None:
-    """The smallest prime factor of 2**p - 1 below FACTOR_SEARCH_CEILING, for
-    prime p, or None.
+    """The smallest prime factor of 2**p - 1 up to the ceiling of its search,
+    for prime p, or None.
 
     Every prime factor q of 2**p - 1 is 2kp + 1 and +/-1 mod 8 (Fermat, Euler).
     The candidates are tried in increasing order, and the first q with
@@ -244,7 +221,7 @@ def _smallest_factor(p: int) -> int | None:
     factor also divides 2**p - 1 and would have been met first.
     """
     step = 2 * p
-    for q in range(step + 1, FACTOR_SEARCH_CEILING, step):
+    for q in range(step + 1, LIMITS["mersenne test necessary factor"].ceiling + 1, step):
         if q & 7 in (1, 7) and pow(2, p, q) == 1:
             return q
     return None
@@ -268,8 +245,8 @@ def necessary_condition(p: int) -> TestReport:
       prime with M at 2k - 1 = f, as every earlier 2k and 2k - 1 is below f,
       and the prime factors of 2k = f + 1 are below f too, so the gcd of that
       denominator and M, the witness, is exactly f.  It is found by the
-      search of ``_smallest_factor``; an f at or above
-      FACTOR_SEARCH_CEILING is refused with CapacityError.
+      search of ``_smallest_factor``; an f above the ceiling of that search
+      is refused with CapacityError.
     """
     _, m = _candidate("necessary", p, f"the Lucas-Lehmer chain mod 2**{p} - 1")
     if ll_chain(p) == 0:
@@ -282,10 +259,9 @@ def necessary_condition(p: int) -> TestReport:
         )
     factor = _smallest_factor(p)
     if factor is None:
-        raise CapacityError(
-            f"necessary at p={p}: 2**{p} - 1 is composite with no factor below "
-            f"the search ceiling 2**{FACTOR_SEARCH_CEILING.bit_length() - 1}"
-        )
+        bits = LIMITS["mersenne test necessary factor"].ceiling.bit_length()
+        raise CapacityError(f"necessary at p={p}: 2**{p} - 1 is composite with no factor "
+                            f"below the search ceiling 2**{bits}")
     return TestReport(
         method="necessary",
         p=p,

@@ -13,21 +13,18 @@ from math import factorial
 
 from .eightlevels import apply_direction, expand_powersum_basis, power_sum_poly
 from .errors import CapacityError
+from .limits import LIMITS
 from .multipoly import form_at, variables
 from .psicore import half
 
 __all__ = [
     "bracket",
     "verify_special_case",
-    "SPECIAL_CASE_CAP",
     "bracket_xy_identity_check",
     "quintic_parametric_values",
     "quintic_parametric_check",
     "quintic_parametric_symbolic",
 ]
-
-
-SPECIAL_CASE_CAP = 10
 
 
 def bracket(x, y, u, v):
@@ -56,8 +53,8 @@ def _derivative_terms(n: int):
 
 
 def verify_special_case(n: int) -> bool:
-    """Three-pair power-sum expansion for index n, 2 <= n <= SPECIAL_CASE_CAP,
-    fully symbolic in (x, y, z, t, u, v):
+    """Three-pair power-sum expansion for index n within the bounds of verify
+    powersums' --nmax, fully symbolic in (x, y, z, t, u, v):
 
         [z,t|u,v]^m P(x,y) - [x,y|u,v]^m P(z,t) - [z,t|x,y]^m P(u,v)
           = sum_{r=1}^{m-1} 1/r! [x,y|u,v]^(m-r) [z,t|x,y]^r D^r P(z,t)
@@ -65,10 +62,10 @@ def verify_special_case(n: int) -> bool:
     where P is the power sum, m = floor(n/2) and D is the formal direction
     derivative over the basis (zt, z^2 + t^2).
     """
-    if n < 2:
-        raise ValueError("index must be >= 2")
-    if n > SPECIAL_CASE_CAP:
-        raise CapacityError(f"index {n} above cap {SPECIAL_CASE_CAP}")
+    if n < (limit := LIMITS["verify powersums"]).first:
+        raise ValueError(f"index must be >= {limit.first}")
+    if n > limit.ceiling:
+        raise CapacityError(f"index {n} above cap {limit.ceiling}")
     m = half(n)
     x, y, z, t, u, v = variables("x y z t u v")
     zt_uv, xy_uv, zt_xy = bracket(z, t, u, v), bracket(x, y, u, v), bracket(z, t, x, y)

@@ -52,7 +52,8 @@ from math import comb, gcd, isqrt, lcm
 
 from .errors import CapacityError
 from .exactmath import MersenneMod
-from .multipoly import MAX_DEGREE, SparsePoly, form_at
+from .limits import LIMITS
+from .multipoly import SparsePoly, form_at
 
 __all__ = [
     "parity",
@@ -68,12 +69,7 @@ __all__ = [
     "psi_mod_ladder",
     "ladder_step",
     "psi_product_identity_check",
-    "SYMBOLIC_INDEX_CAP",
 ]
-
-# psi(a, b, n) has degree n // 2, and so has the largest product its recurrence
-# forms: psi_symbolic reaches MAX_DEGREE at this index.
-SYMBOLIC_INDEX_CAP = 2 * MAX_DEGREE
 
 
 def parity(n: int) -> int:
@@ -155,11 +151,11 @@ def psi_coeffs(n: int) -> list[int]:
 
 
 def symbolic_degree(n: int) -> int:
-    """The degree n // 2 of psi(a, b, n), refused below 0 and above SYMBOLIC_INDEX_CAP."""
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    if n > SYMBOLIC_INDEX_CAP:
-        raise CapacityError(f"symbolic index {n} exceeds cap {SYMBOLIC_INDEX_CAP}")
+    """The degree n // 2 of psi(a, b, n), refused outside the bounds of psi poly's --n."""
+    if n < (limit := LIMITS["psi poly"]).first:
+        raise ValueError(f"index must be >= {limit.first}")
+    if n > limit.ceiling:
+        raise CapacityError(f"symbolic index {n} exceeds cap {limit.ceiling}")
     return half(n)
 
 
@@ -175,6 +171,12 @@ def _power_bits(x: int, k: int) -> int:
     """An upper bound on the bit length of x**k for x >= 0, without building
     it: x**64 has more than 64 * log2(x) bits."""
     return k * (x**64).bit_length() // 64 + 1
+
+
+def _common_denominator(a, b) -> tuple[int, int, int]:
+    """(q, A, B) with a = A/q, b = B/q, q the least common denominator."""
+    q = lcm(a.denominator, b.denominator)
+    return q, a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
 
 
 def psi_bit_bound(a, b, n: int) -> int:
@@ -193,9 +195,8 @@ def psi_bit_bound(a, b, n: int) -> int:
     """
     if n < 2:
         return 2
-    q = lcm(a.denominator, b.denominator)
+    q, a, b = _common_denominator(a, b)
     den_bits = _power_bits(q, half(n))
-    a, b = a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)
     if 2 * a == b:
         return max(den_bits, n.bit_length() + _power_bits(abs(a), half(n)))
     disc = b * b - 4 * a * a
@@ -233,8 +234,8 @@ def _lucas_walk(k: int, t: int, reduce) -> tuple[int, int]:
     """(V_k, V_(k+1)) of V = V(t, 1) mod m: ``ladder_step`` over the bits of
     k from (V_0, V_1) = (2, t)."""
     state = (2, t)
-    for i in range(k.bit_length() - 1, -1, -1):
-        state = ladder_step(state, (k >> i) & 1, t, reduce)
+    for bit in f"{k:b}".lstrip("0"):  # one pass over the digits; none at k = 0
+        state = ladder_step(state, bit == "1", t, reduce)
     return state
 
 
@@ -244,7 +245,7 @@ def _signed(x: int, m: int) -> int:
     return x - m if x > m >> 1 else x
 
 
-def _psi_walk(a: int, d: int, n: int, reduce) -> int:
+def _psi_walk(a: int, d: int, n: int, m: int) -> int:
     """psi(a, b, n) mod m for n >= 1 and d = 2a - b, with no inverse: the
     three-product walk over (psi(k), psi(k+1), a**k) and the parity of k,
     over the bits of the odd part of n from k = 0, by
@@ -253,29 +254,28 @@ def _psi_walk(a: int, d: int, n: int, reduce) -> int:
         psi(2k + 1) = psi(k) * psi(k+1) - a**k
         psi(2k + 2) = d * psi(2k + 1) - a * psi(2k)
 
-    then psi(2k) alone down the trailing zero bits of n.  ``reduce`` maps any
-    integer to its residue mod m."""
+    then psi(2k) alone down the trailing zero bits of n, reducing by ``%``."""
     zeros = (n & -n).bit_length() - 1
     odd = n >> zeros
-    lo, hi, apow, par = 2, 1, 1, 0
-    for i in range(odd.bit_length() - 1, -1, -1):
+    lo, hi, apow, par = 2, 1, 1, "0"
+    for bit in f"{odd:b}":
         sq = lo * lo
-        if par:
+        if par == "1":
             # reducing first keeps the product by d at m x m bits, not 2m x m
-            sq = reduce(sq) * d
-        dbl_lo = reduce(sq - 2 * apow)
-        dbl_hi = reduce(lo * hi - apow)
-        apow = reduce(apow * apow)
-        if (odd >> i) & 1:
-            lo, hi, apow, par = dbl_hi, reduce(d * dbl_hi - a * dbl_lo), reduce(apow * a), 1
+            sq = sq % m * d
+        dbl_lo = (sq - 2 * apow) % m
+        dbl_hi = (lo * hi - apow) % m
+        if bit == "1":
+            lo, hi, apow = dbl_hi, (d * dbl_hi - a * dbl_lo) % m, apow * apow * a % m
         else:
-            lo, hi, par = dbl_lo, dbl_hi, 0
+            lo, hi, apow = dbl_lo, dbl_hi, apow * apow % m
+        par = bit  # the last digit of k
     if zeros:
         # the odd part has parity 1, so only the first doubling carries d
-        lo = reduce(reduce(lo * lo) * d - 2 * apow)
+        lo = (lo * lo % m * d - 2 * apow) % m
         for _ in range(zeros - 1):
-            apow = reduce(apow * apow)
-            lo = reduce(lo * lo - 2 * apow)
+            apow = apow * apow % m
+            lo = (lo * lo - 2 * apow) % m
     return lo
 
 
@@ -302,7 +302,7 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     # pow(coprime, -1, 1) is 0, and pow(1, -1, shared) is 1
     walk = chain = 0
     if shared > 1:
-        walk = _psi_walk(_signed(a, shared), _signed(d, shared), n, shared.__rmod__)
+        walk = _psi_walk(_signed(a, shared), _signed(d, shared), n, shared)
     if coprime > 1:
         chain = _psi_chain(a, b, d, n, coprime)
     return chain + coprime * ((walk - chain) * pow(coprime, -1, shared) % shared)

@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -14,25 +16,23 @@ import pytest
 import psikit
 from psikit import mersenne
 from psikit.cli import (
-    CEILINGS,
     EXIT_CAPACITY,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
-    INDEX_BITS_CAP,
-    LADDER_WORK_CEILING,
-    SCAN_WORK_CEILING,
-    VALUE_BITS_CEILING,
     _parse_index,
     _scan_exponents,
     main,
     render_records,
 )
 from psikit import multipoly
-from psikit.eightlevels import TABLE_DEGREE_CAP, coeff_table_text, verify_expansion
+from psikit.eightlevels import coeff_table_text, verify_expansion
 from psikit.errors import CapacityError
-from psikit.mersenne import CEILING_P, FIRST_P, METHODS, MU_MAX_CAP, is_prime_small
-from psikit.psicore import SYMBOLIC_INDEX_CAP, psi_symbolic
+from psikit.limits import LIMITS
+from psikit.mersenne import METHODS, is_prime_small
+from psikit.psicore import psi_recurrence, psi_symbolic
+
+INDEX_BITS = LIMITS["index bits"].ceiling
 
 
 def run_cli(*argv):
@@ -61,6 +61,18 @@ class TestPsiCommands:
     def test_eval_rational(self):
         code, recs = run_json("psi", "eval", "--a", "1/2", "--b", "1", "--n", "4")
         assert code == EXIT_OK and recs[0]["value"] == "1/2"
+
+    def test_eval_rational_is_the_recurrence_over_fractions(self):
+        # the integer recurrence at the common numerators, over q**(n // 2)
+        from fractions import Fraction
+
+        rng = random.Random(28)
+        for _ in range(60):
+            a, b = (Fraction(rng.randint(-40, 40), rng.randint(1, 40)) for _ in range(2))
+            n = rng.randint(0, 300)
+            code, recs = run_json("psi", "eval", f"--a={a}", f"--b={b}", "--n", str(n))
+            assert code == EXIT_OK, (a, b, n)
+            assert recs[0]["value"] == str(psi_recurrence(a, b, n)), (a, b, n)
 
     def test_ladder_power_syntax(self):
         code, recs = run_json(
@@ -101,11 +113,11 @@ class TestPsiCommands:
 
     def test_poly_is_the_kernel_text_and_row_0_of_the_table(self):
         # the polynomial's own printing is the oracle of the row writer
-        for n in range(SYMBOLIC_INDEX_CAP + 1):
+        for n in range(LIMITS["psi poly"].ceiling + 1):
             code, recs = run_json("psi", "poly", "--n", str(n))
             assert code == EXIT_OK
             assert recs == [{"command": "psi-poly", "n": n, "poly": str(psi_symbolic(n))}], n
-            if n <= 2 * TABLE_DEGREE_CAP + 1:
+            if n <= LIMITS["coeff table"].ceiling:
                 assert recs[0]["poly"] == coeff_table_text(n)[0], n
 
     def test_poly_builds_no_polynomial(self, monkeypatch):
@@ -115,7 +127,7 @@ class TestPsiCommands:
         psi_symbolic.cache_clear()
         monkeypatch.setattr(multipoly, "_make", refuse)
         monkeypatch.setattr(multipoly.SparsePoly, "__init__", refuse)
-        for n in (0, 1, 7, SYMBOLIC_INDEX_CAP):
+        for n in (0, 1, 7, LIMITS["psi poly"].ceiling):
             assert run_json("psi", "poly", "--n", str(n))[0] == EXIT_OK, n
 
     @pytest.mark.parametrize("n, code, reason", [
@@ -294,38 +306,23 @@ class TestBridgesAndIdentities:
         assert [r["value"] for r in recs] == ["1", "-1", "-1"]
 
 
-# What a command of cli.CEILINGS needs besides its bounded option.
+# What a command needs besides its bounded inputs.
 OPERANDS = {"psi eval": ["--a", "1", "--b", "2"]}
-# Each bounded input: the argv that sets it, its first value and its ceiling,
-# read from the tables of the program and the library.
-BOUNDED = {
-    **{
-        command: (
-            lambda v, command=command, option=option: [
-                *command.split(), *OPERANDS.get(command, []), f"--{option}", str(v)
-            ],
-            first,
-            ceiling,
-        )
-        for command, (option, first, ceiling) in CEILINGS.items()
-    },
-    **{
-        f"mersenne test {method}": (
-            lambda v, method=method: ["mersenne", "test", "--p", str(v), "--method", method],
-            FIRST_P[method],
-            ceiling,
-        )
-        for method, ceiling in CEILING_P.items()
-    },
-    "mersenne test mu --mu-max": (
-        lambda v: ["mersenne", "test", "--p", str(FIRST_P["mu"]), "--method", "mu",
-                   "--mu-max", str(v)],
-        1,
-        MU_MAX_CAP,
-    ),
-    "coeff table": (lambda v: ["coeff", "table", "--n", str(v)], 0, 2 * TABLE_DEGREE_CAP + 1),
-    "psi poly": (lambda v: ["psi", "poly", "--n", str(v)], 0, SYMBOLIC_INDEX_CAP),
-}
+
+
+def _setting(name):
+    """The argv that sets the bounded input ``name`` of limits.LIMITS to a
+    value, with every other bounded option of its command at its first value."""
+    command, option, _, _ = LIMITS[name]
+    others = [arg for limit in LIMITS.values()
+              if limit.command == command and limit.bounds != option and limit.first is not None
+              for arg in (limit.bounds, str(limit.first))]
+    return lambda v: [*command.split(), *OPERANDS.get(command, []), *others, option, str(v)]
+
+
+# Each bounded option: the argv that sets it, its first value and its ceiling.
+BOUNDED = {name: (_setting(name), limit.first, limit.ceiling)
+           for name, limit in LIMITS.items() if limit.first is not None}
 
 
 class TestExitCodes:
@@ -416,10 +413,11 @@ class TestExitCodes:
 
     def test_sum_and_necessary_run_at_their_ceilings(self):
         # 2^14281 - 1 is composite; its residues print at CPython's default limit
-        code, recs = run_json("mersenne", "test", "--p", str(CEILING_P["sum"]), "--method", "sum")
+        p = LIMITS["mersenne test sum"].ceiling
+        code, recs = run_json("mersenne", "test", "--p", str(p), "--method", "sum")
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
         assert 4200 < len(recs[0]["residues"][0]) <= 4300
-        p = CEILING_P["necessary"]
+        p = LIMITS["mersenne test necessary"].ceiling
         code, recs = run_json("mersenne", "test", "--p", str(p), "--method", "necessary")
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
         assert recs[0]["residues"] == ["13938257"]
@@ -520,8 +518,9 @@ class TestExitCodes:
         )
         for (method, p), (exit_code, seconds, record) in zip(runs, results):
             assert exit_code == EXIT_CAPACITY and seconds < 1.0, (method, p)
-            assert record["reason"].endswith(f"cap is p <= {CEILING_P[method]}")
-            assert CEILING_P[method] == 44497 < p, (method, p)
+            ceiling = LIMITS[f"mersenne test {method}"].ceiling
+            assert record["reason"].endswith(f"cap is p <= {ceiling}")
+            assert ceiling == 44497 < p, (method, p)
 
     def test_psi_work_is_bounded_at_any_str_limit(self):
         # each would run for hours, or run out of memory; at the default
@@ -534,12 +533,21 @@ class TestExitCodes:
              "--mod", "2^1000000+1"],
         ])
         ladder = (f"the ladder's work (index bits * modulus bits**2) {1000001**3} "
-                  f"is above the ceiling {LADDER_WORK_CEILING}")
-        reasons = [f"psi at n=100000 has up to 49829689 bits; cap is {VALUE_BITS_CEILING}",
+                  f"is above the ceiling {LIMITS['psi ladder work'].ceiling}")
+        cap = LIMITS["psi eval value bits"].ceiling
+        reasons = [f"psi at n=100000 has up to 49829689 bits; cap is {cap}",
                    ladder, ladder]
         for (exit_code, seconds, record), reason in zip(results, reasons):
             assert exit_code == EXIT_CAPACITY and seconds < 1.0, record
             assert record == {"command": "psi", "error": "capacity", "reason": reason}
+
+    def test_rational_eval_at_the_value_ceiling_is_fast(self):
+        # one fraction at the end, not one normalised at every step
+        [(exit_code, seconds, record)] = self.run_without_str_limit(
+            [["psi", "eval", "--a", "1/3", "--b", "1", "--n", "20500"]]
+        )
+        assert exit_code == EXIT_OK and seconds < 1.0, record
+        assert record["command"] == "psi-eval" and len(record["value"]) > 4300
 
     def test_mu_max_cap(self):
         started = time.perf_counter()
@@ -570,22 +578,24 @@ class TestExitCodes:
             code, recs = run_json(*argv(value))
             assert code == EXIT_USAGE and len(recs) == 1, value
             assert recs[0]["error"] == "usage", value
-            # psi eval's index is refused as it is parsed, as for every psi command
-            if name in CEILINGS and name != "psi eval":
+            # the one bounded option of verify, bridges and identities is checked
+            # by the command line, which names it
+            if name.startswith(("verify ", "bridges ", "identities ")):
+                option = LIMITS[name].bounds.lstrip("-")
                 assert recs[0]["reason"] == (
-                    f"{name}: {CEILINGS[name][0]}={value} is below the first index {first}"
+                    f"{name}: {option}={value} is below the first index {first}"
                 )
 
-    @pytest.mark.parametrize("method", sorted(CEILING_P))
+    @pytest.mark.parametrize("method", sorted(METHODS))
     def test_each_method_accepts_its_first_p(self, method):
-        first = FIRST_P[method]
+        first = LIMITS[f"mersenne test {method}"].first
         code, recs = run_json("mersenne", "test", "--p", str(first), "--method", method)
         assert code == EXIT_OK and len(recs) == 1
         assert recs[0]["method"] == method and recs[0]["p"] == first
 
     def test_scan_work_ceiling_is_that_of_pmax_4000(self):
         work = sum(p * p * isqrt(p) for p in range(3, 4001) if is_prime_small(p))
-        assert work == SCAN_WORK_CEILING
+        assert work == LIMITS["mersenne scan work"].ceiling
         # the widest scan, the one measured at about a second and the benchmark's
         for lower, pmax in ((3, 4000), (1000, 2300), (2200, 2300)):
             primes = [p for p in range(lower, pmax + 1) if is_prime_small(p)]
@@ -611,7 +621,8 @@ class TestExitCodes:
         code, recs = run_json(*argv)
         assert code == EXIT_CAPACITY and len(recs) == 1
         assert recs[0]["error"] == "capacity"
-        assert recs[0]["reason"].endswith(f"is above the ceiling {SCAN_WORK_CEILING}")
+        ceiling = LIMITS["mersenne scan work"].ceiling
+        assert recs[0]["reason"].endswith(f"is above the ceiling {ceiling}")
         assert time.perf_counter() - started < 1.0
 
     def test_nmax_at_the_first_index_runs(self):
@@ -670,20 +681,20 @@ class TestExitCodes:
 
     def test_index_bit_estimate_is_exact_for_powers_of_two(self):
         # 2^k has k + 1 bits: the estimate takes ceil(log2 2) = 1 bit per factor
-        assert _parse_index(f"2^{INDEX_BITS_CAP - 1}").bit_length() == INDEX_BITS_CAP
-        with pytest.raises(CapacityError, match=f"has up to {INDEX_BITS_CAP + 1} bits"):
-            _parse_index(f"2^{INDEX_BITS_CAP}")
+        assert _parse_index(f"2^{INDEX_BITS - 1}").bit_length() == INDEX_BITS
+        with pytest.raises(CapacityError, match=f"has up to {INDEX_BITS + 1} bits"):
+            _parse_index(f"2^{INDEX_BITS}")
         # a base that is not a power of two rounds its bits per factor up
         assert _parse_index("3^100") == 3**100
         with pytest.raises(CapacityError):
-            _parse_index(f"3^{INDEX_BITS_CAP // 2 + 1}")
-        assert _parse_index(f"4^{INDEX_BITS_CAP // 2 - 1}") == 1 << (INDEX_BITS_CAP - 2)
+            _parse_index(f"3^{INDEX_BITS // 2 + 1}")
+        assert _parse_index(f"4^{INDEX_BITS // 2 - 1}") == 1 << (INDEX_BITS - 2)
 
     def test_index_forms_within_cap(self):
         assert _parse_index("2^60") == 1 << 60
         assert _parse_index(" 3*2^61 ") == 3 << 61
         assert _parse_index("37634") == 37634
-        assert _parse_index(f"2^{INDEX_BITS_CAP // 2 - 1}") == 1 << (INDEX_BITS_CAP // 2 - 1)
+        assert _parse_index(f"2^{INDEX_BITS // 2 - 1}") == 1 << (INDEX_BITS // 2 - 1)
         assert _parse_index("2^61-1") == (1 << 61) - 1
         assert _parse_index("3*2^61+5") == (3 << 61) + 5
         assert _parse_index("2^7-1", 2, "modulus") == 127
@@ -1056,9 +1067,48 @@ class TestExports:
         assert exported > 50
 
     def test_removed_names_are_gone(self):
-        from psikit import exactmath
+        from psikit import cli, eightlevels, exactmath, powersums, psicore
 
         for name in ("mod_inverse", "NotInvertibleError", "tau_identity_check", "psi14_exact"):
             assert not hasattr(psikit, name), name
         assert not hasattr(exactmath, "mod_inverse") and not hasattr(exactmath, "NotInvertibleError")
         assert not hasattr(mersenne, "tau_identity_check") and not hasattr(mersenne, "psi14_exact")
+        # each bound is an entry of limits.LIMITS, with no alias left behind
+        moved = {
+            cli: ("CEILINGS", "INDEX_BITS_CAP", "SCAN_WORK_CEILING", "LADDER_WORK_CEILING",
+                  "VALUE_BITS_CEILING"),
+            mersenne: ("CEILING_P", "FIRST_P", "MU_MAX_CAP", "SUM_MU_CAP",
+                       "FACTOR_SEARCH_CEILING"),
+            eightlevels: ("TABLE_DEGREE_CAP",),
+            psicore: ("SYMBOLIC_INDEX_CAP",),
+            powersums: ("SPECIAL_CASE_CAP",),
+        }
+        assert sum(map(len, moved.values())) == 13
+        for module, names in moved.items():
+            for name in names:
+                assert not hasattr(module, name), name
+                assert name not in getattr(module, "__all__", ()), name
+
+
+class TestReadme:
+    def test_bounds_table_has_each_entry_of_the_limits_table(self):
+        # one row per entry: its command words, what it bounds, its first
+        # value (blank for a measure) and its ceiling, written as an integer
+        # expression such as 2^64 - 1 and an optional note
+        text = (Path(__file__).parent.parent / "README.md").read_text()
+        header = "| command | bounded input | first value | ceiling |"
+        rows = {}
+        for line in text[text.index(header):].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            command, bounds, first, ceiling = (
+                cell.strip().replace("`", "") for cell in line.strip("|").split("|")
+            )
+            expression = re.match(r"[0-9^*+\- ]+", ceiling).group()
+            value = eval(expression.replace("^", "**"), {"__builtins__": {}})
+            rows[command, bounds] = (int(first) if first else None, value)
+        assert rows == {
+            (limit.command, limit.bounds): (limit.first, limit.ceiling)
+            for limit in LIMITS.values()
+        }
+        assert len(rows) == len(LIMITS) == 23

@@ -5,7 +5,6 @@ from math import factorial
 import pytest
 
 from psikit.eightlevels import (
-    TABLE_DEGREE_CAP,
     apply_direction,
     coeff_table_polys,
     coeff_table_text,
@@ -24,8 +23,11 @@ from psikit.eightlevels import (
 )
 from psikit.errors import CapacityError
 from psikit.exactmath import QuadExt
+from psikit.limits import LIMITS
 from psikit.multipoly import SparsePoly, variables
-from psikit.psicore import SYMBOLIC_INDEX_CAP, half, psi_recurrence, psi_symbolic
+from psikit.psicore import half, psi_recurrence, psi_symbolic
+
+SYMBOLIC_INDEX = LIMITS["psi poly"].ceiling
 
 from oracles import (
     coeff_dual,
@@ -259,7 +261,7 @@ class TestSymbolicChecksDetectCorruption:
 
         self._corrupt(monkeypatch, el, "power_sum_poly", _flipped)
         self._corrupt(monkeypatch, ps, "power_sum_poly", _flipped)
-        for n in range(2, ps.SPECIAL_CASE_CAP + 1):
+        for n in range(2, LIMITS["verify powersums"].ceiling + 1):
             assert not ps.verify_special_case(n)
         for n in range(1, 13):
             assert not el.explicit_formula_check(n)
@@ -273,7 +275,7 @@ class TestSymbolicChecksDetectCorruption:
         for n in range(1, 13):
             assert not el.second_fundamental_check(n)
         # at n = 2, 3 the right side is empty: no derivative term is formed
-        for n in range(4, ps.SPECIAL_CASE_CAP + 1):
+        for n in range(4, LIMITS["verify powersums"].ceiling + 1):
             assert not ps.verify_special_case(n)
 
     def test_a_row_term_of_the_wrong_degree(self, monkeypatch):
@@ -451,13 +453,13 @@ class TestCoeffValues:
         with pytest.raises(ValueError):
             coeff_values(-1, 1, 2, 3, 4)
         with pytest.raises(CapacityError):
-            coeff_values(SYMBOLIC_INDEX_CAP + 1, 1, 2, 3, 4)
-        lists = coeff_values(SYMBOLIC_INDEX_CAP, 1, 2, 3, 4)
-        assert len(lists) == SYMBOLIC_INDEX_CAP + 1
+            coeff_values(SYMBOLIC_INDEX + 1, 1, 2, 3, 4)
+        lists = coeff_values(SYMBOLIC_INDEX, 1, 2, 3, 4)
+        assert len(lists) == SYMBOLIC_INDEX + 1
         assert [len(row) for row in lists] == [half(n) + 1 for n in range(len(lists))]
         assert coeff_values(0, 1, 2, 3, 4) == [[2]]
         # rows of n = 130 have degree 65
-        assert TABLE_DEGREE_CAP == 64
+        assert half(LIMITS["coeff table"].ceiling) == 64
         for build in (coeff_table_polys, coeff_table_text):
             with pytest.raises(CapacityError):
                 build(130)

@@ -4,10 +4,9 @@ import pytest
 
 from psikit import mersenne
 from psikit.errors import CapacityError
+from psikit.limits import LIMITS
 from psikit.mersenne import (
-    CEILING_P,
     METHODS,
-    SUM_MU_CAP,
     ab_ratio_test,
     ab_ratios,
     composite_criterion,
@@ -412,9 +411,9 @@ class TestLayeredRatios:
 
 
 class TestCeilings:
-    @pytest.mark.parametrize("method", sorted(CEILING_P))
+    @pytest.mark.parametrize("method", sorted(METHODS))
     def test_each_ceiling_plus_one_is_refused_before_primality(self, method):
-        ceiling = CEILING_P[method]
+        ceiling = LIMITS[f"mersenne test {method}"].ceiling
         # 2**61 - 1 is prime: trial division of p would run for hours
         for p in (ceiling + 1, ceiling + 2, (1 << 61) - 1):
             with pytest.raises(CapacityError, match=f"cap is p <= {ceiling}$"):
@@ -429,10 +428,12 @@ class TestCeilings:
         # not prime or above the ceiling.  The old index cap of 2**17 took mu
         # up to 8192, at p = 5
         assert enhanced_sum_test(5, 8192).verdict == "condition-holds"
-        assert enhanced_sum_test(13, SUM_MU_CAP - 1).verdict == "condition-holds"
+        top = LIMITS["mersenne test sum --mu"].ceiling
+        assert top == (1 << 64) - 1
+        assert enhanced_sum_test(13, top).verdict == "condition-holds"
         for p in (13, 9, (1 << 61) - 1):
             with pytest.raises(CapacityError, match="mu"):
-                enhanced_sum_test(p, SUM_MU_CAP)
+                enhanced_sum_test(p, top + 1)
 
 
 class TestTauIdentities:

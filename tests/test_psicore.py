@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from psikit import psicore
 from psikit.errors import CapacityError
 from psikit.exactmath import MersenneMod, SQRT2
-from psikit.multipoly import SparsePoly, variables
+from psikit.limits import LIMITS
+from psikit.multipoly import MAX_DEGREE, SparsePoly, variables
 from psikit.psicore import (
-    SYMBOLIC_INDEX_CAP,
+    _lucas_walk,
     half,
     ladder_step,
     parity,
@@ -33,11 +34,12 @@ from psikit.psicore import (
 from oracles import eval_scalar, psi_matrix_mod, psi_recurrence_mod, psi_symbolic_sequence
 
 A, B = variables("a b")
+SYMBOLIC_INDEX = LIMITS["psi poly"].ceiling
 
 
 def walk(a, b, n, m):
     """The inverse-free walk, called with the arguments psi_mod_ladder gives it."""
-    return _psi_walk(_signed(a, m), _signed(2 * a - b, m), n, m.__rmod__)
+    return _psi_walk(_signed(a, m), _signed(2 * a - b, m), n, m)
 
 # the first few polynomials, fixed reference values
 SMALL_POLYS = {
@@ -131,10 +133,15 @@ class TestSymbolicCap:
         with pytest.raises(CapacityError):
             psi_symbolic(300)
 
+    def test_ceiling_is_twice_the_kernel_degree(self):
+        # psi(a, b, n) has degree n // 2, and products stop at MAX_DEGREE;
+        # verify eightlevels shares psi poly's ceiling
+        assert SYMBOLIC_INDEX == 2 * MAX_DEGREE == LIMITS["verify eightlevels"].ceiling
+
 
 class TestBinaryForm:
     def test_coefficients_match_the_sparse_recurrence(self):
-        oracle = psi_symbolic_sequence(SYMBOLIC_INDEX_CAP)
+        oracle = psi_symbolic_sequence(SYMBOLIC_INDEX)
         for n, expected in enumerate(oracle):
             m = half(n)
             coeffs = psi_coeffs(n)
@@ -149,13 +156,13 @@ class TestBinaryForm:
 
     def test_absolute_coefficients_sum_to_at_most_psi_at_minus_one_minus_five(self):
         # the bound that keeps the Kronecker digits of psi_coeffs apart
-        for n in range(SYMBOLIC_INDEX_CAP + 1):
+        for n in range(SYMBOLIC_INDEX + 1):
             assert sum(map(abs, psi_coeffs(n))) <= abs(psi_recurrence(-1, -5, n)), n
 
     def test_coefficients_at_seeded_points(self):
         rng = random.Random(18)
         for _ in range(60):
-            n, a, b = rng.randint(0, SYMBOLIC_INDEX_CAP), rng.randint(-9, 9), rng.randint(-9, 9)
+            n, a, b = rng.randint(0, SYMBOLIC_INDEX), rng.randint(-9, 9), rng.randint(-9, 9)
             m = half(n)
             value = sum(c * a**j * b ** (m - j) for j, c in enumerate(psi_coeffs(n)))
             assert value == psi_recurrence(a, b, n), (n, a, b)
@@ -323,6 +330,25 @@ class TestWalkAtScale:
         self._check(a, b, n)
 
 
+class TestWalksOverLongIndices:
+    """Both walks over a 100,000-bit index, which they read one digit at a
+    time, against the matrix power at small moduli."""
+
+    N = random.Random(100_000).getrandbits(100_000) | 1 << 99_999
+
+    def test_lucas_walk(self):
+        # at a = 1, t = -b and psi(1, b, 2j) = V_j; the walk to N + 1 checks V_(N+1)
+        m, t = (1 << 61) - 1, -7
+        v, w = _lucas_walk(self.N, t, m.__rmod__)
+        assert v == psi_matrix_mod(1, 7, 2 * self.N, m)
+        assert w == _lucas_walk(self.N + 1, t, m.__rmod__)[0]
+
+    def test_psi_walk(self):
+        # an odd index, and one with five trailing zero bits to square down
+        for m, a, b, n in ((1009, 3, 11, self.N | 1), ((1 << 61) - 1, 5, 2, self.N << 5)):
+            assert walk(a, b, n, m) == psi_matrix_mod(a, b, n, m), m
+
+
 class TestSharedCofactor:
     """The ladder walks only the part of m made of the primes that a, or d at
     odd n, shares with it, and takes the chain on the rest."""
@@ -332,9 +358,9 @@ class TestSharedCofactor:
         agree with the matrix power."""
         seen = []
 
-        def spy(a, d, n, reduce):
-            seen.append(reduce.__self__)
-            return _psi_walk(a, d, n, reduce)
+        def spy(a, d, n, modulus):
+            seen.append(modulus)
+            return _psi_walk(a, d, n, modulus)
 
         monkeypatch.setattr(psicore, "_psi_walk", spy)
         assert psi_mod_ladder(a, b, n, m) == psi_matrix_mod(a, b, n, m)
