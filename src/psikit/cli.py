@@ -14,6 +14,7 @@ import argparse
 import functools
 import io
 import json
+import re
 import sys
 import time
 from math import isqrt
@@ -533,6 +534,8 @@ def _build(words: tuple) -> argparse.ArgumentParser:
     help_, spec = _spec(words)
     parser = argparse.ArgumentParser(prog=" ".join(("psikit",) + words), description=help_,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    # -1/3 is a value, as argparse takes -1 and -1.5 already
+    parser._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     if not isinstance(spec, dict):
         arguments = _GLOBAL_FLAGS + spec
     else:

@@ -30,6 +30,7 @@ __all__ = [
     "power_sum_poly",
     "apply_direction",
     "coeff_table_polys",
+    "coeff_table_arrays",
     "coeff_row_terms",
     "coeff_table_text",
     "coeff_row_texts",
@@ -116,6 +117,29 @@ def coeff_table_polys(n: int) -> tuple[SparsePoly, ...]:
     return tuple(
         SparsePoly(_TABLE_VARS, dict(coeff_row_terms(coeffs, r))) for r in range(len(coeffs))
     )
+
+
+def coeff_table_arrays(n: int) -> list[list[list[int]]] | None:
+    """The rows for index n as integer arrays from ``coeff_row_terms``: row r is
+    (m - r + 1) x (r + 1), [e][k] the coefficient of a**e * alpha**k *
+    b**(m - r - e) * beta**(r - k); None if a term's b or beta exponent does
+    not fit, so the shape carries the bidegree.  Bounded by ``table_degree``."""
+    m = table_degree(n)
+    coeffs = psi_coeffs(n)
+    rows = [[[0] * (r + 1) for _ in range(m - r + 1)] for r in range(m + 1)]
+    for r, row in enumerate(rows):
+        for (e, k, j, l), c in coeff_row_terms(coeffs, r):
+            if j != m - r - e or l != r - k:
+                return None
+            row[e][k] = c
+    return rows
+
+
+def _along(form: list) -> list:
+    """D = alpha*d/da + beta*d/db on a form's array, shape (M, R) to (M - 1, R + 1)."""
+    top = len(form) - 1
+    return [[(e + 1) * x + (top - e) * y for x, y in zip([0] + form[e + 1], form[e] + [0])]
+            for e in range(top)]
 
 
 def coeff_table_text(n: int) -> list[str]:
@@ -315,34 +339,23 @@ def expand_powersum_basis(n: int) -> list[int]:
 
 
 def theta_sum_check(n: int) -> bool:
-    """Generating-function identities of the coefficient family.
-
-    Checks, fully symbolically:
-      * sum_r coeff_r * theta**r            == psi(a - alpha*theta, b - beta*theta, n)
-      * the theta = +/-1 specialisations
-      * the homogenised two-parameter form in (xi, eta)
-      * the binomial-weighted derivative shifts of both, for every k.
-    """
-    m = _degree(n)
-    rows = coeff_table_polys(n)
-    theta, xi, eta, a, b, alpha, beta = variables("theta xi eta a b alpha beta")
-    psi_ab = psi_symbolic(n)
-    one = SparsePoly.constant(1)
-    shift = {"a": a - alpha * theta, "b": b - beta * theta}
-    homog = {"a": a * xi - alpha * eta, "b": b * xi - beta * eta}
-    for p, q, image in ((one, theta, shift), (one, one, {"a": a - alpha, "b": b - beta}),
-                        (one, -one, {"a": a + alpha, "b": b + beta}), (xi, eta, homog)):
-        if form_at(rows, p, q) != psi_ab.subst(image):
-            return False
-
-    # sum_r C(r, k) * rows[r] * theta**(r - k), and its twin with
-    # xi**(m - r) * eta**(r - k), are forms of degree m - k
-    for k in range(m + 1):
-        weighted = [comb(r, k) * rows[r] for r in range(k, m + 1)]
-        if form_at(weighted, one, theta) != rows[k].subst(shift):
-            return False
-        if form_at(weighted, xi, eta) != rows[k].subst(homog):
-            return False
+    """sum_r coeff_r * theta**r == psi(a - alpha*theta, b - beta*theta, n) and its
+    shifts sum_r C(r, k) * coeff_r * theta**(r-k) == coeff_k(a - alpha*theta,
+    b - beta*theta), on the rows' arrays.  By Taylor's theorem along
+    D = alpha*d/da + beta*d/db they say: row 0 is psi, and D**j row k ==
+    (-1)**j * j! * C(k+j, j) * row k+j (k = 0: D**r psi).  The rows come from the
+    binomial closed form, the check iterates D.  With the bidegrees the shapes
+    fix, the theta = +-1 and (xi, eta) forms follow.  All of it holds for every
+    binary form of degree m, so it checks the table, not psi."""
+    _degree(n)
+    rows = coeff_table_arrays(n)
+    if rows is None or rows[0] != [[c] for c in psi_coeffs(n)]:
+        return False
+    for k, current in enumerate(rows):
+        for j in range(1, len(rows) - k):
+            current, c = _along(current), (-1) ** j * factorial(j) * comb(k + j, j)
+            if current != [[c * x for x in line] for line in rows[k + j]]:
+                return False
     return True
 
 
@@ -368,38 +381,36 @@ def scaling_check(n: int) -> bool:
 
 
 def first_fundamental_check(n: int) -> bool:
-    """Both derivative ladders between neighbouring coefficients, which hold
-    for the table of every binary form of degree m:
+    """Both derivative ladders between neighbouring coefficients, zero past
+    either end, on the rows' arrays (the second operator is the first on the
+    transposed array); they hold for the table of every binary form of degree m:
 
         (alpha*d/da + beta*d/db) coeff_r = -(r+1) * coeff_{r+1}
-        (a*d/dalpha + b*d/dbeta) coeff_r = -(m-r+1) * coeff_{r-1}
-    """
+        (a*d/dalpha + b*d/dbeta) coeff_r = -(m-r+1) * coeff_{r-1}"""
     m = _degree(n)
-    rows = coeff_table_polys(n)
-    alpha, beta, a, b = variables("alpha beta a b")
-    for r in range(m + 1):
-        up = apply_direction(rows[r], alpha, beta)
-        expected_up = SparsePoly.zero() if r == m else -(r + 1) * rows[r + 1]
-        if up != expected_up:
-            return False
-        down = apply_direction(rows[r], a, b, "alpha", "beta")
-        expected_down = SparsePoly.zero() if r == 0 else -(m - r + 1) * rows[r - 1]
-        if down != expected_down:
+    rows = coeff_table_arrays(n)
+    if rows is None:
+        return False
+    for r, row in enumerate(rows):
+        up = [[-(r + 1) * x for x in line] for line in rows[r + 1]] if r < m else []
+        down = [[(r - m - 1) * x for x in line] for line in rows[r - 1]] if r else []
+        dual = [list(column) for column in zip(*_along([list(c) for c in zip(*row)]))]
+        if _along(row) != up or dual != down:
             return False
     return True
 
 
 def second_fundamental_check(n: int) -> bool:
     """The m-th derivative power collapses psi(a,b,n) onto psi(alpha,beta,n),
-    as it does every binary form of degree m; the power-sum half pins psi:
-    psi(xy, -(x^2+y^2), n) (``power_sum_representation_check``) and the
-    independent basis expansion over (xy, x^2+y^2) are the power sum."""
-    m = _degree(n)
-    alpha, beta = variables("alpha beta")
-    current = psi_symbolic(n)
+    as it does every binary form of degree m (on psi's array, a column); the
+    power-sum half pins psi: psi(xy, -(x^2+y^2), n) (``power_sum_representation_check``)
+    and the independent basis expansion over (xy, x^2+y^2) are the power sum."""
+    _degree(n)
+    m = symbolic_degree(n)
+    current = [[c] for c in psi_coeffs(n)]
     for _ in range(m):
-        current = apply_direction(current, alpha, beta)
-    if current != factorial(m) * psi_symbolic(n, "alpha", "beta"):
+        current = _along(current)
+    if current != [[factorial(m) * c for c in psi_coeffs(n)]]:
         return False
     x, y = variables("x y")
     rebuilt = form_at(expand_powersum_basis(n), x * y, x * x + y * y)

@@ -15,8 +15,8 @@ _TEST = "mersenne test --method "
 LIMITS = {name: Limit(*fields) for name, fields in {
     "verify eightlevels": ("verify eightlevels", "--nmax", 1, _SYMBOLIC),  # 0.2-0.35 s
     "verify powersums": ("verify powersums", "--nmax", 2, 10),  # 0.06-0.08 s
-    "verify theta": ("verify theta", "--nmax", 1, 37),  # 0.4-0.6 s
-    "verify fundamental": ("verify fundamental", "--nmax", 1, 51),  # 0.45-0.65 s
+    "verify theta": ("verify theta", "--nmax", 1, 37),  # 0.1-0.16 s
+    "verify fundamental": ("verify fundamental", "--nmax", 1, 51),  # 0.3-0.4 s
     "bridges check": ("bridges check", "--nmax", 0, 64),  # 0.1 s
     # 0.6-0.65 s; each step of l takes its sums 4 to 5 times longer
     "identities tau": ("identities tau", "--l", 3, 15),

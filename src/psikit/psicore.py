@@ -369,13 +369,14 @@ def _alongside(work, a: int, d: int, n: int, m: int) -> tuple[int, int]:
     child computes the factor while work() runs here, and sends it back over a
     pipe.  If the fork fails, or the child exits non-zero or sends a short
     reply, the factor is computed here; the child is always reaped, and
-    killed first if work() raises."""
+    killed first if work() raises, or on Linux when a signal ends this process."""
     if not _fork_pays(a, n, m):
         return work(), _finishing_factor(a, d, n, m)
     import os
     import signal
 
     size = (m.bit_length() + 7) // 8
+    parent = os.getpid()
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -386,6 +387,13 @@ def _alongside(work, a: int, d: int, n: int, m: int) -> tuple[int, int]:
     if pid == 0:
         status = 1
         try:
+            if os.uname().sysname == "Linux":  # ctypes only in the child
+                import ctypes
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+                prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+            if os.getppid() != parent:  # it died before the prctl
+                os._exit(status)
             os.close(r)
             reply = memoryview(_finishing_factor(a, d, n, m).to_bytes(size, "little"))
             while reply:

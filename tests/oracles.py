@@ -9,7 +9,7 @@ from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_t
 from psikit.eightlevels import apply_direction, coeff_table_polys, power_sum_poly
 from psikit.exactmath import RadicandMismatchError
 from psikit.mersenne import TestReport
-from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, variables
+from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, form_at, variables
 from psikit.psicore import _square_chain, half, psi_symbolic, psi_terms
 
 
@@ -389,6 +389,63 @@ def expansion_sides_by_powers(n: int) -> tuple[SparsePoly, SparsePoly]:
     q2 = a * x**2 + b * x * y + a * y**2
     lhs = (beta * a - alpha * b) ** m * power_sum_poly(n)
     return lhs, form_by_powers(coeff_table_polys(n), q1, q2)
+
+
+# The theta and fundamental checks on polynomials: the oracles of the array
+# checks in ``eightlevels``, for the table ``rows`` of the binary form ``psi``
+# in (a, b).
+
+
+def theta_sum_by_polys(psi: SparsePoly, rows) -> bool:
+    """sum_r rows[r] * theta**r == psi(a - alpha*theta, b - beta*theta), its
+    theta = +-1 specialisations and its homogenised form in (xi, eta), and the
+    binomial-weighted derivative shifts of the theta and (xi, eta) forms,
+    each a polynomial identity.  The oracle of ``theta_sum_check``."""
+    m = len(rows) - 1
+    theta, xi, eta, a, b, alpha, beta = variables("theta xi eta a b alpha beta")
+    one = SparsePoly.constant(1)
+    shift = {"a": a - alpha * theta, "b": b - beta * theta}
+    homog = {"a": a * xi - alpha * eta, "b": b * xi - beta * eta}
+    for p, q, image in ((one, theta, shift), (one, one, {"a": a - alpha, "b": b - beta}),
+                        (one, -one, {"a": a + alpha, "b": b + beta}), (xi, eta, homog)):
+        if form_at(rows, p, q) != psi.subst(image):
+            return False
+    # sum_r C(r, k) * rows[r] * theta**(r - k), and its twin with
+    # xi**(m - r) * eta**(r - k), are forms of degree m - k
+    for k in range(m + 1):
+        weighted = [comb(r, k) * rows[r] for r in range(k, m + 1)]
+        if form_at(weighted, one, theta) != rows[k].subst(shift):
+            return False
+        if form_at(weighted, xi, eta) != rows[k].subst(homog):
+            return False
+    return True
+
+
+def first_fundamental_by_polys(rows) -> bool:
+    """(alpha*d/da + beta*d/db) rows[r] == -(r+1) * rows[r+1] and
+    (a*d/dalpha + b*d/dbeta) rows[r] == -(m-r+1) * rows[r-1], zero past
+    either end.  The oracle of ``first_fundamental_check``."""
+    m = len(rows) - 1
+    alpha, beta, a, b = variables("alpha beta a b")
+    for r in range(m + 1):
+        up = apply_direction(rows[r], alpha, beta)
+        if up != (SparsePoly.zero() if r == m else -(r + 1) * rows[r + 1]):
+            return False
+        down = apply_direction(rows[r], a, b, "alpha", "beta")
+        if down != (SparsePoly.zero() if r == 0 else -(m - r + 1) * rows[r - 1]):
+            return False
+    return True
+
+
+def euler_collapse_by_polys(psi: SparsePoly, m: int) -> bool:
+    """(alpha*d/da + beta*d/db)**m psi == m! * psi(alpha, beta) for the form
+    psi of degree m: the oracle of the derivative half of
+    ``second_fundamental_check``."""
+    alpha, beta = variables("alpha beta")
+    current = psi
+    for _ in range(m):
+        current = apply_direction(current, alpha, beta)
+    return current == factorial(m) * psi.subst({"a": alpha, "b": beta})
 
 
 def reduce_square(poly: SparsePoly, var: str, value) -> SparsePoly:

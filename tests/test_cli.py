@@ -74,6 +74,15 @@ class TestPsiCommands:
             assert code == EXIT_OK, (a, b, n)
             assert recs[0]["value"] == str(psi_recurrence(a, b, n)), (a, b, n)
 
+    def test_a_negative_fraction_is_a_value_after_its_option(self, capsys):
+        # argparse takes -1 and -1.5 as values, and so -1/3, with or without "="
+        for option, value, other in (("--a", "-1/3", "--b"), ("--b", "-2/5", "--a")):
+            spaced = run_cli("psi", "eval", option, value, other, "1", "--n", "5")
+            assert spaced == run_cli("psi", "eval", f"{option}={value}", other, "1", "--n", "5")
+            assert spaced[0] == EXIT_OK
+        assert run_cli("psi", "eval", "--a", "--b", "1", "--n", "5") == (EXIT_USAGE, "")
+        assert "argument --a: expected one argument" in capsys.readouterr().err
+
     def test_ladder_power_syntax(self):
         code, recs = run_json(
             "psi", "ladder", "--a", "1", "--b", "4", "--n", "2^12", "--mod", "8191"

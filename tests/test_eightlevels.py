@@ -34,10 +34,13 @@ from oracles import (
     coeff_table_binomial,
     coeff_via_basechange,
     divided,
+    euler_collapse_by_polys,
     eval_scalar,
     expansion_sides_by_powers,
+    first_fundamental_by_polys,
     power_sum_by_division,
     powersum_basis_by_elimination,
+    theta_sum_by_polys,
 )
 
 A, B, AL, BE = variables("a b alpha beta")
@@ -212,9 +215,22 @@ def _flipped_list(coeffs: list[int]) -> list[int]:
     return coeffs[:first] + [-coeffs[first]] + coeffs[first + 1:]
 
 
+def _flipped_row(rows: list, r: int) -> list:
+    """The array table ``rows`` with the sign of the first non-zero entry of
+    row r flipped."""
+    row = [list(line) for line in rows[r]]
+    e, k = next((e, k) for e, line in enumerate(row) for k, c in enumerate(line) if c)
+    row[e][k] = -row[e][k]
+    return rows[:r] + [row] + rows[r + 1:]
+
+
 class TestSymbolicChecksDetectCorruption:
     """Each symbolic check fails once one coefficient of the table or of
-    psi(a, b, n) is wrong, so no fast path can make a check vacuous."""
+    psi(a, b, n) is wrong, so no fast path can make a check vacuous.  The
+    theta and first fundamental checks read the table from
+    ``coeff_table_arrays`` and psi from ``psi_coeffs``; the expansion and
+    scaling read ``coeff_table_polys``, and the power-sum half of the second
+    fundamental check ``psi_symbolic``.  Each fixture spoils what they read."""
 
     @pytest.fixture
     def bad_row(self, monkeypatch):
@@ -222,6 +238,8 @@ class TestSymbolicChecksDetectCorruption:
 
         orig = el.coeff_table_polys
         monkeypatch.setattr(el, "coeff_table_polys", lambda n: (_flipped(orig(n)[0]), *orig(n)[1:]))
+        arrays = el.coeff_table_arrays
+        monkeypatch.setattr(el, "coeff_table_arrays", lambda n: _flipped_row(arrays(n), 0))
         return el
 
     @pytest.fixture
@@ -230,6 +248,12 @@ class TestSymbolicChecksDetectCorruption:
 
         orig = el.psi_symbolic
         monkeypatch.setattr(el, "psi_symbolic", lambda *args: _flipped(orig(*args)))
+        # psi_coeffs goes wrong while the array table stays that of the true
+        # psi, so it is built before the patch, for the indices tested
+        tables = {n: el.coeff_table_arrays(n) for n in range(1, 13)}
+        monkeypatch.setattr(el, "coeff_table_arrays", tables.__getitem__)
+        coeffs = el.psi_coeffs
+        monkeypatch.setattr(el, "psi_coeffs", lambda n: _flipped_list(coeffs(n)))
         return el
 
     def test_a_wrong_row(self, bad_row):
@@ -241,6 +265,33 @@ class TestSymbolicChecksDetectCorruption:
         # at n = 1 the one row is a constant, self-dual and flat
         for n in range(2, 13):
             assert not el.scaling_check(n)
+            assert not el.first_fundamental_check(n)
+
+    def test_a_wrong_interior_row(self, monkeypatch):
+        import psikit.eightlevels as el
+
+        arrays = el.coeff_table_arrays
+        monkeypatch.setattr(
+            el, "coeff_table_arrays", lambda n: _flipped_row(arrays(n), half(n) // 2)
+        )
+        for n in range(2, 13):
+            assert not el.theta_sum_check(n)
+            assert not el.first_fundamental_check(n)
+
+    def test_a_row_term_outside_the_rows_shape(self, monkeypatch):
+        # a term whose b exponent does not fit the row's shape fails the array checks
+        import psikit.eightlevels as el
+
+        terms = el.coeff_row_terms
+
+        def spoiled(coeffs, r):
+            for (e, k, j, l), c in terms(coeffs, r):
+                yield (e, k, j + (r == 0), l), c
+
+        monkeypatch.setattr(el, "coeff_row_terms", spoiled)
+        for n in range(1, 13):
+            assert el.coeff_table_arrays(n) is None
+            assert not el.theta_sum_check(n)
             assert not el.first_fundamental_check(n)
 
     def test_a_wrong_base_polynomial(self, bad_psi):
@@ -316,6 +367,63 @@ class TestSymbolicChecksDetectCorruption:
         self._corrupt(monkeypatch, me, "psi_symbolic", _flipped)
         for l in (3, 4, 5):
             assert not me.tau_polynomial_identity(l)
+
+
+def _array_polys(rows: list) -> tuple:
+    """The array table ``rows`` as polynomials in a, alpha, b and beta."""
+    m = len(rows) - 1
+    return tuple(
+        SparsePoly(("a", "alpha", "b", "beta"), {
+            (e, k, m - r - e, r - k): c for e, line in enumerate(row) for k, c in enumerate(line)
+        })
+        for r, row in enumerate(rows)
+    )
+
+
+class TestArrayChecksMatchPolynomialOracles:
+    """The theta and fundamental checks on integer arrays against their
+    polynomial versions in ``oracles``."""
+
+    def test_agree_up_to_the_ceilings(self):
+        for n in range(1, LIMITS["verify theta"].ceiling + 1):
+            rows = coeff_table_polys(n)
+            assert theta_sum_check(n) and theta_sum_by_polys(psi_symbolic(n), rows), n
+        for n in range(1, LIMITS["verify fundamental"].ceiling + 1):
+            rows = coeff_table_polys(n)
+            assert first_fundamental_check(n) and first_fundamental_by_polys(rows), n
+            assert second_fundamental_check(n), n
+            assert euler_collapse_by_polys(psi_symbolic(n), half(n)), n
+
+    def test_random_forms_pass_and_the_same_corruptions_fail(self, monkeypatch):
+        # any binary form of degree m has a table that passes both checks;
+        # n = 2m reads that form in place of psi(a, b, n)
+        import psikit.eightlevels as el
+
+        rng = random.Random(12)
+        true_arrays = el.coeff_table_arrays
+        for m in range(1, 13):
+            coeffs = [rng.randint(-9, 9) for _ in range(m + 1)]
+            coeffs[rng.randrange(m + 1)] = rng.choice((-1, 1)) * rng.randint(1, 9)
+            psi = SparsePoly.binary_form(coeffs, "a", "b")
+            monkeypatch.setattr(el, "psi_coeffs", lambda n, coeffs=coeffs: list(coeffs))
+            monkeypatch.setattr(el, "coeff_table_arrays", true_arrays)
+            rows = true_arrays(2 * m)
+            polys = _array_polys(rows)
+            assert rows[0] == [[c] for c in coeffs]
+            assert el.theta_sum_check(2 * m) and theta_sum_by_polys(psi, polys), m
+            assert el.first_fundamental_check(2 * m) and first_fundamental_by_polys(polys), m
+            # the power-sum half reads psi_symbolic, the true psi
+            assert el.second_fundamental_check(2 * m) and euler_collapse_by_polys(psi, m), m
+            for _ in range(4):
+                r = rng.randrange(m + 1)
+                bad = [[list(line) for line in row] for row in rows]
+                line = bad[r][rng.randrange(m - r + 1)]
+                line[rng.randrange(r + 1)] += rng.choice((-2, -1, 1, 2))
+                monkeypatch.setattr(el, "coeff_table_arrays", lambda n, bad=bad: bad)
+                spoiled = _array_polys(bad)
+                assert not el.theta_sum_check(2 * m) and not theta_sum_by_polys(psi, spoiled)
+                assert not el.first_fundamental_check(2 * m)
+                assert not first_fundamental_by_polys(spoiled)
 
 
 class TestBasisCoefficients:

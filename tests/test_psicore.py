@@ -1,9 +1,14 @@
 import os
 import random
+import signal
+import subprocess
+import sys
 import threading
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -501,6 +506,45 @@ class TestForkedFactor:
             with pytest.raises(RuntimeError, match="the walk breaks"):
                 psi_mod_ladder(a, b, n, self.M)
             assert no_child_left()
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or len(os.sched_getaffinity(0)) < 2,
+    reason="the child's PR_SET_PDEATHSIG is Linux's, and the ladder forks only on two CPUs",
+)
+def test_a_killed_ladder_leaves_no_child_running():
+    # a 14,000-bit index and modulus, below the ladder's work ceiling: the
+    # forked child's power runs for seconds after its parent is SIGKILLed
+    assert 14_001 * 14_001**2 <= LIMITS["psi ladder work"].ceiling
+    argv = ["psi", "ladder", "--a", "3", "--b", "1", "--n", "2^14000+1", "--mod", "2^14000+1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(psicore.__file__).parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "psikit.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, start_new_session=True)
+    pgid = proc.pid
+    try:
+        time.sleep(0.5)
+        children = Path(f"/proc/{pgid}/task/{pgid}/children")
+        if children.exists():  # on a slow start, wait for the fork
+            deadline = time.monotonic() + 5
+            while not children.read_text().split() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert children.read_text().split(), "the ladder did not fork"
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 2
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the ladder's child outlived it"
+            time.sleep(0.05)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def must_not_fork():
