@@ -6,6 +6,18 @@ Every bridge pairs a psi-side value with an independently computed oracle
 formulas) and an index predicate; several identities hold only on power-of-two
 indices and are registered with that restriction rather than asserted
 globally.
+
+The three polynomial bridges, Pell-Lucas and Chebyshev in x and Dickson in
+(x, alpha), compare integers, not polynomials: each side is evaluated exactly
+at one packed point, x = 2**K, or x = 1 and alpha = 2**K for Dickson, where
+both sides are weighted-homogeneous of weight n (x weighs 1, alpha 2), so
+x = 1 drops no monomial.  K is fixed before any value is built: each side's
+recurrence u_(k+1) = A_k u_k + B u_(k-1) runs once on 1-norms,
+||u_(k+1)|| <= ||A_k|| ||u_k|| + ||B|| ||u_(k-1)||, and K is
+``psicore.packing_bits`` of the largest bound.  Every coefficient of the
+difference of the two sides is then below 2**K in absolute value, so equal
+integers mean equal polynomials: the check is exact, not sampled.  The
+polynomial recurrences are the oracles of this route in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,8 +28,7 @@ from itertools import islice
 
 from .eightlevels import coeff_values
 from .exactmath import GOLDEN_RATIO, QuadExt, SQRT2, SQRT3, SQRT5
-from .multipoly import SparsePoly, variables
-from .psicore import half, parity, psi_sequence, psi_terms
+from .psicore import half, packing_bits, parity, psi_sequence, psi_terms
 from .records import Record
 
 __all__ = [
@@ -26,9 +37,6 @@ __all__ = [
     "lucas_terms",
     "fibonacci_terms",
     "pell_lucas_terms",
-    "pell_lucas_poly_terms",
-    "chebyshev_t_terms",
-    "dickson_d_terms",
     "default_bridges",
     "detect_period",
     "PERIOD_CATALOGUE",
@@ -61,21 +69,52 @@ def _poly_terms(n_max: int, first, second, step) -> list:
     return terms
 
 
-def pell_lucas_poly_terms(n_max: int) -> list[SparsePoly]:
-    (x,) = variables("x")
-    return _poly_terms(
-        n_max, SparsePoly.constant(2), 2 * x, lambda a, b: 2 * x * b + a
-    )
+def _pell_lucas_at(t: int) -> Callable[[int], list[int]]:
+    """The Pell-Lucas polynomials Q_0..Q_n_max at x = t, for n_max given:
+    Q_0 = 2, Q_1 = 2x and Q_(k+2) = 2x Q_(k+1) + Q_k."""
+    return lambda n_max: _poly_terms(n_max, 2, 2 * t, lambda a, b: 2 * t * b + a)
 
 
-def chebyshev_t_terms(n_max: int) -> list[SparsePoly]:
-    (x,) = variables("x")
-    return _poly_terms(n_max, SparsePoly.constant(1), x, lambda a, b: 2 * x * b - a)
+def _chebyshev_at(t: int) -> Callable[[int], list[int]]:
+    """2**parity(n + 1) * T_n at x = t for n = 0..n_max, for n_max given, with
+    the Chebyshev polynomials T_0 = 1, T_1 = x and T_(k+2) = 2x T_(k+1) - T_k."""
+    return lambda n_max: [
+        2 ** parity(n + 1) * v
+        for n, v in enumerate(_poly_terms(n_max, 1, t, lambda a, b: 2 * t * b - a))
+    ]
 
 
-def dickson_d_terms(n_max: int) -> list[SparsePoly]:
-    x, al = variables("x alpha")
-    return _poly_terms(n_max, SparsePoly.constant(2), x, lambda a, b: x * b - al * a)
+def _dickson_at(t: int) -> Callable[[int], list[int]]:
+    """The Dickson polynomials D_0..D_n_max at x = 1 and alpha = t, for n_max
+    given: D_0 = 2, D_1 = x and D_(k+2) = x D_(k+1) - alpha D_k."""
+    return lambda n_max: _poly_terms(n_max, 2, 1, lambda a, b: b - t * a)
+
+
+def _packing_point(n_max: int, *sides: tuple) -> int:
+    """The point 2**K at which the terms 0..n_max of ``sides`` are compared.
+    A side is the 1-norms (u_0, u_1, A_odd, A_even, B, F) of its recurrence
+    u_(k+1) = A_k u_k + B u_(k-1), with A_k at odd and at even k, and of the
+    factor F on each term.  Each side's recurrence runs once on the norms, its
+    largest norm times F bounds the side, and K is ``packing_bits`` of the
+    bounds."""
+    bounds = []
+    for lo, hi, odd, even, back, factor in sides:
+        norms = [lo, hi]
+        for k in range(1, n_max):
+            norms.append((odd if k % 2 else even) * norms[-1] + back * norms[-2])
+        bounds.append(factor * max(norms))
+    return 1 << packing_bits(*bounds)
+
+
+def _packed(values, oracle, *sides: tuple) -> tuple:
+    """The values and oracle of a polynomial bridge compared at one packed
+    point t: ``values(t)`` and ``oracle(t)`` map n_max to that side's terms
+    0..n_max at t, and t is ``_packing_point`` of n_max and ``sides``."""
+
+    def at(side):
+        return lambda n_max: side(_packing_point(n_max, *sides))(n_max)
+
+    return at(values), at(oracle)
 
 
 # -- bridge registry ----------------------------------------------------------
@@ -163,7 +202,6 @@ _POW2_SET = (16, 32, 64)
 
 def default_bridges() -> list[BridgeSpec]:
     """The registry behind ``bridges check`` / ``bridges list``."""
-    x, al = variables("x alpha")
     specs = [
         BridgeSpec(
             "lucas",
@@ -218,25 +256,42 @@ def default_bridges() -> list[BridgeSpec]:
         BridgeSpec(
             "pell-lucas-polynomials",
             "(2x)**parity(n) * psi(-1, -2-4x^2, n) equals the Pell-Lucas polynomial",
-            _psi_values(-1, -2 - 4 * x**2, lambda v, n: (2 * x) ** parity(n) * v),
-            pell_lucas_poly_terms,
+            *_packed(
+                lambda t: _psi_values(-1, -2 - 4 * t * t, lambda v, n: (2 * t) ** parity(n) * v),
+                _pell_lucas_at,
+                # psi: A_odd = d = 2a - b = 4x^2, A_even = 1, B = -a = 1, F = (2x)**parity(n)
+                (2, 1, 4, 1, 1, 2),
+                # Q: A = 2x, B = 1
+                (2, 2, 2, 2, 1, 1),
+            ),
             _all_indices,
         ),
         BridgeSpec(
             "dickson-first-kind",
             "x**parity(n) * psi(alpha, 2*alpha - x^2, n) equals the Dickson polynomial",
-            _psi_values(al, 2 * al - x**2, lambda v, n: x ** parity(n) * v),
-            dickson_d_terms,
+            # at x = 1, x**parity(n) is 1
+            *_packed(
+                lambda t: _psi_values(t, 2 * t - 1),
+                _dickson_at,
+                # psi: A_odd = d = x^2, B = -a = -alpha
+                (2, 1, 1, 1, 1, 1),
+                # D: A = x, B = -alpha
+                (2, 1, 1, 1, 1, 1),
+            ),
             _all_indices,
         ),
         BridgeSpec(
             "chebyshev-first-kind",
             "x**parity(n)/2**parity(n+1) * psi(1, 2-4x^2, n) equals the Chebyshev polynomial",
-            _psi_values(1, 2 - 4 * x**2, lambda v, n: x ** parity(n) * v),
             # the 1/2**parity(n+1) of the description, multiplied through
-            lambda n_max: [
-                2 ** parity(n + 1) * t for n, t in enumerate(chebyshev_t_terms(n_max))
-            ],
+            *_packed(
+                lambda t: _psi_values(1, 2 - 4 * t * t, lambda v, n: t ** parity(n) * v),
+                _chebyshev_at,
+                # psi: A_odd = d = 4x^2, B = -a = -1, F = x**parity(n)
+                (2, 1, 4, 1, 1, 1),
+                # T: A = 2x, B = -1, F = 2**parity(n + 1)
+                (1, 1, 2, 2, 1, 2),
+            ),
             _all_indices,
         ),
         BridgeSpec(

@@ -198,21 +198,28 @@ def _psi_record(command: str, a, b, n: int, m: int | None) -> dict:
     }
 
 
+def _require_integers(a, b) -> None:
+    """Refuse a fraction as a parameter of the modular route."""
+    if not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError("modular evaluation needs integer parameters")
+
+
 def _cmd_psi(args):
     if args.psi_command == "eval":
         mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
         a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-        if mod is not None and not (isinstance(a, int) and isinstance(b, int)):
-            raise ValueError("modular evaluation needs integer parameters")
+        if mod is not None:
+            _require_integers(a, b)
         return [_psi_record("psi-eval", a, b, _parse_index(args.n), mod)]
     if args.psi_command == "poly":
         symbolic_degree(args.n)
         # psi(a, b, n) is row 0 of its own coefficient table
         text = eightlevels.coeff_row_texts(psi_coeffs(args.n), 1)[0]
         return [{"command": "psi-poly", "n": args.n, "poly": text}]
-    # ladder
-    a = int(args.a)
-    b = int(args.b)
+    # ladder: a fraction is read, and refused, as by eval --mod; any other
+    # text is read by int()
+    a, b = (_parse_scalar(t) if "/" in t else int(t) for t in (args.a, args.b))
+    _require_integers(a, b)
     n = _parse_index(args.n)
     m = _parse_index(args.mod, 2, "modulus")
     return [_psi_record("psi-ladder", a, b, n, m)]

@@ -24,7 +24,15 @@ from math import comb, factorial
 from .errors import CapacityError
 from .limits import LIMITS
 from .multipoly import SparsePoly, as_poly, form_at, format_terms, power_texts, variables
-from .psicore import half, parity, psi_coeffs, psi_recurrence, psi_symbolic, symbolic_degree
+from .psicore import (
+    half,
+    packing_bits,
+    parity,
+    psi_coeffs,
+    psi_recurrence,
+    psi_symbolic,
+    symbolic_degree,
+)
 
 __all__ = [
     "power_sum_poly",
@@ -404,7 +412,14 @@ def second_fundamental_check(n: int) -> bool:
     """The m-th derivative power collapses psi(a,b,n) onto psi(alpha,beta,n),
     as it does every binary form of degree m (on psi's array, a column); the
     power-sum half pins psi: psi(xy, -(x^2+y^2), n) (``power_sum_representation_check``)
-    and the independent basis expansion over (xy, x^2+y^2) are the power sum."""
+    and the independent basis expansion over (xy, x^2+y^2) are the power sum.
+
+    The basis expansion is rebuilt at one packed integer point:
+    form_at(basis, x*y, x*x + y*y) == power_sum_poly(n) are binary forms of
+    degree 2m on both sides, so y = 1 drops no monomial, and x = 2**K.  The
+    term (xy)**(m-k) * (x^2+y^2)**k has 1-norm 2**k, so the rebuilt side has
+    1-norm at most sum_k |c_k| * 2**k and the power sum at most n; K is
+    ``packing_bits`` of both, and equal integers mean equal forms."""
     _degree(n)
     m = symbolic_degree(n)
     current = [[c] for c in psi_coeffs(n)]
@@ -412,9 +427,11 @@ def second_fundamental_check(n: int) -> bool:
         current = _along(current)
     if current != [[factorial(m) * c for c in psi_coeffs(n)]]:
         return False
-    x, y = variables("x y")
-    rebuilt = form_at(expand_powersum_basis(n), x * y, x * x + y * y)
-    return power_sum_representation_check(n) and rebuilt == power_sum_poly(n)
+    basis = expand_powersum_basis(n)
+    x = 1 << packing_bits(n, sum(abs(c) << k for k, c in enumerate(basis)))
+    # (x**n + y**n) / (x + y)**parity(n) at y = 1
+    rebuilt = form_at(basis, x, x * x + 1) == (x**n + 1) // (x + 1) ** parity(n)
+    return power_sum_representation_check(n) and rebuilt
 
 
 def power_sum_representation_check(n: int) -> bool:

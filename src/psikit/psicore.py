@@ -63,6 +63,7 @@ __all__ = [
     "psi_sequence",
     "psi_explicit",
     "psi_coeffs",
+    "packing_bits",
     "psi_symbolic",
     "symbolic_degree",
     "psi_bit_bound",
@@ -135,11 +136,11 @@ def psi_coeffs(n: int) -> list[int]:
     sum_j c_j * 2**(K*j), read off as m + 1 signed K-bit digits (Kronecker
     substitution).  The digits do not overlap: psi = sum_j w_j (-a)**j d**(m-j)
     with d = 2a - b and every w_j >= 0, so sum_j |c_j| <= psi(-1, -5, n), where
-    -a = 1 and d = 3, and K leaves two bits above that bound.
+    -a = 1 and d = 3, and K is ``packing_bits`` of that bound.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    k = psi_recurrence(-1, -5, n).bit_length() + 2
+    k = packing_bits(psi_recurrence(-1, -5, n))
     packed = psi_recurrence(1 << k, 1, n)
     mask, sign = (1 << k) - 1, 1 << (k - 1)
     coeffs = []
@@ -148,6 +149,19 @@ def psi_coeffs(n: int) -> list[int]:
         coeffs.append(digit)
         packed = (packed - digit) >> k
     return coeffs
+
+
+def packing_bits(*bounds: int) -> int:
+    """The K of a Kronecker substitution x = 2**K that keeps apart integer
+    polynomials whose 1-norms (sums of absolute coefficients) are at most the
+    largest of ``bounds``: two bits above it.  Each coefficient of such a
+    polynomial is then below 2**(K - 2) in absolute value, so it is one signed
+    K-bit digit of the value, and each of the difference of two is below
+    2**(K - 1).  A nonzero difference with lowest nonzero coefficient c, at
+    x**j, takes at 2**K the value 2**(K*j) * (c + 2**K * r) for an integer r,
+    which is not zero, as 0 < |c| < 2**K: equal values mean equal polynomials.
+    """
+    return max(bounds).bit_length() + 2
 
 
 def symbolic_degree(n: int) -> int:

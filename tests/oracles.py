@@ -5,12 +5,12 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from operator import add, sub
 
-from psikit.bridges import chebyshev_t_terms, dickson_d_terms, pell_lucas_poly_terms
+from psikit import bridges
 from psikit.eightlevels import apply_direction, coeff_table_polys, power_sum_poly
 from psikit.exactmath import RadicandMismatchError
 from psikit.mersenne import TestReport
 from psikit.multipoly import MAX_DEGREE, DegreeCapExceeded, SparsePoly, as_poly, form_at, variables
-from psikit.psicore import _square_chain, half, psi_symbolic, psi_terms
+from psikit.psicore import _square_chain, half, parity, psi_sequence, psi_symbolic, psi_terms
 
 
 def eval_scalar(poly: SparsePoly, values):
@@ -100,8 +100,53 @@ def subst_by_terms(poly: SparsePoly, bindings) -> SparsePoly:
     return total
 
 
-# Term n of each polynomial family of the bridges: the tests' view of the
-# one-pass term lists that the bridge registry builds.
+# The polynomial families of the bridges, terms 0..n_max in one pass of
+# ``bridges._poly_terms`` (looked up when called): the oracles of the packed
+# integer check of the three polynomial bridges.
+
+
+def pell_lucas_poly_terms(n_max: int) -> list[SparsePoly]:
+    (x,) = variables("x")
+    return bridges._poly_terms(n_max, SparsePoly.constant(2), 2 * x, lambda a, b: 2 * x * b + a)
+
+
+def chebyshev_t_terms(n_max: int) -> list[SparsePoly]:
+    (x,) = variables("x")
+    return bridges._poly_terms(n_max, SparsePoly.constant(1), x, lambda a, b: 2 * x * b - a)
+
+
+def dickson_d_terms(n_max: int) -> list[SparsePoly]:
+    x, al = variables("x alpha")
+    return bridges._poly_terms(n_max, SparsePoly.constant(2), x, lambda a, b: x * b - al * a)
+
+
+def polynomial_bridge_sides(name: str, n_max: int) -> tuple[list, list]:
+    """Both sides of the polynomial bridge ``name``, terms 0..n_max, as
+    polynomials in x (and alpha): the psi side from the ``SparsePoly``
+    recurrence, the oracle side from the families above."""
+    x, al = variables("x alpha")
+    if name == "pell-lucas-polynomials":
+        psi, factor = psi_sequence(-1, -2 - 4 * x**2, n_max), 2 * x
+        oracle = pell_lucas_poly_terms(n_max)
+    elif name == "dickson-first-kind":
+        psi, factor = psi_sequence(al, 2 * al - x**2, n_max), x
+        oracle = dickson_d_terms(n_max)
+    elif name == "chebyshev-first-kind":
+        psi, factor = psi_sequence(1, 2 - 4 * x**2, n_max), x
+        oracle = [2 ** parity(n + 1) * t for n, t in enumerate(chebyshev_t_terms(n_max))]
+    else:
+        raise KeyError(name)
+    return [factor ** parity(n) * v for n, v in enumerate(psi)], oracle
+
+
+def powersum_rebuild_by_polys(n: int, basis: list[int]) -> bool:
+    """form_at(basis, x*y, x*x + y*y) == power_sum_poly(n) on polynomials: the
+    oracle of the packed basis rebuild in ``second_fundamental_check``."""
+    x, y = variables("x y")
+    return form_at(basis, x * y, x * x + y * y) == power_sum_poly(n)
+
+
+# Term n of each polynomial family of the bridges.
 
 
 def pell_lucas_poly(n: int) -> SparsePoly:

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from psikit import bridges
+from psikit import bridges, cli
 from psikit.bridges import (
     PERIOD_CATALOGUE,
     BridgeSpec,
@@ -14,13 +16,16 @@ from psikit.bridges import (
 )
 from psikit.eightlevels import coeff_values
 from psikit.exactmath import GOLDEN_RATIO, QuadExt, SQRT2
-from psikit.multipoly import variables
-from psikit.psicore import psi_recurrence
+from psikit.limits import LIMITS
+from psikit.multipoly import SparsePoly, variables
+from psikit.psicore import packing_bits, psi_recurrence
 
-from oracles import chebyshev_t, dickson_d, eval_scalar, pell_lucas_poly
+from oracles import chebyshev_t, dickson_d, eval_scalar, pell_lucas_poly, polynomial_bridge_sides
 
 X, AL = variables("x alpha")
 LUCAS, FIBONACCI = lucas_terms(64), fibonacci_terms(64)
+CEILING = LIMITS["bridges check"].ceiling
+POLYNOMIAL = ("pell-lucas-polynomials", "dickson-first-kind", "chebyshev-first-kind")
 
 
 class TestOracles:
@@ -118,7 +123,7 @@ class TestBridges:
         coeff_based = {"fibonacci-derivative", "lucas-direction"}
         for spec in default_bridges():
             if spec.name in symbolic:
-                assert not spec.check(20), spec.name
+                assert not spec.check(CEILING), spec.name
             elif spec.name in coeff_based:
                 assert not spec.check(30), spec.name
             else:
@@ -181,6 +186,97 @@ class TestBridges:
         for spec in default_bridges():
             desc = spec.describe()
             assert desc["name"] and desc["description"]
+
+
+def _packing_points(monkeypatch) -> list:
+    """The points of every packed comparison from now on, in order."""
+    points, choose = [], bridges._packing_point
+    monkeypatch.setattr(bridges, "_packing_point",
+                        lambda *args: points.append(choose(*args)) or points[-1])
+    return points
+
+
+def _norm(poly: SparsePoly) -> int:
+    """The 1-norm of ``poly``: the sum of its absolute coefficients."""
+    return sum(map(abs, poly.terms.values()))
+
+
+def _at(point: int, name: str) -> dict:
+    """The variables of the bridge ``name`` at its packed point."""
+    return {"x": 1, "alpha": point} if name == "dickson-first-kind" else {"x": point}
+
+
+class TestPackedPolynomialBridges:
+    """The three polynomial bridges compare both sides at one packed integer
+    point, against their polynomials in ``oracles``."""
+
+    def test_each_side_is_its_polynomial_at_the_point(self, monkeypatch):
+        points = _packing_points(monkeypatch)
+        for name in POLYNOMIAL:
+            spec = _bridge(name)
+            psi, oracle = polynomial_bridge_sides(name, CEILING)
+            assert psi == oracle, name
+            for n_max in (0, 1, 2, 7, CEILING):
+                points.clear()
+                values, expected = spec.values(n_max), spec.oracle(n_max)
+                assert len(values) == len(expected) == n_max + 1 and points[0] == points[1]
+                # every coefficient of a difference of two terms is below the
+                # point, as it must be for the comparison to be exact
+                norms = [_norm(f) for f in psi[: n_max + 1] + oracle[: n_max + 1]]
+                assert points[0] > 2 * max(norms), (name, n_max)
+                at = _at(points[0], name)
+                for n in range(n_max + 1):
+                    assert values[n] == eval_scalar(psi[n], at), (name, n_max, n)
+                    assert expected[n] == eval_scalar(oracle[n], at), (name, n_max, n)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda step: lambda a, b: step(a, b) + b,
+        lambda step: lambda a, b: step(a, b) - b,
+        lambda step: lambda a, b: step(a, b) + a,
+        lambda step: lambda a, b: step(a, b) - a,
+    ], ids=["A+1", "A-1", "B+1", "B-1"])
+    def test_an_off_by_one_step_coefficient_is_caught_at_every_index(self, monkeypatch, spoil):
+        # term k + 2 = step(term k, term k + 1) = A * term k+1 + B * term k:
+        # the spoiled step moves A or B by one, in the packed oracle and in the
+        # polynomial one alike, and so every term from 2 on
+        build = bridges._poly_terms
+        monkeypatch.setattr(bridges, "_poly_terms",
+                            lambda top, first, second, step: build(top, first, second, spoil(step)))
+        for name in POLYNOMIAL:
+            psi, oracle = polynomial_bridge_sides(name, CEILING)
+            wrong = [n for n in range(CEILING + 1) if psi[n] != oracle[n]]
+            assert wrong == list(range(2, CEILING + 1)), name
+            assert _bridge(name).check(CEILING) == wrong, name
+
+    def test_the_norm_bound_is_needed(self, monkeypatch):
+        # B, the largest 1-norm bound of the Pell-Lucas bridge at the ceiling,
+        # has 2**(K-3) <= B < 2**(K-2) for its K.  Then h * x**63 and
+        # x**64 - h * x**63, h = 2**(K-3), are two polynomials within B that
+        # differ by x**63 * (2**(K-2) - x): at x = 2**(K-2) they collide
+        bounds = []
+        monkeypatch.setattr(bridges, "packing_bits",
+                            lambda *sides: bounds.append(max(sides)) or packing_bits(*sides))
+        assert not _bridge("pell-lucas-polynomials").check(CEILING)
+        bound = bounds[0]
+        k = packing_bits(bound)
+        h = 1 << (k - 3)
+        assert h <= bound < 2 * h
+        p, q = h * X**63, X**64 - h * X**63
+        assert p != q and max(_norm(p), _norm(q)) <= bound
+        assert eval_scalar(p, {"x": 1 << (k - 2)}) == eval_scalar(q, {"x": 1 << (k - 2)})
+        for bits in (k - 1, k):
+            assert eval_scalar(p, {"x": 1 << bits}) != eval_scalar(q, {"x": 1 << bits})
+
+    def test_the_check_forms_no_polynomial_product(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a polynomial product")
+
+        monkeypatch.setattr(SparsePoly, "__mul__", refuse)
+        monkeypatch.setattr(SparsePoly, "__rmul__", refuse)
+        assert cli.main(["bridges", "check", "--nmax", str(CEILING)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == len(default_bridges()) == 19
+        assert all(r["ok"] is True and r["failures"] == [] for r in records)
 
 
 class TestRecords:

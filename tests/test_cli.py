@@ -364,7 +364,7 @@ class TestExitCodes:
     # several bad inputs at once: eval checks the modulus, then a and b, then
     # that they are integers, then n (its range, then whether psi prints, on
     # the exact route; the index, then the modulus, for the record's echo);
-    # ladder checks a, b, n, then the modulus
+    # ladder checks a, b, that they are integers, then n, then the modulus
     @pytest.mark.parametrize("argv, code, reason", [
         ("eval --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
         ("eval --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
@@ -388,7 +388,7 @@ class TestExitCodes:
         ("ladder --a x --b y --n -1 --mod 1", EXIT_USAGE,
          "invalid literal for int() with base 10: 'x'"),
         ("ladder --a 1/2 --b 4 --n -1 --mod 1", EXIT_USAGE,
-         "invalid literal for int() with base 10: '1/2'"),
+         "modular evaluation needs integer parameters"),
         ("ladder --a 1 --b y --n -1 --mod 1", EXIT_USAGE,
          "invalid literal for int() with base 10: 'y'"),
         ("ladder --a 1 --b 4 --n -1 --mod 1", EXIT_USAGE, "index must be >= 0"),
@@ -410,6 +410,21 @@ class TestExitCodes:
         assert run_json("psi", *argv.split()) == (
             code, [{"command": "psi", "error": error, "reason": reason}]
         )
+
+    @pytest.mark.parametrize("a, b, reason", [
+        ("1/3", "1", "modular evaluation needs integer parameters"),
+        ("1", "1/3", "modular evaluation needs integer parameters"),
+        ("-1/3", "1", "modular evaluation needs integer parameters"),
+        ("1", "-2/5", "modular evaluation needs integer parameters"),
+        ("4/2", "1", "modular evaluation needs integer parameters"),
+        ("1/0", "1", "not an exact scalar: '1/0'"),
+    ])
+    def test_ladder_reads_a_fraction_as_eval_mod_does(self, a, b, reason):
+        # both routes give the same record for the same fraction, and exit 2
+        for command in ("ladder", "eval"):
+            assert run_json("psi", command, "--a", a, "--b", b, "--n", "5", "--mod", "7") == (
+                EXIT_USAGE, [{"command": "psi", "error": "usage", "reason": reason}]
+            ), command
 
     def test_capacity_error(self):
         code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")
@@ -1076,7 +1091,7 @@ class TestExports:
         assert exported > 50
 
     def test_removed_names_are_gone(self):
-        from psikit import cli, eightlevels, exactmath, powersums, psicore
+        from psikit import bridges, cli, eightlevels, exactmath, powersums, psicore
 
         for name in ("mod_inverse", "NotInvertibleError", "tau_identity_check", "psi14_exact"):
             assert not hasattr(psikit, name), name
@@ -1097,6 +1112,9 @@ class TestExports:
             for name in names:
                 assert not hasattr(module, name), name
                 assert name not in getattr(module, "__all__", ()), name
+        # the bridges' polynomial families are the oracles of the packed check
+        for name in ("pell_lucas_poly_terms", "chebyshev_t_terms", "dickson_d_terms"):
+            assert not hasattr(bridges, name) and name not in bridges.__all__, name
 
 
 class TestReadme:

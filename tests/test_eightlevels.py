@@ -24,7 +24,7 @@ from psikit.eightlevels import (
 from psikit.errors import CapacityError
 from psikit.exactmath import QuadExt
 from psikit.limits import LIMITS
-from psikit.multipoly import SparsePoly, variables
+from psikit.multipoly import SparsePoly, form_at, variables
 from psikit.psicore import half, psi_recurrence, psi_symbolic
 
 SYMBOLIC_INDEX = LIMITS["psi poly"].ceiling
@@ -38,6 +38,7 @@ from oracles import (
     eval_scalar,
     expansion_sides_by_powers,
     first_fundamental_by_polys,
+    powersum_rebuild_by_polys,
     power_sum_by_division,
     powersum_basis_by_elimination,
     theta_sum_by_polys,
@@ -424,6 +425,45 @@ class TestArrayChecksMatchPolynomialOracles:
                 assert not el.theta_sum_check(2 * m) and not theta_sum_by_polys(psi, spoiled)
                 assert not el.first_fundamental_check(2 * m)
                 assert not first_fundamental_by_polys(spoiled)
+
+
+class TestPackedPowerSumRebuild:
+    """``second_fundamental_check`` rebuilds the power sum from its basis
+    expansion at one packed integer point; ``powersum_rebuild_by_polys`` is
+    the polynomial oracle."""
+
+    def test_the_rebuilt_side_is_its_polynomial_at_the_point(self, monkeypatch):
+        import psikit.eightlevels as el
+
+        calls, build = [], el.form_at
+        monkeypatch.setattr(el, "form_at", lambda *args: calls.append((args, build(*args)))
+                            or calls[-1][1])
+        x, y = variables("x y")
+        for n in range(1, 65):
+            calls.clear()
+            assert el.second_fundamental_check(n), n
+            assert powersum_rebuild_by_polys(n, expand_powersum_basis(n)), n
+            (((basis, p, q), value),) = calls
+            at = {"x": p, "y": 1}
+            rebuilt = form_at(basis, x * y, x * x + y * y)
+            assert basis == expand_powersum_basis(n) and q == p * p + 1
+            assert value == eval_scalar(rebuilt, at), n
+            assert value == eval_scalar(power_sum_poly(n), at), n
+            # every coefficient of a difference of the two sides is below x
+            norms = [sum(map(abs, f.terms.values())) for f in (rebuilt, power_sum_poly(n))]
+            assert p > 2 * max(norms), n
+
+    def test_a_basis_coefficient_off_by_one_is_caught_at_every_index(self, monkeypatch):
+        import psikit.eightlevels as el
+
+        true = el.expand_powersum_basis
+        for n in range(1, 65):
+            for k in range(half(n) + 1):
+                spoiled = true(n)
+                spoiled[k] += 1
+                monkeypatch.setattr(el, "expand_powersum_basis", lambda n, spoiled=spoiled: spoiled)
+                assert not el.second_fundamental_check(n), (n, k)
+                assert not powersum_rebuild_by_polys(n, spoiled), (n, k)
 
 
 class TestBasisCoefficients:
