@@ -205,24 +205,18 @@ def _require_integers(a, b) -> None:
 
 
 def _cmd_psi(args):
-    if args.psi_command == "eval":
-        mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
-        a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-        if mod is not None:
-            _require_integers(a, b)
-        return [_psi_record("psi-eval", a, b, _parse_index(args.n), mod)]
     if args.psi_command == "poly":
         symbolic_degree(args.n)
         # psi(a, b, n) is row 0 of its own coefficient table
         text = eightlevels.coeff_row_texts(psi_coeffs(args.n), 1)[0]
         return [{"command": "psi-poly", "n": args.n, "poly": text}]
-    # ladder: a fraction is read, and refused, as by eval --mod; any other
-    # text is read by int()
-    a, b = (_parse_scalar(t) if "/" in t else int(t) for t in (args.a, args.b))
-    _require_integers(a, b)
-    n = _parse_index(args.n)
-    m = _parse_index(args.mod, 2, "modulus")
-    return [_psi_record("psi-ladder", a, b, n, m)]
+    # eval, and ladder, whose --mod is required: the modulus, then a and b,
+    # then that they are integers, then n
+    mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
+    a, b = _parse_scalar(args.a), _parse_scalar(args.b)
+    if mod is not None:
+        _require_integers(a, b)
+    return [_psi_record(f"psi-{args.psi_command}", a, b, _parse_index(args.n), mod)]
 
 
 def _cmd_coeff(args):

@@ -4,8 +4,8 @@ Arbitrary-precision integers are plain Python ``int``, and every value here is
 held as integers over one denominator.  ``fractions.Fraction`` appears only
 where a rational is taken in or handed out, and is imported there, so that
 importing this module does not load it.  The module provides elements of real
-quadratic extensions ``(u + v*sqrt(d)) / q`` and a shift-and-add reduction for
-moduli of the form ``2**p - 1``.
+quadratic extensions ``(u + v*sqrt(d)) / q``, a shift-and-add reduction for
+moduli of the form ``2**p - 1`` and Barrett reduction for any other modulus.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ __all__ = [
     "SQRT5",
     "GOLDEN_RATIO",
     "MersenneMod",
+    "BarrettMod",
 ]
 
 
@@ -308,3 +309,35 @@ class MersenneMod:
     def __hash__(self):
         return hash(("MersenneMod", self.p))
 
+
+class BarrettMod:
+    """Modulus m >= 2 with Barrett reduction (Barrett 1986; Menezes, van
+    Oorschot and Vanstone, *Handbook of Applied Cryptography*, Alg. 14.42):
+    two products and shifts in place of a long division.
+
+    With k the bit length of m and mu = floor(4**k / m), the quotient of
+    0 <= x < 4**k is estimated as q = ((x >> (k - 1)) * mu) >> (k + 1).  Each
+    floor only lowers it, so q <= floor(x / m), and it falls short by at most
+    two, so x - q*m is brought below m by at most two subtractions.  Any other
+    x, negative or from 4**k up, is reduced by ``%``.
+    """
+
+    __slots__ = ("modulus", "_k", "_mu", "_top")
+
+    def __init__(self, m: int) -> None:
+        if not isinstance(m, int) or m < 2:
+            raise ValueError("modulus must be an integer >= 2")
+        k = m.bit_length()
+        self.modulus, self._k, self._top = m, k, 1 << 2 * k
+        self._mu = self._top // m
+
+    def reduce(self, x: int) -> int:
+        """Return ``x mod m`` in ``[0, m - 1]`` for any integer x."""
+        m = self.modulus
+        if not 0 <= x < self._top:
+            return x % m
+        k = self._k
+        r = x - ((x >> (k - 1)) * self._mu >> (k + 1)) * m
+        while r >= m:
+            r -= m
+        return r

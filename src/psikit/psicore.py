@@ -38,7 +38,8 @@ reducing by plain ``%``, on the shared cofactor alone, usually a small prime
 power; the Chinese remainder theorem joins the two.  A 2 x 2 matrix power,
 with more products per bit, is the tests' oracle, not a route.  The chain's
 reduction is chosen once per call: moduli 2**p - 1 use the fold-and-add
-``MersenneMod.reduce``, every other modulus plain ``%``.  t is kept as the
+``MersenneMod.reduce``, other moduli of more than ``BARRETT_BREAK_EVEN`` bits
+``BarrettMod.reduce``, and the rest plain ``%``.  t is kept as the
 signed representative of least absolute value, so for psi(1, 4, .) it is -4,
 not m - 4; the three-product walk keeps a and d so too.
 """
@@ -51,7 +52,7 @@ from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
 
 from .errors import CapacityError
-from .exactmath import MersenneMod
+from .exactmath import BarrettMod, MersenneMod
 from .limits import LIMITS
 from .multipoly import SparsePoly, form_at
 
@@ -322,9 +323,30 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     return chain + coprime * ((walk - chain) * pow(coprime, -1, shared) % shared)
 
 
+# The largest modulus bit length at which the chain reduces by ``%``; above it,
+# by ``BarrettMod``.  Barrett's two products pass CPython's Karatsuba cutoff of
+# 70 30-bit digits once x >> (k - 1), about k - 1 bits for a typical x = v * w,
+# has more than 2100 bits.  On a 2-CPU Linux box with CPython 3.11, a 600-bit
+# walk of the chain (random odd moduli, best of 9 to 15, three seeds) took with
+# Barrett 1.08-1.22 times its time with ``%`` at 2048 bits, 1.03-1.10 at 2102,
+# 0.95-1.01 at 2103, 0.96-1.02 at 2104 and 0.94-0.97 at 2203; 0.83 at 4253
+# and 0.63 at 14284.
+BARRETT_BREAK_EVEN = 2103
+
+
+def _chain_reduction(m: int):
+    """The chain's reduction mod m, chosen once per call: fold-and-add for
+    m = 2**p - 1, Barrett above ``BARRETT_BREAK_EVEN`` bits, else ``%``."""
+    if m & (m + 1) == 0:
+        return MersenneMod(m.bit_length()).reduce
+    if m.bit_length() > BARRETT_BREAK_EVEN:
+        return BarrettMod(m).reduce
+    return m.__rmod__
+
+
 def _psi_chain(a: int, b: int, d: int, n: int, m: int) -> int:
     """psi(a, b, n) mod m by the Lucas chain; a, and d at odd n, are units mod m."""
-    reduce = MersenneMod(m.bit_length()).reduce if m & (m + 1) == 0 else m.__rmod__
+    reduce = _chain_reduction(m)
     odd = n & 1
     t = _signed(-b * pow(a, -1, m), m)
     k = n >> 1

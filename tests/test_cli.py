@@ -361,10 +361,10 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert recs == [{"command": argv[0], "error": "usage", "reason": reason}]
 
-    # several bad inputs at once: eval checks the modulus, then a and b, then
-    # that they are integers, then n (its range, then whether psi prints, on
-    # the exact route; the index, then the modulus, for the record's echo);
-    # ladder checks a, b, that they are integers, then n, then the modulus
+    # several bad inputs at once: eval and ladder check the modulus, then a
+    # and b, then that they are integers, then n (its range, then whether psi
+    # prints, on the exact route; the index, then the modulus, for the record's
+    # echo)
     @pytest.mark.parametrize("argv, code, reason", [
         ("eval --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
         ("eval --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
@@ -385,14 +385,17 @@ class TestExitCodes:
         ("eval --a 3 --b 1 --n -1", EXIT_USAGE, "index must be >= 0"),
         ("eval --a 3 --b 1 --n 100001", EXIT_CAPACITY,
          "psi eval: n=100001 is above the ceiling 100000"),
-        ("ladder --a x --b y --n -1 --mod 1", EXIT_USAGE,
-         "invalid literal for int() with base 10: 'x'"),
-        ("ladder --a 1/2 --b 4 --n -1 --mod 1", EXIT_USAGE,
+        ("ladder --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
+        ("ladder --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
+         "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("ladder --a x --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'x'"),
+        ("ladder --a 1 --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'y'"),
+        ("ladder --a 1/2 --b 4 --n -1 --mod 7", EXIT_USAGE,
          "modular evaluation needs integer parameters"),
-        ("ladder --a 1 --b y --n -1 --mod 1", EXIT_USAGE,
-         "invalid literal for int() with base 10: 'y'"),
-        ("ladder --a 1 --b 4 --n -1 --mod 1", EXIT_USAGE, "index must be >= 0"),
-        ("ladder --a 1 --b 4 --n 2^2000000 --mod 1", EXIT_CAPACITY,
+        ("ladder --a 1 --b 3/2 --n 2^2000000 --mod 7", EXIT_USAGE,
+         "modular evaluation needs integer parameters"),
+        ("ladder --a 1 --b 4 --n -1 --mod 7", EXIT_USAGE, "index must be >= 0"),
+        ("ladder --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY,
          "index '2^2000000' has up to 2000001 bits; cap is 1048576"),
         ("ladder --a 1 --b 4 --n 5 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
         ("ladder --a 1 --b 4 --n 5 --mod 2^2000000", EXIT_CAPACITY,
@@ -418,9 +421,16 @@ class TestExitCodes:
         ("1", "-2/5", "modular evaluation needs integer parameters"),
         ("4/2", "1", "modular evaluation needs integer parameters"),
         ("1/0", "1", "not an exact scalar: '1/0'"),
+        ("x", "1", "not an exact scalar: 'x'"),
+        ("1", "0x1f", "not an exact scalar: '0x1f'"),
+        ("1.5", "1", "not an exact scalar: '1.5'"),
+        ("1", "2e3", "not an exact scalar: '2e3'"),
+        ("", "1", "not an exact scalar: ''"),
+        ("1", " ", "not an exact scalar: ' '"),
     ])
     def test_ladder_reads_a_fraction_as_eval_mod_does(self, a, b, reason):
-        # both routes give the same record for the same fraction, and exit 2
+        # both routes give the same record for the same fraction, or for a
+        # text that is no exact scalar, and exit 2
         for command in ("ladder", "eval"):
             assert run_json("psi", command, "--a", a, "--b", b, "--n", "5", "--mod", "7") == (
                 EXIT_USAGE, [{"command": "psi", "error": "usage", "reason": reason}]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from psikit.errors import CapacityError
 from psikit.exactmath import (
     GOLDEN_RATIO,
+    BarrettMod,
     MersenneMod,
     QuadExt,
     RadicandMismatchError,
@@ -17,6 +18,7 @@ from psikit.exactmath import (
     SQRT5,
     _is_square_free,
 )
+from psikit.psicore import BARRETT_BREAK_EVEN
 
 from oracles import FractionQuadExt, is_square_free_by_trial
 
@@ -60,6 +62,56 @@ class TestMersenneReduce:
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             MersenneMod(1)
+
+
+class TestBarrettReduce:
+    """Barrett reduction against ``%`` on moduli of 2101 to 14284 bits, from
+    below the chain's break-even of ``psicore.BARRETT_BREAK_EVEN`` bits to the
+    ladder's largest: random odd and even moduli, 2**k + 1 and 2**k - 3."""
+
+    @staticmethod
+    def moduli():
+        rng = random.Random(14284)
+        for bits in (2101, BARRETT_BREAK_EVEN, BARRETT_BREAK_EVEN + 1, 2203, 4253, 14284):
+            top = 1 << (bits - 1)
+            yield rng.getrandbits(bits) | top | 1
+            yield (rng.getrandbits(bits) | top) & ~1
+            yield top + 1
+            yield 2 * top - 3
+
+    def test_edges_and_seeded_values(self):
+        rng = random.Random(2101)
+        for m in self.moduli():
+            k = m.bit_length()
+            reduce = BarrettMod(m).reduce
+            xs = [0, 1, m - 1, m, m + 1, 2 * m, (m - 1) ** 2, m * m - 1, m * m,
+                  (1 << 2 * k) - 1, 1 << 2 * k, (1 << 2 * k + 3) - 1, -1, -m, -(m - 1) ** 2]
+            xs += [rng.randrange(m) * rng.randrange(m) for _ in range(20)]
+            xs += [rng.getrandbits(2 * k + 3) for _ in range(10)]
+            xs += [-rng.getrandbits(2 * k) for _ in range(10)]
+            for x in xs:
+                assert reduce(x) == x % m, (k, x)
+
+    def test_the_estimate_falls_short_by_at_most_two(self):
+        # the documented bound of the quotient estimate below 4**k, which caps
+        # the subtractions after it at two
+        rng = random.Random(2102)
+        for m in self.moduli():
+            barrett = BarrettMod(m)
+            k = m.bit_length()
+            for x in [(m - 1) ** 2, (1 << 2 * k) - 1] + [rng.getrandbits(2 * k) for _ in range(50)]:
+                q = (x >> (k - 1)) * barrett._mu >> (k + 1)
+                assert 0 <= x // m - q <= 2, (k, x)
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(m=st.integers(2, 1 << 300), x=st.integers(-(1 << 700), 1 << 700))
+    def test_any_modulus_against_generic_remainder_hypothesis(self, m, x):
+        assert BarrettMod(m).reduce(x) == x % m
+
+    def test_modulus_validation(self):
+        for m in (1, 0, -7, 7.0):
+            with pytest.raises(ValueError):
+                BarrettMod(m)
 
 
 def _rand_quad(rng, d):

@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from psikit import psicore
 from psikit.errors import CapacityError
-from psikit.exactmath import MersenneMod, SQRT2
+from psikit.exactmath import BarrettMod, MersenneMod, SQRT2
 from psikit.limits import LIMITS
 from psikit.multipoly import MAX_DEGREE, SparsePoly, variables
 from psikit.psicore import (
+    BARRETT_BREAK_EVEN,
+    _chain_reduction,
     _lucas_walk,
     half,
     ladder_step,
@@ -506,6 +508,88 @@ class TestForkedFactor:
             with pytest.raises(RuntimeError, match="the walk breaks"):
                 psi_mod_ladder(a, b, n, self.M)
             assert no_child_left()
+
+
+class TestBarrettChain:
+    """The chain above ``BARRETT_BREAK_EVEN`` bits, which reduces by
+    ``BarrettMod``, against the matrix power: odd and even n of 700 bits, on
+    a random odd modulus just above the break-even, on 2**2203 - 3, and on
+    2**2203 + 1 with an a that shares its factor 3, forked and serial."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(2104)
+        out = []
+        bits = BARRETT_BREAK_EVEN + 1
+        for m, shared in (
+            (rng.getrandbits(bits) | 1 << (bits - 1) | 1, False),
+            ((1 << 2203) - 3, False),
+            ((1 << 2203) + 1, True),
+        ):
+            a = rng.randrange(m)
+            while gcd(a, m) != 1:
+                a += 1
+            a *= 3 if shared else 1
+            b = rng.randrange(m)
+            while gcd(2 * a - b, m) != 1:
+                b += 1
+            # 9 does not divide 2**2203 + 1, so the chain gets all of m but 3
+            chain_m = m // 3 if shared else m
+            for low in (0, 1):
+                n = rng.getrandbits(700) | 1 << 699
+                n = n - (n & 1) + low
+                out.append((a, b, n, m, chain_m, psi_matrix_mod(a, b, n, m)))
+        return out
+
+    @pytest.fixture
+    def chained(self, monkeypatch):
+        """The moduli the chain builds a ``BarrettMod`` for."""
+        made = []
+
+        class Spy(BarrettMod):
+            __slots__ = ()
+
+            def __init__(self, m):
+                made.append(m)
+                super().__init__(m)
+
+        monkeypatch.setattr(psicore, "BarrettMod", Spy)
+        return made
+
+    def _run(self, cases, chained):
+        for a, b, n, m, chain_m, expected in cases:
+            assert psi_mod_ladder(a, b, n, m) == expected
+            assert chained == [chain_m]
+            chained.clear()
+            assert no_child_left()
+
+    def test_forked(self, monkeypatch, two_cpus, cases, chained):
+        forks, real_fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        self._run(cases, chained)
+        assert len(forks) == len(cases)
+
+    def test_serial(self, monkeypatch, cases, chained):
+        monkeypatch.setattr(psicore, "_fork_pays", lambda a, n, m: False)
+        monkeypatch.setattr(os, "fork", must_not_fork)
+        self._run(cases, chained)
+
+    def test_which_reduction_the_chain_picks(self):
+        # fold-and-add on 2**p - 1 at any size, Barrett on any other modulus
+        # above the break-even, % at or below it
+        for p in (127, BARRETT_BREAK_EVEN, 9689):
+            reduce = _chain_reduction((1 << p) - 1)
+            assert reduce.__self__ == MersenneMod(p)
+        for m in ((1 << BARRETT_BREAK_EVEN) + 1, (1 << 2203) - 3, 1 << 4253):
+            reduce = _chain_reduction(m)
+            assert type(reduce.__self__) is BarrettMod and reduce.__self__.modulus == m
+        for m in ((1 << BARRETT_BREAK_EVEN) - 3, (1 << (BARRETT_BREAK_EVEN - 1)) + 1, 101):
+            assert _chain_reduction(m) == m.__rmod__
 
 
 @pytest.mark.skipif(
