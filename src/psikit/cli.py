@@ -3,9 +3,10 @@ identity suites, the period catalogue, and a deterministic reproduction run.
 
 Output is newline-delimited JSON with fixed field order by default; every
 subcommand also renders as text or CSV.  Exit codes: 0 success, 1 a
-mathematical check failed, 2 usage error, 3 capacity exceeded.  Reports are
-byte-deterministic for a fixed seed; wall-clock timings are zeroed unless
---timing is given.
+mathematical check failed, 2 usage error, 3 capacity exceeded, 141 the reader
+closed stdout (128 + SIGPIPE, what a shell shows for a writer that SIGPIPE
+ended).  Reports are byte-deterministic for a fixed seed; wall-clock timings
+are zeroed unless --timing is given.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import io
 import json
+import os
 import re
 import sys
 import time
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
 def _check_range(command: str, value: int) -> int:
     """Refuse, before any work, a value of the command's bounded option above
@@ -432,7 +435,11 @@ def _cmd_repro(args):
     from pathlib import Path  # only repro writes files
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"repro all: cannot create --outdir {args.outdir!r}: "
+                         f"{err.strerror}") from err
     return (_repro_file(outdir, name, job) for name, job in _repro_jobs(args.seed).items())
 
 
@@ -577,13 +584,28 @@ def parse(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     try:
+        code = _run(argv)
+        # a reader that stopped early shows here, not in the flush at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left to write goes nowhere, so the flush at exit is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(argv) -> int:
+    """Parse ``argv``, run its command and write its records; the exit code."""
+    try:
         args = parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
         records = _records(args)
-    except (CapacityError, ValueError, KeyError) as exc:
+    except (CapacityError, ValueError) as exc:
         capacity = isinstance(exc, CapacityError)
         error = {"command": args.command, "error": "capacity" if capacity else "usage",
                  "reason": str(exc)}

@@ -29,18 +29,15 @@ keyed by exponent tuples over ``vars``.
 operations build their results with a trusted constructor instead, which
 takes the total degree where it is known (a product's is the sum of its
 factors', as Z[x...] is an integral domain) and otherwise finds it once, when
-it is first asked for.  Where an operand has the shape for it, the kernel
-takes a closed form instead of the general product: a one-term base to the
-power k multiplies its key by k, a two-term base expands by the binomial
-theorem, and a product with a one-term factor shifts every key of the other.
-A substitution is one pass over the terms: a variable bound to a one-term
-image moves the term's key and scales its coefficient, and the product of the
-powers of the longer images is built once per distinct vector of their
-variables' exponents, then added, shifted and scaled, for each term that has
-that vector.  ``form_at(coeffs, p, q)`` is the one evaluator of a binary form
-sum_k coeffs[k] * p**(m - k) * q**k in two operands: when both have one term,
-each coefficient's terms are shifted and scaled straight into one sum;
-otherwise it is homogeneous Horner, total = total*p + coeffs[k]*q**k.
+it is first asked for.  A product is one double loop over the terms of its
+factors, and a power is repeated products, except that a two-term base
+expands by the binomial theorem.  A substitution is one pass over the terms:
+a variable bound to a one-term image moves the term's key and scales its
+coefficient, and the product of the powers of the longer images is built once
+per distinct vector of their variables' exponents, then added, shifted and
+scaled, for each term that has that vector.  ``form_at(coeffs, p, q)`` is
+the one evaluator of a binary form sum_k coeffs[k] * p**(m - k) * q**k in two
+operands, by homogeneous Horner, total = total*p + coeffs[k]*q**k.
 
 A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
 largest any entry point reaches within its input limits) is refused before
@@ -430,12 +427,6 @@ def _add_into(acc: dict, terms: Mapping) -> None:
 
 def _product(mine: dict, theirs: dict) -> dict:
     """The product of two term dicts."""
-    if len(theirs) == 1:
-        mine, theirs = theirs, mine
-    if len(mine) == 1:
-        ((k1, c1),) = mine.items()
-        # a fixed shift keeps the keys apart, and no product of coefficients is 0
-        return {k1 + k2: c1 * c2 for k2, c2 in theirs.items()}
     out: dict[int, int] = {}
     get = out.get
     for k1, c1 in mine.items():
@@ -455,9 +446,6 @@ def _product(mine: dict, theirs: dict) -> dict:
 
 def _power(terms: dict, k: int) -> dict:
     """``terms`` to the power ``k`` >= 1, the degree already checked."""
-    if len(terms) == 1:
-        ((key, c),) = terms.items()
-        return {key * k: c**k}
     if len(terms) == 2:
         # the binomial theorem; the k + 1 keys are distinct as the two are
         (k1, c1), (k2, c2) = terms.items()
@@ -492,9 +480,8 @@ def as_poly(value: PolyLike) -> SparsePoly:
 def form_at(coeffs, p: PolyLike, q: PolyLike) -> PolyLike:
     """sum_k coeffs[k] * p**(m - k) * q**k, m = len(coeffs) - 1, of ``int`` or
     polynomial coefficients and operands; a polynomial when p or q is one, and
-    then a term past ``MAX_DEGREE`` is refused before any term is built.  Two
-    one-term operands shift and scale each coefficient's terms into one sum;
-    others take homogeneous Horner, total = total*p + coeffs[k]*q**k."""
+    then a term past ``MAX_DEGREE`` is refused before any term is built.  It is
+    homogeneous Horner, total = total*p + coeffs[k]*q**k."""
     m = len(coeffs) - 1
     if isinstance(p, SparsePoly) or isinstance(q, SparsePoly):
         p, q = as_poly(p), as_poly(q)
@@ -504,15 +491,6 @@ def form_at(coeffs, p: PolyLike, q: PolyLike) -> PolyLike:
             default=0,
         )
         _check_cap(top)
-        if len(p._terms) == len(q._terms) == 1:
-            ((kp, cp),), ((kq, cq),) = p._terms.items(), q._terms.items()
-            total: dict[int, int] = {}
-            for k, c in enumerate(coeffs):
-                if c:
-                    shift, scale = (m - k) * kp + k * kq, cp ** (m - k) * cq**k
-                    terms = as_poly(c)._terms
-                    _add_into(total, {key + shift: v * scale for key, v in terms.items()})
-            return _make(total)
     stop = len(coeffs)
     while stop and not coeffs[stop - 1]:
         stop -= 1

@@ -339,6 +339,19 @@ class TestExitCodes:
         code, _ = run_cli("nonsense")
         assert code == EXIT_USAGE
 
+    def test_an_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        # every lookup of a handler's setup is keyed by a choice or a
+        # constant, so a KeyError there is a bug and propagates
+        from psikit import eightlevels
+
+        def broken(n):
+            raise KeyError(n)
+
+        monkeypatch.setattr(eightlevels, "table_degree", broken)
+        with pytest.raises(KeyError), redirect_stdout(io.StringIO()) as buf:
+            main(["coeff", "table", "--n", "4"])
+        assert buf.getvalue() == ""
+
     def test_usage_error_bad_value(self):
         # a zero denominator is a bad value too, not a failed check
         for a, b in (("x", "1"), ("1/0", "4"), ("0/0", "4"), ("1", "1/0")):
@@ -817,6 +830,19 @@ class TestStreaming:
         assert code == EXIT_CHECK_FAILED
         assert [r["ok"] for r in recs] == [True, False, True]
 
+    def test_a_closed_stdout_ends_quietly_with_141(self):
+        # the table's 2 MB pass any pipe buffer, so writes go on after the close
+        env = dict(os.environ, PYTHONPATH=str(Path(psikit.__file__).parent.parent))
+        with subprocess.Popen(
+            [sys.executable, "-m", "psikit.cli", "coeff", "table", "--nmin", "1", "--n", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            assert json.loads(proc.stdout.readline())["n"] == 1
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+            stderr = proc.stderr.read()
+        assert code == 141 and stderr == b""
+
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "82bade94dff249ce162a67c35b4ae93bec7478da6e5edf7ab51349d1a0e80597"),
         ("text", "9c118cf1b01b4516ee77985193ef96963ac306f5af2ccc822266ede077132745"),
@@ -1074,6 +1100,17 @@ class TestRepro:
         assert code == EXIT_OK
         for path in sorted(COMMITTED.iterdir()):
             assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_an_outdir_that_cannot_be_created_is_a_usage_error(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        for outdir in (afile / "sub", afile):
+            code, recs = run_json("repro", "all", "--outdir", str(outdir))
+            assert code == EXIT_USAGE and len(recs) == 1, outdir
+            assert recs[0]["error"] == "usage" and "cannot create --outdir" in recs[0]["reason"]
+        # refused before any file is written
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("filename", sorted(EVIDENCE_RUNS))
     def test_evidence_file_is_its_subcommand_output(self, filename):

@@ -745,7 +745,7 @@ class TestFormAgainstPowers:
         rows = [x - 2 * y, 0, 3 * u**2 + 1, -x * y, 5]
         for p, q in ((x, y), (u, -u), (2 * x * y, -(1 << 70) * u**3), (x, x), (1, y), (u, -1)):
             got = _form_same(rows, p, q)
-            # both one-term: every term is shifted and scaled into one sum
+            # both one-term: Horner, as for any other operands
             p, q = as_poly(p), as_poly(q)
             assert got == sum(c * p ** (4 - k) * q**k for k, c in enumerate(rows))
         one = SparsePoly.constant(1)
@@ -810,6 +810,70 @@ class TestFormAgainstPowers:
             _form_same(rows, p, q)
             _form_same(rows[:1], p, q)
         assert [str(r) for r in coeff_table_polys(9)] == texts
+
+
+def _lift(value):
+    """The tuple-keyed oracle's copy of a polynomial; a scalar as it is."""
+    return TuplePoly.of(value) if isinstance(value, SparsePoly) else value
+
+
+def _form_against_tuples(coeffs, p, q):
+    """``form_at(coeffs, p, q)`` equals the sum of fresh powers in the
+    tuple-keyed oracle, term for term and in print, or both refuse the degree."""
+    lifted = [_lift(c) for c in coeffs], _lift(p), _lift(q)
+    try:
+        got = form_at(coeffs, p, q)
+    except DegreeCapExceeded:
+        with pytest.raises(DegreeCapExceeded):
+            form_by_powers(*lifted)
+        return None
+    want = form_by_powers(*lifted)
+    _assert_canonical(got)
+    assert got.vars == want.vars and _typed(got.terms) == _typed(want.terms)
+    assert str(got) == str(want)
+    return got
+
+
+class TestKernelAtTheCap:
+    """One-term operands up to ``MAX_DEGREE`` take the general product, power
+    and Horner routes; each result equals the tuple-keyed oracle's."""
+
+    def test_one_term_powers(self):
+        x, y = variables("x y")
+        for base, k in ((x, MAX_DEGREE), (-2 * x, MAX_DEGREE), (3 * x * y, MAX_DEGREE // 2),
+                        (x, MAX_DEGREE + 1), (-x * y, MAX_DEGREE // 2 + 1)):
+            _same(lambda b: b**k, base)
+        assert str(x**MAX_DEGREE) == f"x^{MAX_DEGREE}"
+
+    def test_one_term_factor_times_each_row_of_the_top_table(self):
+        from psikit.eightlevels import coeff_table_polys
+
+        a, beta, theta = variables("a beta theta")
+        rows = coeff_table_polys(129)
+        assert {r.total_degree() for r in rows} == {MAX_DEGREE // 2}
+        # to the cap over the rows' variables and over a new one, then one past it
+        for row in rows:
+            _same(lambda f, m: f * m, row, -(1 << 70) * a**30 * beta**34)
+            _same(lambda f, m: m * f, row, 7 * theta**64)
+            _same(lambda f, m: f * m, row, a * theta**64)
+
+    def test_form_at_with_two_one_term_operands(self):
+        from psikit.eightlevels import coeff_table_polys
+
+        a, alpha, x, y = variables("a alpha x y")
+        rows = coeff_table_polys(17)
+        # the 9 rows of degree 8 at operands of degree 15: each term of degree 128
+        for p, q in ((x**15, -(y**15)), (2 * a**15, 3 * alpha**15), (x**15, x**15),
+                     (a**7 * x**8, -(1 << 70) * a**15), (a**7 * x**8, y**16)):
+            _form_against_tuples(rows, p, q)
+        top = [1] * (MAX_DEGREE + 1)
+        assert _form_against_tuples(top, x, y).total_degree() == MAX_DEGREE
+        assert _form_against_tuples(top, -x, SparsePoly.constant(2)).total_degree() == MAX_DEGREE
+        assert _form_against_tuples(top + [1], x, y) is None
+        # polynomial coefficients of degree 8 with operands of degree 12
+        coeffs = [(x - k * y) ** 8 if k % 3 else k for k in range(11)]
+        for p, q in ((x**6 * y**6, -(1 << 70) * alpha**12), (x**12, y**12), (x**12, y**13)):
+            _form_against_tuples(coeffs, p, q)
 
 
 class TestEvaluate:
