@@ -312,9 +312,9 @@ def _cmd_mersenne(args):
             _timed_report(args.method, p).to_dict(with_timing=args.timing)
             for p in _scan_exponents(lower, args.pmax)
         )
-    if args.method in ("ll", "psi", "composite", "mu", "sum", "necessary"):
+    if args.method != "ab":
         _require_printable(args.p, f"a residue mod 2^{args.p}-1")
-    elif args.method == "ab" and (ab := LIMITS["mersenne test ab"]).first <= args.p <= ab.ceiling:
+    elif (ab := LIMITS["mersenne test ab"]).first <= args.p <= ab.ceiling:
         # outside these bounds ab_ratio_test refuses p itself
         bits = psi_bit_bound(1, 4, 1 << (args.p - 1))
         _require_printable(bits, f"the ab ratio at p={args.p}")
@@ -362,9 +362,6 @@ def _cmd_bridges(args):
     return (_period_record(label, entry) for label, entry in entries)
 
 
-_TAU_VARIANTS = ("quarter", "half", "root2")
-
-
 def _tau_record(l: int, variant: str) -> dict:
     value = mersenne.tau_identity_value(l, variant)
     ok = value == mersenne.tau_identity_expected(l, variant)
@@ -373,7 +370,7 @@ def _tau_record(l: int, variant: str) -> dict:
 
 def _cmd_identities(args):
     _check_range("identities tau", args.l)
-    variants = _TAU_VARIANTS if args.variant == "all" else (args.variant,)
+    variants = mersenne.TAU_SCALE if args.variant == "all" else (args.variant,)
     return (_tau_record(args.l, variant) for variant in variants)
 
 
@@ -498,7 +495,7 @@ COMMANDS = {
     "identities": ("combinatorial identities", {
         "tau": ("power-of-two factorial-product sums", [
             ("--l", _REQUIRED_INT),
-            ("--variant", {"choices": _TAU_VARIANTS + ("all",), "default": "all"}),
+            ("--variant", {"choices": (*mersenne.TAU_SCALE, "all"), "default": "all"}),
         ]),
     }, _cmd_identities),
     "repro": ("regenerate the evidence base", {

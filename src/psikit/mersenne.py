@@ -31,6 +31,7 @@ __all__ = [
     "tau_identity_expected",
     "tau_identity_value",
     "tau_polynomial_identity",
+    "TAU_SCALE",
     "METHODS",
 ]
 
@@ -343,8 +344,9 @@ def _tau_terms(tau: int):
         yield k, prod
 
 
-# The base s of each tau sum's k-th denominator (2k)! * s**k.
-_TAU_SCALE = {"quarter": 4, "half": 16, "root2": 8}
+# The variants of the tau sums, each with the base s of its k-th denominator
+# (2k)! * s**k.
+TAU_SCALE = {"quarter": 4, "half": 16, "root2": 8}
 
 
 def tau_identity_value(l: int, variant: str):
@@ -357,9 +359,9 @@ def tau_identity_value(l: int, variant: str):
     """
     if l < 3:
         raise ValueError("l must be >= 3")
-    if variant not in _TAU_SCALE:
+    if variant not in TAU_SCALE:
         raise ValueError(f"unknown variant {variant!r}")
-    scale = _TAU_SCALE[variant]
+    scale = TAU_SCALE[variant]
     num, den = 0, 1
     for k, prod in _tau_terms(1 << l):
         if k:

@@ -30,14 +30,14 @@ operations build their results with a trusted constructor instead, which
 takes the total degree where it is known (a product's is the sum of its
 factors', as Z[x...] is an integral domain) and otherwise finds it once, when
 it is first asked for.  A product is one double loop over the terms of its
-factors, and a power is repeated products, except that a two-term base
-expands by the binomial theorem.  A substitution is one pass over the terms:
-a variable bound to a one-term image moves the term's key and scales its
-coefficient, and the product of the powers of the longer images is built once
-per distinct vector of their variables' exponents, then added, shifted and
-scaled, for each term that has that vector.  ``form_at(coeffs, p, q)`` is
-the one evaluator of a binary form sum_k coeffs[k] * p**(m - k) * q**k in two
-operands, by homogeneous Horner, total = total*p + coeffs[k]*q**k.
+factors, and a power is repeated products.  A substitution is one pass over
+the terms: a variable bound to a one-term image moves the term's key and
+scales its coefficient, and the product of the powers of the longer images is
+built once per distinct vector of their variables' exponents, then added,
+shifted and scaled, for each term that has that vector.
+``form_at(coeffs, p, q)`` is the one evaluator of a binary form
+sum_k coeffs[k] * p**(m - k) * q**k in two operands, by homogeneous Horner,
+total = total*p + coeffs[k]*q**k.
 
 A product whose total degree would pass the fixed ``MAX_DEGREE`` (128, the
 largest any entry point reaches within its input limits) is refused before
@@ -50,7 +50,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import reduce
 from itertools import count
-from math import comb
 from operator import getitem, or_
 from types import MappingProxyType
 
@@ -446,13 +445,6 @@ def _product(mine: dict, theirs: dict) -> dict:
 
 def _power(terms: dict, k: int) -> dict:
     """``terms`` to the power ``k`` >= 1, the degree already checked."""
-    if len(terms) == 2:
-        # the binomial theorem; the k + 1 keys are distinct as the two are
-        (k1, c1), (k2, c2) = terms.items()
-        out = {}
-        for j in range(k + 1):
-            out[(k - j) * k1 + j * k2] = comb(k, j) * c1 ** (k - j) * c2**j
-        return out
     result = terms
     for _ in range(k - 1):
         result = _product(result, terms)

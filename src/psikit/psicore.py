@@ -39,9 +39,7 @@ power; the Chinese remainder theorem joins the two.  A 2 x 2 matrix power,
 with more products per bit, is the tests' oracle, not a route.  The chain's
 reduction is chosen once per call: moduli 2**p - 1 use the fold-and-add
 ``MersenneMod.reduce``, other moduli of more than ``BARRETT_BREAK_EVEN`` bits
-``BarrettMod.reduce``, and the rest plain ``%``.  t is kept as the
-signed representative of least absolute value, so for psi(1, 4, .) it is -4,
-not m - 4; the three-product walk keeps a and d so too.
+``BarrettMod.reduce``, and the rest plain ``%``.
 """
 
 from __future__ import annotations
@@ -254,12 +252,6 @@ def _lucas_walk(k: int, t: int, reduce) -> tuple[int, int]:
     return state
 
 
-def _signed(x: int, m: int) -> int:
-    """The representative of x mod m of least absolute value."""
-    x %= m
-    return x - m if x > m >> 1 else x
-
-
 def _psi_walk(a: int, d: int, n: int, m: int) -> int:
     """psi(a, b, n) mod m for n >= 1 and d = 2a - b, with no inverse: the
     three-product walk over (psi(k), psi(k+1), a**k) and the parity of k,
@@ -317,7 +309,7 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     # pow(coprime, -1, 1) is 0, and pow(1, -1, shared) is 1
     walk = chain = 0
     if shared > 1:
-        walk = _psi_walk(_signed(a, shared), _signed(d, shared), n, shared)
+        walk = _psi_walk(a % shared, d % shared, n, shared)
     if coprime > 1:
         chain = _psi_chain(a, b, d, n, coprime)
     return chain + coprime * ((walk - chain) * pow(coprime, -1, shared) % shared)
@@ -348,7 +340,7 @@ def _psi_chain(a: int, b: int, d: int, n: int, m: int) -> int:
     """psi(a, b, n) mod m by the Lucas chain; a, and d at odd n, are units mod m."""
     reduce = _chain_reduction(m)
     odd = n & 1
-    t = _signed(-b * pow(a, -1, m), m)
+    t = -b * pow(a, -1, m) % m
     k = n >> 1
     if odd:
         walk, zeros = k, 0

@@ -835,8 +835,9 @@ def _form_against_tuples(coeffs, p, q):
 
 
 class TestKernelAtTheCap:
-    """One-term operands up to ``MAX_DEGREE`` take the general product, power
-    and Horner routes; each result equals the tuple-keyed oracle's."""
+    """One-term operands, and two-term bases of powers, up to ``MAX_DEGREE``
+    take the general product, power and Horner routes; each result equals the
+    tuple-keyed oracle's."""
 
     def test_one_term_powers(self):
         x, y = variables("x y")
@@ -844,6 +845,12 @@ class TestKernelAtTheCap:
                         (x, MAX_DEGREE + 1), (-x * y, MAX_DEGREE // 2 + 1)):
             _same(lambda b: b**k, base)
         assert str(x**MAX_DEGREE) == f"x^{MAX_DEGREE}"
+
+    def test_two_term_powers(self):
+        x, y = variables("x y")
+        for base, k in ((x + y, MAX_DEGREE), (2 * x - 3 * y, MAX_DEGREE // 2),
+                        (x * y - 1, MAX_DEGREE // 2), (x + y, MAX_DEGREE + 1)):
+            _same(lambda b: b**k, base)
 
     def test_one_term_factor_times_each_row_of_the_top_table(self):
         from psikit.eightlevels import coeff_table_polys

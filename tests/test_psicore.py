@@ -35,7 +35,6 @@ from psikit.psicore import (
     psi_sequence,
     psi_symbolic,
     _psi_walk,
-    _signed,
 )
 
 from oracles import eval_scalar, psi_matrix_mod, psi_recurrence_mod, psi_symbolic_sequence
@@ -46,7 +45,7 @@ SYMBOLIC_INDEX = LIMITS["psi poly"].ceiling
 
 def walk(a, b, n, m):
     """The inverse-free walk, called with the arguments psi_mod_ladder gives it."""
-    return _psi_walk(_signed(a, m), _signed(2 * a - b, m), n, m)
+    return _psi_walk(a % m, (2 * a - b) % m, n, m)
 
 # the first few polynomials, fixed reference values
 SMALL_POLYS = {
@@ -590,6 +589,48 @@ class TestBarrettChain:
             assert type(reduce.__self__) is BarrettMod and reduce.__self__.modulus == m
         for m in ((1 << BARRETT_BREAK_EVEN) - 3, (1 << (BARRETT_BREAK_EVEN - 1)) + 1, 101):
             assert _chain_reduction(m) == m.__rmod__
+
+
+class TestChainFromTheTopResidue:
+    """The chain starts from t = -b/a mod m in [0, m), so where t is -c for a
+    small c its V_1 is m - c: b = c for a = 1 and b = c*a for a generic a,
+    c = 1..5, against the matrix power.  On 2**127 - 1 (fold-and-add),
+    2**2103 - 3 (``%``) and 2**2203 - 3 (Barrett), at odd and even n from 1
+    to 400 bits, forked and serial."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = random.Random(127)
+        out = []
+        for m in ((1 << 127) - 1, (1 << BARRETT_BREAK_EVEN) - 3, (1 << 2203) - 3):
+            generic = rng.randrange(2, m)
+            while gcd(generic, m) != 1:
+                generic += 1
+            big = rng.getrandbits(400) | 1 << 399
+            for a, c, n in product((1, generic), range(1, 6), (1, 2, 3, big - (big & 1), big | 1)):
+                out.append((a, c * a % m, n, m, psi_matrix_mod(a, c * a, n, m)))
+        return out
+
+    def _run(self, cases):
+        for a, b, n, m, expected in cases:
+            assert psi_mod_ladder(a, b, n, m) == expected, (a, b, n, m)
+            assert no_child_left()
+
+    def test_forked(self, monkeypatch, two_cpus, cases):
+        forks, real_fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        self._run(cases)
+        assert forks
+
+    def test_serial(self, monkeypatch, cases):
+        monkeypatch.setattr(psicore, "_fork_pays", lambda a, n, m: False)
+        monkeypatch.setattr(os, "fork", must_not_fork)
+        self._run(cases)
 
 
 @pytest.mark.skipif(
