@@ -35,11 +35,13 @@ k, and a random odd m often shares a small prime with a.  So the ladder strips
 those primes from m and runs the chain on the coprime part, and the
 inverse-free three-product walk ``_psi_walk`` over (psi(k), psi(k+1), a**k),
 reducing by plain ``%``, on the shared cofactor alone, usually a small prime
-power; the Chinese remainder theorem joins the two.  A 2 x 2 matrix power,
-with more products per bit, is the tests' oracle, not a route.  The chain's
-reduction is chosen once per call: moduli 2**p - 1 use the fold-and-add
-``MersenneMod.reduce``, other moduli of more than ``BARRETT_BREAK_EVEN`` bits
-``BarrettMod.reduce``, and the rest plain ``%``.
+power; the Chinese remainder theorem joins the two.  The walk takes a and d
+as their representatives of least absolute value, so a small negative a or d,
+such as d = -2 of psi(1, 4, .), keeps its products by them small.  A 2 x 2
+matrix power, with more products per bit, is the tests' oracle, not a route.
+The chain's reduction is chosen once per call: moduli 2**p - 1 use the
+fold-and-add ``MersenneMod.reduce``, other moduli of more than
+``BARRETT_BREAK_EVEN`` bits ``BarrettMod.reduce``, and the rest plain ``%``.
 """
 
 from __future__ import annotations
@@ -309,7 +311,8 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
     # pow(coprime, -1, 1) is 0, and pow(1, -1, shared) is 1
     walk = chain = 0
     if shared > 1:
-        walk = _psi_walk(a % shared, d % shared, n, shared)
+        half = shared >> 1
+        walk = _psi_walk((a + half) % shared - half, (d + half) % shared - half, n, shared)
     if coprime > 1:
         chain = _psi_chain(a, b, d, n, coprime)
     return chain + coprime * ((walk - chain) * pow(coprime, -1, shared) % shared)

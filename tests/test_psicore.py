@@ -45,7 +45,8 @@ SYMBOLIC_INDEX = LIMITS["psi poly"].ceiling
 
 def walk(a, b, n, m):
     """The inverse-free walk, called with the arguments psi_mod_ladder gives it."""
-    return _psi_walk(a % m, (2 * a - b) % m, n, m)
+    half = m >> 1
+    return _psi_walk((a + half) % m - half, (2 * a - b + half) % m - half, n, m)
 
 # the first few polynomials, fixed reference values
 SMALL_POLYS = {
