@@ -5,7 +5,8 @@ held as integers over one denominator.  ``fractions.Fraction`` appears only
 where a rational is taken in or handed out, and is imported there, so that
 importing this module does not load it.  The module provides elements of real
 quadratic extensions ``(u + v*sqrt(d)) / q``, a shift-and-add reduction for
-moduli of the form ``2**p - 1`` and Barrett reduction for any other modulus.
+moduli of the form ``2**p - 1`` and folded Barrett reduction for any other
+modulus.
 """
 
 from __future__ import annotations
@@ -311,33 +312,61 @@ class MersenneMod:
 
 
 class BarrettMod:
-    """Modulus m >= 2 with Barrett reduction (Barrett 1986; Menezes, van
-    Oorschot and Vanstone, *Handbook of Applied Cryptography*, Alg. 14.42):
-    two products and shifts in place of a long division.
+    """Modulus m >= 2 with folded Barrett reduction (Barrett 1986; Menezes,
+    van Oorschot and Vanstone, *Handbook of Applied Cryptography*, Alg. 14.42;
+    the folding step of Hasenplaugh, Gaubatz and Gopal, "Fast Modular
+    Reduction", ARITH-18, 2007): products by precomputed constants and shifts
+    in place of a long division.
 
-    With k the bit length of m and mu = floor(4**k / m), the quotient of
-    0 <= x < 4**k is estimated as q = ((x >> (k - 1)) * mu) >> (k + 1).  Each
-    floor only lowers it, so q <= floor(x / m), and it falls short by at most
-    two, so x - q*m is brought below m by at most two subtractions.  Any other
-    x, negative or from 4**k up, is reduced by ``%``.
+    Let k be the bit length of m.  An x with 0 <= x < 2**bits, bits = 2k at
+    first, is folded at a point h by
+
+        x = (x >> h) * c + (x & (2**h - 1)),    c = 2**h mod m,
+
+    which keeps x mod m, and, as c < 2**k, leaves
+    y < 2**(bits - h + k) + 2**h <= 2**(max(bits - h + k, h) + 1).  Each fold
+    takes h = ceil((bits + k) / 2), so the bound becomes h + 1 bits, and the
+    excess over k goes from e to ceil(e / 2) + 1: two folds, near 3k/2 and
+    5k/4, take 2k bits to about 5k/4 + 2.  The product of each fold is
+    (bits - h) x k bits, about k/2 x k and k/4 x k, and the estimate's two
+    products are then about k/4 x k/4 and k/4 x k bits, where an estimate on
+    all 2k bits forms two of about k x k.  A fold that would not lower the
+    bound is left out: both below k = 4 bits, the second at k = 4.
+
+    The Barrett estimate then runs on the remaining 0 <= y < 2**(k + j):
+    with mu = floor(2**(k + j) / m), q = ((y >> (k - 1)) * mu) >> (j + 1).
+    Each floor only lowers it, so q <= floor(y / m); and as each floor takes
+    off less than one and y < 2**(k + j), 2**(k - 1) <= m, it falls short by
+    at most two, so y - q*m is brought below m by at most two subtractions.
+    Any x that is negative or from 4**k up is reduced by ``%``.
     """
 
-    __slots__ = ("modulus", "_k", "_mu", "_top")
+    __slots__ = ("modulus", "_k", "_mu", "_shift", "_top", "_folds")
 
     def __init__(self, m: int) -> None:
         if not isinstance(m, int) or m < 2:
             raise ValueError("modulus must be an integer >= 2")
         k = m.bit_length()
         self.modulus, self._k, self._top = m, k, 1 << 2 * k
-        self._mu = self._top // m
+        bits, folds = 2 * k, []
+        for _ in range(2):
+            h = (bits + k + 1) // 2
+            if h + 1 >= bits:
+                break
+            folds.append((h, (1 << h) - 1, (1 << h) % m))
+            bits = h + 1
+        self._folds = tuple(folds)
+        self._mu = (1 << bits) // m
+        self._shift = bits - k + 1
 
     def reduce(self, x: int) -> int:
         """Return ``x mod m`` in ``[0, m - 1]`` for any integer x."""
         m = self.modulus
         if not 0 <= x < self._top:
             return x % m
-        k = self._k
-        r = x - ((x >> (k - 1)) * self._mu >> (k + 1)) * m
+        for h, mask, c in self._folds:
+            x = (x >> h) * c + (x & mask)
+        r = x - ((x >> (self._k - 1)) * self._mu >> self._shift) * m
         while r >= m:
             r -= m
         return r

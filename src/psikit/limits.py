@@ -25,10 +25,10 @@ LIMITS = {name: Limit(*fields) for name, fields in {
     # --n 20500 just below it takes 0.1 s, and integer a and b under 0.2 s
     "psi eval value bits": ("psi eval", "the value's bit bound", None, 1 << 14),
     # psicore.FORK_BREAK_EVEN's measure at a 14284-bit index and modulus, the largest
-    # that print at the default int-to-str limit: 6-8 s (--n 2^14283+1 --mod
+    # that print at the default int-to-str limit: 6-6.5 s (--n 2^14283+1 --mod
     # 2^14284-3; 12.5-16 s with the chain reducing by % instead of Barrett).  With
-    # the limit lifted the slowest shape, a 2^20-bit index and a 1667-bit modulus,
-    # below psicore.BARRETT_BREAK_EVEN, takes 21-22 s
+    # the limit lifted the slowest shape, a 2^20-bit index and a 1667-bit modulus
+    # (--n 2^1048575+1 --mod 2^1666+1), takes 14-16.5 s
     "psi ladder work": ("psi ladder, psi eval --mod", "index bits * modulus bits^2", None,
                         14_284**3),
     # estimated before the power is built; the ladder spends one step per bit

@@ -41,7 +41,10 @@ such as d = -2 of psi(1, 4, .), keeps its products by them small.  A 2 x 2
 matrix power, with more products per bit, is the tests' oracle, not a route.
 The chain's reduction is chosen once per call: moduli 2**p - 1 use the
 fold-and-add ``MersenneMod.reduce``, other moduli of more than
-``BARRETT_BREAK_EVEN`` bits ``BarrettMod.reduce``, and the rest plain ``%``.
+``BARRETT_BREAK_EVEN`` bits the folded Barrett reduction
+``BarrettMod.reduce``, which turns the product's 2k bits into about 5k/4 by
+two products by constants before it estimates the quotient, and the rest
+plain ``%``.
 """
 
 from __future__ import annotations
@@ -319,14 +322,18 @@ def psi_mod_ladder(a: int, b: int, n: int, m: int) -> int:
 
 
 # The largest modulus bit length at which the chain reduces by ``%``; above it,
-# by ``BarrettMod``.  Barrett's two products pass CPython's Karatsuba cutoff of
-# 70 30-bit digits once x >> (k - 1), about k - 1 bits for a typical x = v * w,
-# has more than 2100 bits.  On a 2-CPU Linux box with CPython 3.11, a 600-bit
-# walk of the chain (random odd moduli, best of 9 to 15, three seeds) took with
-# Barrett 1.08-1.22 times its time with ``%`` at 2048 bits, 1.03-1.10 at 2102,
-# 0.95-1.01 at 2103, 0.96-1.02 at 2104 and 0.94-0.97 at 2203; 0.83 at 4253
-# and 0.63 at 14284.
-BARRETT_BREAK_EVEN = 2103
+# by the folded ``BarrettMod``.  Its products by constants, about k/2 x k and
+# k/4 x k bits, cost less than a long division of 2k by k bits, but its dozen
+# Python operations per call do not pay at smaller moduli.  On a 2-CPU Linux
+# box with CPython 3.11, a 600-bit walk of the chain (three random odd moduli
+# per size, best of 9) took with the folded Barrett 1.59-1.78 times its time
+# with ``%`` at 256 bits, 1.17-1.20 at 512, 1.04-1.10 at 640, 0.96-1.01 at
+# 704, 0.95-1.04 at 768, 0.95-1.28 at 800, 0.95-0.97 at 832, 0.90-0.92 at 896
+# and 0.84-0.96 at 1024; over longer walks, 0.75-0.77 at 1667, 0.72 at 2203,
+# 0.69-0.70 at 4253 and 0.53-0.55 at 14284.  No benchmark workload chains at
+# or below it: ``repro all`` chains only on 2**p - 1, and ``ladder-generic``
+# on moduli of 2203 to 4253 bits.
+BARRETT_BREAK_EVEN = 800
 
 
 def _chain_reduction(m: int):

@@ -65,19 +65,24 @@ class TestMersenneReduce:
 
 
 class TestBarrettReduce:
-    """Barrett reduction against ``%`` on moduli of 2101 to 14284 bits, from
-    below the chain's break-even of ``psicore.BARRETT_BREAK_EVEN`` bits to the
-    ladder's largest: random odd and even moduli, 2**k + 1 and 2**k - 3."""
+    """Folded Barrett reduction against ``%`` on moduli of every size from 2
+    to 64 bits, where the fold points degenerate and a fold is left out, and
+    at BARRETT_BREAK_EVEN - 2, BARRETT_BREAK_EVEN and BARRETT_BREAK_EVEN + 1
+    bits, across the chain's break-even of ``psicore.BARRETT_BREAK_EVEN`` bits,
+    up to the ladder's largest: random odd and even moduli, 2**k + 1 and
+    2**k - 3."""
 
     @staticmethod
     def moduli():
         rng = random.Random(14284)
-        for bits in (2101, BARRETT_BREAK_EVEN, BARRETT_BREAK_EVEN + 1, 2203, 4253, 14284):
+        for bits in (*range(2, 65), BARRETT_BREAK_EVEN - 2, BARRETT_BREAK_EVEN,
+                     BARRETT_BREAK_EVEN + 1, 2203, 4253, 14284):
             top = 1 << (bits - 1)
             yield rng.getrandbits(bits) | top | 1
             yield (rng.getrandbits(bits) | top) & ~1
             yield top + 1
-            yield 2 * top - 3
+            if bits > 2:
+                yield 2 * top - 3
 
     def test_edges_and_seeded_values(self):
         rng = random.Random(2101)
@@ -93,19 +98,37 @@ class TestBarrettReduce:
                 assert reduce(x) == x % m, (k, x)
 
     def test_the_estimate_falls_short_by_at_most_two(self):
-        # the documented bound of the quotient estimate below 4**k, which caps
-        # the subtractions after it at two
+        # the documented bounds below 4**k: each fold at h keeps x mod m and
+        # leaves it below 2**(h + 1), two folds from k = 5 bits on; the
+        # quotient estimate of what remains, y < 2**(k + j), falls short by at
+        # most two, which caps the subtractions after it at two
         rng = random.Random(2102)
         for m in self.moduli():
             barrett = BarrettMod(m)
             k = m.bit_length()
+            assert len(barrett._folds) == (2 if k >= 5 else 1 if k == 4 else 0)
             for x in [(m - 1) ** 2, (1 << 2 * k) - 1] + [rng.getrandbits(2 * k) for _ in range(50)]:
-                q = (x >> (k - 1)) * barrett._mu >> (k + 1)
-                assert 0 <= x // m - q <= 2, (k, x)
+                y = x
+                for h, mask, c in barrett._folds:
+                    y = (y >> h) * c + (y & mask)
+                    assert y < 1 << (h + 1) and y % m == x % m, (k, x, h)
+                j = barrett._shift - 1
+                assert y < 1 << (k + j) and barrett._mu == (1 << (k + j)) // m, (k, x)
+                q = (y >> (k - 1)) * barrett._mu >> (j + 1)
+                assert 0 <= y // m - q <= 2, (k, x)
 
     @settings(derandomize=True, database=None, max_examples=300)
     @given(m=st.integers(2, 1 << 300), x=st.integers(-(1 << 700), 1 << 700))
     def test_any_modulus_against_generic_remainder_hypothesis(self, m, x):
+        assert BarrettMod(m).reduce(x) == x % m
+
+    @settings(derandomize=True, database=None, max_examples=300)
+    @given(data=st.data(), k=st.integers(2, 2300))
+    def test_the_folded_branch_against_generic_remainder_hypothesis(self, data, k):
+        # every draw is in [0, 4**k), so it takes the folds and the estimate,
+        # not the ``%`` branch
+        m = data.draw(st.integers(1 << (k - 1), (1 << k) - 1))
+        x = data.draw(st.integers(0, (1 << 2 * k) - 1))
         assert BarrettMod(m).reduce(x) == x % m
 
     def test_modulus_validation(self):

@@ -596,8 +596,8 @@ class TestChainFromTheTopResidue:
     """The chain starts from t = -b/a mod m in [0, m), so where t is -c for a
     small c its V_1 is m - c: b = c for a = 1 and b = c*a for a generic a,
     c = 1..5, against the matrix power.  On 2**127 - 1 (fold-and-add),
-    2**2103 - 3 (``%``) and 2**2203 - 3 (Barrett), at odd and even n from 1
-    to 400 bits, forked and serial."""
+    2**BARRETT_BREAK_EVEN - 3 (``%``) and 2**2203 - 3 (Barrett), at odd and
+    even n from 1 to 400 bits, forked and serial."""
 
     @pytest.fixture(scope="class")
     def cases(self):
