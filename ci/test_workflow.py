@@ -48,7 +48,7 @@ def _ceilings():
     chain reduces by Barrett."""
     for name in ("verify eightlevels", "verify powersums", "verify theta",
                  "verify fundamental", "bridges check", "identities tau", "coeff table",
-                 "mersenne test sum", "mersenne test necessary"):
+                 "mersenne test sum", "mersenne test necessary", "mersenne test ab"):
         command, option, first, ceiling = LIMITS[name]
         count = ceiling - first + 1 if name.startswith("verify ") else None
         if name == "bridges check":

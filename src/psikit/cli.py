@@ -24,6 +24,7 @@ from math import isqrt
 from . import bridges as bridges_mod
 from . import eightlevels, mersenne, powersums
 from .errors import CapacityError
+from .exactmath import _ratio_text, decimal_text
 from .limits import LIMITS
 from .psicore import (
     _common_denominator,
@@ -65,7 +66,7 @@ def _parse_scalar(text: str):
         raise ValueError(f"not an exact scalar: {text!r}") from err
 
 
-def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
+def _parse_index(option: str, least: int = 0, what: str = "index") -> int:
     """Accept ``37634``, ``2^61``, ``3*2^61`` and ``2^61-1`` or ``3*2^61+5``
     for astronomically large n (and moduli, with ``least=2``).
 
@@ -74,45 +75,28 @@ def _parse_index(text: str, least: int = 0, what: str = "index") -> int:
     ``(abs(base) - 1).bit_length()``; above the ceiling of its bits the value
     is refused before the power is built.
     """
-    text = text.strip()
-    mult = 1
-    if "*" in text:
-        head, _, text = text.partition("*")
-        mult = int(head)
-    if "^" in text:
-        base_text, _, exp_text = text.partition("^")
-        offset = 0
+    text, mult, offset = option.strip(), 1, 0
+    try:
+        if "*" in text:
+            head, _, text = text.partition("*")
+            mult = int(head)
+        base_text, caret, exp_text = text.partition("^")
         cut = max(exp_text.rfind("+"), exp_text.rfind("-"))
         if cut > 0:
             exp_text, offset = exp_text[:cut], int(exp_text[cut:])
-        base, exp = int(base_text), int(exp_text)
+        base, exp = int(base_text), int(exp_text) if caret else 1
+    except ValueError as err:
+        raise ValueError(f"not an exact integer: {option!r}") from err
+    if caret:
         if exp < 0:
             raise ValueError(f"{what} exponent must be >= 0")
         bits = mult.bit_length() + exp * (abs(base) - 1).bit_length()
         if bits > (cap := LIMITS["index bits"].ceiling):
             raise CapacityError(f"{what} {text!r} has up to {bits} bits; cap is {cap}")
-        value = mult * base**exp + offset
-    else:
-        value = mult * int(text)
+    value = mult * base**exp + offset
     if value < least:
         raise ValueError(f"{what} must be >= {least}")
     return value
-
-
-def _require_printable(bits: int, what: str) -> None:
-    """Refuse a value of up to ``bits`` bits that str() could not render.
-
-    CPython converts an int to decimal only up to sys.get_int_max_str_digits()
-    digits (4300 by default; PYTHONINTMAXSTRDIGITS changes it, 0 lifts it).
-    Interpreters before 3.10.7 have no such limit.
-    """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
-    if limit and digits > limit:
-        raise CapacityError(
-            f"{what} has up to {digits} decimal digits; the int-to-str limit is "
-            f"{limit} (PYTHONINTMAXSTRDIGITS)"
-        )
 
 
 # -- record rendering --------------------------------------------------------
@@ -169,35 +153,29 @@ def _tally(records, verdicts: list):
 
 def _psi_record(command: str, a, b, n: int, m: int | None) -> dict:
     """The record of psi(a, b, n), exact when m is None, else mod m by the
-    ladder.  Before the work, each route refuses (after the exact route's
-    range of n) what the record could not print, then work above its ceiling."""
+    ladder, each integer written in full.  Before the work, each route refuses
+    work above its ceiling (the exact route after its range of n)."""
     if m is None:
         _check_range("psi eval", n)
         bits = psi_bit_bound(a, b, n)
-        _require_printable(bits, f"psi at n={n}")
         if bits > (cap := LIMITS["psi eval value bits"].ceiling):
             raise CapacityError(f"psi at n={n} has up to {bits} bits; cap is {cap}")
         # psi(A/q, B/q, n) = psi(A, B, n) / q**(n // 2): one fraction, at the end
         q, a_num, b_num = _common_denominator(a, b)
-        value = psi_recurrence(a_num, b_num, n)
-        if q > 1:
-            from fractions import Fraction  # imported already, to parse a or b
-            value = Fraction(value, q ** (n // 2))
+        value = _ratio_text(psi_recurrence(a_num, b_num, n), q ** (n // 2))
     else:
-        _require_printable(n.bit_length(), "the index")
-        _require_printable(m.bit_length(), "the modulus")
         work = n.bit_length() * m.bit_length() ** 2
         if work > (ceiling := LIMITS["psi ladder work"].ceiling):
             raise CapacityError(f"the ladder's work (index bits * modulus bits**2) {work} "
                                 f"is above the ceiling {ceiling}")
-        value = psi_mod_ladder(a, b, n, m)
+        value = decimal_text(psi_mod_ladder(a, b, n, m))
     return {
         "command": command,
         "a": str(a),
         "b": str(b),
-        "n": str(n),
-        "mod": None if m is None else str(m),
-        "value": str(value),
+        "n": decimal_text(n),
+        "mod": None if m is None else decimal_text(m),
+        "value": value,
     }
 
 
@@ -306,18 +284,10 @@ def _cmd_mersenne(args):
             raise ValueError(
                 f"mersenne scan: pmax={args.pmax} is below the first exponent {lower}"
             )
-        # a residue mod 2**p - 1 has at most p bits
-        _require_printable(args.pmax, f"a residue mod 2^{args.pmax}-1")
         return (
             _timed_report(args.method, p).to_dict(with_timing=args.timing)
             for p in _scan_exponents(lower, args.pmax)
         )
-    if args.method != "ab":
-        _require_printable(args.p, f"a residue mod 2^{args.p}-1")
-    elif (ab := LIMITS["mersenne test ab"]).first <= args.p <= ab.ceiling:
-        # outside these bounds ab_ratio_test refuses p itself
-        bits = psi_bit_bound(1, 4, 1 << (args.p - 1))
-        _require_printable(bits, f"the ab ratio at p={args.p}")
     # --mu and --mu-max go to the one method that takes each
     kwargs = {"mu": {"mu_max": args.mu_max}, "sum": {"mu": args.mu}}.get(args.method, {})
     report = _timed_report(args.method, args.p, **kwargs)

@@ -21,28 +21,26 @@ LIMITS = {name: Limit(*fields) for name, fields in {
     # 0.6-0.65 s; each step of l takes its sums 4 to 5 times longer
     "identities tau": ("identities tau", "--l", 3, 15),
     "psi eval": ("psi eval", "--n", 0, 100_000),  # without --mod; 0.1 s at a = 1, b = 2
-    # psicore.psi_bit_bound; with the int-to-str limit lifted, --a 1/3 --b 1
-    # --n 20500 just below it takes 0.1 s, and integer a and b under 0.2 s
+    # psicore.psi_bit_bound; --a 1/3 --b 1 --n 20500 just below it takes 0.1 s,
+    # and integer a and b under 0.2 s
     "psi eval value bits": ("psi eval", "the value's bit bound", None, 1 << 14),
-    # psicore.FORK_BREAK_EVEN's measure at a 14284-bit index and modulus, the largest
-    # that print at the default int-to-str limit: 6-6.5 s (--n 2^14283+1 --mod
-    # 2^14284-3; 12.5-16 s with the chain reducing by % instead of Barrett).  With
-    # the limit lifted the slowest shape, a 2^20-bit index and a 1667-bit modulus
-    # (--n 2^1048575+1 --mod 2^1666+1), takes 14-16.5 s
+    # psicore.FORK_BREAK_EVEN's measure at a 14284-bit index and modulus: 6-6.5 s
+    # (--n 2^14283+1 --mod 2^14284-3; 12.5-16 s reducing by % instead of Barrett).
+    # Every shape runs at any int-to-str limit; the slowest, a 2^20-bit index and a
+    # 1667-bit modulus (--n 2^1048575+1 --mod 2^1666+1), takes 13-14.5 s
     "psi ladder work": ("psi ladder, psi eval --mod", "index bits * modulus bits^2", None,
                         14_284**3),
     # estimated before the power is built; the ladder spends one step per bit
     "index bits": ("psi eval, psi ladder", "the bits of --n or --mod", None, 1 << 20),
     # the chain at p costs about p**2.5; that of --pmax 4000, 6 to 10 s by ll or psi
     "mersenne scan work": ("mersenne scan", "the sum of p * p * isqrt(p)", None, 140_612_888_302),
-    # about 20 s by ll or psi, composite three times that; at the default
-    # int-to-str limit the command line refuses sooner a p whose residue cannot print
+    # about 20 s by ll or psi, composite about 60 s, at any int-to-str limit
     "mersenne test ll": (_TEST + "ll", "--p", 3, 44_497),
     "mersenne test psi": (_TEST + "psi", "--p", 5, 44_497),
     "mersenne test composite": (_TEST + "composite", "--p", 3, 44_497),
     "mersenne test mu": (_TEST + "mu", "--p", 5, 44_497),
     "mersenne test mu --mu-max": (_TEST + "mu", "--mu-max", 1, 16),  # one residue per mu
-    # one ladder, 1.0-1.3 s; a residue has up to 4300 digits, the default int-to-str limit
+    # one ladder, 1.0-1.3 s; the largest prime p whose residues have up to 4300 digits
     "mersenne test sum": (_TEST + "sum", "--p", 5, 14_281),
     "mersenne test sum --mu": (_TEST + "sum", "--mu", 0, (1 << 64) - 1),  # n * mu: p + 63 bits
     # 1.0 s: the Lucas-Lehmer chain, then 488 trial factors up to 13938257

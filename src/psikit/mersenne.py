@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import factorial, isqrt
 
 from .errors import CapacityError
-from .exactmath import MersenneMod
+from .exactmath import MersenneMod, decimal_text
 from .limits import LIMITS
 from .psicore import _lucas_walk, _square_chain, psi_mod_ladder, psi_symbolic
 from .records import Record
@@ -79,8 +79,8 @@ class TestReport(Record):
             "method": self.method,
             "p": self.p,
             "verdict": self.verdict,
-            "residues": [str(r) for r in self.residues],
-            "ratios": [str(r) for r in self.ratios] if self.ratios else None,
+            "residues": [decimal_text(r) for r in self.residues],
+            "ratios": [decimal_text(r) for r in self.ratios] if self.ratios else None,
             "elapsed_ms": round(self.elapsed_ms, 3) if with_timing else 0,
             "notes": list(self.notes),
         }
@@ -274,7 +274,7 @@ def necessary_condition(p: int) -> TestReport:
         p=p,
         verdict="condition-fails",
         residues=[factor],
-        notes=[f"factor found: {factor} divides {m}"],
+        notes=[f"factor found: {factor} divides {decimal_text(m)}"],
     )
 
 

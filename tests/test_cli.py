@@ -28,11 +28,14 @@ from psikit.cli import (
 from psikit import multipoly
 from psikit.eightlevels import coeff_table_text, verify_expansion
 from psikit.errors import CapacityError
+from psikit.exactmath import decimal_text
 from psikit.limits import LIMITS
 from psikit.mersenne import METHODS, is_prime_small
 from psikit.psicore import psi_recurrence, psi_symbolic
 
 INDEX_BITS = LIMITS["index bits"].ceiling
+LADDER_19937 = (f"the ladder's work (index bits * modulus bits**2) {19937**3} is above "
+                f"the ceiling {LIMITS['psi ladder work'].ceiling}")
 
 
 def run_cli(*argv):
@@ -375,9 +378,9 @@ class TestExitCodes:
         assert recs == [{"command": argv[0], "error": "usage", "reason": reason}]
 
     # several bad inputs at once: eval and ladder check the modulus, then a
-    # and b, then that they are integers, then n (its range, then whether psi
-    # prints, on the exact route; the index, then the modulus, for the record's
-    # echo)
+    # and b, then that they are integers, then n (its range, then the value's
+    # bits, on the exact route; the ladder's work on the modular one).  A row
+    # without a reason is no error: its record writes a 6002-digit modulus.
     @pytest.mark.parametrize("argv, code, reason", [
         ("eval --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
         ("eval --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
@@ -391,9 +394,10 @@ class TestExitCodes:
         ("eval --a 1 --b 4 --n -1 --mod 7", EXIT_USAGE, "index must be >= 0"),
         ("eval --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY,
          "index '2^2000000' has up to 2000001 bits; cap is 1048576"),
-        ("eval --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY,
-         "the index has up to 6002 decimal digits; the int-to-str limit is 4300 "
-         "(PYTHONINTMAXSTRDIGITS)"),
+        ("eval --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY, LADDER_19937),
+        ("eval --a 1 --b 4 --n 2^2^30 --mod 7", EXIT_USAGE, "not an exact integer: '2^2^30'"),
+        ("eval --a 1 --b 4 --n 5 --mod 2**7-1", EXIT_USAGE, "not an exact integer: '2**7-1'"),
+        ("eval --a 1 --b 4 --n 0x10", EXIT_USAGE, "not an exact integer: '0x10'"),
         ("eval --a x --b y --n -1", EXIT_USAGE, "not an exact scalar: 'x'"),
         ("eval --a 3 --b 1 --n -1", EXIT_USAGE, "index must be >= 0"),
         ("eval --a 3 --b 1 --n 100001", EXIT_CAPACITY,
@@ -413,19 +417,22 @@ class TestExitCodes:
         ("ladder --a 1 --b 4 --n 5 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
         ("ladder --a 1 --b 4 --n 5 --mod 2^2000000", EXIT_CAPACITY,
          "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
-        ("ladder --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY,
-         "the index has up to 6002 decimal digits; the int-to-str limit is 4300 "
-         "(PYTHONINTMAXSTRDIGITS)"),
-        ("ladder --a 1 --b 4 --n 5 --mod 2^19937-1", EXIT_CAPACITY,
-         "the modulus has up to 6002 decimal digits; the int-to-str limit is 4300 "
-         "(PYTHONINTMAXSTRDIGITS)"),
+        ("ladder --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY, LADDER_19937),
+        ("ladder --a 1 --b 4 --n 5 --mod 2^19937-1", EXIT_OK, None),
+        ("ladder --a 1 --b 4 --n 2^2^30 --mod 7", EXIT_USAGE, "not an exact integer: '2^2^30'"),
+        ("ladder --a 1 --b 4 --n 0x10 --mod 7", EXIT_USAGE, "not an exact integer: '0x10'"),
+        ("ladder --a 1 --b 4 --n 5 --mod 2**7-1", EXIT_USAGE,
+         "not an exact integer: '2**7-1'"),
     ])
-    def test_psi_error_precedence(self, argv, code, reason, monkeypatch):
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    def test_psi_error_precedence(self, argv, code, reason):
+        got = run_json("psi", *argv.split())
+        if reason is None:
+            # psi(1, 4, 5) = 19
+            assert got == (code, [{"command": "psi-ladder", "a": "1", "b": "4", "n": "5",
+                                   "mod": decimal_text((1 << 19937) - 1), "value": "19"}])
+            return
         error = "capacity" if code == EXIT_CAPACITY else "usage"
-        assert run_json("psi", *argv.split()) == (
-            code, [{"command": "psi", "error": error, "reason": reason}]
-        )
+        assert got == (code, [{"command": "psi", "error": error, "reason": reason}])
 
     @pytest.mark.parametrize("a, b, reason", [
         ("1/3", "1", "modular evaluation needs integer parameters"),
@@ -459,7 +466,7 @@ class TestExitCodes:
         assert code == EXIT_USAGE and capsys.readouterr().out == ""
 
     def test_sum_and_necessary_run_at_their_ceilings(self):
-        # 2^14281 - 1 is composite; its residues print at CPython's default limit
+        # 2^14281 - 1 is composite; a residue has up to 4300 digits
         p = LIMITS["mersenne test sum"].ceiling
         code, recs = run_json("mersenne", "test", "--p", str(p), "--method", "sum")
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
@@ -468,58 +475,6 @@ class TestExitCodes:
         code, recs = run_json("mersenne", "test", "--p", str(p), "--method", "necessary")
         assert code == EXIT_OK and recs[0]["verdict"] == "condition-fails"
         assert recs[0]["residues"] == ["13938257"]
-
-    def test_unprintable_ab_ratio_is_capacity(self, monkeypatch):
-        # psi(1, 4, 2^16) has about 18700 digits, past CPython's default 4300
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
-        started = time.perf_counter()
-        code, recs = run_json("mersenne", "test", "--p", "17", "--method", "ab")
-        assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"]
-        assert time.perf_counter() - started < 1.0
-
-    def test_unprintable_exact_value_is_refused_before_the_work(self, monkeypatch):
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
-        started = time.perf_counter()
-        code, recs = run_json("psi", "eval", "--a", "3", "--b", "1", "--n", "20000")
-        assert code == EXIT_CAPACITY and recs[0]["error"] == "capacity"
-        assert time.perf_counter() - started < 1.0
-        # a large value within the limit still prints
-        code, recs = run_json("psi", "eval", "--a", "1", "--b", "4", "--n", "10000")
-        assert code == EXIT_OK and len(recs[0]["value"]) > 2800
-
-    def test_unprintable_residue_is_refused_before_the_work(self, monkeypatch):
-        # a residue mod 2^14303 - 1 may have 4306 digits, past CPython's default 4300
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
-        for argv in (
-            ("mersenne", "test", "--p", "14303", "--method", "psi"),
-            ("mersenne", "test", "--p", "14303", "--method", "ll"),
-            ("mersenne", "scan", "--pmin", "14281", "--pmax", "14303"),
-        ):
-            started = time.perf_counter()
-            code, recs = run_json(*argv)
-            assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], argv
-            assert time.perf_counter() - started < 1.0, argv
-
-    def test_unprintable_sum_or_necessary_residue_is_refused_before_the_work(self, monkeypatch):
-        # under a lowered limit a residue mod 2^9941 - 1 (2993 digits) cannot print
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 2000)
-        for method in ("sum", "necessary"):
-            started = time.perf_counter()
-            code, recs = run_json("mersenne", "test", "--p", "9941", "--method", method)
-            assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], method
-            assert time.perf_counter() - started < 1.0, method
-
-    def test_unprintable_index_or_modulus_is_refused_before_the_work(self, monkeypatch):
-        # the record echoes n and the modulus in decimal; 2^19936 has 6002 digits
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
-        for command in ("ladder", "eval"):
-            for n, mod in (("2^19936", "7"), ("5", "2^19937-1")):
-                started = time.perf_counter()
-                code, recs = run_json(
-                    "psi", command, "--a", "1", "--b", "4", "--n", n, "--mod", mod
-                )
-                assert code == EXIT_CAPACITY and "digits" in recs[0]["reason"], (n, mod)
-                assert time.perf_counter() - started < 1.0, (n, mod)
 
     def test_cap_is_checked_before_the_exponent(self):
         # 2^61 - 1 is prime: trial division of p would run for hours
@@ -532,47 +487,74 @@ class TestExitCodes:
             assert time.perf_counter() - started < 1.0, method
 
     @staticmethod
-    def run_without_str_limit(argvs):
-        """(exit code, seconds, error record) of each argv, run in one
-        subprocess with the int-to-str limit lifted."""
+    def run_at_str_limits(argvs, limits=(0,)):
+        """For each int-to-str limit (PYTHONINTMAXSTRDIGITS; 0 lifts it), the
+        (exit code, seconds, stdout) of each argv, run in one subprocess per
+        limit, the subprocesses side by side."""
         code = (
             "import io, json, sys, time\n"
             "from contextlib import redirect_stdout\n"
             "from psikit import cli\n"
-            "if hasattr(sys, 'set_int_max_str_digits'):\n"
-            "    sys.set_int_max_str_digits(0)\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    started = time.perf_counter()\n"
             "    with redirect_stdout(io.StringIO()) as out:\n"
             "        code = cli.main(argv)\n"
-            "    seconds = time.perf_counter() - started\n"
-            "    print(code, seconds, out.getvalue().strip())\n"
+            "    print(json.dumps([code, time.perf_counter() - started, out.getvalue()]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
-        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
-                              capture_output=True, text=True, env=env, timeout=60, check=True)
-        lines = [line.split(" ", 2) for line in proc.stdout.splitlines()]
-        assert len(lines) == len(argvs)
-        return [(int(code), float(seconds), json.loads(rec)) for code, seconds, rec in lines]
+        procs = [subprocess.Popen([sys.executable, "-c", code, json.dumps(argvs)],
+                                  env=dict(env, PYTHONINTMAXSTRDIGITS=str(limit)),
+                                  stdout=subprocess.PIPE, text=True) for limit in limits]
+        try:
+            outs = [proc.communicate(timeout=120)[0] for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        assert [proc.returncode for proc in procs] == [0] * len(limits)
+        runs = [[tuple(json.loads(line)) for line in out.splitlines()] for out in outs]
+        assert [len(run) for run in runs] == [len(argvs)] * len(limits)
+        return runs
+
+    def test_records_are_the_same_at_any_str_limit(self):
+        # each run writes an integer of more than 640 digits, the least limit,
+        # and all but necessary's one of more than 4300, the default; no option
+        # has more than 640 digits, as parsing keeps its limit
+        argvs = [line.split() for line in (
+            "mersenne test --p 2131 --method necessary",
+            "mersenne test --p 14303 --method psi",
+            "mersenne test --p 14303 --method ll",
+            "mersenne test --p 17 --method ab",
+            "mersenne scan --pmin 14281 --pmax 14303",
+            "psi ladder --a 1 --b 4 --n 2^19936 --mod 7",
+            "psi eval --a 1 --b 4 --n 2^19936 --mod 7",
+            "psi eval --a 1/3 --b 1 --n 20500",
+        )]
+        runs = [[(code, out) for code, _, out in run]
+                for run in self.run_at_str_limits(argvs, (640, 4300, 0))]
+        assert runs[0] == runs[1] == runs[2]
+        for argv, (code, out) in zip(argvs, runs[0]):
+            assert code == EXIT_OK and re.search(r"\d{641}", out), argv
+        # M2131 = 3273217 * ..., and M17 is prime
+        assert '"notes":["factor found: 3273217 divides ' in runs[0][0][1]
+        assert json.loads(runs[0][3][1])["verdict"] == "prime"
 
     def test_cap_is_checked_before_the_exponent_at_any_str_limit(self):
-        # with the int-to-str limit lifted, only the ceiling stops a huge p
-        # before its trial division; 10**18 + 3 is prime, as is 44501
+        # with the int-to-str limit lifted too, only the ceiling stops a huge
+        # p before its trial division; 10**18 + 3 is prime, as is 44501
         runs = [(method, p) for method in ("ll", "psi", "composite", "mu")
                 for p in (10**18 + 3, 44501)]
-        results = self.run_without_str_limit(
+        [results] = self.run_at_str_limits(
             [["mersenne", "test", "--p", str(p), "--method", method] for method, p in runs]
         )
-        for (method, p), (exit_code, seconds, record) in zip(runs, results):
+        for (method, p), (exit_code, seconds, out) in zip(runs, results):
             assert exit_code == EXIT_CAPACITY and seconds < 1.0, (method, p)
             ceiling = LIMITS[f"mersenne test {method}"].ceiling
-            assert record["reason"].endswith(f"cap is p <= {ceiling}")
+            assert json.loads(out)["reason"].endswith(f"cap is p <= {ceiling}")
             assert ceiling == 44497 < p, (method, p)
 
     def test_psi_work_is_bounded_at_any_str_limit(self):
-        # each would run for hours, or run out of memory; at the default
-        # limit the unprintable value, index or modulus is refused first
-        results = self.run_without_str_limit([
+        # each would run for hours, or run out of memory
+        [results] = self.run_at_str_limits([
             ["psi", "eval", "--a", "9" * 300, "--b", "1", "--n", "100000"],
             ["psi", "ladder", "--a", "3", "--b", "1", "--n", "2^1000000",
              "--mod", "2^1000000+1"],
@@ -584,15 +566,16 @@ class TestExitCodes:
         cap = LIMITS["psi eval value bits"].ceiling
         reasons = [f"psi at n=100000 has up to 49829689 bits; cap is {cap}",
                    ladder, ladder]
-        for (exit_code, seconds, record), reason in zip(results, reasons):
-            assert exit_code == EXIT_CAPACITY and seconds < 1.0, record
-            assert record == {"command": "psi", "error": "capacity", "reason": reason}
+        for (exit_code, seconds, out), reason in zip(results, reasons):
+            assert exit_code == EXIT_CAPACITY and seconds < 1.0, out
+            assert json.loads(out) == {"command": "psi", "error": "capacity", "reason": reason}
 
     def test_rational_eval_at_the_value_ceiling_is_fast(self):
         # one fraction at the end, not one normalised at every step
-        [(exit_code, seconds, record)] = self.run_without_str_limit(
+        [[(exit_code, seconds, out)]] = self.run_at_str_limits(
             [["psi", "eval", "--a", "1/3", "--b", "1", "--n", "20500"]]
         )
+        record = json.loads(out)
         assert exit_code == EXIT_OK and seconds < 1.0, record
         assert record["command"] == "psi-eval" and len(record["value"]) > 4300
 
@@ -655,8 +638,6 @@ class TestExitCodes:
         ("mersenne", "scan", "--pmin", str(10**30), "--pmax", str(10**30 + 99)),
     ], ids=["pmax-4001", "pmax-4500", "pmin-14000", "pmin-1e30"])
     def test_scan_above_the_work_ceiling_is_refused_at_once(self, argv, monkeypatch):
-        # with the int-to-str limit lifted, the work ceiling alone bounds a scan
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         trial_division = mersenne.is_prime_small
 
         def small_only(p):

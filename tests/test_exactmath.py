@@ -1,4 +1,5 @@
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from psikit.exactmath import (
     SQRT3,
     SQRT5,
     _is_square_free,
+    decimal_text,
 )
 from psikit.psicore import BARRETT_BREAK_EVEN
 
@@ -380,3 +382,37 @@ class TestRationalCanonicalForm:
     def test_integral_iff_denominator_one(self):
         assert Fraction(6, 3).denominator == 1
         assert Fraction(6, 4).denominator == 2
+
+
+def _decimal_cases():
+    """Seeded integers up to 2**20 bits: 0, 10**k - 1 and 10**k around the
+    least and the default int-to-str limits, values of each bit length on
+    both sides of each split width, 512 * 2**d bits up to 2**16, str()'s
+    threshold 2**15 among them, then random sizes."""
+    rng = random.Random(36)
+    values = [0, 1, 9, 10]
+    for k in (19, 154, 640, 641, 4300, 4301, 9864, 9865):
+        values += [10**k - 1, 10**k]
+    for width in (512 << d for d in range(8)):
+        for bits in (width - 1, width, width + 1):
+            values += [(1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)]
+    values += [rng.getrandbits(int(2 ** rng.uniform(1, 19))) for _ in range(60)]
+    return values + [rng.getrandbits(1 << 20) | 1 << ((1 << 20) - 1)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit to lift for the str() oracle")
+def test_decimal_text_is_str_at_any_limit():
+    """decimal_text of x and -x at the least, the default and no int-to-str
+    limit against str() with the limit lifted."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        for x in _decimal_cases():
+            sys.set_int_max_str_digits(0)
+            want = str(x)
+            for least in (640, 4300, 0):
+                sys.set_int_max_str_digits(least)
+                assert decimal_text(x) == want, (x.bit_length(), least)
+                assert decimal_text(-x) == ("-" + want if x else want), (x.bit_length(), least)
+    finally:
+        sys.set_int_max_str_digits(limit)

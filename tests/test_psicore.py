@@ -823,7 +823,7 @@ class TestBitBound:
 
     def test_bound_is_tight_on_growing_sequences(self):
         # the growth rate is exact for complex roots and within a few percent
-        # for psi(1, 4, .), so printable values are not refused
+        # for psi(1, 4, .), so values within the value-bits ceiling are not refused
         for a, b, n in ((3, 1, 9000), (1, 4, 4096), (-1, -3, 1000)):
             actual = psi_recurrence(a, b, n).bit_length()
             assert actual <= psi_bit_bound(a, b, n) <= actual + actual // 5 + 64
