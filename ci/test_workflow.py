@@ -10,6 +10,7 @@ version only (``-k "not perfbench"`` leaves them out).
 """
 
 import hashlib
+import json
 import os
 import re
 import signal
@@ -122,22 +123,34 @@ def test_m9941(method, verdict):
     assert code == 0 and f'"verdict":"{verdict}"'.encode() in out
 
 
-@pytest.mark.parametrize("line, timeout, env", [
-    ("mersenne test --p 101 --method necessary", 60, None),
-    *((f"mersenne test --p {10**18 + 3} --method {method}", 10, UNLIMITED)
+@pytest.mark.parametrize("line, timeout, env, bound", [
+    ("mersenne test --p 101 --method necessary", 60, None, None),
+    *((f"mersenne test --p {10**18 + 3} --method {method}", 10, UNLIMITED,
+       (f"mersenne test {method}", 10**18 + 3))
       for method in ("ll", "psi", "composite", "mu")),
-    (f"psi eval --a {'9' * 300} --b 1 --n 100000", 10, UNLIMITED),
-    ("psi ladder --a 3 --b 1 --n 2^1000000 --mod 2^1000000+1", 10, UNLIMITED),
-    ("psi eval --a 3 --b 1 --n 2^1000000 --mod 2^1000000+1", 10, UNLIMITED),
+    (f"psi eval --a {'9' * 300} --b 1 --n 100000", 10, UNLIMITED,
+     ("psi eval value bits", 49829689)),
+    ("psi ladder --a 3 --b 1 --n 2^1000000 --mod 2^1000000+1", 10, UNLIMITED,
+     ("psi ladder work", 1000001**3)),
+    ("psi eval --a 3 --b 1 --n 2^1000000 --mod 2^1000000+1", 10, UNLIMITED,
+     ("psi ladder work", 1000001**3)),
 ])
-def test_refused(line, timeout, env):
+def test_refused(line, timeout, env, bound):
     """Exit 3, in time.  2^101 - 1 = 7432339208719 * ... has no factor up to
     the ceiling of necessary's search.  With the int-to-str limit lifted, the
     --p ceilings refuse the prime 10^18 + 3 before any trial division, the
     value-bits ceiling an exact psi of about 50 million bits, and the
     ladder-work ceiling a ladder at a million-bit index and modulus; each
-    would run for hours."""
-    assert run(*CLI, *line.split(), timeout=timeout, env=env)[0] == 3
+    would run for hours.  The reason of each refusal but necessary's, whose
+    search ceiling keeps its own message, is that of ``limits.check``: the
+    LIMITS entry named in ``bound`` and the value there, above its ceiling."""
+    code, out = run(*CLI, *line.split(), timeout=timeout, env=env)
+    assert code == 3
+    if bound is not None:
+        name, value = bound
+        command, bounds, _, ceiling = LIMITS[name]
+        reason = f"{command}: {bounds} is {value}, above the ceiling {ceiling}"
+        assert json.loads(out)["reason"] == reason
 
 
 def test_a_ladder_ended_by_sigterm_leaves_no_child_running():

@@ -24,8 +24,8 @@ from math import isqrt
 from . import bridges as bridges_mod
 from . import eightlevels, mersenne, powersums
 from .errors import CapacityError
-from .exactmath import _ratio_text, decimal_text
-from .limits import LIMITS
+from .exactmath import _ratio_text, decimal_int, decimal_text
+from .limits import LIMITS, check
 from .psicore import (
     _common_denominator,
     psi_bit_bound,
@@ -41,34 +41,25 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_BROKEN_PIPE = 128 + 13  # SIGPIPE
 
-def _check_range(command: str, value: int) -> int:
-    """Refuse, before any work, a value of the command's bounded option above
-    its ceiling or below its first value; return the first value."""
-    _, option, first, ceiling = LIMITS[command]
-    option = option.lstrip("-")
-    if value > ceiling:
-        raise CapacityError(f"{command}: {option}={value} is above the ceiling {ceiling}")
-    if value < first:
-        raise ValueError(f"{command}: {option}={value} is below the first index {first}")
-    return first
-
-
 def _parse_scalar(text: str):
-    """Accept integers and exact fractions like ``-3`` or ``3/2``: an ``int``,
-    or a ``Fraction`` for a text with ``/``."""
+    """An ``int``, or a ``Fraction`` for a text with ``/``, like ``-3`` or ``3/2``,
+    as int() and (from Python 3.12) Fraction() read it with no int-to-str limit."""
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            from fractions import Fraction  # only a fraction's text needs it
+        if not slash:
+            return decimal_int(text)
+        if den.lstrip().startswith(("+", "-")):  # a sign goes on the numerator
+            raise ValueError(text)
+        from fractions import Fraction  # only a fraction's text needs it
 
-            return Fraction(text)
-        return int(text)
+        return Fraction(decimal_int(num), decimal_int(den))
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"not an exact scalar: {text!r}") from err
 
 
 def _parse_index(option: str, least: int = 0, what: str = "index") -> int:
     """Accept ``37634``, ``2^61``, ``3*2^61`` and ``2^61-1`` or ``3*2^61+5``
-    for astronomically large n (and moduli, with ``least=2``).
+    for astronomically large n (and moduli, with ``least=2``), at any int-to-str limit.
 
     The bit length of ``mult*base^exp`` is bounded by
     ``mult.bit_length() + exp * ceil(log2 |base|)``, the ceiling being
@@ -79,20 +70,18 @@ def _parse_index(option: str, least: int = 0, what: str = "index") -> int:
     try:
         if "*" in text:
             head, _, text = text.partition("*")
-            mult = int(head)
+            mult = decimal_int(head)
         base_text, caret, exp_text = text.partition("^")
         cut = max(exp_text.rfind("+"), exp_text.rfind("-"))
         if cut > 0:
-            exp_text, offset = exp_text[:cut], int(exp_text[cut:])
-        base, exp = int(base_text), int(exp_text) if caret else 1
+            exp_text, offset = exp_text[:cut], decimal_int(exp_text[cut:])
+        base, exp = decimal_int(base_text), decimal_int(exp_text) if caret else 1
     except ValueError as err:
         raise ValueError(f"not an exact integer: {option!r}") from err
     if caret:
         if exp < 0:
             raise ValueError(f"{what} exponent must be >= 0")
-        bits = mult.bit_length() + exp * (abs(base) - 1).bit_length()
-        if bits > (cap := LIMITS["index bits"].ceiling):
-            raise CapacityError(f"{what} {text!r} has up to {bits} bits; cap is {cap}")
+        check("index bits", mult.bit_length() + exp * (abs(base) - 1).bit_length())
     value = mult * base**exp + offset
     if value < least:
         raise ValueError(f"{what} must be >= {least}")
@@ -156,33 +145,22 @@ def _psi_record(command: str, a, b, n: int, m: int | None) -> dict:
     ladder, each integer written in full.  Before the work, each route refuses
     work above its ceiling (the exact route after its range of n)."""
     if m is None:
-        _check_range("psi eval", n)
-        bits = psi_bit_bound(a, b, n)
-        if bits > (cap := LIMITS["psi eval value bits"].ceiling):
-            raise CapacityError(f"psi at n={n} has up to {bits} bits; cap is {cap}")
+        check("psi eval", n)
+        check("psi eval value bits", psi_bit_bound(a, b, n))
         # psi(A/q, B/q, n) = psi(A, B, n) / q**(n // 2): one fraction, at the end
         q, a_num, b_num = _common_denominator(a, b)
         value = _ratio_text(psi_recurrence(a_num, b_num, n), q ** (n // 2))
     else:
-        work = n.bit_length() * m.bit_length() ** 2
-        if work > (ceiling := LIMITS["psi ladder work"].ceiling):
-            raise CapacityError(f"the ladder's work (index bits * modulus bits**2) {work} "
-                                f"is above the ceiling {ceiling}")
+        check("psi ladder work", n.bit_length() * m.bit_length() ** 2)
         value = decimal_text(psi_mod_ladder(a, b, n, m))
     return {
         "command": command,
-        "a": str(a),
-        "b": str(b),
+        "a": _ratio_text(a.numerator, a.denominator),
+        "b": _ratio_text(b.numerator, b.denominator),
         "n": decimal_text(n),
         "mod": None if m is None else decimal_text(m),
         "value": value,
     }
-
-
-def _require_integers(a, b) -> None:
-    """Refuse a fraction as a parameter of the modular route."""
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise ValueError("modular evaluation needs integer parameters")
 
 
 def _cmd_psi(args):
@@ -195,8 +173,8 @@ def _cmd_psi(args):
     # then that they are integers, then n
     mod = None if args.mod is None else _parse_index(args.mod, 2, "modulus")
     a, b = _parse_scalar(args.a), _parse_scalar(args.b)
-    if mod is not None:
-        _require_integers(a, b)
+    if mod is not None and not (isinstance(a, int) and isinstance(b, int)):
+        raise ValueError("modular evaluation needs integer parameters")
     return [_psi_record(f"psi-{args.psi_command}", a, b, _parse_index(args.n), mod)]
 
 
@@ -214,10 +192,10 @@ def _cmd_coeff(args):
     )
 
 
-def _each_index(check):
+def _each_index(test):
     """A suite that checks each index on its own: (start, nmax, seed) to the
-    results of check(n, seed) for n = start..nmax, each made when reached."""
-    return lambda start, nmax, seed: (check(n, seed) for n in range(start, nmax + 1))
+    results of test(n, seed) for n = start..nmax, each made when reached."""
+    return lambda start, nmax, seed: (test(n, seed) for n in range(start, nmax + 1))
 
 
 # Each suite maps (start, nmax, seed) to one result per index start..nmax.
@@ -242,8 +220,9 @@ _DEFAULT_NMAX = {"eightlevels": 12, "powersums": 8, "theta": 10, "fundamental": 
 
 
 def _cmd_verify(args):
-    nmax = _DEFAULT_NMAX[args.suite] if args.nmax is None else args.nmax
-    start = _check_range(f"verify {args.suite}", nmax)
+    name = f"verify {args.suite}"
+    nmax = check(name, _DEFAULT_NMAX[args.suite] if args.nmax is None else args.nmax)
+    start = LIMITS[name].first
     results = _VERIFY_SUITES[args.suite](start, nmax, args.seed)
     return (
         {"command": "verify", "suite": args.suite, "n": n, "ok": ok}
@@ -269,10 +248,7 @@ def _scan_exponents(lower: int, pmax: int) -> list[int]:
     for p in range(lower, pmax + 1):
         cost = p * p * isqrt(p)
         if cost > ceiling or mersenne.is_prime_small(p):
-            work += cost
-            if work > ceiling:
-                raise CapacityError(f"mersenne scan: work={work} up to p={p} is above "
-                                    f"the ceiling {ceiling}")
+            work = check("mersenne scan work", work + cost)
             exponents.append(p)
     return exponents
 
@@ -324,7 +300,7 @@ def _cmd_bridges(args):
     if args.bridges_command == "list":
         return ({"command": "bridge-spec", **spec.describe()} for spec in registry)
     if args.bridges_command == "check":
-        _check_range("bridges check", args.nmax)
+        check("bridges check", args.nmax)
         return (_bridge_record(spec, args.nmax) for spec in registry)
     # period
     labels = [args.label] if args.label else sorted(bridges_mod.PERIOD_CATALOGUE)
@@ -339,7 +315,7 @@ def _tau_record(l: int, variant: str) -> dict:
 
 
 def _cmd_identities(args):
-    _check_range("identities tau", args.l)
+    check("identities tau", args.l)
     variants = mersenne.TAU_SCALE if args.variant == "all" else (args.variant,)
     return (_tau_record(args.l, variant) for variant in variants)
 

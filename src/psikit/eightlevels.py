@@ -21,8 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .errors import CapacityError
-from .limits import LIMITS
+from .limits import check
 from .multipoly import SparsePoly, as_poly, form_at, format_terms, power_texts, variables
 from .psicore import (
     half,
@@ -80,12 +79,7 @@ def table_degree(n: int) -> int:
     """The degree floor(n/2) of the rows of the table for index n, refused
     outside the fixed bounds of coeff table's --n, so no cache holds a table
     that a later call would refuse."""
-    if n < (limit := LIMITS["coeff table"]).first:
-        raise ValueError(f"index must be >= {limit.first}")
-    m = half(n)
-    if n > limit.ceiling:
-        raise CapacityError(f"rows for n={n} have degree {m}; cap is {half(limit.ceiling)}")
-    return m
+    return half(check("coeff table", n))
 
 
 def _degree(n: int) -> int:

@@ -6,7 +6,7 @@ where a rational is taken in or handed out, and is imported there, so that
 importing this module does not load it.  The module provides elements of real
 quadratic extensions ``(u + v*sqrt(d)) / q``, a shift-and-add reduction for
 moduli of the form ``2**p - 1``, folded Barrett reduction for any other
-modulus, and the decimal text of an integer at any int-to-str limit.
+modulus, and an integer to and from its decimal text at any int-to-str limit.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "MersenneMod",
     "BarrettMod",
     "decimal_text",
+    "decimal_int",
 ]
 
 
@@ -103,6 +104,22 @@ def decimal_text(x: int) -> str:
     with decimal.localcontext(exact):
         text = str(join(abs(x), x.bit_length()))
     return "-" + text if x < 0 else text
+
+
+def decimal_int(text: str) -> int:
+    """``int(text)`` of a decimal literal as int() reads it with no int-to-str
+    limit: past the limit, the digits in two halves, each read so, joined."""
+    try:
+        return int(text)
+    except ValueError:  # no literal, or one past the int-to-str limit
+        import re  # only on this path
+
+        if not (literal := re.fullmatch(r"\s*([+-]?)(\d+(?:_\d+)*)\s*", text)):
+            raise
+    digits = literal[2].replace("_", "")
+    h = len(digits) >> 1
+    value = decimal_int(digits[:-h]) * 10**h + decimal_int(digits[-h:])
+    return -value if literal[1] == "-" else value
 
 
 def _ratio_text(n: int, q: int) -> str:

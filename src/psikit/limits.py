@@ -1,10 +1,13 @@
 """Every bound on a command-line input, stated once.  Each entry gives the
 command words, the option it bounds (or the measure, for a work ceiling), the
 first value (None for a measure) and the ceiling, the largest value accepted:
-above it exits 3, below the first value 2.  The cost noted is of one whole run
-at the ceiling on a shared 2-core box with CPython 3.11."""
+above it exits 3, below the first value 2, both by ``check``.  The cost noted
+is of one whole run at the ceiling on a shared 2-core box with CPython 3.11."""
 
 from collections import namedtuple
+
+from .errors import CapacityError
+from .exactmath import decimal_text
 
 Limit = namedtuple("Limit", "command bounds first ceiling")
 # psi(a, b, n) has degree n // 2, and so has the largest product its recurrence
@@ -40,7 +43,7 @@ LIMITS = {name: Limit(*fields) for name, fields in {
     "mersenne test composite": (_TEST + "composite", "--p", 3, 44_497),
     "mersenne test mu": (_TEST + "mu", "--p", 5, 44_497),
     "mersenne test mu --mu-max": (_TEST + "mu", "--mu-max", 1, 16),  # one residue per mu
-    # one ladder, 1.0-1.3 s; the largest prime p whose residues have up to 4300 digits
+    # one ladder, 1.17-1.22 s as a whole process; raising it is ROADMAP item 2
     "mersenne test sum": (_TEST + "sum", "--p", 5, 14_281),
     "mersenne test sum --mu": (_TEST + "sum", "--mu", 0, (1 << 64) - 1),  # n * mu: p + 63 bits
     # 1.0 s: the Lucas-Lehmer chain, then 488 trial factors up to 13938257
@@ -54,3 +57,16 @@ LIMITS = {name: Limit(*fields) for name, fields in {
     "coeff table": ("coeff table", "--n", 0, 129),
     "psi poly": ("psi poly", "--n", 0, _SYMBOLIC),  # 0.05 s
 }.items()}
+
+
+def check(name: str, value: int) -> int:
+    """``value``, refused above the ceiling of ``LIMITS[name]`` with
+    CapacityError and below its first value, where it has one, with ValueError."""
+    command, bounds, first, ceiling = LIMITS[name]
+    if value > ceiling:
+        error, side = CapacityError, f"above the ceiling {ceiling}"
+    elif first is not None and value < first:
+        error, side = ValueError, f"below the first value {first}"
+    else:
+        return value
+    raise error(f"{command}: {bounds} is {decimal_text(value)}, {side}")

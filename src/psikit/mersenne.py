@@ -11,7 +11,7 @@ from math import factorial, isqrt
 
 from .errors import CapacityError
 from .exactmath import MersenneMod, decimal_text
-from .limits import LIMITS
+from .limits import LIMITS, check
 from .psicore import _lucas_walk, _square_chain, psi_mod_ladder, psi_symbolic
 from .records import Record
 
@@ -86,16 +86,12 @@ class TestReport(Record):
         }
 
 
-def _candidate(method: str, p: int, work: str) -> tuple[int, int]:
-    """n = 2**(p-1) and M = 2**p - 1, once p is checked against the method's ceiling
-    (``work`` says what p would cost), before any work, then to be a prime >= its first."""
-    _, _, first, ceiling = LIMITS[f"mersenne test {method}"]
-    if p > ceiling:
-        raise CapacityError(f"{method} at p={p} needs {work}; cap is p <= {ceiling}")
+def _candidate(method: str, p: int) -> tuple[int, int]:
+    """n = 2**(p-1) and M = 2**p - 1, once p is checked against the bounds of the
+    method's --p, before any work, then to be prime."""
+    check(f"mersenne test {method}", p)
     if not is_prime_small(p):
         raise ValueError(f"exponent {p} is not prime")
-    if p < first:
-        raise ValueError(f"method requires prime p >= {first}, got {p}")
     return 1 << (p - 1), (1 << p) - 1
 
 
@@ -112,7 +108,7 @@ def ll_chain(p: int, seed: int = 4) -> int:
 
 def ll_classic(p: int) -> TestReport:
     """Classical s -> s**2 - 2 test: prime iff the (p-2)-th iterate is 0."""
-    _candidate("ll", p, f"the Lucas-Lehmer chain mod 2**{p} - 1")
+    _candidate("ll", p)
     residue = ll_chain(p)
     verdict = "prime" if residue == 0 else "composite"
     return TestReport(
@@ -125,7 +121,7 @@ def ll_classic(p: int) -> TestReport:
 
 def psi_test(p: int) -> TestReport:
     """Prime iff 2**p - 1 divides psi(1, 4, 2**(p-1)); evaluated by ladder."""
-    n, m = _candidate("psi", p, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
+    n, m = _candidate("psi", p)
     residue = psi_mod_ladder(1, 4, n, m)
     verdict = "prime" if residue == 0 else "composite"
     return TestReport(
@@ -155,11 +151,8 @@ def mu_pattern_test(p: int, mu_max: int = 8) -> TestReport:
     addition, r_(mu+1) = r_1 * r_mu - r_(mu-1) with r_0 = 2, one product
     each.
     """
-    n, m = _candidate("mu", p, f"psi(1, 4, 2**{p - 1}) mod 2**{p} - 1")
-    if mu_max < (limit := LIMITS["mersenne test mu --mu-max"]).first:
-        raise ValueError(f"mu_max must be >= {limit.first}")
-    if mu_max > limit.ceiling:
-        raise CapacityError(f"mu: mu_max={mu_max} is above the cap {limit.ceiling}")
+    n, m = _candidate("mu", p)
+    check("mersenne test mu --mu-max", mu_max)
     reduce = MersenneMod(p).reduce
     prev, cur = 2, psi_mod_ladder(1, 4, n, m)
     residues = [cur]
@@ -195,12 +188,8 @@ def enhanced_sum_test(p: int, mu: int = 1) -> TestReport:
     (the term-by-term sum is the tests' oracle).  At mu = 0 it is 2 * n = 1.
     So the expected value is the mu pattern's +2/0/-2 residue times n.
     """
-    if mu < (limit := LIMITS["mersenne test sum --mu"]).first:
-        raise ValueError(f"mu must be >= {limit.first}")
-    if mu > limit.ceiling:
-        raise CapacityError(f"sum: mu of {mu.bit_length()} bits is above the cap "
-                            f"mu < 2**{limit.ceiling.bit_length()}")
-    n, m = _candidate("sum", p, f"psi(1, 4, 2**{p - 1} * mu) mod 2**{p} - 1")
+    check("mersenne test sum --mu", mu)
+    n, m = _candidate("sum", p)
     residue = psi_mod_ladder(1, 4, n * mu, m) * n % m
     expected = mu_expected_residue(mu, m) * n % m
     verdict = "condition-holds" if residue == expected else "condition-fails"
@@ -255,7 +244,7 @@ def necessary_condition(p: int) -> TestReport:
       search of ``_smallest_factor``; an f above the ceiling of that search
       is refused with CapacityError.
     """
-    _, m = _candidate("necessary", p, f"the Lucas-Lehmer chain mod 2**{p} - 1")
+    _, m = _candidate("necessary", p)
     if ll_chain(p) == 0:
         return TestReport(
             method="necessary",
@@ -285,7 +274,7 @@ def composite_criterion(p: int) -> TestReport:
     n - 1 = 2k + 1 the chain state (V_k, V_(k+1)) holds
     psi(n - 1) = (V_k + V_(k+1)) / d and psi(n) = V_(k+1), and
     psi(n + 1) = psi(n) - psi(n - 1) at even n."""
-    n, m = _candidate("composite", p, f"psi(1, 4, 2**{p - 1} +/- 1) mod 2**{p} - 1")
+    n, m = _candidate("composite", p)
     reduce = MersenneMod(p).reduce
     v, w = _lucas_walk((n >> 1) - 1, -4, reduce)
     below = reduce((v + w) * pow(-2, -1, m))
@@ -324,7 +313,7 @@ def ab_ratio_test(p: int) -> TestReport:
     the divisibility criterion 2**p - 1 | psi(1, 4, 2**(p-1)) on exact
     integers.
     """
-    _candidate("ab", p, f"psi(1, 4, 2**{p - 1}), of about 2**{p - 1} bits")
+    _candidate("ab", p)
     a_ratio, b_ratio = ab_ratios(p)
     verdict = "prime" if b_ratio % a_ratio == 0 else "composite"
     return TestReport(
@@ -357,8 +346,7 @@ def tau_identity_value(l: int, variant: str):
     The terms are added over their common denominator, which grows by
     2k (2k - 1) s at step k, and the sum is normalised once at the end.
     """
-    if l < 3:
-        raise ValueError("l must be >= 3")
+    check("identities tau", l)
     if variant not in TAU_SCALE:
         raise ValueError(f"unknown variant {variant!r}")
     scale = TAU_SCALE[variant]
@@ -386,8 +374,7 @@ def tau_identity_expected(l: int, variant: str) -> int:
 def tau_polynomial_identity(l: int) -> bool:
     """The parent two-variable identity: twice the weighted sum over
     (a, b)-monomials reproduces psi(a, b, tau), at both signs of b."""
-    if l < 3:
-        raise ValueError("l must be >= 3")
+    check("identities tau", l)
     tau = 1 << l
     from .multipoly import form_at, variables
 

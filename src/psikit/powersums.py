@@ -12,8 +12,7 @@ from __future__ import annotations
 from math import factorial
 
 from .eightlevels import apply_direction, expand_powersum_basis, power_sum_poly
-from .errors import CapacityError
-from .limits import LIMITS
+from .limits import check
 from .multipoly import form_at, variables
 from .psicore import half
 
@@ -62,11 +61,7 @@ def verify_special_case(n: int) -> bool:
     where P is the power sum, m = floor(n/2) and D is the formal direction
     derivative over the basis (zt, z^2 + t^2).
     """
-    if n < (limit := LIMITS["verify powersums"]).first:
-        raise ValueError(f"index must be >= {limit.first}")
-    if n > limit.ceiling:
-        raise CapacityError(f"index {n} above cap {limit.ceiling}")
-    m = half(n)
+    m = half(check("verify powersums", n))
     x, y, z, t, u, v = variables("x y z t u v")
     zt_uv, xy_uv, zt_xy = bracket(z, t, u, v), bracket(x, y, u, v), bracket(z, t, x, y)
     lhs = (

@@ -54,9 +54,8 @@ from functools import lru_cache
 from itertools import count, islice
 from math import comb, gcd, isqrt, lcm
 
-from .errors import CapacityError
 from .exactmath import BarrettMod, MersenneMod
-from .limits import LIMITS
+from .limits import check
 from .multipoly import SparsePoly, form_at
 
 __all__ = [
@@ -170,11 +169,7 @@ def packing_bits(*bounds: int) -> int:
 
 def symbolic_degree(n: int) -> int:
     """The degree n // 2 of psi(a, b, n), refused outside the bounds of psi poly's --n."""
-    if n < (limit := LIMITS["psi poly"]).first:
-        raise ValueError(f"index must be >= {limit.first}")
-    if n > limit.ceiling:
-        raise CapacityError(f"symbolic index {n} exceeds cap {limit.ceiling}")
-    return half(n)
+    return half(check("psi poly", n))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from math import isqrt
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from psikit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     _parse_index,
+    _parse_scalar,
     _scan_exponents,
     main,
     render_records,
@@ -34,8 +36,17 @@ from psikit.mersenne import METHODS, is_prime_small
 from psikit.psicore import psi_recurrence, psi_symbolic
 
 INDEX_BITS = LIMITS["index bits"].ceiling
-LADDER_19937 = (f"the ladder's work (index bits * modulus bits**2) {19937**3} is above "
-                f"the ceiling {LIMITS['psi ladder work'].ceiling}")
+
+
+def bound_reason(name, value):
+    """The one reason form of a refusal by the bound ``name`` of LIMITS."""
+    command, bounds, first, ceiling = LIMITS[name]
+    side = f"above the ceiling {ceiling}" if value > ceiling else f"below the first value {first}"
+    return f"{command}: {bounds} is {value}, {side}"
+
+
+LADDER_19937 = bound_reason("psi ladder work", 19937**3)
+INDEX_2000001 = bound_reason("index bits", 2000001)
 
 
 def run_cli(*argv):
@@ -143,8 +154,8 @@ class TestPsiCommands:
             assert run_json("psi", "poly", "--n", str(n))[0] == EXIT_OK, n
 
     @pytest.mark.parametrize("n, code, reason", [
-        (-1, EXIT_USAGE, '"usage","reason":"index must be >= 0"'),
-        (257, EXIT_CAPACITY, '"capacity","reason":"symbolic index 257 exceeds cap 256"'),
+        (-1, EXIT_USAGE, '"usage","reason":"psi poly: --n is -1, below the first value 0"'),
+        (257, EXIT_CAPACITY, '"capacity","reason":"psi poly: --n is 257, above the ceiling 256"'),
     ])
     def test_poly_refusals(self, n, code, reason):
         line = f'{{"command":"psi","error":{reason}}}\n'
@@ -370,7 +381,7 @@ class TestExitCodes:
          "modulus must be >= 2"),
         (["mersenne", "test", "--p", "9", "--method", "psi"], "exponent 9 is not prime"),
         (["mersenne", "test", "--p", "3", "--method", "psi"],
-         "method requires prime p >= 5, got 3"),
+         "mersenne test --method psi: --p is 3, below the first value 5"),
     ], ids=["eval-rational-a", "eval-rational-b", "eval-mod-1", "test-p-9", "test-p-3"])
     def test_parameter_and_exponent_checks(self, argv, reason):
         code, recs = run_json(*argv)
@@ -383,8 +394,7 @@ class TestExitCodes:
     # without a reason is no error: its record writes a 6002-digit modulus.
     @pytest.mark.parametrize("argv, code, reason", [
         ("eval --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
-        ("eval --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
-         "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("eval --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY, INDEX_2000001),
         ("eval --a x --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'x'"),
         ("eval --a 1 --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'y'"),
         ("eval --a 1/2 --b 4 --n -1 --mod 7", EXIT_USAGE,
@@ -392,8 +402,7 @@ class TestExitCodes:
         ("eval --a 1 --b 3/2 --n 2^2000000 --mod 7", EXIT_USAGE,
          "modular evaluation needs integer parameters"),
         ("eval --a 1 --b 4 --n -1 --mod 7", EXIT_USAGE, "index must be >= 0"),
-        ("eval --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY,
-         "index '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("eval --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY, INDEX_2000001),
         ("eval --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY, LADDER_19937),
         ("eval --a 1 --b 4 --n 2^2^30 --mod 7", EXIT_USAGE, "not an exact integer: '2^2^30'"),
         ("eval --a 1 --b 4 --n 5 --mod 2**7-1", EXIT_USAGE, "not an exact integer: '2**7-1'"),
@@ -401,10 +410,9 @@ class TestExitCodes:
         ("eval --a x --b y --n -1", EXIT_USAGE, "not an exact scalar: 'x'"),
         ("eval --a 3 --b 1 --n -1", EXIT_USAGE, "index must be >= 0"),
         ("eval --a 3 --b 1 --n 100001", EXIT_CAPACITY,
-         "psi eval: n=100001 is above the ceiling 100000"),
+         "psi eval: --n is 100001, above the ceiling 100000"),
         ("ladder --a x --b y --n -1 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
-        ("ladder --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY,
-         "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("ladder --a x --b y --n -1 --mod 2^2000000", EXIT_CAPACITY, INDEX_2000001),
         ("ladder --a x --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'x'"),
         ("ladder --a 1 --b y --n -1 --mod 7", EXIT_USAGE, "not an exact scalar: 'y'"),
         ("ladder --a 1/2 --b 4 --n -1 --mod 7", EXIT_USAGE,
@@ -412,11 +420,9 @@ class TestExitCodes:
         ("ladder --a 1 --b 3/2 --n 2^2000000 --mod 7", EXIT_USAGE,
          "modular evaluation needs integer parameters"),
         ("ladder --a 1 --b 4 --n -1 --mod 7", EXIT_USAGE, "index must be >= 0"),
-        ("ladder --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY,
-         "index '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("ladder --a 1 --b 4 --n 2^2000000 --mod 7", EXIT_CAPACITY, INDEX_2000001),
         ("ladder --a 1 --b 4 --n 5 --mod 1", EXIT_USAGE, "modulus must be >= 2"),
-        ("ladder --a 1 --b 4 --n 5 --mod 2^2000000", EXIT_CAPACITY,
-         "modulus '2^2000000' has up to 2000001 bits; cap is 1048576"),
+        ("ladder --a 1 --b 4 --n 5 --mod 2^2000000", EXIT_CAPACITY, INDEX_2000001),
         ("ladder --a 1 --b 4 --n 2^19936 --mod 2^19937-1", EXIT_CAPACITY, LADDER_19937),
         ("ladder --a 1 --b 4 --n 5 --mod 2^19937-1", EXIT_OK, None),
         ("ladder --a 1 --b 4 --n 2^2^30 --mod 7", EXIT_USAGE, "not an exact integer: '2^2^30'"),
@@ -455,6 +461,29 @@ class TestExitCodes:
             assert run_json("psi", command, "--a", a, "--b", b, "--n", "5", "--mod", "7") == (
                 EXIT_USAGE, [{"command": "psi", "error": "usage", "reason": reason}]
             ), command
+
+    def test_scalars_are_read_as_int_and_fraction_read_them(self):
+        # seeded texts of digits (one Arabic-Indic), signs, spaces and
+        # underscores around no slash, one or two, against int() and the
+        # grammar of Fraction from Python 3.12 on, which takes spaces around
+        # the slash and underscores, and which _parse_scalar reads on any version
+        fraction = re.compile(r"\s*([+-]?\d+(?:_\d+)*)\s*/\s*(\d+(?:_\d+)*)\s*")
+        rng = random.Random(37)
+
+        def part():
+            return "".join(rng.choice("001127 +-_\u0663") for _ in range(rng.randrange(4)))
+
+        for _ in range(4000):
+            text = part() + rng.choice(("", "/", "//")) + part()
+            literal = fraction.fullmatch(text)
+            try:
+                want = int(text) if literal is None else Fraction(int(literal[1]), int(literal[2]))
+            except (ValueError, ZeroDivisionError):
+                with pytest.raises(ValueError, match="^not an exact scalar"):
+                    _parse_scalar(text)
+            else:
+                got = _parse_scalar(text)
+                assert got == want and type(got) is type(want), text
 
     def test_capacity_error(self):
         code, recs = run_json("mersenne", "test", "--p", "29", "--method", "ab")
@@ -517,8 +546,11 @@ class TestExitCodes:
 
     def test_records_are_the_same_at_any_str_limit(self):
         # each run writes an integer of more than 640 digits, the least limit,
-        # and all but necessary's one of more than 4300, the default; no option
-        # has more than 640 digits, as parsing keeps its limit
+        # and all but necessary's and the last three one of more than 4300, the
+        # default; the last three read a 700-digit option, the last refused
+        # with its value in the reason
+        digits = "7" * 700
+        refused = f"psi eval --a 1 --b 1 --n {digits}".split()
         argvs = [line.split() for line in (
             "mersenne test --p 2131 --method necessary",
             "mersenne test --p 14303 --method psi",
@@ -528,12 +560,15 @@ class TestExitCodes:
             "psi ladder --a 1 --b 4 --n 2^19936 --mod 7",
             "psi eval --a 1 --b 4 --n 2^19936 --mod 7",
             "psi eval --a 1/3 --b 1 --n 20500",
-        )]
+            f"psi eval --a {digits} --b 1 --n 3",
+            f"psi ladder --a 3 --b 1 --n 5 --mod {digits}",
+        )] + [refused]
         runs = [[(code, out) for code, _, out in run]
                 for run in self.run_at_str_limits(argvs, (640, 4300, 0))]
         assert runs[0] == runs[1] == runs[2]
         for argv, (code, out) in zip(argvs, runs[0]):
-            assert code == EXIT_OK and re.search(r"\d{641}", out), argv
+            assert code == (EXIT_CAPACITY if argv == refused else EXIT_OK), argv
+            assert re.search(r"\d{641}", out), argv
         # M2131 = 3273217 * ..., and M17 is prime
         assert '"notes":["factor found: 3273217 divides ' in runs[0][0][1]
         assert json.loads(runs[0][3][1])["verdict"] == "prime"
@@ -549,7 +584,7 @@ class TestExitCodes:
         for (method, p), (exit_code, seconds, out) in zip(runs, results):
             assert exit_code == EXIT_CAPACITY and seconds < 1.0, (method, p)
             ceiling = LIMITS[f"mersenne test {method}"].ceiling
-            assert json.loads(out)["reason"].endswith(f"cap is p <= {ceiling}")
+            assert json.loads(out)["reason"] == bound_reason(f"mersenne test {method}", p)
             assert ceiling == 44497 < p, (method, p)
 
     def test_psi_work_is_bounded_at_any_str_limit(self):
@@ -561,11 +596,8 @@ class TestExitCodes:
             ["psi", "eval", "--a", "3", "--b", "1", "--n", "2^1000000",
              "--mod", "2^1000000+1"],
         ])
-        ladder = (f"the ladder's work (index bits * modulus bits**2) {1000001**3} "
-                  f"is above the ceiling {LIMITS['psi ladder work'].ceiling}")
-        cap = LIMITS["psi eval value bits"].ceiling
-        reasons = [f"psi at n=100000 has up to 49829689 bits; cap is {cap}",
-                   ladder, ladder]
+        ladder = bound_reason("psi ladder work", 1000001**3)
+        reasons = [bound_reason("psi eval value bits", 49829689), ladder, ladder]
         for (exit_code, seconds, out), reason in zip(results, reasons):
             assert exit_code == EXIT_CAPACITY and seconds < 1.0, out
             assert json.loads(out) == {"command": "psi", "error": "capacity", "reason": reason}
@@ -599,6 +631,7 @@ class TestExitCodes:
             code, recs = run_json(*argv(value))
             assert code == EXIT_CAPACITY and len(recs) == 1, value
             assert recs[0]["error"] == "capacity", value
+            assert recs[0]["reason"] == bound_reason(name, value), value
             assert time.perf_counter() - started < 1.0, value
 
     @pytest.mark.parametrize("name", sorted(BOUNDED))
@@ -608,13 +641,10 @@ class TestExitCodes:
             code, recs = run_json(*argv(value))
             assert code == EXIT_USAGE and len(recs) == 1, value
             assert recs[0]["error"] == "usage", value
-            # the one bounded option of verify, bridges and identities is checked
-            # by the command line, which names it
-            if name.startswith(("verify ", "bridges ", "identities ")):
-                option = LIMITS[name].bounds.lstrip("-")
-                assert recs[0]["reason"] == (
-                    f"{name}: {option}={value} is below the first index {first}"
-                )
+            # psi eval's --n is read as an index, which may not be negative on
+            # either route, before the exact route checks its range
+            reason = "index must be >= 0" if name == "psi eval" else bound_reason(name, value)
+            assert recs[0]["reason"] == reason, value
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_each_method_accepts_its_first_p(self, method):
@@ -650,7 +680,8 @@ class TestExitCodes:
         assert code == EXIT_CAPACITY and len(recs) == 1
         assert recs[0]["error"] == "capacity"
         ceiling = LIMITS["mersenne scan work"].ceiling
-        assert recs[0]["reason"].endswith(f"is above the ceiling {ceiling}")
+        assert recs[0]["reason"].startswith("mersenne scan: the sum of p * p * isqrt(p) is ")
+        assert recs[0]["reason"].endswith(f", above the ceiling {ceiling}")
         assert time.perf_counter() - started < 1.0
 
     def test_nmax_at_the_first_index_runs(self):
@@ -710,7 +741,7 @@ class TestExitCodes:
     def test_index_bit_estimate_is_exact_for_powers_of_two(self):
         # 2^k has k + 1 bits: the estimate takes ceil(log2 2) = 1 bit per factor
         assert _parse_index(f"2^{INDEX_BITS - 1}").bit_length() == INDEX_BITS
-        with pytest.raises(CapacityError, match=f"has up to {INDEX_BITS + 1} bits"):
+        with pytest.raises(CapacityError, match=f" is {INDEX_BITS + 1}, above the ceiling"):
             _parse_index(f"2^{INDEX_BITS}")
         # a base that is not a power of two rounds its bits per factor up
         assert _parse_index("3^100") == 3**100
@@ -760,7 +791,7 @@ PARITY_RUNS = {
                        0, "7794e3e5cec7b002"),
     "repro all": (["repro", "all", "--outdir", "r"], 0, "71855838ae512386"),
     "capacity error": (["mersenne", "test", "--p", "29", "--method", "ab"],
-                       EXIT_CAPACITY, "91b2c93bc5522ef2"),
+                       EXIT_CAPACITY, "06653e869f29f35c"),
     "value error": (["psi", "ladder", "--a", "3", "--b", "5", "--n", "99", "--mod", "1"],
                     EXIT_USAGE, "5a0e9e54accca5a9"),
 }

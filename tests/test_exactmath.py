@@ -18,6 +18,7 @@ from psikit.exactmath import (
     SQRT3,
     SQRT5,
     _is_square_free,
+    decimal_int,
     decimal_text,
 )
 from psikit.psicore import BARRETT_BREAK_EVEN
@@ -414,5 +415,49 @@ def test_decimal_text_is_str_at_any_limit():
                 sys.set_int_max_str_digits(least)
                 assert decimal_text(x) == want, (x.bit_length(), least)
                 assert decimal_text(-x) == ("-" + want if x else want), (x.bit_length(), least)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _literal_cases():
+    """Seeded decimal literals of 2 to 50000 digits, around the split width
+    512, the least and the default int-to-str limits: each plain, signed,
+    padded with whitespace, grouped by an underscore and in Arabic-Indic
+    digits; then texts that int() refuses at any limit, each past the least
+    limit."""
+    rng = random.Random(37)
+    arabic_indic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    literals, refused = [], []
+    for size in (2, 511, 512, 513, 640, 641, 1025, 4300, 4301, 9865, 50000):
+        digits = "".join(rng.choice("0123456789") for _ in range(size))
+        head, tail = digits[:(cut := rng.randrange(1, size))], digits[cut:]
+        literals += [digits, "-" + digits, "+" + digits, f" \t{digits}\n",
+                     f"{head}_{tail}", digits.translate(arabic_indic)]
+        if size > 640:
+            refused += [digits + "x", digits + "_", "_" + digits, digits + ".0", "--" + digits,
+                        f"{head} {tail}", f"{head}__{tail}", digits + "e5", "0x" + digits]
+    return literals, refused
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-to-str limit to lift for the int() oracle")
+def test_decimal_int_is_int_at_any_limit():
+    """decimal_int of each literal at the least, the default and no
+    int-to-str limit against int() with the limit lifted; each text that
+    int() refuses as no literal raises ValueError at every limit."""
+    limit = sys.get_int_max_str_digits()
+    literals, refused = _literal_cases()
+    try:
+        for text in literals:
+            sys.set_int_max_str_digits(0)
+            want = int(text)
+            for least in (640, 4300, 0):
+                sys.set_int_max_str_digits(least)
+                assert decimal_int(text) == want, (len(text), least)
+        for text in refused:
+            for least in (640, 4300, 0):
+                sys.set_int_max_str_digits(least)
+                with pytest.raises(ValueError):
+                    decimal_int(text)
     finally:
         sys.set_int_max_str_digits(limit)

@@ -416,7 +416,8 @@ class TestCeilings:
         ceiling = LIMITS[f"mersenne test {method}"].ceiling
         # 2**61 - 1 is prime: trial division of p would run for hours
         for p in (ceiling + 1, ceiling + 2, (1 << 61) - 1):
-            with pytest.raises(CapacityError, match=f"cap is p <= {ceiling}$"):
+            with pytest.raises(CapacityError, match=f"^mersenne test --method {method}: --p is "
+                               f"{p}, above the ceiling {ceiling}$"):
                 METHODS[method](p)
 
     def test_necessary_up_to_its_ceiling(self):
